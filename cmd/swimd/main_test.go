@@ -304,6 +304,14 @@ func TestGracefulShutdownDrainsUploadAndPersists(t *testing.T) {
 	// first half is consumed by the server (pipe writes block until
 	// read), then the stop signal fires mid-upload, then the rest goes
 	// through. Shutdown must wait for the 201, not cut the request.
+	//
+	// The contract covers requests the server has started; a connection
+	// still in the accept backlog when the listener closes is reset. So
+	// the stop must wait for server-side evidence that the handler runs:
+	// with Expect: 100-continue the client holds the body until the
+	// server's 100 Continue, which Go's server sends only on the
+	// handler's first body read — the first pipe write cannot return
+	// before then.
 	pr, pw := io.Pipe()
 	type result struct {
 		status int
@@ -311,7 +319,15 @@ func TestGracefulShutdownDrainsUploadAndPersists(t *testing.T) {
 	}
 	done := make(chan result, 1)
 	go func() {
-		resp, err := http.Post(base+"/v1/traces/survivor", "application/jsonl", pr)
+		req, err := http.NewRequest(http.MethodPost, base+"/v1/traces/survivor", pr)
+		if err != nil {
+			done <- result{err: err}
+			return
+		}
+		req.Header.Set("Content-Type", "application/jsonl")
+		req.Header.Set("Expect", "100-continue")
+		client := &http.Client{Transport: &http.Transport{ExpectContinueTimeout: time.Minute}}
+		resp, err := client.Do(req)
 		if err != nil {
 			done <- result{err: err}
 			return

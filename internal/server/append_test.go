@@ -405,6 +405,62 @@ func TestWindowedReportHTTP(t *testing.T) {
 	}
 }
 
+// TestReportWindowClampedToSpan: a window reaching past the trace is
+// answered as its intersection with the trace span, with the same bytes
+// whether the trace is resident, disk-resident or distributed, and a
+// window that misses the span is a 400 everywhere.
+func TestReportWindowClampedToSpan(t *testing.T) {
+	tr := genTrace(t, "CC-b", 2, 30*time.Hour)
+	start, end := tr.Meta.Start, tr.Meta.Start.Add(tr.Meta.Length)
+	span := func(from, to time.Time) string {
+		return "?from=" + from.Format(time.RFC3339Nano) + "&to=" + to.Format(time.RFC3339Nano)
+	}
+
+	_, resident := newTestServer(t)
+	ingestTrace(t, resident, "clamp", tr)
+	_, disk := diskServer(t, t.TempDir(), Config{MaxTotalJobs: 1})
+	ingestTrace(t, disk, "clamp", tr)
+	nodes := newTestCluster(t, 3, nil)
+	ingestTrace(t, nodes[0].ts, "clamp", tr)
+	sources := []struct{ name, base, analysis string }{
+		{"resident", resident.URL, "window-scan"},
+		{"disk-resident", disk.URL, "window-disk-scan"},
+		{"cluster", nodes[1].ts.URL, "scatter"},
+	}
+
+	// want is the in-span window each query must be answered as, read
+	// from the resident server.
+	cases := []struct{ name, query, want string }{
+		{"in-span", span(start.Add(2*time.Hour), start.Add(8*time.Hour)), span(start.Add(2*time.Hour), start.Add(8*time.Hour))},
+		{"partly-out", span(start.Add(-5*time.Hour), start.Add(8*time.Hour)), span(start, start.Add(8*time.Hour))},
+		{"far-out", "?from=0&to=9999999999", span(start, end)},
+		{"window-longer-than-trace", "?window=48h", span(start, end)},
+	}
+	for _, c := range cases {
+		_, want := getReport(t, resident.URL, "clamp", c.want)
+		for _, src := range sources {
+			t.Run(src.name+"/"+c.name, func(t *testing.T) {
+				code, hdr, body := fetchRaw(t, src.base+"/v1/traces/clamp/report"+c.query)
+				if code != http.StatusOK {
+					t.Fatalf("%s: %d %s", c.query, code, clip(body))
+				}
+				if !bytes.Equal(body, want) {
+					t.Errorf("%s: %d bytes, want the %d bytes of %s", c.query, len(body), len(want), c.want)
+				}
+				if hdr.Get("X-Cache") == "MISS" && hdr.Get("X-Analysis") != src.analysis {
+					t.Errorf("%s: X-Analysis %q, want %q", c.query, hdr.Get("X-Analysis"), src.analysis)
+				}
+			})
+		}
+	}
+	for _, src := range sources {
+		code, _, body := fetchRaw(t, src.base+"/v1/traces/clamp/report?from=0&to=1000")
+		if code != http.StatusBadRequest {
+			t.Errorf("%s: window before the trace: %d %s, want 400", src.name, code, clip(body))
+		}
+	}
+}
+
 // TestQueryBoolStrict covers the silent-false fix: a malformed boolean
 // is a 400, not a quiet default.
 func TestQueryBoolStrict(t *testing.T) {

@@ -54,7 +54,7 @@ func BenchmarkServeReport(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			get(b, url)
 			b.StopTimer()
-			s.cache.Purge() // evict between iterations
+			s.cache.InvalidatePrefix("") // evict between iterations
 			b.StartTimer()
 		}
 	})
@@ -65,7 +65,7 @@ func BenchmarkServeReport(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			get(b, url)
 			b.StopTimer()
-			s.cache.Purge() // drops the aggregate tier too
+			s.cache.InvalidatePrefix("") // drops the aggregate tier too
 			b.StartTimer()
 		}
 	})
@@ -96,7 +96,7 @@ func BenchmarkStoreColdReport(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			get(b, url)
 			b.StopTimer()
-			s.cache.Purge()
+			s.cache.InvalidatePrefix("")
 			b.StartTimer()
 		}
 	})
@@ -131,7 +131,7 @@ func BenchmarkStoreColdReport(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			get(b, url)
 			b.StopTimer()
-			s.cache.Purge()
+			s.cache.InvalidatePrefix("")
 			b.StartTimer()
 		}
 	})
@@ -142,7 +142,7 @@ func BenchmarkStoreColdReport(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			get(b, url)
 			b.StopTimer()
-			s.cache.Purge() // drops the parked aggregate too
+			s.cache.InvalidatePrefix("") // drops the parked aggregate too
 			b.StartTimer()
 		}
 	})

@@ -311,29 +311,6 @@ func (c *ResultCache) evictLocked() {
 	}
 }
 
-// Purge drops every ready entry in both tiers (in-flight computations
-// are left to finish for their waiters). Counters are preserved.
-func (c *ResultCache) Purge() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for key, e := range c.entries {
-		select {
-		case <-e.ready:
-			delete(c.entries, key)
-			c.lru.Remove(e.elem)
-		default:
-		}
-	}
-	for key, e := range c.aggs {
-		select {
-		case <-e.ready:
-			delete(c.aggs, key)
-			c.aggLRU.Remove(e.elem)
-		default:
-		}
-	}
-}
-
 // CacheStats is the cache's occupancy and lifetime counters. Hits count
 // ready-entry lookups; Coalesced counts requests that waited on another
 // request's in-flight computation (both are "cache hits" from the

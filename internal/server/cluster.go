@@ -511,56 +511,29 @@ func (e *degradedError) Error() string {
 	return fmt.Sprintf("server: degraded report (missing shards %v)", e.missing)
 }
 
-// report answers GET /v1/traces/{name}/report for a distributed trace:
-// warm cluster-cache peek, then scatter to one live owner per shard,
-// merge the binary partial snapshots in shard order, and finalize —
-// byte-identical to a single-node analysis when every shard answers.
+// report answers GET /v1/traces/{name}/report for a distributed trace
+// through the shared report pipeline (see handleReport). What is the
+// coordinator's own: a warm cluster-cache peek, the scatter to one live
+// owner per shard and the merge of their binary partial snapshots in
+// shard order — byte-identical to a single-node analysis when every
+// shard answers — the degraded answer when some shard does not, and
+// the X-Cluster-* headers.
 func (c *clusterCoordinator) report(w http.ResponseWriter, r *http.Request, e *clusterEntry) {
 	m := e.snapshot()
-	full, err := queryBool(r, "full")
+	q, err := parseReportQuery(r, m.traceMeta().Start, m.LengthMS)
 	if err != nil {
 		writeErr(w, err)
 		return
 	}
-	sketch, err := queryBool(r, "sketch")
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	top, err := queryInt(r, "top", 8)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	shards, err := queryInt(r, "shards", 0)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	if shards < 0 || shards > 1024 {
-		writeErr(w, badReq("shards=%d out of range [0, 1024]", shards))
-		return
-	}
-	if full {
+	if q.full {
 		writeErr(w, fmt.Errorf("%w: full=1 needs random access to the whole trace; distributed traces are served by the streaming analyses", errUnprocessable))
 		return
 	}
-	meta := m.traceMeta()
-	from, to, windowed, err := reportWindowSpan(r, meta.Start, m.LengthMS)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	key := fmt.Sprintf("%s|report|full=false|sketch=%t|top=%d", m.Fingerprint, sketch, top)
-	if windowed {
-		key += fmt.Sprintf("|win=%d-%d", from.Unix(), to.Unix())
-	}
+	key := q.key(m.Fingerprint)
 	w.Header().Set("X-Cluster-Shards", strconv.Itoa(m.Shards))
 
-	var (
-		remoteHit bool
-		gatherEv  *scanEvidence
-	)
+	rt := obs.FromContext(r.Context())
+	remoteHit := false
 	body, cached, err := c.srv.cache.Do(key, func() ([]byte, error) {
 		// Any member may have answered this exact query already: the
 		// key's ring owner is the cluster-wide rendezvous for its
@@ -573,10 +546,8 @@ func (c *clusterCoordinator) report(w http.ResponseWriter, r *http.Request, e *c
 				return resp.Body, nil
 			}
 		}
-		parts, ev := c.gather(r.Context(), m, sketch, from, to, windowed)
-		gatherEv = ev
-		endMerge := obs.FromContext(r.Context()).StartSpan("merge", spanDetail("parts", len(parts)))
-		defer endMerge()
+		parts, ev := c.gather(r.Context(), m, q)
+		endMerge := rt.StartSpan("merge", spanDetail("parts", len(parts)))
 		var merged *core.Partial
 		var missing []int
 		for i, p := range parts {
@@ -589,25 +560,23 @@ func (c *clusterCoordinator) report(w http.ResponseWriter, r *http.Request, e *c
 				continue
 			}
 			if err := merged.Merge(p); err != nil {
+				endMerge()
 				return nil, fmt.Errorf("%w: %v", errUnprocessable, err)
 			}
 		}
+		endMerge()
 		if merged == nil {
 			return nil, fmt.Errorf("%w: no shard owner reachable for %q", errUpstream, m.Name)
 		}
 		c.fleet.AddMerges(len(parts) - len(missing))
-		rep, err := merged.Report(top)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", errUnprocessable, err)
-		}
-		body, err := json.Marshal(rep.JSON())
+		body, err := finishReport(w, rt, merged, q.top, "scatter", ev)
 		if err != nil {
 			return nil, err
 		}
 		// Whole-trace reports can additionally detect stale replicas (a
 		// copy that missed an append) by job count; a window legitimately
 		// covers fewer jobs, so only missing shards degrade it.
-		if len(missing) > 0 || (!windowed && merged.Jobs() != m.Jobs) {
+		if len(missing) > 0 || (!q.windowed && merged.Jobs() != m.Jobs) {
 			return nil, &degradedError{body: body, missing: missing, ev: ev}
 		}
 		// Publish to the rendezvous owner so any member serves the next
@@ -621,39 +590,25 @@ func (c *clusterCoordinator) report(w http.ResponseWriter, r *http.Request, e *c
 	var deg *degradedError
 	if errors.As(err, &deg) {
 		c.fleet.AddDegraded()
-		w.Header().Set("Content-Type", "application/json")
-		w.Header().Set("X-Cache", "MISS")
 		w.Header().Set("X-Analysis", "degraded")
 		w.Header().Set("X-Cluster-Missing-Shards", intsCSV(deg.missing))
 		deg.ev.addTo(w.Header())
-		w.WriteHeader(http.StatusOK)
-		_, _ = w.Write(deg.body)
-		return
+		body, cached, err = deg.body, false, nil
 	}
 	if err != nil {
 		writeErr(w, err)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	if cached {
-		w.Header().Set("X-Cache", "HIT")
-	} else {
-		w.Header().Set("X-Cache", "MISS")
-		if remoteHit {
-			w.Header().Set("X-Cluster-Cache", "HIT")
-		} else {
-			w.Header().Set("X-Analysis", "scatter")
-			gatherEv.addTo(w.Header())
-		}
+	if remoteHit {
+		w.Header().Set("X-Cluster-Cache", "HIT")
 	}
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(body)
+	writeCached(w, body, cached)
 }
 
 // gather fetches one binary partial snapshot per shard concurrently.
 // parts[i] is nil when every replica of shard i failed; the summed
 // scan evidence covers the shards that answered.
-func (c *clusterCoordinator) gather(ctx context.Context, m clusterMeta, sketch bool, from, to time.Time, windowed bool) ([]*core.Partial, *scanEvidence) {
+func (c *clusterCoordinator) gather(ctx context.Context, m clusterMeta, q reportQuery) ([]*core.Partial, *scanEvidence) {
 	c.fleet.AddScatter()
 	endScatter := obs.FromContext(ctx).StartSpan("scatter", spanDetail("shards", m.Shards))
 	scatterStart := time.Now()
@@ -670,7 +625,7 @@ func (c *clusterCoordinator) gather(ctx context.Context, m clusterMeta, sketch b
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			parts[i], evs[i] = c.shardPartial(ctx, m, i, sketch, from, to, windowed)
+			parts[i], evs[i] = c.shardPartial(ctx, m, i, q)
 		}(i)
 	}
 	wg.Wait()
@@ -687,14 +642,16 @@ func (c *clusterCoordinator) gather(ctx context.Context, m clusterMeta, sketch b
 // go through the snapshot encoding, so the merged partials are always
 // private to this request (frozen store aggregates are never aliased
 // into the merge receiver).
-func (c *clusterCoordinator) shardPartial(ctx context.Context, m clusterMeta, i int, sketch bool, from, to time.Time, windowed bool) (*core.Partial, *scanEvidence) {
-	q := url.Values{}
-	if sketch {
-		q.Set("sketch", "1")
+func (c *clusterCoordinator) shardPartial(ctx context.Context, m clusterMeta, i int, q reportQuery) (*core.Partial, *scanEvidence) {
+	// The owner parses these with parseReportQuery against the shard's
+	// span, which is the whole trace's: the window arrives as resolved.
+	vals := url.Values{}
+	if q.sketch {
+		vals.Set("sketch", "1")
 	}
-	if windowed {
-		q.Set("from_ns", strconv.FormatInt(from.UnixNano(), 10))
-		q.Set("to_ns", strconv.FormatInt(to.UnixNano(), 10))
+	if q.windowed {
+		vals.Set("from", q.from.UTC().Format(time.RFC3339Nano))
+		vals.Set("to", q.to.UTC().Format(time.RFC3339Nano))
 	}
 	rt := obs.FromContext(ctx)
 	for _, id := range c.fleet.SortByLiveness(c.fleet.Owners(shardKey(m.Name, i), m.Replication)) {
@@ -702,8 +659,10 @@ func (c *clusterCoordinator) shardPartial(ctx context.Context, m clusterMeta, i 
 		var ev *scanEvidence
 		if c.fleet.IsSelf(id) {
 			endSpan := rt.StartSpan("shard-fetch", spanDetail("shard", i, "peer", id, "local", true))
-			var err error
-			snap, ev, err = c.srv.localShardPartial(m.Name, i, sketch, from, to, windowed)
+			v, err := c.srv.store.View(shardTraceName(m.Name, i))
+			if err == nil {
+				snap, ev, err = c.srv.shardSnapshot(v, q)
+			}
 			endSpan()
 			if err != nil {
 				continue
@@ -712,7 +671,7 @@ func (c *clusterCoordinator) shardPartial(ctx context.Context, m clusterMeta, i 
 			c.fleet.AddShardFetch()
 			endSpan := rt.StartSpan("shard-fetch", spanDetail("shard", i, "peer", id))
 			fetchStart := time.Now()
-			resp, err := c.fleet.Client(id).Get(ctx, shardPath(m.Name, i)+"/partial", q)
+			resp, err := c.fleet.Client(id).Get(ctx, shardPath(m.Name, i)+"/partial", vals)
 			failed := err != nil || resp.Status != http.StatusOK
 			if c.srv.metrics != nil {
 				c.srv.metrics.recordShardFetch(id, time.Since(fetchStart), failed)
@@ -733,21 +692,10 @@ func (c *clusterCoordinator) shardPartial(ctx context.Context, m clusterMeta, i 
 	return nil, nil
 }
 
-// localShardPartial builds (or reuses) the partial for a locally
-// stored shard replica and returns its binary snapshot — the exact
-// bytes a remote owner would have sent.
-func (s *Server) localShardPartial(name string, i int, sketch bool, from, to time.Time, windowed bool) ([]byte, *scanEvidence, error) {
-	v, err := s.store.View(shardTraceName(name, i))
-	if err != nil {
-		return nil, nil, err
-	}
-	var p *core.Partial
-	var ev *scanEvidence
-	if windowed {
-		p, _, ev, err = s.windowPartial(v, from, to, 0, sketch)
-	} else {
-		p, _, ev, err = s.tracePartial(v, 0, sketch)
-	}
+// shardSnapshot resolves a locally stored shard replica's partial and
+// returns its binary snapshot — the exact bytes a remote owner sends.
+func (s *Server) shardSnapshot(v View, q reportQuery) ([]byte, *scanEvidence, error) {
+	p, _, ev, err := s.partialFor(v, q)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -1044,38 +992,28 @@ func (s *Server) handleShardAppend(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleShardPartial answers one shard's partial aggregate as the
-// versioned binary snapshot — the node-to-node wire format. from_ns /
-// to_ns (unix nanoseconds) select a submit-time window; the X-Scan-*
-// headers carry the shard-local pruning evidence for the coordinator
-// to aggregate.
+// versioned binary snapshot — the node-to-node wire format. It takes
+// the report parameters (sketch, from/to) of the coordinator's query;
+// the X-Scan-* headers carry the shard-local pruning evidence for the
+// coordinator to aggregate.
 func (s *Server) handleShardPartial(w http.ResponseWriter, r *http.Request) {
 	name, i, err := shardPathValues(r)
 	if err != nil {
 		writeErr(w, err)
 		return
 	}
-	sketch, err := queryBool(r, "sketch")
+	v, err := s.store.View(shardTraceName(name, i))
 	if err != nil {
 		writeErr(w, err)
 		return
 	}
-	fromNS, err := queryInt64(r, "from_ns", 0)
+	q, err := parseReportQuery(r, v.spanStart(), v.Info.LengthMS)
 	if err != nil {
 		writeErr(w, err)
 		return
 	}
-	toNS, err := queryInt64(r, "to_ns", 0)
+	snap, ev, err := s.shardSnapshot(v, q)
 	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	windowed := fromNS != 0 || toNS != 0
-	from, to := time.Unix(0, fromNS).UTC(), time.Unix(0, toNS).UTC()
-	snap, ev, err := s.localShardPartial(name, i, sketch, from, to, windowed)
-	if err != nil {
-		if !errors.Is(err, ErrNotFound) && !errors.Is(err, errUnprocessable) {
-			err = fmt.Errorf("%w: %v", errUnprocessable, err)
-		}
 		writeErr(w, err)
 		return
 	}

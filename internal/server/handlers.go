@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io/fs"
 	"net/http"
+	"net/url"
 	"runtime"
 	"strconv"
 	"time"
@@ -70,8 +71,8 @@ func badReq(format string, args ...any) error {
 // {"", "0", "1", "true", "false", "yes", "no"} is a 400, not a silent
 // false — a misspelled ?ful=1 or ?sketch=ture must not quietly serve
 // the wrong report variant.
-func queryBool(r *http.Request, key string) (bool, error) {
-	switch v := r.URL.Query().Get(key); v {
+func queryBool(params url.Values, key string) (bool, error) {
+	switch v := params.Get(key); v {
 	case "1", "true", "yes":
 		return true, nil
 	case "", "0", "false", "no":
@@ -83,8 +84,8 @@ func queryBool(r *http.Request, key string) (bool, error) {
 
 // queryTime parses a timestamp query parameter: integer unix seconds or
 // RFC3339. The zero time means absent.
-func queryTime(r *http.Request, key string) (time.Time, error) {
-	s := r.URL.Query().Get(key)
+func queryTime(params url.Values, key string) (time.Time, error) {
+	s := params.Get(key)
 	if s == "" {
 		return time.Time{}, nil
 	}
@@ -99,8 +100,8 @@ func queryTime(r *http.Request, key string) (time.Time, error) {
 }
 
 // queryInt parses an integer query parameter with a default.
-func queryInt(r *http.Request, key string, def int) (int, error) {
-	s := r.URL.Query().Get(key)
+func queryInt(params url.Values, key string, def int) (int, error) {
+	s := params.Get(key)
 	if s == "" {
 		return def, nil
 	}
@@ -112,8 +113,8 @@ func queryInt(r *http.Request, key string, def int) (int, error) {
 }
 
 // queryInt64 parses an int64 query parameter with a default.
-func queryInt64(r *http.Request, key string, def int64) (int64, error) {
-	s := r.URL.Query().Get(key)
+func queryInt64(params url.Values, key string, def int64) (int64, error) {
+	s := params.Get(key)
 	if s == "" {
 		return def, nil
 	}
@@ -125,8 +126,8 @@ func queryInt64(r *http.Request, key string, def int64) (int64, error) {
 }
 
 // queryFloat parses a float query parameter with a default.
-func queryFloat(r *http.Request, key string, def float64) (float64, error) {
-	s := r.URL.Query().Get(key)
+func queryFloat(params url.Values, key string, def float64) (float64, error) {
+	s := params.Get(key)
 	if s == "" {
 		return def, nil
 	}
@@ -138,8 +139,8 @@ func queryFloat(r *http.Request, key string, def float64) (float64, error) {
 }
 
 // queryDuration parses a duration query parameter with a default.
-func queryDuration(r *http.Request, key string, def time.Duration) (time.Duration, error) {
-	s := r.URL.Query().Get(key)
+func queryDuration(params url.Values, key string, def time.Duration) (time.Duration, error) {
+	s := params.Get(key)
 	if s == "" {
 		return def, nil
 	}
@@ -362,6 +363,12 @@ func (s *Server) serveCached(w http.ResponseWriter, key string, compute func() (
 		writeErr(w, err)
 		return
 	}
+	writeCached(w, body, cached)
+}
+
+// writeCached writes a result-cache answer: X-Cache says whether the
+// bytes were memoized (or coalesced) rather than computed here.
+func writeCached(w http.ResponseWriter, body []byte, cached bool) {
 	w.Header().Set("Content-Type", "application/json")
 	if cached {
 		w.Header().Set("X-Cache", "HIT")
@@ -377,27 +384,19 @@ func (s *Server) serveCached(w http.ResponseWriter, key string, compute func() (
 // streaming-section mode; every figure and table the trace permits
 // (including the Table-2 clustering) with full=1. sketch=1 bounds
 // Figure 1's memory with quantile sketches; top=N widens the Figure 10
-// word list.
+// word list; from/to/window restrict it to a submit-time slice.
 //
-// The default mode computes nothing per job when it can avoid it: a
-// cold report finalizes the trace's frozen partial aggregate — built at
-// ingest ("ingest-partial") or decoded from the durable snapshot after
-// a restart ("recovered-partial"). When none applies (partials
-// disabled, sketch=1, or a trace the binner rejects) the jobs are
-// scanned — a resident trace shard-parallel across shards=K shards
-// (0 = one per CPU, 1 = sequential; "scan"), a disk-resident trace
-// out-of-core with one shard per segment ("disk-scan") — and the scan's
-// partial is parked in the cache's aggregate tier under the
-// fingerprint, so report variants that differ only in finalization
-// (top=N) share it ("cached-partial"). shards never appears in the
-// result-cache key: by the merge contract the bytes are identical at
-// any shard count. The X-Analysis response header reports which path a
-// MISS took.
+// Every report, local or distributed, runs one pipeline: parse the
+// request into a reportQuery, look its key up in the result cache, and
+// on a miss resolve a partial aggregate (partialFor here, scatter/gather
+// for a distributed trace), finalize and marshal it (finishReport), and
+// write it (writeCached). The X-Analysis response header names the path
+// a MISS took; DESIGN.md's "Report pipeline" table lists them.
 //
-// full=1 needs random access (Table-2 clustering, path figures), so a
-// disk-resident trace is reloaded into the hot tier first; a trace
-// bigger than the whole tier cannot be, and such requests fail 422
-// while the streaming modes keep working.
+// full=1 needs random access (Table-2 clustering, path figures), so it
+// bypasses the partial: a disk-resident trace is reloaded into the hot
+// tier first; a trace bigger than the whole tier cannot be, and such
+// requests fail 422 while the streaming modes keep working.
 func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	if s.cluster != nil {
@@ -411,125 +410,142 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	full, err := queryBool(r, "full")
+	q, err := parseReportQuery(r, v.spanStart(), v.Info.LengthMS)
 	if err != nil {
 		writeErr(w, err)
 		return
-	}
-	sketch, err := queryBool(r, "sketch")
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	top, err := queryInt(r, "top", 8)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	shards, err := queryInt(r, "shards", 0)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	if shards < 0 || shards > 1024 {
-		writeErr(w, badReq("shards=%d out of range [0, 1024]", shards))
-		return
-	}
-	from, to, windowed, err := reportWindow(r, v)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	if windowed && full {
-		writeErr(w, badReq("full=1 needs the whole trace and cannot combine with from/to/window"))
-		return
-	}
-	key := fmt.Sprintf("%s|report|full=%t|sketch=%t|top=%d", v.Info.Fingerprint, full, sketch, top)
-	if windowed {
-		key += fmt.Sprintf("|win=%d-%d", from.Unix(), to.Unix())
 	}
 	rt := obs.FromContext(r.Context())
-	s.serveCached(w, key, func() ([]byte, error) {
-		opts := core.AnalyzeOptions{TopNames: top, SketchDataSizes: sketch, Shards: shards}
-		var rep *core.Report
-		var err error
-		switch {
-		case windowed:
-			var p *core.Partial
-			var analysis string
-			var ev *scanEvidence
-			endScan := rt.StartSpan("scan", "window")
-			p, analysis, ev, err = s.windowPartial(v, from, to, shards, sketch)
-			endScan()
-			if err != nil {
-				return nil, fmt.Errorf("%w: %v", errUnprocessable, err)
-			}
-			w.Header().Set("X-Analysis", analysis)
-			ev.addTo(w.Header())
-			endMerge := rt.StartSpan("merge", "path="+analysis)
-			rep, err = p.Report(top)
-			endMerge()
-		case full:
+	s.serveCached(w, q.key(v.Info.Fingerprint), func() ([]byte, error) {
+		if q.full {
 			t := v.Trace
 			if t == nil {
+				var err error
 				if t, _, err = s.store.Get(v.Info.Name); err != nil {
 					return nil, err
 				}
 			}
 			w.Header().Set("X-Analysis", "full")
 			endScan := rt.StartSpan("scan", "full")
-			rep, err = core.Analyze(t, opts)
-			endScan()
-		default:
-			var p *core.Partial
-			var analysis string
-			var ev *scanEvidence
-			endScan := rt.StartSpan("scan", "")
-			p, analysis, ev, err = s.tracePartial(v, shards, sketch)
+			rep, err := core.Analyze(t, core.AnalyzeOptions{TopNames: q.top, SketchDataSizes: q.sketch, Shards: q.shards})
 			endScan()
 			if err != nil {
-				return nil, err
+				return nil, fmt.Errorf("%w: %v", errUnprocessable, err)
 			}
-			w.Header().Set("X-Analysis", analysis)
-			ev.addTo(w.Header())
-			endMerge := rt.StartSpan("merge", "path="+analysis)
-			rep, err = p.Report(top)
-			endMerge()
+			return marshalReport(rt, rep)
 		}
+		detail := ""
+		if q.windowed {
+			detail = "window"
+		}
+		endScan := rt.StartSpan("scan", detail)
+		p, analysis, ev, err := s.partialFor(v, q)
+		endScan()
 		if err != nil {
-			return nil, fmt.Errorf("%w: %v", errUnprocessable, err)
+			return nil, err
 		}
-		return json.Marshal(rep.JSON())
+		return finishReport(w, rt, p, q.top, analysis, ev)
 	})
 }
 
-// tracePartial resolves the whole-trace partial aggregate for a view —
-// the frozen ingest/recovered aggregate when one matches the requested
-// mode, otherwise a scan memoized in the cache's aggregate tier — and
-// names the path taken for the X-Analysis header. The returned partial
-// is shared frozen state: callers must treat it as read-only. The
-// scanEvidence is non-nil only when this call actually scanned disk.
-func (s *Server) tracePartial(v View, shards int, sketch bool) (*core.Partial, string, *scanEvidence, error) {
-	if v.Partial != nil && v.Partial.Sketch() == sketch {
+// reportQuery is one report request's parameters, parsed once for
+// every source: the variant (full, sketch, top), the scan parallelism
+// (shards), and the submit-time window [from, to) when windowed.
+type reportQuery struct {
+	full, sketch bool
+	top, shards  int
+	windowed     bool
+	from, to     time.Time
+}
+
+// parseReportQuery parses and validates a report request against the
+// span of the trace it asks about, decoding the URL query once (it runs
+// before every cache lookup). The cluster peer protocol uses it
+// too: a coordinator forwards sketch/from/to to the shard owners.
+func parseReportQuery(r *http.Request, start time.Time, lengthMS int64) (q reportQuery, err error) {
+	params := r.URL.Query()
+	if q.full, err = queryBool(params, "full"); err != nil {
+		return q, err
+	}
+	if q.sketch, err = queryBool(params, "sketch"); err != nil {
+		return q, err
+	}
+	if q.top, err = queryInt(params, "top", 8); err != nil {
+		return q, err
+	}
+	if q.shards, err = queryInt(params, "shards", 0); err != nil {
+		return q, err
+	}
+	if q.shards < 0 || q.shards > 1024 {
+		return q, badReq("shards=%d out of range [0, 1024]", q.shards)
+	}
+	if q.from, q.to, q.windowed, err = reportWindowSpan(params, start, lengthMS); err != nil {
+		return q, err
+	}
+	if q.windowed && q.full {
+		return q, badReq("full=1 needs the whole trace and cannot combine with from/to/window")
+	}
+	return q, nil
+}
+
+// windowKey is the cache-key suffix naming the query's window ("" for
+// the whole trace).
+func (q reportQuery) windowKey() string {
+	if !q.windowed {
+		return ""
+	}
+	return fmt.Sprintf("|win=%d-%d", q.from.Unix(), q.to.Unix())
+}
+
+// key is the result-cache key of the query's report for a trace
+// fingerprint. shards is deliberately absent: by the merge contract the
+// bytes are identical at any shard count.
+func (q reportQuery) key(fingerprint string) string {
+	return fmt.Sprintf("%s|report|full=%t|sketch=%t|top=%d%s", fingerprint, q.full, q.sketch, q.top, q.windowKey())
+}
+
+// partialFor resolves the partial aggregate a report query finalizes
+// from a stored trace. A whole-trace query uses the frozen partial when
+// its mode matches; every other query goes through the cache's
+// aggregate tier, keyed by (fingerprint, sketch, window), so variants
+// that differ only in finalization (top=N) share one build: the
+// resident jobs are observed in memory (shard-parallel across
+// shards=K), a disk-resident trace is scanned out-of-core with
+// segments and blocks pruned to the window. It returns the path's
+// X-Analysis name and, when this call scanned disk, the scan evidence.
+// The partial is shared frozen state: callers must treat it as
+// read-only.
+func (s *Server) partialFor(v View, q reportQuery) (*core.Partial, string, *scanEvidence, error) {
+	if !q.windowed && v.Partial != nil && v.Partial.Sketch() == q.sketch {
 		if v.Recovered {
 			return v.Partial, "recovered-partial", nil, nil
 		}
 		return v.Partial, "ingest-partial", nil, nil
 	}
-	aggKey := fmt.Sprintf("%s|partial|sketch=%t", v.Info.Fingerprint, sketch)
-	miss := "scan"
 	var ev *scanEvidence
-	av, cached, err := s.cache.DoAggregate(aggKey, func() (any, error) {
+	aggKey := fmt.Sprintf("%s|partial|sketch=%t%s", v.Info.Fingerprint, q.sketch, q.windowKey())
+	av, hit, err := s.cache.DoAggregate(aggKey, func() (any, error) {
 		if v.Trace != nil {
-			return core.BuildTracePartial(v.Trace, shards, sketch)
+			t := v.Trace
+			if q.windowed {
+				t = t.Window(q.from, q.to.Sub(q.from))
+			}
+			return core.BuildTracePartial(t, q.shards, q.sketch)
 		}
-		// Disk-resident: scan the segments out-of-core without
-		// materializing the trace — one IO goroutine frames colseg
-		// blocks, shards=K decode workers (0 = one per CPU) turn them
-		// into partials, merged in block order. The merge contract
-		// makes the bytes identical at any worker count.
-		miss = "disk-scan"
-		p, stats, err := s.scanStored(v, storage.ParallelScanOptions{Workers: shards, Sketch: sketch})
+		// One IO goroutine frames colseg blocks, shards=K decode workers
+		// (0 = one per CPU) turn them into partials, merged in block
+		// order: the bytes are identical at any worker count.
+		opts := storage.ParallelScanOptions{Workers: q.shards, Sketch: q.sketch}
+		if q.windowed {
+			opts.Window, opts.From, opts.To = true, q.from, q.to
+			opts.Meta = trace.Meta{
+				Name:     v.Info.Workload,
+				Machines: v.Info.Machines,
+				Start:    q.from,
+				Length:   q.to.Sub(q.from),
+			}
+		}
+		p, stats, err := s.scanStored(v, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -538,17 +554,56 @@ func (s *Server) tracePartial(v View, shards int, sketch bool) (*core.Partial, s
 			segmentsPruned: stats.SegmentsPruned,
 			blocks:         stats.BlocksRead(),
 			blocksPruned:   stats.BlocksPruned(),
-			workers:        scanWorkers(shards),
+			workers:        scanWorkers(q.shards),
 		}
 		return p, nil
 	})
 	if err != nil {
 		return nil, "", nil, fmt.Errorf("%w: %v", errUnprocessable, err)
 	}
-	if cached {
-		miss = "cached-partial"
+	return av.(*core.Partial), aggregateAnalysis(q.windowed, v.Trace == nil, hit), ev, nil
+}
+
+// aggregateAnalysis names a partial the aggregate tier produced: a hit,
+// or a miss that observed the resident jobs or scanned the segments on
+// disk — each for the whole trace or a window.
+func aggregateAnalysis(windowed, disk, hit bool) string {
+	switch {
+	case hit && windowed:
+		return "cached-window-partial"
+	case hit:
+		return "cached-partial"
+	case disk && windowed:
+		return "window-disk-scan"
+	case disk:
+		return "disk-scan"
+	case windowed:
+		return "window-scan"
 	}
-	return av.(*core.Partial), miss, ev, nil
+	return "scan"
+}
+
+// finishReport is the shared tail of every report miss, single-node
+// and scatter/gather alike: it stamps the path the partial came from
+// (X-Analysis, X-Scan-*), finalizes the partial, and marshals the
+// report.
+func finishReport(w http.ResponseWriter, rt *obs.Request, p *core.Partial, top int, analysis string, ev *scanEvidence) ([]byte, error) {
+	w.Header().Set("X-Analysis", analysis)
+	ev.addTo(w.Header())
+	endFinalize := rt.StartSpan("finalize", "path="+analysis)
+	rep, err := p.Report(top)
+	endFinalize()
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", errUnprocessable, err)
+	}
+	return marshalReport(rt, rep)
+}
+
+// marshalReport renders a finished report as its response body.
+func marshalReport(rt *obs.Request, rep *core.Report) ([]byte, error) {
+	endMarshal := rt.StartSpan("marshal", "")
+	defer endMarshal()
+	return json.Marshal(rep.JSON())
 }
 
 // scanWorkers resolves the worker count a block-parallel scan actually
@@ -578,34 +633,27 @@ func (s *Server) scanStored(v View, opts storage.ParallelScanOptions) (*core.Par
 	return p, stats, err
 }
 
-// reportWindow resolves a report request's from/to/window parameters
-// against the trace's own span. window=D means the trailing D of the
-// trace ([end-D, end]) and is exclusive with explicit bounds; a lone
-// from runs to the trace end, a lone to starts at the trace start.
-// Returns windowed=false when no window parameter is present.
-func reportWindow(r *http.Request, v View) (from, to time.Time, windowed bool, err error) {
-	var start time.Time
-	if v.Trace != nil {
-		start = v.Trace.Meta.Start
-	} else {
-		start = v.Stored.Meta().Start
-	}
-	return reportWindowSpan(r, start, v.Info.LengthMS)
-}
-
-// reportWindowSpan is reportWindow against an explicit trace span —
-// the form the cluster coordinator uses, where the trace exists only
-// as shards and the span comes from the cluster metadata.
-func reportWindowSpan(r *http.Request, start time.Time, lengthMS int64) (from, to time.Time, windowed bool, err error) {
-	from, err = queryTime(r, "from")
+// reportWindowSpan resolves a report request's from/to/window
+// parameters against the trace span [start, start+lengthMS). window=D
+// means the trailing D of the trace ([end-D, end]) and is exclusive
+// with explicit bounds; a lone from runs to the trace end, a lone to
+// starts at the trace start. Returns windowed=false when no window
+// parameter is present.
+//
+// The window is clamped to the span, so memory, disk and cluster all
+// answer a bound past the trace with the bins of the trace itself (a
+// disk scan would otherwise overflow time.Duration on a far-out bound);
+// a window that misses the span entirely is a 400.
+func reportWindowSpan(params url.Values, start time.Time, lengthMS int64) (from, to time.Time, windowed bool, err error) {
+	from, err = queryTime(params, "from")
 	if err != nil {
 		return
 	}
-	to, err = queryTime(r, "to")
+	to, err = queryTime(params, "to")
 	if err != nil {
 		return
 	}
-	window, err := queryDuration(r, "window", 0)
+	window, err := queryDuration(params, "window", 0)
 	if err != nil {
 		return
 	}
@@ -630,9 +678,23 @@ func reportWindowSpan(r *http.Request, start time.Time, lengthMS int64) (from, t
 			to = end
 		}
 	}
-	if err == nil && !to.After(from) {
+	if err != nil {
+		return
+	}
+	if !to.After(from) {
 		err = badReq("empty window: from=%s is not before to=%s",
 			from.Format(time.RFC3339), to.Format(time.RFC3339))
+		return
+	}
+	if from.Before(start) {
+		from = start
+	}
+	if to.After(end) {
+		to = end
+	}
+	if !to.After(from) {
+		err = badReq("window misses the trace span [%s, %s)",
+			start.Format(time.RFC3339), end.Format(time.RFC3339))
 	}
 	return
 }
@@ -697,62 +759,6 @@ func parseScanEvidence(h http.Header) *scanEvidence {
 	return ev
 }
 
-// windowPartial builds the partial aggregate for one submit-time
-// window of a trace. The frozen whole-trace aggregate cannot answer a
-// window, so this always scans — a resident trace in memory, a
-// disk-resident one out-of-core with segments pruned by their manifest
-// submit-time spans and columnar blocks by their zone maps (the
-// returned scanEvidence reports how much the pruning skipped; nil when
-// the scan stayed in memory or the partial came from the cache). The
-// windowed partial is parked in the cache's aggregate tier under
-// (fingerprint, window), so report variants differing only in
-// finalization (top=N) share the scan. The returned partial is shared
-// frozen state: callers must treat it as read-only.
-func (s *Server) windowPartial(v View, from, to time.Time, shards int, sketch bool) (*core.Partial, string, *scanEvidence, error) {
-	length := to.Sub(from)
-	aggKey := fmt.Sprintf("%s|partial|sketch=%t|win=%d-%d", v.Info.Fingerprint, sketch, from.Unix(), to.Unix())
-	miss := "window-scan"
-	var ev *scanEvidence
-	av, cached, err := s.cache.DoAggregate(aggKey, func() (any, error) {
-		if v.Trace != nil {
-			return core.BuildTracePartial(v.Trace.Window(from, length), shards, sketch)
-		}
-		miss = "window-disk-scan"
-		wmeta := trace.Meta{
-			Name:     v.Info.Workload,
-			Machines: v.Info.Machines,
-			Start:    from,
-			Length:   length,
-		}
-		p, stats, err := s.scanStored(v, storage.ParallelScanOptions{
-			Workers: shards,
-			Sketch:  sketch,
-			Window:  true,
-			From:    from,
-			To:      to,
-			Meta:    wmeta,
-		})
-		if err != nil {
-			return nil, err
-		}
-		ev = &scanEvidence{
-			segments:       stats.Segments,
-			segmentsPruned: stats.SegmentsPruned,
-			blocks:         stats.BlocksRead(),
-			blocksPruned:   stats.BlocksPruned(),
-			workers:        scanWorkers(shards),
-		}
-		return p, nil
-	})
-	if err != nil {
-		return nil, "", nil, err
-	}
-	if cached {
-		miss = "cached-window-partial"
-	}
-	return av.(*core.Partial), miss, ev, nil
-}
-
 // FidelityJSON is the wire form of a synthesis fidelity score.
 type FidelityJSON struct {
 	InputKS         float64 `json:"input_ks"`
@@ -786,32 +792,33 @@ func (s *Server) handleSynth(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	length, err := queryDuration(r, "length", 24*time.Hour)
+	params := r.URL.Query()
+	length, err := queryDuration(params, "length", 24*time.Hour)
 	if err != nil {
 		writeErr(w, err)
 		return
 	}
-	window, err := queryDuration(r, "window", 0)
+	window, err := queryDuration(params, "window", 0)
 	if err != nil {
 		writeErr(w, err)
 		return
 	}
-	srcMachines, err := queryInt(r, "source_machines", 0)
+	srcMachines, err := queryInt(params, "source_machines", 0)
 	if err != nil {
 		writeErr(w, err)
 		return
 	}
-	dstMachines, err := queryInt(r, "target_machines", 0)
+	dstMachines, err := queryInt(params, "target_machines", 0)
 	if err != nil {
 		writeErr(w, err)
 		return
 	}
-	seed, err := queryInt64(r, "seed", 1)
+	seed, err := queryInt64(params, "seed", 1)
 	if err != nil {
 		writeErr(w, err)
 		return
 	}
-	storeAs := r.URL.Query().Get("store")
+	storeAs := params.Get("store")
 
 	compute := func() ([]byte, error) {
 		cfg := synth.Config{
@@ -902,46 +909,47 @@ func (s *Server) handleReplay(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	nodes, err := queryInt(r, "nodes", 0)
+	params := r.URL.Query()
+	nodes, err := queryInt(params, "nodes", 0)
 	if err != nil {
 		writeErr(w, err)
 		return
 	}
-	mapSlots, err := queryInt(r, "map_slots", 0)
+	mapSlots, err := queryInt(params, "map_slots", 0)
 	if err != nil {
 		writeErr(w, err)
 		return
 	}
-	reduceSlots, err := queryInt(r, "reduce_slots", 0)
+	reduceSlots, err := queryInt(params, "reduce_slots", 0)
 	if err != nil {
 		writeErr(w, err)
 		return
 	}
-	stragglers, err := queryFloat(r, "stragglers", 0)
+	stragglers, err := queryFloat(params, "stragglers", 0)
 	if err != nil {
 		writeErr(w, err)
 		return
 	}
 	// Factor defaults to the swimreplay CLI's 5x so ?stragglers= works
 	// on its own (the simulator rejects prob>0 with factor<1).
-	factor, err := queryFloat(r, "straggler_factor", 5)
+	factor, err := queryFloat(params, "straggler_factor", 5)
 	if err != nil {
 		writeErr(w, err)
 		return
 	}
-	seed, err := queryInt64(r, "seed", 1)
+	seed, err := queryInt64(params, "seed", 1)
 	if err != nil {
 		writeErr(w, err)
 		return
 	}
 	var sched cluster.SchedulerKind
-	switch r.URL.Query().Get("scheduler") {
+	switch params.Get("scheduler") {
 	case "", "fifo":
 		sched = cluster.FIFO
 	case "fair":
 		sched = cluster.Fair
 	default:
-		writeErr(w, badReq("unknown scheduler %q (use fifo or fair)", r.URL.Query().Get("scheduler")))
+		writeErr(w, badReq("unknown scheduler %q (use fifo or fair)", params.Get("scheduler")))
 		return
 	}
 	if nodes == 0 {

@@ -238,12 +238,13 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // ring newest-first. min_ms=D keeps only requests at least that slow
 // (the slow-query view); limit=N caps the count.
 func (s *Server) handleDebugRequests(w http.ResponseWriter, r *http.Request) {
-	minMS, err := queryFloat(r, "min_ms", 0)
+	params := r.URL.Query()
+	minMS, err := queryFloat(params, "min_ms", 0)
 	if err != nil {
 		writeErr(w, err)
 		return
 	}
-	limit, err := queryInt(r, "limit", 0)
+	limit, err := queryInt(params, "limit", 0)
 	if err != nil {
 		writeErr(w, err)
 		return

@@ -127,8 +127,8 @@ func TestDebugRequestsRing(t *testing.T) {
 	for _, sp := range report.Spans {
 		spanNames[sp.Name] = true
 	}
-	if !spanNames["scan"] || !spanNames["merge"] {
-		t.Errorf("report spans missing scan/merge: %+v", report.Spans)
+	if !spanNames["scan"] || !spanNames["finalize"] || !spanNames["marshal"] || spanNames["merge"] {
+		t.Errorf("report spans want scan/finalize/marshal and no merge: %+v", report.Spans)
 	}
 
 	// min_ms high enough filters everything out.

@@ -40,10 +40,11 @@ func TestIngestBuildsPartial(t *testing.T) {
 	if st := s.Store().Stats(); st.Partials != 1 {
 		t.Fatalf("store holds %d partials after ingest, want 1", st.Partials)
 	}
-	stored, _, partial, err := s.Store().Snapshot("mine")
+	v, err := s.Store().View("mine")
 	if err != nil {
 		t.Fatal(err)
 	}
+	stored, partial := v.Trace, v.Partial
 	if partial == nil {
 		t.Fatal("no partial aggregate stored")
 	}
@@ -95,7 +96,7 @@ func TestReportShardsParamAgreement(t *testing.T) {
 
 	var want []byte
 	for i, q := range []string{"?shards=1", "?shards=4", "?shards=16", ""} {
-		s.Cache().Purge()
+		s.Cache().InvalidatePrefix("")
 		resp, body := getRaw(t, ts.URL+"/v1/traces/mine/report"+q)
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("report%s: %d %s", q, resp.StatusCode, clip(body))

@@ -287,9 +287,6 @@ func (s *Server) Handler() http.Handler {
 	return s.mw.wrap(s.mux)
 }
 
-// Metrics exposes the observability registry (for tests and embedding).
-func (s *Server) Metrics() *obs.Registry { return s.metrics.reg }
-
 // Close flushes nothing — every durable commit syncs before it returns
 // — but closes the storage engine so late writers fail fast instead of
 // racing a shutdown. Call after the HTTP server has drained (its

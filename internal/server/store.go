@@ -15,6 +15,7 @@ import (
 	"io"
 	"sort"
 	"sync"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/storage"
@@ -516,12 +517,13 @@ func (s *Store) View(name string) (View, error) {
 	return View{Trace: e.t, Info: e.info, Partial: e.partial, Recovered: e.recovered, Stored: e.stored}, nil
 }
 
-// Snapshot resolves name to its current immutable snapshot together
-// with the frozen partial aggregate (nil when unavailable). The trace
-// is nil when the entry is disk-resident; use Get to materialize it.
-func (s *Store) Snapshot(name string) (*trace.Trace, TraceInfo, *core.Partial, error) {
-	v, err := s.View(name)
-	return v.Trace, v.Info, v.Partial, err
+// spanStart is where the view's trace span begins, read from the
+// resident copy or, for a disk-resident trace, the durable generation.
+func (v View) spanStart() time.Time {
+	if v.Trace != nil {
+		return v.Trace.Meta.Start
+	}
+	return v.Stored.Meta().Start
 }
 
 // Get resolves name to an immutable in-memory snapshot, reloading a
