@@ -4,9 +4,13 @@
 // demand from the calibrated profiles) and every report, synthesis, and
 // replay result is memoized in a fingerprint-keyed, single-flight
 // cache, so concurrent identical requests compute once and repeats are
-// served in microseconds.
+// served in microseconds. With -data the store is durable: traces
+// persist as columnar (colseg) segments with partial-aggregate
+// snapshots, and a data dir left by an older release with JSONL
+// segments is converted to colseg once at startup.
 //
 //	swimd -addr :8080 -preload FB-2009,CC-b -preload-duration 168h
+//	swimd -addr :8080 -data ./swim-data -compact 10m
 //
 //	curl localhost:8080/healthz
 //	curl -X POST --data-binary @cc-b.jsonl localhost:8080/v1/traces/mine
@@ -60,9 +64,7 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string, stop <-ch
 		preload      = fs.String("preload", "", "comma-separated workloads to generate and store at startup: "+strings.Join(swim.Workloads(), ", "))
 		preloadDur   = fs.Duration("preload-duration", 48*time.Hour, "duration of preloaded traces")
 		seed         = fs.Int64("seed", 1, "preload generation seed")
-		partials     = fs.Bool("partials", true, "keep a frozen partial aggregate per stored trace, built at ingest, so a first cold report merges precomputed sections instead of re-reading jobs (~24 B/job of extra heap; disable to trade cold-report latency for memory)")
-		dataDir      = fs.String("data", "", "durable storage directory: traces persist as checksummed segment files with partial-aggregate snapshots, survive restarts (verified at startup), and spill to disk instead of being rejected when they exceed the in-memory job budget")
-		segCodec     = fs.String("segment-codec", "", "on-disk segment format for newly stored traces: colseg (compact columnar binary, the default) or jsonl (canonical JSONL, the legacy format); existing segments always read back with the codec they were written with")
+		dataDir      = fs.String("data", "", "durable storage directory: traces persist as checksummed columnar segment files with partial-aggregate snapshots, survive restarts (verified at startup; legacy JSONL segments are converted to colseg once), and spill to disk instead of being rejected when they exceed the in-memory job budget")
 		compactEvery = fs.Duration("compact", 0, "background compaction sweep interval: fragmented traces (many small segments or underfilled columnar blocks, the shape long append sessions leave) are rewritten into packed generations with identical fingerprints; 0 disables, needs -data")
 		compactSegs  = fs.Int("compact-min-segments", 0, "compact a trace once its generation holds at least this many segment files (0 = default 8)")
 		compactFill  = fs.Float64("compact-min-fill", 0, "compact a trace whose columnar blocks average below this fraction of full (0 = default 0.5)")
@@ -95,9 +97,7 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string, stop <-ch
 		MaxTraces:            *maxTraces,
 		MaxTotalJobs:         *maxJobs,
 		CacheEntries:         *cacheSize,
-		DisablePartials:      !*partials,
 		DataDir:              *dataDir,
-		SegmentCodec:         *segCodec,
 		CompactInterval:      *compactEvery,
 		CompactMinSegments:   *compactSegs,
 		CompactMinFill:       *compactFill,

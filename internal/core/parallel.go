@@ -1,7 +1,6 @@
 package core
 
 import (
-	"io"
 	"runtime"
 	"sync"
 
@@ -51,15 +50,14 @@ func AnalyzeSourceParallel(src trace.Source, opts AnalyzeOptions) (*Report, erro
 	if k == 1 {
 		return analyzeStream(src, opts)
 	}
-	meta := src.Meta()
-	if meta.Length <= 0 {
+	if src.Meta().Length <= 0 {
 		return nil, errNeedsLength()
 	}
 	shards, err := trace.Split(src, k)
 	if err != nil {
 		return nil, err
 	}
-	p, err := mergeShardPartials(meta, shards, opts.SketchDataSizes)
+	p, err := mergeShardPartials(shards, opts.SketchDataSizes)
 	if err != nil {
 		return nil, err
 	}
@@ -93,29 +91,12 @@ func BuildTracePartial(t *trace.Trace, k int, sketch bool) (*Partial, error) {
 	if err != nil {
 		return nil, err
 	}
-	return mergeShardPartials(t.Meta, shards, sketch)
-}
-
-// BuildShardsPartial builds the merged partial aggregate of pre-split
-// shard sources — the out-of-core path: the durable storage engine
-// hands one Source per on-disk segment, so a trace larger than memory
-// is scanned segment-at-a-time across the CPUs without ever being
-// collected. Every shard must carry the full trace's metadata (the
-// merge contract trace.Split establishes); the merged result is
-// identical to a sequential BuildPartial over the concatenated shards.
-func BuildShardsPartial(meta trace.Meta, shards []trace.Source, sketch bool) (*Partial, error) {
-	if meta.Length <= 0 {
-		return nil, errNeedsLength()
-	}
-	if len(shards) == 0 {
-		return NewPartial(meta, sketch)
-	}
-	return mergeShardPartials(meta, shards, sketch)
+	return mergeShardPartials(shards, sketch)
 }
 
 // mergeShardPartials analyzes the shards on a worker pool bounded by
 // the CPU count and merges the per-shard partials in shard order.
-func mergeShardPartials(meta trace.Meta, shards []trace.Source, sketch bool) (*Partial, error) {
+func mergeShardPartials(shards []trace.Source, sketch bool) (*Partial, error) {
 	workers := runtime.GOMAXPROCS(0)
 	if workers > len(shards) {
 		workers = len(shards)
@@ -140,15 +121,6 @@ func mergeShardPartials(meta trace.Meta, shards []trace.Source, sketch bool) (*P
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
-			// A failed shard leaves its source — and possibly siblings —
-			// mid-stream; close whatever holds resources (disk shards own
-			// file descriptors) before abandoning the scan. Close after
-			// EOF is a no-op, so closing every shard is safe.
-			for _, sh := range shards {
-				if cl, ok := sh.(io.Closer); ok {
-					cl.Close()
-				}
-			}
 			return nil, err
 		}
 	}

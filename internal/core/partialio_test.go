@@ -75,7 +75,7 @@ func TestPartialSnapshotRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		merged, err := BuildShardsPartial(tr.Meta, shards[:1], sketch)
+		merged, err := BuildPartial(shards[0], sketch)
 		if err != nil {
 			t.Fatal(err)
 		}

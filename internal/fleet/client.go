@@ -69,10 +69,9 @@ func (c *Client) URL() string { return c.base }
 // Alive returns the last-known reachability.
 func (c *Client) Alive() bool { return c.alive.Load() }
 
-// MarkDown / MarkUp set liveness out of band (the prober uses these;
-// Do maintains them passively).
+// MarkDown clears liveness out of band (the prober uses it; Do
+// maintains liveness passively).
 func (c *Client) MarkDown() { c.alive.Store(false) }
-func (c *Client) MarkUp()   { c.alive.Store(true) }
 
 // retryStatus reports whether a status code is worth another attempt:
 // upstream transient failures, not deterministic 4xx/5xx outcomes.

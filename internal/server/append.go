@@ -409,9 +409,7 @@ func (s *Store) openAppendSession(name string, batchMeta trace.Meta) (*appendSta
 	if err := st.hasher.Begin(meta); err != nil {
 		return nil, err
 	}
-	if !s.noPartials {
-		st.live, _ = core.NewPartial(meta, false) // best-effort, like put
-	}
+	st.live, _ = core.NewPartial(meta, false) // best-effort, like put
 
 	if s.backing != nil {
 		appender, _, err := s.backing.OpenAppend(name, meta)

@@ -68,9 +68,8 @@ func TestCompactionDifferential(t *testing.T) {
 	_, wantWin := getRaw(t, tsRef.URL+"/v1/traces/ref9/report?"+win)
 
 	// Fragment across a restart: two append sessions over one data dir.
-	// Partials stay disabled throughout so every report must scan.
 	dir := t.TempDir()
-	cfg := Config{DisablePartials: true, SegmentJobs: 5000}
+	cfg := Config{SegmentJobs: 5000}
 	sA, tsA := diskServer(t, dir, cfg)
 	for i := 0; i < 5; i++ {
 		if resp, body := postAppend(t, tsA, "live", tr.Meta, batches[i]); resp.StatusCode != http.StatusOK {
@@ -87,13 +86,9 @@ func TestCompactionDifferential(t *testing.T) {
 			t.Fatalf("session B batch %d: %d %s", i, resp.StatusCode, clip(body))
 		}
 	}
-	tsB.Close()
-	if err := sB.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Fresh server over the fragmented dir: capture both scan paths.
-	s, ts := diskServer(t, dir, cfg)
+	// Fresh server over the fragmented dir, without snapshots so every
+	// report must scan: capture both scan paths.
+	s, ts := restartWithoutSnapshots(t, sB, tsB, dir, cfg)
 	resp, gotWhole := getRaw(t, ts.URL+"/v1/traces/live/report")
 	if x := resp.Header.Get("X-Analysis"); x != "disk-scan" {
 		t.Fatalf("fragmented report X-Analysis = %q, want disk-scan", x)
@@ -280,7 +275,7 @@ func TestCompactMemoryModeNoop(t *testing.T) {
 func TestCompactWhileQuerying(t *testing.T) {
 	tr := genTrace(t, "CC-b", 7, 26*time.Hour)
 	batches := splitBatches(tr, 12)
-	s, ts := diskServer(t, t.TempDir(), Config{DisablePartials: true, SegmentJobs: 5000})
+	s, ts := diskServer(t, t.TempDir(), Config{SegmentJobs: 5000})
 	for i := range batches {
 		if resp, body := postAppend(t, ts, "live", tr.Meta, batches[i]); resp.StatusCode != http.StatusOK {
 			t.Fatalf("batch %d: %d %s", i, resp.StatusCode, clip(body))
@@ -377,13 +372,14 @@ func TestCompactDuringAppend(t *testing.T) {
 
 // TestClusterCompactionDifferential: appends fragment every shard
 // replica; compacting each node must leave a re-scattered cluster
-// report byte-identical to the single-node in-memory reference.
+// report byte-identical to the single-node in-memory reference. The
+// reports are sketched, so no frozen exact partial can answer them and
+// every shard scans its segments.
 func TestClusterCompactionDifferential(t *testing.T) {
 	tr := genTrace(t, "CC-b", 5, 26*time.Hour)
 	base := t.TempDir()
 	nodes := newTestCluster(t, 2, func(i int, cfg *Config) {
 		cfg.DataDir = filepath.Join(base, fmt.Sprintf("n%d", i))
-		cfg.DisablePartials = true
 		cfg.SegmentJobs = 5000
 	})
 	// Seed with a sharded ingest (appends to a fresh name would land
@@ -403,8 +399,8 @@ func TestClusterCompactionDifferential(t *testing.T) {
 
 	_, tsRef := newTestServer(t)
 	ingestTrace(t, tsRef, "ref", tr)
-	_, want := getRaw(t, tsRef.URL+"/v1/traces/ref/report")
-	_, before := getReport(t, nodes[0].ts.URL, "jobs", "")
+	_, want := getRaw(t, tsRef.URL+"/v1/traces/ref/report?sketch=1")
+	_, before := getReport(t, nodes[0].ts.URL, "jobs", "?sketch=1")
 	if !bytes.Equal(before, want) {
 		t.Fatal("fragmented cluster report differs from the single-node reference")
 	}
@@ -426,7 +422,7 @@ func TestClusterCompactionDifferential(t *testing.T) {
 	for _, nd := range nodes {
 		nd.srv.Cache().InvalidatePrefix("")
 	}
-	_, after := getReport(t, nodes[0].ts.URL, "jobs", "")
+	_, after := getReport(t, nodes[0].ts.URL, "jobs", "?sketch=1")
 	if !bytes.Equal(after, want) {
 		t.Error("cluster report after compaction diverges from the single-node reference")
 	}

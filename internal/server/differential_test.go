@@ -12,13 +12,12 @@ import (
 
 // TestDifferentialScanFormats is the representation-independence
 // acceptance test for the columnar segment format: the golden FB-2009
-// day-1 trace analyzed three ways — the in-memory path, a JSONL spill
-// scanned out-of-core, and a columnar spill scanned out-of-core — must
-// produce byte-identical report bodies, and every path must commit the
-// pinned golden fingerprint (fingerprints hash canonical JSONL, so the
-// segment codec must never show through). CI runs this under -race,
-// which also exercises the columnar reader's pooled volatile batches
-// across the scan's parallel shards.
+// day-1 trace analyzed in memory and as a columnar spill scanned
+// out-of-core must produce byte-identical report bodies, and both must
+// commit the pinned golden fingerprint (fingerprints hash canonical
+// JSONL, so the segment codec must never show through). CI runs this
+// under -race, which also exercises the columnar reader's pooled
+// volatile batches across the scan's parallel shards.
 func TestDifferentialScanFormats(t *testing.T) {
 	tr := genTrace(t, "FB-2009", 1, 24*time.Hour)
 
@@ -38,31 +37,28 @@ func TestDifferentialScanFormats(t *testing.T) {
 	}
 	_, want := getRaw(t, tsRef.URL+"/v1/traces/ref/report")
 
-	for _, codec := range []string{storage.CodecJSONL, storage.CodecColumnar} {
-		t.Run(codec, func(t *testing.T) {
-			// Budget a third of the trace and disable partials: the
-			// report has no choice but to scan the segments.
-			s, ts := diskServer(t, t.TempDir(), Config{
-				MaxTotalJobs:    tr.Len() / 3,
-				DisablePartials: true,
-				SegmentCodec:    codec,
-			})
-			info := ingestTrace(t, ts, "spilled", tr)
-			if info.Fingerprint != wantFP {
-				t.Errorf("%s spill fingerprint %s, want golden %s", codec, info.Fingerprint, wantFP)
-			}
-			resp, got := getRaw(t, ts.URL+"/v1/traces/spilled/report")
-			if x := resp.Header.Get("X-Analysis"); x != "disk-scan" {
-				t.Fatalf("spilled report X-Analysis = %q, want disk-scan", x)
-			}
-			if !bytes.Equal(got, want) {
-				t.Errorf("%s disk-scan report differs from the in-memory reference (got %d bytes, want %d)",
-					codec, len(got), len(want))
-			}
-			// The scan really ran out-of-core: no jobs became resident.
-			if st := s.Store().Stats(); st.ResidentJobs != 0 {
-				t.Errorf("%s scan loaded %d jobs into memory", codec, st.ResidentJobs)
-			}
-		})
-	}
+	t.Run(storage.CodecColumnar, func(t *testing.T) {
+		// Budget a third of the trace so the upload spills, then restart
+		// without the snapshot: the report has no choice but to scan the
+		// segments.
+		dir := t.TempDir()
+		cfg := Config{MaxTotalJobs: tr.Len() / 3}
+		s, ts := diskServer(t, dir, cfg)
+		info := ingestTrace(t, ts, "spilled", tr)
+		if info.Fingerprint != wantFP {
+			t.Errorf("spill fingerprint %s, want golden %s", info.Fingerprint, wantFP)
+		}
+		s, ts = restartWithoutSnapshots(t, s, ts, dir, cfg)
+		resp, got := getRaw(t, ts.URL+"/v1/traces/spilled/report")
+		if x := resp.Header.Get("X-Analysis"); x != "disk-scan" {
+			t.Fatalf("spilled report X-Analysis = %q, want disk-scan", x)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("disk-scan report differs from the in-memory reference (got %d bytes, want %d)", len(got), len(want))
+		}
+		// The scan really ran out-of-core: no jobs became resident.
+		if st := s.Store().Stats(); st.ResidentJobs != 0 {
+			t.Errorf("scan loaded %d jobs into memory", st.ResidentJobs)
+		}
+	})
 }

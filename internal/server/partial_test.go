@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"testing"
 	"time"
 
@@ -85,17 +84,15 @@ func TestIngestBuildsPartial(t *testing.T) {
 
 // TestReportShardsParamAgreement: shards=K changes only how a cold
 // scan-path report is computed, never its bytes — and the shard count
-// is deliberately absent from the cache key.
+// is deliberately absent from the cache key. Sketch mode does not match
+// the frozen exact partial, so every request scans the resident jobs.
 func TestReportShardsParamAgreement(t *testing.T) {
-	s, ts := httptestServerNoPartials(t)
+	s, ts := newTestServer(t)
 	tr := genTrace(t, "CC-e", 3, 30*time.Hour)
 	ingestTrace(t, ts, "mine", tr)
-	if st := s.Store().Stats(); st.Partials != 0 {
-		t.Fatalf("store holds %d partials with partials disabled", st.Partials)
-	}
 
 	var want []byte
-	for i, q := range []string{"?shards=1", "?shards=4", "?shards=16", ""} {
+	for i, q := range []string{"?sketch=1&shards=1", "?sketch=1&shards=4", "?sketch=1&shards=16", "?sketch=1"} {
 		s.Cache().InvalidatePrefix("")
 		resp, body := getRaw(t, ts.URL+"/v1/traces/mine/report"+q)
 		if resp.StatusCode != http.StatusOK {
@@ -124,26 +121,17 @@ func TestReportShardsParamAgreement(t *testing.T) {
 	}
 }
 
-// httptestServerNoPartials starts a server with ingest-time aggregation
-// off, so reports exercise the scan + aggregate-tier path.
-func httptestServerNoPartials(t testing.TB) (*Server, *httptest.Server) {
-	t.Helper()
-	s := mustNew(t, Config{DisablePartials: true})
-	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(ts.Close)
-	return s, ts
-}
-
-// TestAggregateTierSharesScans: with no stored partial, the first scan
-// parks its partial in the cache's aggregate tier; report variants that
-// differ only in finalization (top=N) and sketch-mode requests reuse or
-// add to that tier instead of rescanning per variant.
+// TestAggregateTierSharesScans: a report the frozen partial cannot
+// serve (sketch mode) scans once and parks its partial in the cache's
+// aggregate tier; report variants that differ only in finalization
+// (top=N) reuse it, the exact whole-trace report bypasses the tier, and
+// a window adds its own aggregate instead of rescanning per variant.
 func TestAggregateTierSharesScans(t *testing.T) {
-	s, ts := httptestServerNoPartials(t)
+	s, ts := newTestServer(t)
 	tr := genTrace(t, "CC-e", 3, 30*time.Hour)
 	ingestTrace(t, ts, "mine", tr)
 
-	resp, _ := getRaw(t, ts.URL+"/v1/traces/mine/report")
+	resp, _ := getRaw(t, ts.URL+"/v1/traces/mine/report?sketch=1")
 	if got := resp.Header.Get("X-Analysis"); got != "scan" {
 		t.Fatalf("first report X-Analysis = %q, want scan", got)
 	}
@@ -153,19 +141,31 @@ func TestAggregateTierSharesScans(t *testing.T) {
 
 	// A different finalization of the same aggregate: cold in the bytes
 	// tier, hit in the aggregate tier.
-	resp, _ = getRaw(t, ts.URL+"/v1/traces/mine/report?top=3")
+	resp, _ = getRaw(t, ts.URL+"/v1/traces/mine/report?sketch=1&top=3")
 	if got := resp.Header.Get("X-Analysis"); got != "cached-partial" {
-		t.Errorf("top=3 report X-Analysis = %q, want cached-partial", got)
+		t.Errorf("sketch=1&top=3 report X-Analysis = %q, want cached-partial", got)
 	}
 	cs := s.Cache().Stats()
 	if cs.AggregateHits != 1 || cs.AggregateMisses != 1 {
-		t.Errorf("after top=3: %+v", cs)
+		t.Errorf("after sketch=1&top=3: %+v", cs)
 	}
 
-	// Sketch mode needs its own aggregate.
-	getRaw(t, ts.URL+"/v1/traces/mine/report?sketch=1")
+	// The exact whole-trace report finalizes the frozen partial.
+	resp, _ = getRaw(t, ts.URL+"/v1/traces/mine/report")
+	if got := resp.Header.Get("X-Analysis"); got != "ingest-partial" {
+		t.Errorf("exact report X-Analysis = %q, want ingest-partial", got)
+	}
+	if cs := s.Cache().Stats(); cs.Aggregates != 1 {
+		t.Errorf("exact report touched the aggregate tier: %+v", cs)
+	}
+
+	// A window needs its own aggregate.
+	resp, _ = getRaw(t, ts.URL+"/v1/traces/mine/report?window=6h")
+	if got := resp.Header.Get("X-Analysis"); got != "window-scan" {
+		t.Errorf("window=6h report X-Analysis = %q, want window-scan", got)
+	}
 	if cs := s.Cache().Stats(); cs.Aggregates != 2 || cs.AggregateMisses != 2 {
-		t.Errorf("after sketch=1: %+v", cs)
+		t.Errorf("after window=6h: %+v", cs)
 	}
 }
 

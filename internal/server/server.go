@@ -28,26 +28,17 @@ type Config struct {
 	// raw bytes a single newline-free request could make the line
 	// reader buffer.
 	MaxUploadBytes int64
-	// DisablePartials turns off ingest-time partial aggregation: stored
-	// traces then carry no precomputed aggregate (saving ~24 B/job of
-	// heap) and cold reports scan the stored jobs, shard-parallel when
-	// the request sets shards=K.
-	DisablePartials bool
 	// DataDir enables the durable storage engine rooted there: traces
 	// are written through to checksummed on-disk segments with partial
 	// aggregates persisted alongside, recovered (and verified) at
-	// startup, and served out-of-core when they exceed the hot tier.
-	// Empty keeps the pre-durability behavior: memory only, nothing
-	// survives a restart.
+	// startup, and served out-of-core when they exceed the hot tier. A
+	// data dir holding legacy JSONL segments is converted to colseg once
+	// at startup. Empty keeps the pre-durability behavior: memory only,
+	// nothing survives a restart.
 	DataDir string
 	// SegmentJobs caps jobs per on-disk segment file (zero: the storage
 	// engine's default). Segments are the out-of-core sharding unit.
 	SegmentJobs int
-	// SegmentCodec selects the on-disk segment format for newly written
-	// traces: storage.CodecColumnar (the default when empty) or
-	// storage.CodecJSONL. Existing segments always decode with the codec
-	// their manifest records, so changing this never strands old data.
-	SegmentCodec string
 	// CompactInterval spaces the background compaction sweeps that
 	// rewrite fragmented many-segment generations (a long-appended
 	// trace's usual shape) into packed ones. Zero disables compaction;
@@ -167,11 +158,8 @@ func New(cfg Config) (*Server, error) {
 		maxUpload: maxUpload,
 		logger:    logger,
 	}
-	if cfg.DisablePartials {
-		s.store.DisablePartials()
-	}
 	if cfg.DataDir != "" {
-		backing, rec, err := storage.Open(cfg.DataDir, storage.Options{SegmentJobs: cfg.SegmentJobs, Codec: cfg.SegmentCodec})
+		backing, rec, err := storage.Open(cfg.DataDir, storage.Options{SegmentJobs: cfg.SegmentJobs})
 		if err != nil {
 			return nil, fmt.Errorf("server: opening data dir: %w", err)
 		}
@@ -183,6 +171,9 @@ func New(cfg Config) (*Server, error) {
 		}
 		for _, tr := range rec.Trimmed {
 			s.logger.Warn("recovery trimmed uncommitted bytes", "trace", tr.Name, "bytes", tr.Bytes, "file", tr.File)
+		}
+		for _, name := range rec.Migrated {
+			s.logger.Info("recovery converted legacy JSONL segments to colseg", "trace", name)
 		}
 		s.logger.Info("recovered traces", "count", len(rec.Traces), "dir", cfg.DataDir)
 		if cfg.CompactInterval > 0 {

@@ -143,7 +143,7 @@ func (s *Store) spillIngest(name string, buffered *trace.Trace, pending *trace.J
 		return s.sortSpilled(name, stager, meta)
 	}
 
-	if hasher == nil || (p == nil && !s.noPartials) {
+	if hasher == nil || p == nil {
 		// The upload header was incomplete, so the canonical header (and
 		// the aggregate's binning origin) only became known at EOF: one
 		// sequential readback pass over the just-written segments derives
@@ -190,21 +190,19 @@ func (s *Store) spillIngest(name string, buffered *trace.Trace, pending *trace.J
 }
 
 // rescanSpilled reads the staged segments back once, in order, to
-// compute the canonical fingerprint and (unless disabled) the partial
-// aggregate under the finalized metadata.
+// compute the canonical fingerprint and the partial aggregate under the
+// finalized metadata.
 func (s *Store) rescanSpilled(stager *storage.Stager, meta trace.Meta) (*trace.Hasher, *core.Partial, error) {
 	shards, err := stager.Shards(meta)
 	if err != nil {
 		return nil, nil, err
 	}
+	defer closeSources(shards)
 	hasher := trace.NewHasher()
 	if err := hasher.Begin(meta); err != nil {
 		return nil, nil, err
 	}
-	var p *core.Partial
-	if !s.noPartials {
-		p, _ = core.NewPartial(meta, false) // best-effort, like put
-	}
+	p, _ := core.NewPartial(meta, false) // best-effort, like put
 	for _, sh := range shards {
 		for {
 			j, err := sh.Next()
@@ -237,6 +235,7 @@ func (s *Store) sortSpilled(name string, stager *storage.Stager, meta trace.Meta
 	if err != nil {
 		return TraceInfo{}, err
 	}
+	defer closeSources(shards)
 	collected := trace.New(meta)
 	for _, sh := range shards {
 		for {
@@ -254,4 +253,15 @@ func (s *Store) sortSpilled(name string, stager *storage.Stager, meta trace.Meta
 		}
 	}
 	return s.put(name, collected, nil)
+}
+
+// closeSources releases the descriptors of sources a rejected spill
+// abandons mid-stream (a no-op for drained ones), before the stager
+// unlinks their segments.
+func closeSources(srcs []trace.Source) {
+	for _, src := range srcs {
+		if cl, ok := src.(io.Closer); ok {
+			cl.Close()
+		}
+	}
 }

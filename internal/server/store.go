@@ -76,9 +76,9 @@ type entry struct {
 	// observed at ingest (or decoded from the on-disk snapshot at
 	// recovery), so a cold report finalizes precomputed section
 	// aggregates instead of re-reading every job. Never mutated after
-	// insertion — Partial.Report is read-only — and nil when partials
-	// are disabled or the trace cannot be binned (shorter than two
-	// hours). Costs ~24 B per job of heap.
+	// insertion — Partial.Report is read-only — and nil when the trace
+	// cannot be binned (shorter than two hours) or its persisted
+	// snapshot was unreadable at recovery. Costs ~24 B per job of heap.
 	partial *core.Partial
 	// recovered marks a partial decoded from a persisted snapshot
 	// rather than built by this process — surfaced in the X-Analysis
@@ -116,7 +116,6 @@ type Store struct {
 	residentJobs int
 	maxTraces    int
 	maxTotalJobs int
-	noPartials   bool
 	backing      *storage.Store
 
 	// appendStates holds the live append session per trace name (see
@@ -167,9 +166,9 @@ func NewStore(maxTraces, maxTotalJobs int) *Store {
 
 // AttachBacking wires a durable storage engine under the store and
 // registers its recovered traces as disk-resident entries, loading each
-// one's persisted partial aggregate (unless partials are disabled) so
-// the first cold report after a restart finalizes on-disk state instead
-// of rescanning jobs. Call before the store starts serving.
+// one's persisted partial aggregate so the first cold report after a
+// restart finalizes on-disk state instead of rescanning jobs. Call
+// before the store starts serving.
 func (s *Store) AttachBacking(b *storage.Store, recovered []*storage.Trace) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -187,11 +186,9 @@ func (s *Store) AttachBacking(b *storage.Store, recovered []*storage.Trace) {
 				BytesMoved:  st.BytesMoved(),
 			},
 		}
-		if !s.noPartials {
-			if p, err := st.LoadPartial(); err == nil && p != nil {
-				e.partial = p
-				e.recovered = true
-			}
+		if p, err := st.LoadPartial(); err == nil && p != nil {
+			e.partial = p
+			e.recovered = true
 		}
 		s.entries[st.Name()] = e
 	}
@@ -217,12 +214,6 @@ func normalize(name string, t *trace.Trace) error {
 	}
 	return t.Validate()
 }
-
-// DisablePartials turns off ingest-time partial aggregation (for
-// memory-constrained deployments; cold reports then scan the stored
-// jobs, shard-parallel when the request asks for it). Call before the
-// store starts serving.
-func (s *Store) DisablePartials() { s.noPartials = true }
 
 // Put inserts (or replaces) the trace under name. The caller hands over
 // ownership: the store normalizes the trace in place, fingerprints it,
@@ -265,7 +256,7 @@ func (s *Store) put(name string, t *trace.Trace, p *core.Partial) (TraceInfo, er
 	if p != nil && (p.Sketch() || p.Jobs() != t.Len() || p.Meta() != t.Meta) {
 		p = nil
 	}
-	if p == nil && !s.noPartials {
+	if p == nil {
 		p, _ = core.BuildTracePartial(t, 0, false)
 	}
 	fp, err := t.Fingerprint()
@@ -427,7 +418,7 @@ func (s *Store) Ingest(name string, src trace.Source) (TraceInfo, error) {
 	budget := s.RemainingBudget(name)
 	meta := src.Meta()
 	var p *core.Partial
-	if !s.noPartials && !meta.Start.IsZero() && meta.Length > 0 {
+	if !meta.Start.IsZero() && meta.Length > 0 {
 		if meta.Name == "" {
 			meta.Name = name // mirrors what normalize will decide
 		}

@@ -2,8 +2,12 @@ package server
 
 import (
 	"bytes"
+	"errors"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -34,6 +38,28 @@ func diskServer(t testing.TB, dir string, cfg Config) (*Server, *httptest.Server
 		cfg.SegmentJobs = 200
 	}
 	return newTestServerCfg(t, cfg)
+}
+
+// restartWithoutSnapshots closes a disk server, deletes every persisted
+// partial snapshot in its data dir, and starts a fresh server there:
+// its traces recover with no frozen partial, so cold reports must scan
+// the segments ("disk-scan").
+func restartWithoutSnapshots(t testing.TB, s *Server, ts *httptest.Server, dir string, cfg Config) (*Server, *httptest.Server) {
+	t.Helper()
+	ts.Close()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	snaps, err := filepath.Glob(filepath.Join(dir, "traces", "*", "g*.partial"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, snap := range snaps {
+		if err := os.Remove(snap); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return diskServer(t, dir, cfg)
 }
 
 // TestRestartRoundTrip is the durability acceptance test: ingest the
@@ -110,8 +136,9 @@ func TestSpillIngestAndOutOfCoreReport(t *testing.T) {
 	ingestTrace(t, tsRef, "ref", tr)
 	_, want := getRaw(t, tsRef.URL+"/v1/traces/ref/report")
 
-	// Partials disabled so the report must scan the segments.
-	s, ts := diskServer(t, t.TempDir(), Config{MaxTotalJobs: budget, DisablePartials: true})
+	dir := t.TempDir()
+	cfg := Config{MaxTotalJobs: budget}
+	s, ts := diskServer(t, dir, cfg)
 	info := ingestTrace(t, ts, "big", tr)
 	if info.Jobs != tr.Len() {
 		t.Fatalf("spilled ingest reports %d jobs, want %d", info.Jobs, tr.Len())
@@ -120,6 +147,8 @@ func TestSpillIngestAndOutOfCoreReport(t *testing.T) {
 	if st.Spills != 1 || st.ResidentJobs != 0 || st.DiskTraces != 1 {
 		t.Fatalf("after spill: %+v", st)
 	}
+	// Without the snapshot the report must scan the segments.
+	s, ts = restartWithoutSnapshots(t, s, ts, dir, cfg)
 
 	resp, got := getRaw(t, ts.URL+"/v1/traces/big/report")
 	if x := resp.Header.Get("X-Analysis"); x != "disk-scan" {
@@ -292,5 +321,35 @@ func TestSpillFingerprintMatchesMemoryPath(t *testing.T) {
 	}
 	if st := s.Store().Stats(); st.Spills != 1 {
 		t.Errorf("expected a spill: %+v", st)
+	}
+}
+
+// TestUnsortedSpillRejectClosesSegments: an out-of-order upload too big
+// to sort is rejected while its staged segments are being read back;
+// the reject must close the abandoned readers, so no descriptor is left
+// pointing into the data dir (at the unlinked segment).
+func TestUnsortedSpillRejectClosesSegments(t *testing.T) {
+	if _, err := os.Stat("/proc/self/fd"); err != nil {
+		t.Skip("no /proc/self/fd to inspect")
+	}
+	tr := genTrace(t, "CC-e", 3, 26*time.Hour)
+	rev := trace.New(tr.Meta)
+	for i := tr.Len() - 1; i >= 0; i-- {
+		rev.Add(tr.Jobs[i])
+	}
+	dir := t.TempDir()
+	s := mustNew(t, Config{MaxTotalJobs: tr.Len() / 3, DataDir: dir, SegmentJobs: 100})
+	if _, err := s.Store().Ingest("unsorted", trace.NewSliceSource(rev)); !errors.Is(err, errUnsortedSpill) {
+		t.Fatalf("over-budget unsorted ingest: err %v, want errUnsortedSpill", err)
+	}
+	fds, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, fd := range fds {
+		target, err := os.Readlink(filepath.Join("/proc/self/fd", fd.Name()))
+		if err == nil && strings.HasPrefix(target, dir) {
+			t.Errorf("descriptor %s still open on %s", fd.Name(), target)
+		}
 	}
 }

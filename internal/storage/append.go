@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"bufio"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -23,7 +22,7 @@ import (
 //
 // Segments rotate at the store's job cap exactly as on the one-shot
 // path, so a long-lived appended trace is indistinguishable on disk
-// from an uploaded one (same file names, same codecs, same manifest
+// from an uploaded one (same file names, same codec, same manifest
 // schema). Per-name write serialization — one appender per trace, no
 // concurrent Stager on the same name — is the caller's concern, as it
 // is for the rest of the store.
@@ -39,16 +38,11 @@ type Appender struct {
 
 	closed []SegmentInfo // fully rotated segments
 
-	// Open segment state. cw's running size and CRC are exactly the
-	// committed-prefix stats at each Seal: every byte the codec emitted
-	// so far passed through it.
-	f       *os.File
-	bw      *bufio.Writer
-	cw      *countCRCWriter
-	enc     segmentEncoder
-	segIdx  int
-	segJobs int
-	segSpan submitSpan
+	// seg is the open segment (nil between rotations). Its running size
+	// and CRC are exactly the committed-prefix stats at each Seal: every
+	// byte the codec emitted so far passed through it.
+	seg    *segmentWriter
+	segIdx int
 
 	batchSeq     int
 	prevPartial  string
@@ -123,19 +117,20 @@ func (a *Appender) Append(j *trace.Job) error {
 	if a.doneOrClosed {
 		return fmt.Errorf("storage: append after close")
 	}
-	if a.f == nil {
-		if err := a.openSegment(); err != nil {
+	if a.seg == nil {
+		seg, err := createSegment(a.dir, segmentFile(a.gen, a.segIdx))
+		if err != nil {
 			return err
 		}
+		a.seg = seg
+		a.sealedOpen = false
 	}
-	if err := a.enc.Write(j); err != nil {
+	if err := a.seg.write(j); err != nil {
 		return err
 	}
-	a.segJobs++
-	a.segSpan.observe(j)
 	a.jobs++
 	a.bytesMoved += int64(j.TotalBytes())
-	if a.segJobs >= a.store.segJobs {
+	if a.seg.jobs >= a.store.segJobs {
 		return a.rotate()
 	}
 	return nil
@@ -147,73 +142,20 @@ func (a *Appender) Jobs() int { return a.jobs }
 // BytesMoved returns the running Table-1 bytes-moved total.
 func (a *Appender) BytesMoved() int64 { return a.bytesMoved }
 
-func (a *Appender) openSegment() error {
-	name := segmentFile(a.gen, a.segIdx)
-	f, err := os.OpenFile(filepath.Join(a.dir, name), os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("storage: creating segment: %w", err)
-	}
-	a.f = f
-	a.bw = bufio.NewWriterSize(f, 1<<16)
-	a.cw = &countCRCWriter{w: a.bw}
-	a.enc = newSegmentEncoder(a.store.codec, a.cw)
-	a.segJobs = 0
-	a.segSpan = submitSpan{}
-	a.sealedOpen = false
-	return nil
-}
-
 // rotate finishes the open segment — codec close, flush, fsync — and
 // moves it to the closed list.
 func (a *Appender) rotate() error {
-	if a.f == nil {
+	if a.seg == nil {
 		return nil
 	}
-	if err := a.enc.Close(); err != nil {
-		a.f.Close()
-		return fmt.Errorf("storage: finishing segment: %w", err)
+	info, err := a.seg.finish()
+	if err != nil {
+		return err
 	}
-	if err := a.bw.Flush(); err != nil {
-		a.f.Close()
-		return fmt.Errorf("storage: flushing segment: %w", err)
-	}
-	if err := a.f.Sync(); err != nil {
-		a.f.Close()
-		return fmt.Errorf("storage: syncing segment: %w", err)
-	}
-	if err := a.f.Close(); err != nil {
-		return fmt.Errorf("storage: closing segment: %w", err)
-	}
-	a.closed = append(a.closed, a.openInfo())
+	a.closed = append(a.closed, info)
 	a.segIdx++
-	a.f = nil
-	a.bw = nil
-	a.cw = nil
-	a.enc = nil
-	a.segJobs = 0
-	a.segSpan = submitSpan{}
+	a.seg = nil
 	return nil
-}
-
-// openInfo snapshots the open segment's committed-prefix SegmentInfo.
-func (a *Appender) openInfo() SegmentInfo {
-	info := SegmentInfo{
-		FileInfo: FileInfo{
-			File:   segmentFile(a.gen, a.segIdx),
-			Size:   a.cw.n,
-			CRC32C: a.cw.crc,
-		},
-		Jobs:  a.segJobs,
-		Codec: manifestCodec(a.store.codec),
-	}
-	if a.segSpan.has {
-		info.MinSubmitSec, info.MaxSubmitSec = a.segSpan.min, a.segSpan.max
-		info.HasSpan = true
-	}
-	if bc, ok := a.enc.(blockCounter); ok {
-		info.Blocks = bc.Blocks()
-	}
-	return info
 }
 
 // Seal makes everything appended so far durable and builds the batch's
@@ -228,20 +170,11 @@ func (a *Appender) Seal(fp string, partial *core.Partial) (*Sealed, error) {
 		return nil, fmt.Errorf("storage: seal after close")
 	}
 	segments := a.closed
-	if a.f != nil {
-		type flusher interface{ Flush() error }
-		if fl, ok := a.enc.(flusher); ok {
-			if err := fl.Flush(); err != nil {
-				return nil, fmt.Errorf("storage: flushing codec: %w", err)
-			}
+	if a.seg != nil {
+		if err := a.seg.sync(false); err != nil {
+			return nil, err
 		}
-		if err := a.bw.Flush(); err != nil {
-			return nil, fmt.Errorf("storage: flushing segment: %w", err)
-		}
-		if err := a.f.Sync(); err != nil {
-			return nil, fmt.Errorf("storage: syncing segment: %w", err)
-		}
-		segments = append(segments[:len(segments):len(segments)], a.openInfo())
+		segments = append(segments[:len(segments):len(segments)], a.seg.info())
 		a.sealedOpen = true
 	}
 	a.batchSeq++
@@ -303,12 +236,12 @@ func (a *Appender) Close() error {
 		return nil
 	}
 	a.doneOrClosed = true
-	if a.f != nil {
-		err := a.f.Close()
+	if a.seg != nil {
+		err := a.seg.f.Close()
 		if !a.sealedOpen {
-			os.Remove(filepath.Join(a.dir, segmentFile(a.gen, a.segIdx)))
+			os.Remove(filepath.Join(a.dir, a.seg.file))
 		}
-		a.f = nil
+		a.seg = nil
 		if err != nil {
 			return fmt.Errorf("storage: closing segment: %w", err)
 		}

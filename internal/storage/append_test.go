@@ -420,7 +420,9 @@ func TestSegmentSourceClose(t *testing.T) {
 		t.Fatal("Next succeeded after Close")
 	}
 
-	for _, sh := range st.Shards() {
+	meta := st.Meta()
+	shards, _ := st.WindowShards(meta.Start, meta.Start.Add(meta.Length))
+	for _, sh := range shards {
 		if _, err := sh.Next(); err != nil {
 			t.Fatal(err)
 		}

@@ -1,53 +1,39 @@
 package storage
 
 import (
-	"io"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/trace"
 )
 
 // BenchmarkSegmentScan is the disk-scan trend datapoint: the cost of
-// streaming every stored job back out of committed segments — the inner
-// loop of every out-of-core analysis — under each segment codec. The
-// paper's 14-day FB-2009 trace is stored once per codec; each iteration
-// drains all segment shards through the codec's scan path (ScanShards,
-// what the server's disk-scan report uses). benchtrend's scan suite
-// gates the colseg/jsonl ratio and records the on-disk sizes.
+// streaming every stored job back out of committed segments, per
+// segment codec. The paper's 14-day FB-2009 trace is stored once as
+// colseg (what the store writes) and once as v5-era JSONL segments
+// (what Open migrates); each iteration drains every segment through
+// the volatile chain compaction and migration read with. benchtrend's
+// scan suite gates the colseg/jsonl ratio and records the on-disk
+// sizes.
 func BenchmarkSegmentScan(b *testing.B) {
 	tr := genTrace(b, "FB-2009", 1, 14*24*time.Hour)
-	for _, codec := range []string{CodecJSONL, CodecColumnar} {
+	for _, codec := range []string{"jsonl", CodecColumnar} {
 		b.Run(codec, func(b *testing.B) {
 			root := b.TempDir()
-			s, _, err := Open(root, Options{Codec: codec})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer s.Close()
-			fp, err := tr.Fingerprint()
-			if err != nil {
-				b.Fatal(err)
-			}
-			st, err := s.Write("bench", tr, fp, nil)
-			if err != nil {
-				b.Fatal(err)
+			var st *Trace
+			if codec == CodecColumnar {
+				s, _ := openStore(b, root, 0)
+				st = stageCommit(b, s, "bench", tr, nil)
+			} else {
+				st = writeLegacyGeneration(b, root, "bench", tr, DefaultSegmentJobs, tr.Len(), nil)
 			}
 			b.SetBytes(st.SizeBytes())
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				jobs := 0
-				for _, src := range st.ScanShards() {
-					for {
-						_, err := src.Next()
-						if err == io.EOF {
-							break
-						}
-						if err != nil {
-							b.Fatal(err)
-						}
-						jobs++
-					}
+				if err := st.each(func(*trace.Job) error { jobs++; return nil }); err != nil {
+					b.Fatal(err)
 				}
 				if jobs != tr.Len() {
 					b.Fatalf("scanned %d jobs, want %d", jobs, tr.Len())
@@ -110,11 +96,12 @@ func BenchmarkFragmentedScan(b *testing.B) {
 
 // BenchmarkParallelScan pits the two scan parallelization strategies
 // against each other on a packed single-segment trace — the shape
-// compaction produces, where segment-parallel degenerates to one shard
-// and only block-parallel can use the other cores. benchtrend's scan
-// suite gates block/segment with -min-block-parallel-speedup on
-// multi-core runners (the -N benchmark suffix carries GOMAXPROCS;
-// single-core machines are exempt — no parallelism exists to measure).
+// compaction produces. Segment-parallel degenerates there to one
+// sequential partial build over the segment chain; only
+// block-parallel can use the other cores. benchtrend's scan suite gates
+// block/segment with -min-block-parallel-speedup on multi-core runners
+// (the -N benchmark suffix carries GOMAXPROCS; single-core machines are
+// exempt — no parallelism exists to measure).
 func BenchmarkParallelScan(b *testing.B) {
 	tr := genTrace(b, "FB-2009", 1, 14*24*time.Hour)
 	s, _ := openStore(b, b.TempDir(), 1<<20)
@@ -124,8 +111,11 @@ func BenchmarkParallelScan(b *testing.B) {
 
 	b.Run("segment", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			p, err := core.BuildShardsPartial(meta, tt.ScanShards(), false)
+			p, err := core.NewPartial(meta, false)
 			if err != nil {
+				b.Fatal(err)
+			}
+			if err := tt.each(func(j *trace.Job) error { p.Observe(j); return nil }); err != nil {
 				b.Fatal(err)
 			}
 			if p.Jobs() != tr.Len() {

@@ -2,7 +2,6 @@ package storage
 
 import (
 	"fmt"
-	"io"
 
 	"repro/internal/colseg"
 	"repro/internal/trace"
@@ -76,21 +75,15 @@ func (s *Store) NeedsCompaction(t *Trace, p CompactPolicy) bool {
 }
 
 // colsegBlocks sums the recorded block counts across the generation's
-// columnar segments. Not ok when any non-empty columnar segment
-// predates block counting (a legacy manifest) — fill is then unknown.
+// segments. Not ok when any non-empty segment predates block counting
+// (an older manifest) — fill is then unknown.
 func (t *Trace) colsegBlocks() (int, bool) {
-	total, any := 0, false
 	for _, seg := range t.man.Segments {
-		if seg.Codec != CodecColumnar {
-			continue
-		}
 		if seg.Blocks <= 0 && seg.Jobs > 0 {
 			return 0, false
 		}
-		total += seg.Blocks
-		any = true
 	}
-	return total, any
+	return t.Blocks(), true
 }
 
 // packedBlocks is how many colseg blocks a packed rewrite of jobs
@@ -109,19 +102,9 @@ func packedBlocks(jobs, segJobs int) int {
 	return blocks
 }
 
-// Compacted reports whether the committed generation was written by the
-// compactor.
-func (t *Trace) Compacted() bool { return t.man.Compacted }
-
-// Blocks sums the recorded colseg block counts (0 for legacy manifests
-// and pure-JSONL generations).
-func (t *Trace) Blocks() int {
-	n := 0
-	for _, seg := range t.man.Segments {
-		n += seg.Blocks
-	}
-	return n
-}
+// Blocks sums the recorded colseg block counts (0 for manifests that
+// predate block counts).
+func (t *Trace) Blocks() int { return blocksOf(t.man.Segments) }
 
 // CompactResult reports what one compaction rewrite accomplished.
 type CompactResult struct {
@@ -138,44 +121,32 @@ type CompactResult struct {
 // (segment corruption insurance — a compaction must be a byte-identical
 // no-op or nothing). The persisted partial snapshot is carried over
 // when readable; a damaged one only costs the snapshot, as on the
-// recovery path. The caller commits the returned Sealed under whatever
-// lock serializes writes to this name (and must invalidate or have
-// excluded concurrent append sessions, whose manifests would otherwise
-// regress the compacted generation), or Aborts it to discard the
-// staged files.
+// recovery path. Open's legacy migration runs through here too. The
+// caller commits the returned Sealed under whatever lock serializes
+// writes to this name (and must invalidate or have excluded concurrent
+// append sessions, whose manifests would otherwise regress the
+// compacted generation), or Aborts it to discard the staged files.
 func (s *Store) CompactTrace(t *Trace) (*Sealed, *CompactResult, error) {
 	st, err := s.NewStager(t.Name())
 	if err != nil {
 		return nil, nil, err
 	}
-	// Volatile scan sources: every job is hashed and re-encoded on the
-	// spot, nothing retains the batch.
-	src := &chainSource{meta: t.Meta(), sources: t.ScanShards()}
 	hasher := trace.NewHasher()
 	if err := hasher.Begin(t.Meta()); err != nil {
 		st.Abort()
 		return nil, nil, err
 	}
-	for {
-		j, err := src.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			src.Close()
-			st.Abort()
-			return nil, nil, fmt.Errorf("storage: compacting %q: %w", t.Name(), err)
-		}
+	// Every job is hashed and re-encoded on the spot, so the volatile
+	// chain's reused batches are safe.
+	err = t.each(func(j *trace.Job) error {
 		if err := hasher.Write(j); err != nil {
-			src.Close()
-			st.Abort()
-			return nil, nil, fmt.Errorf("storage: compacting %q: %w", t.Name(), err)
+			return err
 		}
-		if err := st.Write(j); err != nil {
-			src.Close()
-			st.Abort()
-			return nil, nil, fmt.Errorf("storage: compacting %q: %w", t.Name(), err)
-		}
+		return st.Write(j)
+	})
+	if err != nil {
+		st.Abort()
+		return nil, nil, fmt.Errorf("storage: compacting %q: %w", t.Name(), err)
 	}
 	if got := hasher.Sum(); got != t.Fingerprint() {
 		st.Abort()

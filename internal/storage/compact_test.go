@@ -27,7 +27,7 @@ func TestCompactTraceIdentity(t *testing.T) {
 	if !s.NeedsCompaction(tt, CompactPolicy{}) {
 		t.Fatal("a session-fragmented trace must trigger compaction")
 	}
-	ref, err := core.BuildShardsPartial(tt.Meta(), tt.ScanShards(), false)
+	ref, err := core.BuildPartial(trace.NewSliceSource(tr), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestCompactTraceIdentity(t *testing.T) {
 		t.Fatalf("compacted totals jobs=%d bytes=%d, want jobs=%d bytes=%d",
 			ct.Jobs(), ct.BytesMoved(), tr.Len(), tt.BytesMoved())
 	}
-	if !ct.Compacted() {
+	if !ct.man.Compacted {
 		t.Fatal("compacted manifest not marked")
 	}
 	if ct.Segments() >= segsBefore {
@@ -77,7 +77,10 @@ func TestCompactTraceIdentity(t *testing.T) {
 	if gotFP, err := trace.Fingerprint(src); err != nil || gotFP != fp {
 		t.Fatalf("compacted readback fingerprint %s (err %v), want %s", gotFP, err, fp)
 	}
-	seq, err := core.BuildShardsPartial(ct.Meta(), ct.ScanShards(), false)
+	if src, err = ct.Open(); err != nil {
+		t.Fatal(err)
+	}
+	seq, err := core.BuildPartial(src, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,8 +120,8 @@ func TestCompactTraceIdentity(t *testing.T) {
 		t.Fatalf("recovery after compaction: %+v", rec)
 	}
 	got := rec.Traces[0]
-	if got.Fingerprint() != fp || got.Jobs() != tr.Len() || !got.Compacted() {
-		t.Fatalf("recovered %s/%d jobs compacted=%t, want %s/%d compacted", got.Fingerprint(), got.Jobs(), got.Compacted(), fp, tr.Len())
+	if got.Fingerprint() != fp || got.Jobs() != tr.Len() || !got.man.Compacted {
+		t.Fatalf("recovered %s/%d jobs compacted=%t, want %s/%d compacted", got.Fingerprint(), got.Jobs(), got.man.Compacted, fp, tr.Len())
 	}
 }
 
@@ -161,9 +164,9 @@ func TestCrashMidCompaction(t *testing.T) {
 		t.Fatalf("recovery after mid-compaction crash: %+v", rec)
 	}
 	got := rec.Traces[0]
-	if got.Fingerprint() != fp || got.Jobs() != tr.Len() || got.Compacted() || got.Segments() != segsBefore {
+	if got.Fingerprint() != fp || got.Jobs() != tr.Len() || got.man.Compacted || got.Segments() != segsBefore {
 		t.Fatalf("recovered %s/%d jobs segments=%d compacted=%t, want the old generation (%s/%d, %d segments)",
-			got.Fingerprint(), got.Jobs(), got.Segments(), got.Compacted(), fp, tr.Len(), segsBefore)
+			got.Fingerprint(), got.Jobs(), got.Segments(), got.man.Compacted, fp, tr.Len(), segsBefore)
 	}
 	entries, err = os.ReadDir(dir)
 	if err != nil {
@@ -253,7 +256,7 @@ func TestCompactedFlagClearedByAppend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ct.Compacted() {
+	if !ct.man.Compacted {
 		t.Fatal("compacted manifest not marked")
 	}
 
@@ -292,7 +295,7 @@ func TestCompactedFlagClearedByAppend(t *testing.T) {
 		t.Fatal(err)
 	}
 	a.Close()
-	if grown.Compacted() {
+	if grown.man.Compacted {
 		t.Error("appended generation kept the compacted mark")
 	}
 	if want := fingerprint(t, tr); grown.Fingerprint() != want {

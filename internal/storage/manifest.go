@@ -75,9 +75,9 @@ type FileInfo struct {
 
 // SegmentInfo is FileInfo plus the segment's job count, so byte-range
 // shards know their weight without reading, and the codec its bytes are
-// encoded with. An empty codec means canonical JSONL — the only format
-// v5-era manifests could describe — so legacy manifests parse unchanged
-// and JSONL-codec stores keep writing byte-identical manifests.
+// encoded with: CodecColumnar, or empty for canonical JSONL — the only
+// format v5-era manifests could describe, so they parse unchanged and
+// Open can find and migrate them.
 //
 // MinSubmitSec/MaxSubmitSec are the segment-level zone map: the
 // earliest and latest job submit times (Unix seconds) in the segment,
@@ -88,9 +88,10 @@ type FileInfo struct {
 // recorded nothing: when HasSpan is false and both bounds are zero the
 // span is unknown and never prunes.
 //
-// Blocks counts the colseg blocks the segment encoder flushed; zero for
-// JSONL segments and legacy manifests. It feeds the compaction policy's
-// average-block-fill trigger without opening any segment.
+// Blocks counts the colseg blocks the segment writer flushed; zero for
+// JSONL segments and manifests that predate block counts. It feeds the
+// compaction policy's average-block-fill trigger without opening any
+// segment.
 type SegmentInfo struct {
 	FileInfo
 	Jobs         int    `json:"jobs"`
@@ -135,9 +136,7 @@ func readManifest(path string) (*Manifest, error) {
 		if seg.File == "" || seg.File != filepath.Base(seg.File) {
 			return nil, fmt.Errorf("storage: %s: bad segment file name %q", path, seg.File)
 		}
-		switch seg.Codec {
-		case "", CodecJSONL, CodecColumnar:
-		default:
+		if seg.Codec != "" && seg.Codec != CodecColumnar {
 			return nil, fmt.Errorf("storage: %s: unknown segment codec %q", path, seg.Codec)
 		}
 		segJobs += seg.Jobs

@@ -1,0 +1,92 @@
+package storage
+
+import (
+	"fmt"
+	"io"
+	"os"
+	"path/filepath"
+
+	"repro/internal/colseg"
+	"repro/internal/trace"
+)
+
+// Legacy migration. Stores that predate the columnar codec wrote
+// canonical JSONL segments, recorded in the manifest with an empty
+// codec. Open converts every recovered generation that still names one
+// into a colseg generation, once, through CompactTrace: every job is
+// re-hashed and a fingerprint mismatch aborts, the partial snapshot is
+// carried over, and the new manifest commits atomically. A failure
+// fails Open naming the trace; its staged files are removed and the
+// legacy generation stays committed and untouched. After Open every
+// committed segment is colseg, so segmentSource and ParallelScanPartial
+// decode nothing else, and the rewrite chain below is the one place
+// storage decodes JSONL.
+
+// legacy reports whether the manifest names a JSONL segment. It reads
+// only the manifest, so recovering a colseg data directory decodes
+// nothing.
+func (m *Manifest) legacy() bool {
+	for _, seg := range m.Segments {
+		if seg.Codec != CodecColumnar {
+			return true
+		}
+	}
+	return false
+}
+
+// migrate rewrites legacy generation t as colseg and commits it.
+func (s *Store) migrate(t *Trace) (*Trace, error) {
+	sealed, _, err := s.CompactTrace(t)
+	if err != nil {
+		return nil, err
+	}
+	mt, err := sealed.Commit()
+	if err != nil {
+		sealed.Abort()
+		return nil, err
+	}
+	return mt, nil
+}
+
+// each streams every committed job to fn in manifest order — the
+// chain compaction and migration rewrite through. Colseg segments
+// decode into a reused batch, so fn must not retain the job.
+func (t *Trace) each(fn func(*trace.Job) error) error {
+	for _, seg := range t.man.Segments {
+		if err := t.eachInSegment(seg, fn); err != nil {
+			return fmt.Errorf("storage: reading %s: %w", seg.File, err)
+		}
+	}
+	return nil
+}
+
+// eachInSegment streams one segment's committed prefix to fn. A legacy
+// segment decodes as canonical JSONL.
+func (t *Trace) eachInSegment(seg SegmentInfo, fn func(*trace.Job) error) error {
+	f, err := os.Open(filepath.Join(t.dir, seg.File))
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	rd := io.LimitReader(f, seg.Size)
+	var src trace.Source
+	if seg.Codec == CodecColumnar {
+		cr := colseg.NewReader(rd, t.Meta(), colseg.WithVolatileBatch())
+		defer cr.Close()
+		src = cr
+	} else {
+		src = trace.NewJSONLBodyReader(rd, t.Meta())
+	}
+	for {
+		j, err := src.Next()
+		if err == io.EOF {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+		if err := fn(j); err != nil {
+			return err
+		}
+	}
+}

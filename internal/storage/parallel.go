@@ -15,18 +15,17 @@ import (
 	"repro/internal/trace"
 )
 
-// The block-parallel disk scan. The sequential out-of-core path
-// (core.BuildShardsPartial over ScanShards) parallelizes at segment
-// granularity, so a trace packed into one or two big segments scans on
-// one or two cores. Here one IO goroutine walks the segments in
-// manifest order, prunes at segment (manifest span) and block (zone
-// map) granularity, and frames colseg blocks without decoding them; a
-// bounded pool of workers decodes frames into per-chunk core.Partials;
-// and the caller merges those partials in frame order. Because every
-// aggregate is exact and mergeable (the PR-4 contract), the merged
-// result is byte-identical to the sequential scan at any worker count.
-// Legacy JSONL segments have no block framing and travel through the
-// same pipeline as whole-segment work units.
+// The block-parallel disk scan — the one disk scan that builds a
+// partial. Parallelizing at segment granularity would leave a trace
+// packed into one or two big segments on one or two cores. Instead one
+// IO goroutine walks the segments in manifest order, prunes at segment
+// (manifest span) and block (zone map) granularity, and frames colseg
+// blocks without decoding them; a bounded pool of workers decodes
+// frames into per-chunk core.Partials; and the caller merges those
+// partials in frame order. Because every aggregate is exact and
+// mergeable, the merged partial reports byte-identically to a
+// sequential core.BuildPartial over the same jobs, and is the same
+// partial at any worker count.
 
 // framePool recycles block-frame payload buffers between the IO
 // goroutine and the decode workers. Entries are pointers so Put never
@@ -62,27 +61,19 @@ type ParallelScanOptions struct {
 	Meta trace.Meta
 }
 
-// scanTask is one unit of decode work: either a chunk of colseg frame
-// payloads (pooled buffers) or, for non-columnar segments, one whole
-// segment to stream.
+// scanTask is one unit of decode work: a chunk of colseg frame
+// payloads in pooled buffers.
 type scanTask struct {
 	seq  int
 	bufs []*[]byte
-	src  trace.Source
 }
 
-// recycle returns the task's pooled buffers and closes an unconsumed
-// segment source (a no-op when the worker drained it).
+// recycle returns the task's pooled buffers.
 func (tk *scanTask) recycle() {
 	for _, bp := range tk.bufs {
 		framePool.Put(bp)
 	}
 	tk.bufs = nil
-	if tk.src != nil {
-		if cl, ok := tk.src.(io.Closer); ok {
-			cl.Close()
-		}
-	}
 }
 
 type scanResult struct {
@@ -92,11 +83,12 @@ type scanResult struct {
 }
 
 // ParallelScanPartial builds the trace's partial aggregate with the
-// block-parallel pipeline. The result is byte-identical to the
-// segment-parallel core.BuildShardsPartial over ScanShards (or
-// WindowShards plus exact filtering, when windowed) at any worker
-// count; the returned stats carry the same pruning evidence. Errors
-// release every pooled buffer and descriptor before returning.
+// block-parallel pipeline. The result reports the same bytes as a
+// sequential core.BuildPartial over Open (or over WindowShards plus
+// exact filtering, when windowed), and its snapshot is identical at any
+// worker count; the returned stats carry the same pruning evidence as
+// WindowShards. Errors release every pooled buffer and descriptor
+// before returning.
 func (t *Trace) ParallelScanPartial(opts ParallelScanOptions) (*core.Partial, *ScanStats, error) {
 	workers := opts.Workers
 	if workers <= 0 {
@@ -135,24 +127,6 @@ func (t *Trace) ParallelScanPartial(opts ParallelScanOptions) (*core.Partial, *S
 				stats.SegmentsPruned++
 				continue
 			}
-			if seg.Codec != CodecColumnar {
-				src := &segmentSource{
-					path:     filepath.Join(t.dir, seg.File),
-					meta:     meta,
-					codec:    seg.Codec,
-					size:     seg.Size,
-					volatile: true,
-					window:   opts.Window,
-					from:     opts.From,
-					to:       opts.To,
-					stats:    stats,
-				}
-				if !emit(scanTask{seq: seq, src: src}) {
-					return
-				}
-				seq++
-				continue
-			}
 			if err := t.emitSegmentFrames(seg, opts, stats, &seq, emit); err != nil {
 				if err != errScanAborted {
 					ioErr = err
@@ -162,7 +136,7 @@ func (t *Trace) ParallelScanPartial(opts ParallelScanOptions) (*core.Partial, *S
 		}
 	}()
 
-	// Decode pool: frames (or whole legacy segments) into partials.
+	// Decode pool: frames into partials.
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -177,7 +151,7 @@ func (t *Trace) ParallelScanPartial(opts ParallelScanOptions) (*core.Partial, *S
 					continue
 				default:
 				}
-				p, err := buildTaskPartial(&tk, meta, opts, dec)
+				p, err := buildTaskPartial(tk, meta, opts, dec)
 				tk.recycle()
 				results <- scanResult{seq: tk.seq, p: p, err: err}
 			}
@@ -229,13 +203,9 @@ func (t *Trace) ParallelScanPartial(opts ParallelScanOptions) (*core.Partial, *S
 		return nil, stats, ioErr
 	}
 	if merged == nil {
-		// Everything pruned (or an empty trace): same result as the
-		// segment-parallel path with zero shards.
-		p, err := core.BuildShardsPartial(meta, nil, opts.Sketch)
-		if err != nil {
-			return nil, stats, err
-		}
-		return p, stats, nil
+		// Everything pruned (or an empty trace): the empty aggregate.
+		p, err := core.NewPartial(meta, opts.Sketch)
+		return p, stats, err
 	}
 	return merged, stats, nil
 }
@@ -303,16 +273,8 @@ func (t *Trace) emitSegmentFrames(seg SegmentInfo, opts ParallelScanOptions, sta
 }
 
 // buildTaskPartial folds one task into a fresh partial: decode each
-// frame and observe its jobs (window-filtered exactly when asked), or
-// stream a whole legacy segment through the standard build.
-func buildTaskPartial(tk *scanTask, meta trace.Meta, opts ParallelScanOptions, dec *colseg.BlockDecoder) (*core.Partial, error) {
-	if tk.src != nil {
-		src := tk.src
-		if opts.Window {
-			src = trace.NewWindowSource(src, meta, opts.From, opts.To)
-		}
-		return core.BuildPartial(src, opts.Sketch)
-	}
+// frame and observe its jobs (window-filtered exactly when asked).
+func buildTaskPartial(tk scanTask, meta trace.Meta, opts ParallelScanOptions, dec *colseg.BlockDecoder) (*core.Partial, error) {
 	p, err := core.NewPartial(meta, opts.Sketch)
 	if err != nil {
 		return nil, err

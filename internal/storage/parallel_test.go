@@ -79,10 +79,12 @@ func reportBytes(t testing.TB, p *core.Partial) []byte {
 	return b
 }
 
-// TestParallelScanByteIdentity: the block-parallel scan must produce
-// exactly the segment-parallel scan's partial — same snapshot bytes,
-// same report bytes — at any worker count, sketched or exact, over a
+// TestParallelScanByteIdentity: the block-parallel scan must report
+// exactly the bytes of the sequential in-memory build, with the same
+// partial snapshot at any worker count, sketched or exact, over a
 // maximally fragmented trace (many small segments, underfilled blocks).
+// Snapshots compare across worker counts, not against the sequential
+// build: exact sums keep merge-dependent (value-identical) expansions.
 func TestParallelScanByteIdentity(t *testing.T) {
 	tr := genTrace(t, "FB-2009", 3, 26*time.Hour)
 	s, _ := openStore(t, t.TempDir(), 500)
@@ -91,29 +93,28 @@ func TestParallelScanByteIdentity(t *testing.T) {
 		t.Fatalf("fragmentation produced only %d segments", tt.Segments())
 	}
 	for _, sketch := range []bool{false, true} {
-		ref, err := core.BuildShardsPartial(tt.Meta(), tt.ScanShards(), sketch)
+		ref, err := core.BuildPartial(trace.NewSliceSource(tr), sketch)
 		if err != nil {
 			t.Fatal(err)
 		}
 		want := reportBytes(t, ref)
-		wantSnap, err := ref.MarshalBinary()
-		if err != nil {
-			t.Fatal(err)
-		}
+		var wantSnap []byte
 		for _, workers := range []int{1, 2, 3, 8} {
 			p, stats, err := tt.ParallelScanPartial(ParallelScanOptions{Workers: workers, Sketch: sketch})
 			if err != nil {
 				t.Fatalf("sketch=%t workers=%d: %v", sketch, workers, err)
 			}
 			if got := reportBytes(t, p); !bytes.Equal(got, want) {
-				t.Errorf("sketch=%t workers=%d: report diverges from the segment-parallel scan", sketch, workers)
+				t.Errorf("sketch=%t workers=%d: report diverges from the sequential build", sketch, workers)
 			}
 			snap, err := p.MarshalBinary()
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(snap, wantSnap) {
-				t.Errorf("sketch=%t workers=%d: partial snapshot diverges from the segment-parallel scan", sketch, workers)
+			if wantSnap == nil {
+				wantSnap = snap
+			} else if !bytes.Equal(snap, wantSnap) {
+				t.Errorf("sketch=%t workers=%d: partial snapshot diverges from workers=1", sketch, workers)
 			}
 			if stats.Segments != tt.Segments() {
 				t.Errorf("workers=%d: stats cover %d segments, trace has %d", workers, stats.Segments, tt.Segments())
@@ -123,8 +124,9 @@ func TestParallelScanByteIdentity(t *testing.T) {
 }
 
 // TestParallelScanWindowIdentity: the windowed block-parallel scan must
-// match the sequential windowed path — same bytes, same pruning
-// evidence — including a window that prunes everything.
+// match the sequential build over the in-memory window — same report
+// bytes, one snapshot at any worker count — and WindowShards' pruning
+// evidence, including a window that prunes everything.
 func TestParallelScanWindowIdentity(t *testing.T) {
 	tr := genTrace(t, "CC-b", 2, 26*time.Hour)
 	s, _ := openStore(t, t.TempDir(), 400)
@@ -147,24 +149,21 @@ func TestParallelScanWindowIdentity(t *testing.T) {
 				Start:    win.from,
 				Length:   win.to.Sub(win.from),
 			}
+			ref, err := core.BuildPartial(trace.NewSliceSource(tr.Window(win.from, win.to.Sub(win.from))), false)
+			if err != nil {
+				t.Fatal(err)
+			}
 			srcs, refStats := tt.WindowShards(win.from, win.to)
-			wrapped := make([]trace.Source, len(srcs))
-			for i, sh := range srcs {
-				wrapped[i] = trace.NewWindowSource(sh, wmeta, win.from, win.to)
-			}
-			ref, err := core.BuildShardsPartial(wmeta, wrapped, false)
-			if err != nil {
-				t.Fatal(err)
-			}
-			wantSnap, err := ref.MarshalBinary()
-			if err != nil {
-				t.Fatal(err)
+			if n := drainCount(t, srcs, win.from, win.to); n != ref.Jobs() {
+				t.Fatalf("window shards yield %d in-window jobs, in-memory window has %d", n, ref.Jobs())
 			}
 			// An all-pruned window yields a zero partial whose Report
 			// errors; identity there is at the snapshot level.
-			var want []byte
+			var want, wantSnap []byte
 			if win.name != "empty" {
 				want = reportBytes(t, ref)
+			} else if wantSnap, err = ref.MarshalBinary(); err != nil {
+				t.Fatal(err)
 			}
 
 			for _, workers := range []int{1, 4} {
@@ -182,8 +181,10 @@ func TestParallelScanWindowIdentity(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !bytes.Equal(snap, wantSnap) {
-					t.Errorf("workers=%d: windowed partial snapshot diverges from the sequential window scan", workers)
+				if wantSnap == nil {
+					wantSnap = snap
+				} else if !bytes.Equal(snap, wantSnap) {
+					t.Errorf("workers=%d: windowed partial snapshot diverges", workers)
 				}
 				if want != nil && !bytes.Equal(reportBytes(t, p), want) {
 					t.Errorf("workers=%d: windowed report diverges from the sequential window scan", workers)
@@ -203,96 +204,6 @@ func TestParallelScanWindowIdentity(t *testing.T) {
 			}
 		})
 	}
-}
-
-// TestParallelScanLegacyAndMixedCodecs: JSONL segments have no block
-// framing and ride the pipeline as whole-segment tasks; a generation
-// mixing JSONL and colseg segments (the shape a codec migration's
-// append leaves) must still merge in manifest order.
-func TestParallelScanLegacyAndMixedCodecs(t *testing.T) {
-	tr := genTrace(t, "CC-b", 4, 26*time.Hour)
-	cut := len(tr.Jobs) / 2
-	first := trace.New(tr.Meta)
-	first.Jobs = tr.Jobs[:cut]
-	rest := trace.New(tr.Meta)
-	rest.Jobs = tr.Jobs[cut:]
-
-	root := t.TempDir()
-	sj, _, err := Open(root, Options{SegmentJobs: 400, Codec: CodecJSONL})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tt, _ := fragmentTrace(t, sj, "live", first, 2, 2)
-	check := func(tag string, tt *Trace) {
-		t.Helper()
-		ref, err := core.BuildShardsPartial(tt.Meta(), tt.ScanShards(), false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := reportBytes(t, ref)
-		for _, workers := range []int{1, 4} {
-			p, _, err := tt.ParallelScanPartial(ParallelScanOptions{Workers: workers})
-			if err != nil {
-				t.Fatalf("%s workers=%d: %v", tag, workers, err)
-			}
-			if got := reportBytes(t, p); !bytes.Equal(got, want) {
-				t.Errorf("%s workers=%d: report diverges from the segment-parallel scan", tag, workers)
-			}
-		}
-	}
-	check("jsonl", tt)
-	if err := sj.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Continue the same trace with the columnar codec: the generation
-	// now mixes JSONL segments (the committed prefix) with colseg ones.
-	sc, rec, err := Open(root, Options{SegmentJobs: 400})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sc.Close()
-	if len(rec.Traces) != 1 {
-		t.Fatalf("recovered %d traces, want 1", len(rec.Traces))
-	}
-	hasher := trace.NewHasher()
-	if err := hasher.Begin(tr.Meta); err != nil {
-		t.Fatal(err)
-	}
-	for _, j := range first.Jobs {
-		if err := hasher.Write(j); err != nil {
-			t.Fatal(err)
-		}
-	}
-	a, _, err := sc.OpenAppend("live", tr.Meta)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, j := range rest.Jobs {
-		if err := a.Append(j); err != nil {
-			t.Fatal(err)
-		}
-		if err := hasher.Write(j); err != nil {
-			t.Fatal(err)
-		}
-	}
-	sealed, err := a.Seal(hasher.Sum(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mixed, err := a.Commit(sealed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a.Close()
-	codecs := map[string]bool{}
-	for _, seg := range mixed.man.Segments {
-		codecs[seg.Codec] = true
-	}
-	if len(codecs) < 2 {
-		t.Fatalf("generation did not mix codecs: %v", codecs)
-	}
-	check("mixed", mixed)
 }
 
 // TestOpenZeroSegmentsMeta: a committed zero-segment generation (an

@@ -10,6 +10,7 @@ import (
 // generation, and removes everything a crash left behind: uncommitted
 // trace directories, torn segments (with their whole trace — data is
 // authoritative), stale-generation files, and manifest tmp files.
+// Verified legacy generations are then migrated to colseg.
 func (s *Store) recover() (*Recovery, error) {
 	rec := &Recovery{}
 	entries, err := os.ReadDir(s.tracesDir())
@@ -25,6 +26,14 @@ func (s *Store) recover() (*Recovery, error) {
 		dir := filepath.Join(s.tracesDir(), e.Name())
 		t, trimmed, reason := s.recoverTrace(dir, e.Name())
 		rec.Trimmed = append(rec.Trimmed, trimmed...)
+		if t != nil && t.man.legacy() {
+			mt, err := s.migrate(t)
+			if err != nil {
+				return nil, fmt.Errorf("storage: migrating legacy trace %q to colseg: %w", t.Name(), err)
+			}
+			t = mt
+			rec.Migrated = append(rec.Migrated, t.Name())
+		}
 		if t != nil {
 			rec.Traces = append(rec.Traces, t)
 			continue

@@ -17,18 +17,9 @@ import (
 // uses.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// segmentEncoder turns job records into one segment file's bytes. Write
-// appends one job; Close flushes whatever the codec buffers. Encoders
-// write through a countCRCWriter, so whatever bytes they emit, the
-// manifest's size and CRC always describe the final file exactly.
-type segmentEncoder interface {
-	Write(j *trace.Job) error
-	Close() error
-}
-
 // countCRCWriter counts and checksums every byte passing through it —
-// the one place segment sizes and CRCs are computed, shared by all
-// codecs.
+// the one place segment sizes and CRCs are computed, so the manifest's
+// size and CRC always describe the file's bytes exactly.
 type countCRCWriter struct {
 	w   io.Writer
 	n   int64
@@ -42,68 +33,99 @@ func (c *countCRCWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// jsonlEncoder writes canonical JSONL job lines — the v5-era segment
-// format, byte-identical to what the pre-codec store wrote.
-type jsonlEncoder struct {
-	w   io.Writer
-	buf []byte
+// segmentWriter is one open segment file: a colseg writer over a
+// buffered, checksummed file, plus the segment's job count and submit
+// span. Stager and Appender both write through it.
+type segmentWriter struct {
+	file string
+	f    *os.File
+	bw   *bufio.Writer
+	cw   *countCRCWriter
+	enc  *colseg.Writer
+	jobs int
+	span submitSpan
 }
 
-func (e *jsonlEncoder) Write(j *trace.Job) error {
-	b, err := trace.AppendJobLine(e.buf[:0], j)
+// createSegment creates (truncating) segment file in dir.
+func createSegment(dir, file string) (*segmentWriter, error) {
+	f, err := os.OpenFile(filepath.Join(dir, file), os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
-		return fmt.Errorf("storage: encoding job %d: %w", j.ID, err)
+		return nil, fmt.Errorf("storage: creating segment: %w", err)
 	}
-	e.buf = b[:0]
-	if _, err := e.w.Write(b); err != nil {
-		return fmt.Errorf("storage: writing segment: %w", err)
+	bw := bufio.NewWriterSize(f, 1<<16)
+	cw := &countCRCWriter{w: bw}
+	return &segmentWriter{file: file, f: f, bw: bw, cw: cw, enc: colseg.NewWriter(cw)}, nil
+}
+
+func (w *segmentWriter) write(j *trace.Job) error {
+	if err := w.enc.Write(j); err != nil {
+		return err
+	}
+	w.jobs++
+	w.span.observe(j)
+	return nil
+}
+
+// sync makes every job written so far durable: the codec is closed
+// (final) or flushed at a self-contained block boundary, then the
+// buffer is flushed and the file fsynced.
+func (w *segmentWriter) sync(final bool) error {
+	flush := w.enc.Flush
+	if final {
+		flush = w.enc.Close
+	}
+	if err := flush(); err != nil {
+		return fmt.Errorf("storage: finishing segment: %w", err)
+	}
+	if err := w.bw.Flush(); err != nil {
+		return fmt.Errorf("storage: flushing segment: %w", err)
+	}
+	if err := w.f.Sync(); err != nil {
+		return fmt.Errorf("storage: syncing segment: %w", err)
 	}
 	return nil
 }
 
-func (e *jsonlEncoder) Close() error { return nil }
-
-// newSegmentEncoder builds the encoder for the store's codec.
-func newSegmentEncoder(codec string, w io.Writer) segmentEncoder {
-	if codec == CodecColumnar {
-		return colseg.NewWriter(w)
+// finish closes the codec and the file and returns the segment's info.
+func (w *segmentWriter) finish() (SegmentInfo, error) {
+	if err := w.sync(true); err != nil {
+		w.f.Close()
+		return SegmentInfo{}, err
 	}
-	return &jsonlEncoder{w: w, buf: make([]byte, 0, 512)}
-}
-
-// blockCounter is implemented by encoders that flush framed blocks
-// (colseg.Writer); the count lands in SegmentInfo.Blocks.
-type blockCounter interface {
-	Blocks() int
-}
-
-// manifestCodec maps a store codec to what SegmentInfo records: JSONL
-// stays the empty string so JSONL-codec manifests are byte-identical to
-// v5-era ones.
-func manifestCodec(codec string) string {
-	if codec == CodecJSONL {
-		return ""
+	if err := w.f.Close(); err != nil {
+		return SegmentInfo{}, fmt.Errorf("storage: closing segment: %w", err)
 	}
-	return codec
+	return w.info(), nil
 }
 
-// Stager writes one new generation of a trace: rotating segment files
-// encoded with the store's codec, each checksummed as it is written.
-// The write path is append-only and constant-memory, so a trace far
-// larger than RAM streams straight to disk. Seal finishes the files and
-// the aggregate snapshot; Commit (on the Sealed result) atomically
-// installs the manifest. Abort removes everything staged.
+// info describes the bytes written so far — after sync, exactly the
+// durable prefix.
+func (w *segmentWriter) info() SegmentInfo {
+	info := SegmentInfo{
+		FileInfo: FileInfo{File: w.file, Size: w.cw.n, CRC32C: w.cw.crc},
+		Jobs:     w.jobs,
+		Codec:    CodecColumnar,
+		Blocks:   w.enc.Blocks(),
+	}
+	if w.span.has {
+		info.MinSubmitSec, info.MaxSubmitSec = w.span.min, w.span.max
+		info.HasSpan = true
+	}
+	return info
+}
+
+// Stager writes one new generation of a trace: rotating colseg segment
+// files, each checksummed as it is written. The write path is
+// append-only and constant-memory, so a trace far larger than RAM
+// streams straight to disk. Seal finishes the files and the aggregate
+// snapshot; Commit (on the Sealed result) atomically installs the
+// manifest. Abort removes everything staged.
 type Stager struct {
 	store *Store
 	dir   string
 	gen   uint64
 
-	f        *os.File
-	bw       *bufio.Writer
-	cw       *countCRCWriter
-	enc      segmentEncoder
-	segJobs  int
-	segSpan  submitSpan
+	seg      *segmentWriter // nil between segments
 	segments []SegmentInfo
 	done     bool
 }
@@ -156,79 +178,33 @@ func (st *Stager) Write(j *trace.Job) error {
 	if st.done {
 		return fmt.Errorf("storage: write after seal/abort")
 	}
-	if st.f == nil {
-		if err := st.openSegment(); err != nil {
+	if st.seg == nil {
+		seg, err := createSegment(st.dir, segmentFile(st.gen, len(st.segments)))
+		if err != nil {
 			return err
 		}
+		st.seg = seg
 	}
-	if err := st.enc.Write(j); err != nil {
+	if err := st.seg.write(j); err != nil {
 		return err
 	}
-	st.segJobs++
-	st.segSpan.observe(j)
-	if st.segJobs >= st.store.segJobs {
+	if st.seg.jobs >= st.store.segJobs {
 		return st.closeSegment()
 	}
 	return nil
 }
 
-func (st *Stager) openSegment() error {
-	name := segmentFile(st.gen, len(st.segments))
-	f, err := os.OpenFile(filepath.Join(st.dir, name), os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("storage: creating segment: %w", err)
-	}
-	st.f = f
-	st.bw = bufio.NewWriterSize(f, 1<<16)
-	st.cw = &countCRCWriter{w: st.bw}
-	st.enc = newSegmentEncoder(st.store.codec, st.cw)
-	st.segJobs = 0
-	return nil
-}
-
-// closeSegment finishes the codec, flushes, fsyncs, and records the
-// current segment.
+// closeSegment finishes and records the current segment.
 func (st *Stager) closeSegment() error {
-	if st.f == nil {
+	if st.seg == nil {
 		return nil
 	}
-	if err := st.enc.Close(); err != nil {
-		st.f.Close()
-		return fmt.Errorf("storage: finishing segment: %w", err)
-	}
-	if err := st.bw.Flush(); err != nil {
-		st.f.Close()
-		return fmt.Errorf("storage: flushing segment: %w", err)
-	}
-	if err := st.f.Sync(); err != nil {
-		st.f.Close()
-		return fmt.Errorf("storage: syncing segment: %w", err)
-	}
-	if err := st.f.Close(); err != nil {
-		return fmt.Errorf("storage: closing segment: %w", err)
-	}
-	info := SegmentInfo{
-		FileInfo: FileInfo{
-			File:   segmentFile(st.gen, len(st.segments)),
-			Size:   st.cw.n,
-			CRC32C: st.cw.crc,
-		},
-		Jobs:  st.segJobs,
-		Codec: manifestCodec(st.store.codec),
-	}
-	if st.segSpan.has {
-		info.MinSubmitSec, info.MaxSubmitSec = st.segSpan.min, st.segSpan.max
-		info.HasSpan = true
-	}
-	if bc, ok := st.enc.(blockCounter); ok {
-		info.Blocks = bc.Blocks()
+	info, err := st.seg.finish()
+	if err != nil {
+		return err
 	}
 	st.segments = append(st.segments, info)
-	st.f = nil
-	st.bw = nil
-	st.cw = nil
-	st.enc = nil
-	st.segSpan = submitSpan{}
+	st.seg = nil
 	return nil
 }
 
@@ -311,12 +287,12 @@ func decodeMust(dir string) string {
 // Abort removes everything this stager wrote. Safe to call after Seal
 // has failed; a no-op after Commit.
 func (st *Stager) Abort() {
-	if st.f != nil {
+	if st.seg != nil {
 		// The in-progress segment is on disk but not yet recorded in
-		// st.segments; its name is deterministic, so unlink it too.
-		st.f.Close()
-		st.f = nil
-		os.Remove(filepath.Join(st.dir, segmentFile(st.gen, len(st.segments))))
+		// st.segments; unlink it too.
+		st.seg.f.Close()
+		os.Remove(filepath.Join(st.dir, st.seg.file))
+		st.seg = nil
 	}
 	st.done = true
 	for _, seg := range st.segments {

@@ -7,17 +7,14 @@
 // Layout. Each stored trace owns one directory under <root>/traces/,
 // named by a reversible filesystem-safe encoding of the trace name.
 // Inside, job records live in generation-prefixed segment files
-// (g000001-00000.seg, …) encoded with the store's segment codec — by
-// default the compact columnar colseg format (package colseg), with
-// canonical JSONL available as the legacy/interchange codec — and the
-// trace's frozen core.Partial lives in a versioned snapshot file
-// (g000001.partial). The single commit point is manifest.json: it names
-// the generation's files with their sizes, CRC-32C checksums, and
-// codecs, plus the trace metadata, fingerprint, and Table-1 totals.
-// Fingerprints are always computed over the jobs' canonical JSONL
-// serialization, never over segment bytes, so trace identity is
-// independent of the on-disk representation: the same trace stored
-// under either codec has the same fingerprint.
+// (g000001-00000.seg, …) in the compact columnar colseg format (package
+// colseg), and the trace's frozen core.Partial lives in a versioned
+// snapshot file (g000001.partial). The single commit point is
+// manifest.json: it names the generation's files with their sizes,
+// CRC-32C checksums, and codecs, plus the trace metadata, fingerprint,
+// and Table-1 totals. Fingerprints are always computed over the jobs'
+// canonical JSONL serialization, never over segment bytes, so trace
+// identity is independent of the on-disk representation.
 //
 // Commit protocol. A writer stages a new generation's segment and
 // snapshot files in the trace directory, fsyncs them, then commits by
@@ -35,7 +32,10 @@
 // is authoritative and a torn segment cannot be partially trusted.
 // Files not named by the manifest (stale generations, tmp files) are
 // removed. A damaged partial snapshot, by contrast, only costs the
-// snapshot: the jobs on disk can always rebuild it.
+// snapshot: the jobs on disk can always rebuild it. A verified
+// generation that still holds legacy JSONL segments is then rewritten
+// to colseg once (see migrate.go), so every Trace Open hands out reads
+// only colseg.
 package storage
 
 import (
@@ -52,21 +52,13 @@ import (
 // per-segment shards parallelize and a torn tail loses bounded work.
 const DefaultSegmentJobs = 1 << 17
 
-// Segment codecs. New segments are written with the store's configured
-// codec; reads always honor the codec each manifest records per
-// segment, so a data directory can hold both formats side by side (an
-// upgraded server reads its old JSONL segments and writes columnar
-// ones).
-const (
-	// CodecColumnar is the compact columnar binary format (package
-	// colseg): dictionary-encoded strings, delta varint times and IDs,
-	// per-block CRCs and zone maps. The default for new segments.
-	CodecColumnar = "colseg"
-	// CodecJSONL is canonical JSONL job lines — the interchange format
-	// and the v5-era on-disk format. Recorded in manifests as the empty
-	// string for backward compatibility.
-	CodecJSONL = "jsonl"
-)
+// CodecColumnar is the manifest codec of every segment the store
+// writes: the compact columnar binary format (package colseg) with
+// dictionary-encoded strings, delta varint times and IDs, per-block
+// CRCs and zone maps. The only other codec a manifest can record is the
+// empty string — canonical JSONL from v5-era stores — which Open
+// migrates away.
+const CodecColumnar = "colseg"
 
 // Options tunes a Store.
 type Options struct {
@@ -74,11 +66,6 @@ type Options struct {
 	// DefaultSegmentJobs). Segments are the unit of out-of-core
 	// sharding: one Source per segment feeds the parallel analysis.
 	SegmentJobs int
-	// Codec selects the format newly written segments use:
-	// CodecColumnar (the default when empty) or CodecJSONL. Existing
-	// segments are always read with the codec their manifest records,
-	// whatever this is set to.
-	Codec string
 }
 
 // Store is a handle to one storage root. It hands out immutable Trace
@@ -88,7 +75,6 @@ type Options struct {
 type Store struct {
 	root    string
 	segJobs int
-	codec   string
 
 	mu     sync.Mutex
 	gens   map[string]uint64 // per-directory last allocated generation
@@ -97,13 +83,15 @@ type Store struct {
 
 // Recovery reports what Open found: the committed traces that passed
 // verification, what was dropped with the reason — so a server can log
-// torn uploads it discarded rather than silently forgetting them — and
-// any uncommitted live-append tails truncated back to the last
-// committed batch boundary.
+// torn uploads it discarded rather than silently forgetting them — any
+// uncommitted live-append tails truncated back to the last committed
+// batch boundary, and the traces whose legacy JSONL segments were
+// converted to colseg.
 type Recovery struct {
-	Traces  []*Trace
-	Dropped []Dropped
-	Trimmed []TrimmedTail
+	Traces   []*Trace
+	Dropped  []Dropped
+	Trimmed  []TrimmedTail
+	Migrated []string
 }
 
 // Dropped names one trace directory recovery removed and why.
@@ -121,21 +109,15 @@ type TrimmedTail struct {
 }
 
 // Open creates (if needed) and recovers a storage root, returning the
-// store and the recovery report.
+// store and the recovery report. It fails, naming the trace, when a
+// legacy generation cannot be migrated to colseg; that generation stays
+// committed and untouched.
 func Open(root string, opts Options) (*Store, *Recovery, error) {
 	segJobs := opts.SegmentJobs
 	if segJobs <= 0 {
 		segJobs = DefaultSegmentJobs
 	}
-	codec := opts.Codec
-	switch codec {
-	case "":
-		codec = CodecColumnar
-	case CodecColumnar, CodecJSONL:
-	default:
-		return nil, nil, fmt.Errorf("storage: unknown segment codec %q (want %q or %q)", codec, CodecColumnar, CodecJSONL)
-	}
-	s := &Store{root: root, segJobs: segJobs, codec: codec, gens: make(map[string]uint64)}
+	s := &Store{root: root, segJobs: segJobs, gens: make(map[string]uint64)}
 	if err := os.MkdirAll(s.tracesDir(), 0o755); err != nil {
 		return nil, nil, fmt.Errorf("storage: creating root: %w", err)
 	}
@@ -145,12 +127,6 @@ func Open(root string, opts Options) (*Store, *Recovery, error) {
 	}
 	return s, rec, nil
 }
-
-// Root returns the storage root directory.
-func (s *Store) Root() string { return s.root }
-
-// Codec returns the codec newly written segments use.
-func (s *Store) Codec() string { return s.codec }
 
 func (s *Store) tracesDir() string { return filepath.Join(s.root, "traces") }
 

@@ -56,7 +56,17 @@ func writeTrace(t testing.TB, s *Store, name string, tr *trace.Trace) *Trace {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := s.Write(name, tr, fingerprint(t, tr), p)
+	return stageCommit(t, s, name, tr, p)
+}
+
+// stageCommit stages tr under name and commits it.
+func stageCommit(t testing.TB, s *Store, name string, tr *trace.Trace, p *core.Partial) *Trace {
+	t.Helper()
+	sealed, err := s.Stage(name, tr, fingerprint(t, tr), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := sealed.Commit()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,9 +94,7 @@ func TestWriteReopenRoundTrip(t *testing.T) {
 	}
 
 	s, _ := openStore(t, root, 100) // many segments on purpose
-	if _, err := s.Write("mine", tr, fp, liveP); err != nil {
-		t.Fatal(err)
-	}
+	stageCommit(t, s, "mine", tr, liveP)
 	s.Close()
 
 	s2, rec := openStore(t, root, 100)
@@ -143,9 +151,9 @@ func TestWriteReopenRoundTrip(t *testing.T) {
 	}
 }
 
-// TestShardsOutOfCore: per-segment shard sources feed the parallel
-// analysis and produce bytes identical to the sequential in-memory
-// analysis — the out-of-core scan path.
+// TestShardsOutOfCore: the disk scan over a many-segment trace
+// produces bytes identical to the sequential in-memory analysis — the
+// out-of-core scan path.
 func TestShardsOutOfCore(t *testing.T) {
 	s, _ := openStore(t, t.TempDir(), 500)
 	tr := genTrace(t, "CC-b", 2, 26*time.Hour)
@@ -154,7 +162,7 @@ func TestShardsOutOfCore(t *testing.T) {
 		t.Fatalf("want multiple segments, got %d", st.Segments())
 	}
 
-	p, err := core.BuildShardsPartial(st.Meta(), st.Shards(), false)
+	p, _, err := st.ParallelScanPartial(ParallelScanOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -59,30 +59,6 @@ func (t *Trace) Open() (trace.Source, error) {
 	return &chainSource{meta: t.Meta(), sources: segmentSources(t.dir, t.Meta(), t.man.Segments)}, nil
 }
 
-// Shards returns one Source per segment, each carrying the full
-// trace's metadata — the scatter inputs for the out-of-core
-// shard-parallel analysis (core.BuildShardsPartial): a trace larger
-// than memory is scanned segment-at-a-time across the CPUs.
-func (t *Trace) Shards() []trace.Source {
-	return segmentSources(t.dir, t.Meta(), t.man.Segments)
-}
-
-// ScanShards is Shards for aggregate-and-discard consumers: columnar
-// segments decode into one reused batch per shard, so a job a source
-// yields is valid only until that source's next Next call. The
-// disk-scan analysis path folds each job into a partial aggregate and
-// moves on, which is exactly that shape; anything retaining *Job
-// pointers (trace.Collect) must use Shards or Open. Strings inside the
-// jobs are immutable and safe to retain either way. JSONL segments are
-// unaffected — their decoder allocates per job regardless.
-func (t *Trace) ScanShards() []trace.Source {
-	out := segmentSources(t.dir, t.Meta(), t.man.Segments)
-	for _, src := range out {
-		src.(*segmentSource).volatile = true
-	}
-	return out
-}
-
 // ScanStats counts what a windowed disk scan actually touched — the
 // proof that zone maps pruned, independent of timing. Block counters
 // are harvested from each segment's colseg reader when its stream ends
@@ -102,15 +78,18 @@ func (st *ScanStats) BlocksRead() int64 { return st.blocksRead.Load() }
 // segments that were opened.
 func (st *ScanStats) BlocksPruned() int64 { return st.blocksPruned.Load() }
 
-// WindowShards returns volatile scan sources for the jobs submitted in
-// [from, to], pruned at two levels: segments whose manifest zone map
-// lies wholly outside the window are skipped without opening (legacy
-// manifests without zone maps never prune), and colseg blocks inside
-// kept segments are skipped via their per-block zone maps. Pruning is
-// conservative at second granularity — kept sources may still yield
-// edge jobs outside the window, so the caller filters exactly (e.g.
-// trace.NewWindowSource). The returned stats are valid once every
-// source has been drained or closed.
+// WindowShards returns one scan source per kept segment for the jobs
+// submitted in [from, to], pruned at two levels: segments whose
+// manifest zone map lies wholly outside the window are skipped without
+// opening (manifests without zone maps never prune), and colseg blocks
+// inside kept segments are skipped via their per-block zone maps.
+// Pruning is conservative at second granularity — kept sources may
+// still yield edge jobs outside the window, so the caller filters
+// exactly (e.g. trace.NewWindowSource). The sources are volatile: each
+// decodes into one reused batch, so a job is valid only until that
+// source's next Next call (strings inside it are safe to retain). The
+// returned stats are valid once every source has been drained or
+// closed.
 func (t *Trace) WindowShards(from, to time.Time) ([]trace.Source, *ScanStats) {
 	stats := &ScanStats{Segments: len(t.man.Segments)}
 	fromSec, toSec := from.Unix(), to.Unix()
@@ -122,15 +101,13 @@ func (t *Trace) WindowShards(from, to time.Time) ([]trace.Source, *ScanStats) {
 			continue
 		}
 		out = append(out, &segmentSource{
-			path:     filepath.Join(t.dir, seg.File),
-			meta:     meta,
-			codec:    seg.Codec,
-			size:     seg.Size,
-			volatile: true,
-			window:   true,
-			from:     from,
-			to:       to,
-			stats:    stats,
+			path:   filepath.Join(t.dir, seg.File),
+			meta:   meta,
+			size:   seg.Size,
+			window: true,
+			from:   from,
+			to:     to,
+			stats:  stats,
 		})
 	}
 	return out, stats
@@ -172,34 +149,30 @@ func (t *Trace) LoadPartial() (*core.Partial, error) {
 	return core.UnmarshalPartial(b)
 }
 
-// segmentSources builds one lazily-opened Source per segment, each
-// decoding with the codec its manifest entry records.
+// segmentSources builds one lazily-opened Source per colseg segment.
 func segmentSources(dir string, meta trace.Meta, segs []SegmentInfo) []trace.Source {
 	out := make([]trace.Source, len(segs))
 	for i, seg := range segs {
-		out[i] = &segmentSource{path: filepath.Join(dir, seg.File), meta: meta, codec: seg.Codec, size: seg.Size}
+		out[i] = &segmentSource{path: filepath.Join(dir, seg.File), meta: meta, size: seg.Size}
 	}
 	return out
 }
 
-// segmentSource streams one segment file's jobs. The file opens on the
-// first Next and closes at io.EOF or on the first error; a consumer
-// abandoning the stream mid-segment must Close it to release the
-// descriptor (and the colseg reader's pooled buffers). The decoder is
-// chosen by the segment's recorded codec, so a trace directory mixing
-// columnar and legacy JSONL segments reads seamlessly.
+// segmentSource streams one colseg segment file's jobs. The file opens
+// on the first Next and closes at io.EOF or on the first error; a
+// consumer abandoning the stream mid-segment must Close it to release
+// the descriptor (and the colseg reader's pooled buffers). A window
+// source prunes blocks to [from, to] and decodes into a reused
+// (volatile) batch.
 type segmentSource struct {
 	path     string
 	meta     trace.Meta
-	codec    string
 	size     int64 // committed byte count from the manifest
-	volatile bool
 	window   bool
 	from, to time.Time
 	stats    *ScanStats
 	f        *os.File
 	cr       *colseg.Reader
-	next     func() (*trace.Job, error)
 	done     bool
 }
 
@@ -227,22 +200,13 @@ func (s *segmentSource) Next() (*trace.Job, error) {
 		if s.size > 0 {
 			rd = io.LimitReader(f, s.size)
 		}
-		switch s.codec {
-		case CodecColumnar:
-			var opts []colseg.Option
-			if s.volatile {
-				opts = append(opts, colseg.WithVolatileBatch())
-			}
-			if s.window {
-				opts = append(opts, colseg.WithTimeRange(s.from, s.to))
-			}
-			s.cr = colseg.NewReader(rd, s.meta, opts...)
-			s.next = s.cr.Next
-		default: // "" and CodecJSONL: canonical JSONL
-			s.next = trace.NewJSONLBodyReader(rd, s.meta).Next
+		var opts []colseg.Option
+		if s.window {
+			opts = append(opts, colseg.WithVolatileBatch(), colseg.WithTimeRange(s.from, s.to))
 		}
+		s.cr = colseg.NewReader(rd, s.meta, opts...)
 	}
-	j, err := s.next()
+	j, err := s.cr.Next()
 	if err != nil {
 		s.done = true
 		s.finish()

@@ -30,18 +30,3 @@ func (s *Store) Stage(name string, tr *trace.Trace, fp string, partial *core.Par
 	}
 	return sealed, nil
 }
-
-// Write is Stage plus Commit — the one-call write-through for callers
-// that do not need to interleave the commit with their own locking.
-func (s *Store) Write(name string, tr *trace.Trace, fp string, partial *core.Partial) (*Trace, error) {
-	sealed, err := s.Stage(name, tr, fp, partial)
-	if err != nil {
-		return nil, err
-	}
-	t, err := sealed.Commit()
-	if err != nil {
-		sealed.Abort()
-		return nil, err
-	}
-	return t, nil
-}

@@ -10,7 +10,8 @@ import (
 
 // The serving façade: the same analytics the batch CLIs produce, exposed
 // as a long-running HTTP/JSON service with a hybrid memory/disk trace
-// store and a fingerprint-keyed, single-flight result cache (see
+// store (columnar segments on disk, a frozen partial aggregate per
+// trace) and a fingerprint-keyed, single-flight result cache (see
 // internal/server, internal/storage, and the swimd command).
 
 // ServeOptions sizes the swimd service.
@@ -25,21 +26,13 @@ type ServeOptions struct {
 	MaxTotalJobs int
 	// CacheEntries bounds the result cache (default 256).
 	CacheEntries int
-	// DisablePartials turns off ingest-time partial aggregation: stored
-	// traces then carry no precomputed report aggregate (saving
-	// ~24 B/job of heap) and cold reports scan the stored jobs,
-	// shard-parallel when the request sets shards=K.
-	DisablePartials bool
 	// DataDir enables durable storage rooted at the given directory:
-	// traces persist as checksummed segment files with their aggregates
-	// snapshotted alongside, survive restarts, and are analyzed
-	// out-of-core when larger than the in-memory budget.
+	// traces persist as checksummed columnar segment files with their
+	// aggregates snapshotted alongside, survive restarts, and are
+	// analyzed out-of-core when larger than the in-memory budget. A
+	// directory holding legacy JSONL segments is converted to colseg
+	// once at startup.
 	DataDir string
-	// SegmentCodec selects the on-disk segment format for newly stored
-	// traces: "colseg" (compact columnar binary, the default) or "jsonl"
-	// (canonical JSONL, the pre-v6 format). Stored segments always read
-	// back with the codec they were written with.
-	SegmentCodec string
 	// Logger receives structured server logs (slow or failing requests,
 	// recovery, compaction); nil disables logging.
 	Logger *slog.Logger
@@ -65,17 +58,15 @@ type ServeOptions struct {
 // durable store cannot be opened or recovered.
 func NewServeHandler(opts ServeOptions) (http.Handler, error) {
 	srv, err := server.New(server.Config{
-		MaxTraces:       opts.MaxTraces,
-		MaxTotalJobs:    opts.MaxTotalJobs,
-		CacheEntries:    opts.CacheEntries,
-		DisablePartials: opts.DisablePartials,
-		DataDir:         opts.DataDir,
-		SegmentCodec:    opts.SegmentCodec,
-		Logger:          opts.Logger,
-		Peers:           opts.Peers,
-		NodeID:          opts.NodeID,
-		Replication:     opts.Replication,
-		ClusterShards:   opts.ClusterShards,
+		MaxTraces:     opts.MaxTraces,
+		MaxTotalJobs:  opts.MaxTotalJobs,
+		CacheEntries:  opts.CacheEntries,
+		DataDir:       opts.DataDir,
+		Logger:        opts.Logger,
+		Peers:         opts.Peers,
+		NodeID:        opts.NodeID,
+		Replication:   opts.Replication,
+		ClusterShards: opts.ClusterShards,
 	})
 	if err != nil {
 		return nil, err
