@@ -30,21 +30,36 @@ func (b *DataSizeBuilder) AppendBinary(buf []byte) []byte {
 		buf = b.hsh.AppendBinary(buf)
 		return b.ho.AppendBinary(buf)
 	}
-	for _, col := range [][]float64{b.in, b.sh, b.out} {
+	for _, col := range b.columns() {
 		buf = binenc.AppendUvarint(buf, uint64(len(col)))
-		for _, v := range col {
-			buf = binenc.AppendFloat64(buf, v)
-		}
+		buf = binenc.AppendFloat64s(buf, col)
 	}
 	return buf
 }
+
+// EncodedSize bounds the bytes AppendBinary appends, so a snapshot
+// encoder can size its buffer once.
+func (b *DataSizeBuilder) EncodedSize() int {
+	n := stringSize(b.workload) + 1 + binenc.MaxVarintLen
+	if b.sketch {
+		return n + b.hin.EncodedSize() + b.hsh.EncodedSize() + b.ho.EncodedSize()
+	}
+	return n + 3*binenc.MaxVarintLen + 8*(len(b.in)+len(b.sh)+len(b.out))
+}
+
+// stringSize bounds the bytes binenc.AppendString appends for s.
+func stringSize(s string) int { return binenc.MaxVarintLen + len(s) }
 
 // Sketch reports whether the builder accumulates in fixed-memory
 // sketch mode.
 func (b *DataSizeBuilder) Sketch() bool { return b.sketch }
 
-// ReadDataSizeBuilder decodes a builder written by AppendBinary.
-func ReadDataSizeBuilder(r *binenc.Reader) *DataSizeBuilder {
+// ReadDataSizeBuilder decodes a builder written by AppendBinary. It
+// never sorts: the decoded builder is frozen exactly when every column
+// was stored ascending (an O(N) check), otherwise its sorted prefix is
+// the longest one the three columns share. It errors when an exact-mode
+// column's length disagrees with the job count.
+func ReadDataSizeBuilder(r *binenc.Reader) (*DataSizeBuilder, error) {
 	b := &DataSizeBuilder{
 		workload: r.String(),
 		sketch:   r.Bool(),
@@ -54,16 +69,24 @@ func ReadDataSizeBuilder(r *binenc.Reader) *DataSizeBuilder {
 		b.hin = stats.ReadQuantileSketch(r)
 		b.hsh = stats.ReadQuantileSketch(r)
 		b.ho = stats.ReadQuantileSketch(r)
-		return b
+		return b, nil
 	}
+	b.sorted = b.n
 	for _, col := range []*[]float64{&b.in, &b.sh, &b.out} {
 		n := r.Count(8)
+		if r.Err() == nil && n != b.n {
+			return nil, fmt.Errorf("analysis: data-size column holds %d samples for %d jobs", n, b.n)
+		}
 		*col = make([]float64, n)
-		for i := range *col {
-			(*col)[i] = r.Float64()
+		r.Float64s(*col)
+		for i := 1; i < min(b.sorted, n); i++ {
+			if (*col)[i] < (*col)[i-1] {
+				b.sorted = i
+			}
 		}
 	}
-	return b
+	b.sorted = min(b.sorted, len(b.in))
+	return b, nil
 }
 
 // AppendBinary appends the Figures 7–9 builder state: the origin and
@@ -81,6 +104,15 @@ func (b *TimeSeriesBuilder) AppendBinary(buf []byte) []byte {
 		buf = b.spread[h].AppendBinary(buf)
 	}
 	return buf
+}
+
+// EncodedSize bounds the bytes AppendBinary appends.
+func (b *TimeSeriesBuilder) EncodedSize() int {
+	n := stringSize(b.workload) + 2*binenc.MaxVarintLen
+	for h := 0; h < b.hours; h++ {
+		n += 2*binenc.MaxVarintLen + b.task[h].EncodedSize() + b.spread[h].EncodedSize()
+	}
+	return n
 }
 
 // ReadTimeSeriesBuilder decodes a builder written by AppendBinary. It
@@ -127,6 +159,15 @@ func (b *NamesBuilder) AppendBinary(buf []byte) []byte {
 		buf = g.taskTime.AppendBinary(buf)
 	}
 	return buf
+}
+
+// EncodedSize bounds the bytes AppendBinary appends.
+func (b *NamesBuilder) EncodedSize() int {
+	n := stringSize(b.workload) + 1 + 3*binenc.MaxVarintLen + b.totTask.EncodedSize()
+	for w, g := range b.groups {
+		n += stringSize(w) + 2*binenc.MaxVarintLen + g.taskTime.EncodedSize()
+	}
+	return n
 }
 
 // ReadNamesBuilder decodes a builder written by AppendBinary.

@@ -42,8 +42,15 @@ func TestDataSizeBuilderEncodeRoundTrip(t *testing.T) {
 		for _, j := range encodeJobs(t) {
 			b.Observe(j)
 		}
-		r := binenc.NewReader(b.AppendBinary(nil))
-		got := ReadDataSizeBuilder(r)
+		enc := b.AppendBinary(nil)
+		if len(enc) > b.EncodedSize() {
+			t.Fatalf("sketch=%v: encoded %d bytes past the %d-byte bound", sketch, len(enc), b.EncodedSize())
+		}
+		r := binenc.NewReader(enc)
+		got, err := ReadDataSizeBuilder(r)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if err := r.Err(); err != nil {
 			t.Fatalf("sketch=%v: %v", sketch, err)
 		}

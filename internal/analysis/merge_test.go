@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -267,5 +268,37 @@ func TestNamesMergeMatchesSequential(t *testing.T) {
 	}
 	if err := merged.Merge(NewNamesBuilder("other")); err == nil {
 		t.Fatal("merging different workloads did not error")
+	}
+}
+
+// TestMergeIntoMatchesSort pins the in-place merge behind Freeze and
+// frozen Merge against a plain sort: two ascending runs, or a run and
+// an unsorted tail, with long runs of the minimum, duplicates and empty
+// sides, merge to the sorted concatenation.
+func TestMergeIntoMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	run := func(n int) []float64 {
+		s := make([]float64, n)
+		for i := range s {
+			if rng.Intn(3) > 0 {
+				s[i] = float64(rng.Intn(50))
+			}
+		}
+		slices.Sort(s)
+		return s
+	}
+	for trial := 0; trial < 500; trial++ {
+		a, b := run(rng.Intn(40)), run(rng.Intn(40))
+		want := append(slices.Clone(a), b...)
+		slices.Sort(want)
+		if got := mergeInto(slices.Clone(a), b); !slices.Equal(got, want) {
+			t.Fatalf("mergeInto(%v, %v) = %v, want %v", a, b, got, want)
+		}
+		col := append(slices.Clone(a), b...)
+		rng.Shuffle(len(b), func(i, j int) { col[len(a)+i], col[len(a)+j] = col[len(a)+j], col[len(a)+i] })
+		mergeTail(col, len(a))
+		if !slices.Equal(col, want) {
+			t.Fatalf("mergeTail(%v | %v) = %v, want %v", a, b, col, want)
+		}
 	}
 }

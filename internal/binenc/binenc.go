@@ -17,6 +17,10 @@ import (
 	"math"
 )
 
+// MaxVarintLen is the most bytes AppendUvarint or AppendVarint appends,
+// for encoders that bound their output before appending.
+const MaxVarintLen = binary.MaxVarintLen64
+
 // AppendUvarint appends v as an unsigned varint.
 func AppendUvarint(b []byte, v uint64) []byte {
 	return binary.AppendUvarint(b, v)
@@ -32,6 +36,17 @@ func AppendVarint(b []byte, v int64) []byte {
 // (NaN payloads too, though the analyses never store them).
 func AppendFloat64(b []byte, f float64) []byte {
 	return binary.LittleEndian.AppendUint64(b, math.Float64bits(f))
+}
+
+// AppendFloat64s appends every value of fs as AppendFloat64 does, for
+// the wide sample columns of a snapshot.
+func AppendFloat64s(b []byte, fs []float64) []byte {
+	off := len(b)
+	b = append(b, make([]byte, 8*len(fs))...)
+	for i, f := range fs {
+		binary.LittleEndian.PutUint64(b[off+8*i:], math.Float64bits(f))
+	}
+	return b
 }
 
 // AppendUint64 appends v as fixed 8-byte little-endian. Wide values
@@ -131,6 +146,22 @@ func (r *Reader) Float64() float64 {
 	v := math.Float64frombits(binary.LittleEndian.Uint64(r.b[r.off:]))
 	r.off += 8
 	return v
+}
+
+// Float64s decodes len(dst) fixed 8-byte little-endian floats into dst.
+func (r *Reader) Float64s(dst []float64) {
+	if r.err != nil {
+		return
+	}
+	if r.Remaining()/8 < len(dst) {
+		r.fail("truncated float64 run of %d", len(dst))
+		return
+	}
+	src := r.b[r.off : r.off+8*len(dst)]
+	for i := range dst {
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*i:]))
+	}
+	r.off += 8 * len(dst)
 }
 
 // Uint64 decodes a fixed 8-byte little-endian unsigned integer.

@@ -23,9 +23,9 @@ import (
 // serving layer's ingest-time aggregation are both built on it.
 //
 // A partial that will be shared (the store's frozen per-trace
-// aggregates) must be treated as immutable once built: Report is
-// read-only and safe to call concurrently, Observe and merging INTO the
-// partial are not.
+// aggregates) is frozen once, where it is published, and treated as
+// immutable from then on: Report is read-only and safe to call
+// concurrently, Observe, Freeze and merging INTO the partial are not.
 type Partial struct {
 	meta   trace.Meta
 	sketch bool
@@ -77,29 +77,41 @@ func (p *Partial) Meta() trace.Meta { return p.meta }
 // Sketch reports whether Figure 1 accumulates in sketch mode.
 func (p *Partial) Sketch() bool { return p.sketch }
 
-// Merge folds another partial into this one. Both must describe the
-// same trace metadata and Figure 1 mode; section builders enforce their
-// own agreement contracts. The argument is not modified, but may share
-// memory with the receiver afterwards — treat merged-from partials as
-// frozen.
-func (p *Partial) Merge(o *Partial) error {
-	if p.sketch != o.sketch {
-		return fmt.Errorf("core: cannot merge exact and sketch partial aggregates")
+// Freeze readies the partial for sharing: it sorts the exact Figure 1
+// columns (only what was observed since the last Freeze, merged into
+// the sorted rest in place), so every Report wraps them without copying
+// or sorting and a Merge of two frozen partials is a linear merge. It is
+// a no-op in sketch mode and on a frozen partial. Observe after Freeze
+// is allowed on a private partial (the live-append session refreezes
+// every batch); the builders themselves never freeze.
+func (p *Partial) Freeze() { p.ds.Freeze() }
+
+// Merge folds other partials into this one. All must describe the same
+// trace metadata and Figure 1 mode; section builders enforce their own
+// agreement contracts. The arguments are not modified and share no
+// memory with the receiver afterwards, so shared frozen partials can be
+// merged into a fresh receiver (NewPartial). If the receiver and every
+// argument are frozen, their sorted Figure 1 columns merge linearly into
+// columns reserved once for all of them, and the result is frozen too.
+func (p *Partial) Merge(os ...*Partial) error {
+	ds := make([]*analysis.DataSizeBuilder, len(os))
+	for i, o := range os {
+		if p.sketch != o.sketch {
+			return fmt.Errorf("core: cannot merge exact and sketch partial aggregates")
+		}
+		if err := p.sum.Merge(o.sum); err != nil {
+			return err
+		}
+		if err := p.ts.Merge(o.ts); err != nil {
+			return err
+		}
+		if err := p.nb.Merge(o.nb); err != nil {
+			return err
+		}
+		ds[i] = o.ds
+		p.n += o.n
 	}
-	if err := p.sum.Merge(o.sum); err != nil {
-		return err
-	}
-	if err := p.ds.Merge(o.ds); err != nil {
-		return err
-	}
-	if err := p.ts.Merge(o.ts); err != nil {
-		return err
-	}
-	if err := p.nb.Merge(o.nb); err != nil {
-		return err
-	}
-	p.n += o.n
-	return nil
+	return p.ds.Merge(ds...)
 }
 
 // Report finalizes the aggregate into the streamed-analysis report:
@@ -107,7 +119,10 @@ func (p *Partial) Merge(o *Partial) error {
 // Figure 10 (topNames words; 0 means the default 8). Finalization is
 // read-only — a frozen partial can serve concurrent Report calls — and
 // repeatable. The returned report shares the partial's distribution
-// state in sketch mode; callers must not mutate it.
+// state in sketch mode and, on a frozen partial, its sorted exact
+// columns; callers must not mutate it, nor Observe into and refreeze
+// the partial while the report is in use. An unfrozen exact partial
+// copies and sorts its columns on every call.
 func (p *Partial) Report(topNames int) (*Report, error) {
 	if p.n == 0 {
 		return nil, fmt.Errorf("core: cannot analyze an empty trace")

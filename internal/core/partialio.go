@@ -32,9 +32,10 @@ var partialMagic = []byte("swim-partial\n")
 // PartialSnapshotVersion is the current snapshot format version.
 const PartialSnapshotVersion = 1
 
-// MarshalBinary encodes the partial as a versioned snapshot.
+// MarshalBinary encodes the partial as a versioned snapshot, into one
+// buffer sized up front from the section builders.
 func (p *Partial) MarshalBinary() ([]byte, error) {
-	b := append([]byte(nil), partialMagic...)
+	b := append(make([]byte, 0, p.encodedSize()), partialMagic...)
 	b = binenc.AppendUvarint(b, PartialSnapshotVersion)
 	b = binenc.AppendString(b, p.meta.Name)
 	b = binenc.AppendUvarint(b, uint64(p.meta.Machines))
@@ -51,9 +52,20 @@ func (p *Partial) MarshalBinary() ([]byte, error) {
 	return b, nil
 }
 
+// encodedSize bounds the bytes MarshalBinary produces.
+func (p *Partial) encodedSize() int {
+	// Version, name length, machines, start, length, mode, job count
+	// and the two summary counters: nine fields of at most a varint each.
+	const header = 9 * binenc.MaxVarintLen
+	return len(partialMagic) + header + len(p.meta.Name) +
+		p.ds.EncodedSize() + p.ts.EncodedSize() + p.nb.EncodedSize()
+}
+
 // UnmarshalPartial decodes a snapshot written by MarshalBinary. It
 // rejects unknown magic, unsupported versions, structural corruption,
-// and trailing bytes.
+// and trailing bytes. It never sorts: the decoded partial is frozen
+// exactly when the snapshot's Figure 1 columns are all ascending, as a
+// frozen partial's are.
 func UnmarshalPartial(data []byte) (*Partial, error) {
 	if !bytes.HasPrefix(data, partialMagic) {
 		return nil, fmt.Errorf("core: not a partial snapshot (bad magic)")
@@ -81,7 +93,11 @@ func UnmarshalPartial(data []byte) (*Partial, error) {
 		Jobs:       int(r.Uvarint()),
 		BytesMoved: units.Bytes(r.Varint()),
 	})
-	p.ds = analysis.ReadDataSizeBuilder(r)
+	ds, err := analysis.ReadDataSizeBuilder(r)
+	if err != nil {
+		return nil, err
+	}
+	p.ds = ds
 	p.ts = analysis.ReadTimeSeriesBuilder(r)
 	nb, err := analysis.ReadNamesBuilder(r)
 	if err != nil {
@@ -104,9 +120,9 @@ func UnmarshalPartial(data []byte) (*Partial, error) {
 // original (further Observe calls) never changes the clone, and the
 // clone's Report bytes are identical to the original's at the moment of
 // the copy. The live-ingest path uses this to publish a frozen snapshot
-// per committed batch while keeping one private mutable accumulator.
-// Implemented as a snapshot round trip, which the persistence suite
-// pins as byte-exact.
+// per committed batch while keeping one private mutable accumulator;
+// the clone of a frozen partial is frozen. Implemented as a snapshot
+// round trip, which the persistence suite pins as byte-exact.
 func (p *Partial) Clone() (*Partial, error) {
 	b, err := p.MarshalBinary()
 	if err != nil {

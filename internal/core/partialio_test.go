@@ -56,6 +56,10 @@ func TestPartialSnapshotRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		// The encoder sizes its buffer once, from a bound it must honor.
+		if len(snap) > p.encodedSize() || cap(snap) != p.encodedSize() {
+			t.Fatalf("sketch=%v: %d-byte snapshot in a %d-byte buffer, bound %d", sketch, len(snap), cap(snap), p.encodedSize())
+		}
 		got, err := UnmarshalPartial(snap)
 		if err != nil {
 			t.Fatalf("sketch=%v: %v", sketch, err)

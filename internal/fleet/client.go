@@ -137,7 +137,7 @@ func (c *Client) DoHeaders(ctx context.Context, method, path string, query url.V
 			lastErr = err
 			continue
 		}
-		payload, err := io.ReadAll(resp.Body)
+		payload, err := readBody(resp)
 		resp.Body.Close()
 		if err != nil {
 			lastErr = fmt.Errorf("reading response: %w", err)
@@ -154,6 +154,20 @@ func (c *Client) DoHeaders(ctx context.Context, method, path string, query url.V
 	c.failures.Add(1)
 	c.alive.Store(false)
 	return nil, fmt.Errorf("fleet: peer %s unreachable after %d attempt(s): %w", c.id, c.retries, lastErr)
+}
+
+// readBody reads a response body whole: into one buffer of the
+// announced size when the peer sent a Content-Length (binary partial
+// snapshots run to megabytes), growing one otherwise.
+func readBody(resp *http.Response) ([]byte, error) {
+	if resp.ContentLength <= 0 {
+		return io.ReadAll(resp.Body)
+	}
+	b := make([]byte, resp.ContentLength)
+	if _, err := io.ReadFull(resp.Body, b); err != nil {
+		return nil, err
+	}
+	return b, nil
 }
 
 // Get is Do(GET) without a body.

@@ -25,8 +25,10 @@ import (
 //   - the fingerprint extends a running trace.Hasher (the canonical
 //     JSONL hash is a stream hash, so in-order appends extend it);
 //   - the aggregate extends a private mutable core.Partial, and each
-//     commit publishes an immutable deep copy (append-and-refreeze:
-//     published partials stay frozen, as the entry contract requires);
+//     commit refreezes it (sorting only the batch's samples into the
+//     sorted rest) and publishes an immutable deep copy
+//     (append-and-refreeze: published partials stay frozen, as the
+//     entry contract requires);
 //   - the segments extend storage's open append generation, with the
 //     manifest commit per batch as the durability point.
 //
@@ -234,6 +236,7 @@ func (s *Store) appendBatch(name string, batchMeta trace.Meta, batch []*trace.Jo
 	fp := st.hasher.Sum()
 	var frozen *core.Partial
 	if st.live != nil {
+		st.live.Freeze()
 		frozen, err = st.live.Clone()
 		if err != nil {
 			s.dropAppendSession(name, st)

@@ -33,12 +33,13 @@ import (
 // fingerprint-hasher state — on every member.
 //
 // A report against any node scatters to one live owner per shard; each
-// owner builds its local core.Partial (reusing the single-node partial
-// machinery, frozen aggregates, and the cache's aggregate tier) and
-// returns the versioned binary snapshot as the wire format. The
-// coordinator merges the partials in shard index order, which by the
-// merge contract makes the response byte-identical to a single-node
-// analysis of the whole trace. Missing shards (every replica down)
+// owner resolves its local frozen core.Partial (reusing the single-node
+// partial machinery, frozen aggregates, and the cache's aggregate tier)
+// and returns the versioned binary snapshot as the wire format, unless
+// the owner is the coordinator itself. The coordinator merges the
+// partials in shard index order into a fresh one, which by the merge
+// contract makes the response byte-identical to a single-node analysis
+// of the whole trace. Missing shards (every replica down)
 // degrade the answer instead of failing it: the merged remainder is
 // served with X-Analysis: degraded and the missing shard list, and is
 // never cached.
@@ -514,8 +515,8 @@ func (e *degradedError) Error() string {
 // report answers GET /v1/traces/{name}/report for a distributed trace
 // through the shared report pipeline (see handleReport). What is the
 // coordinator's own: a warm cluster-cache peek, the scatter to one live
-// owner per shard and the merge of their binary partial snapshots in
-// shard order — byte-identical to a single-node analysis when every
+// owner per shard and the merge of their frozen partials in shard
+// order — byte-identical to a single-node analysis when every
 // shard answers — the degraded answer when some shard does not, and
 // the X-Cluster-* headers.
 func (c *clusterCoordinator) report(w http.ResponseWriter, r *http.Request, e *clusterEntry) {
@@ -548,23 +549,11 @@ func (c *clusterCoordinator) report(w http.ResponseWriter, r *http.Request, e *c
 		}
 		parts, ev := c.gather(r.Context(), m, q)
 		endMerge := rt.StartSpan("merge", spanDetail("parts", len(parts)))
-		var merged *core.Partial
-		var missing []int
-		for i, p := range parts {
-			if p == nil {
-				missing = append(missing, i)
-				continue
-			}
-			if merged == nil {
-				merged = p
-				continue
-			}
-			if err := merged.Merge(p); err != nil {
-				endMerge()
-				return nil, fmt.Errorf("%w: %v", errUnprocessable, err)
-			}
-		}
+		merged, missing, err := mergeShards(parts)
 		endMerge()
+		if err != nil {
+			return nil, fmt.Errorf("%w: %v", errUnprocessable, err)
+		}
 		if merged == nil {
 			return nil, fmt.Errorf("%w: no shard owner reachable for %q", errUpstream, m.Name)
 		}
@@ -605,7 +594,33 @@ func (c *clusterCoordinator) report(w http.ResponseWriter, r *http.Request, e *c
 	writeCached(w, body, cached)
 }
 
-// gather fetches one binary partial snapshot per shard concurrently.
+// mergeShards merges the gathered shard partials, in shard order, into
+// a fresh partial. The parts are frozen, and local ones are the store's
+// shared aggregates, so they are only read; linear merges of their
+// sorted columns leave the result frozen too. missing lists the shards
+// with no partial; merged is nil when none answered.
+func mergeShards(parts []*core.Partial) (merged *core.Partial, missing []int, err error) {
+	var got []*core.Partial
+	for i, p := range parts {
+		if p == nil {
+			missing = append(missing, i)
+			continue
+		}
+		got = append(got, p)
+	}
+	if len(got) == 0 {
+		return nil, missing, nil
+	}
+	if merged, err = core.NewPartial(got[0].Meta(), got[0].Sketch()); err != nil {
+		return nil, nil, err
+	}
+	if err := merged.Merge(got...); err != nil {
+		return nil, nil, err
+	}
+	return merged, missing, nil
+}
+
+// gather fetches one frozen partial per shard concurrently.
 // parts[i] is nil when every replica of shard i failed; the summed
 // scan evidence covers the shards that answered.
 func (c *clusterCoordinator) gather(ctx context.Context, m clusterMeta, q reportQuery) ([]*core.Partial, *scanEvidence) {
@@ -636,12 +651,12 @@ func (c *clusterCoordinator) gather(ctx context.Context, m clusterMeta, q report
 	return parts, ev
 }
 
-// shardPartial resolves one shard's partial from its replica owners in
-// liveness-preference order — self short-circuits to the local store;
-// remote owners answer with the versioned binary snapshot. Both paths
-// go through the snapshot encoding, so the merged partials are always
-// private to this request (frozen store aggregates are never aliased
-// into the merge receiver).
+// shardPartial resolves one shard's frozen partial from its replica
+// owners in liveness-preference order. Self short-circuits to the local
+// store and returns its shared partial itself, with no snapshot round
+// trip: the caller only merges it into a fresh receiver, which never
+// modifies the argument. Remote owners answer with the versioned binary
+// snapshot, which decodes frozen.
 func (c *clusterCoordinator) shardPartial(ctx context.Context, m clusterMeta, i int, q reportQuery) (*core.Partial, *scanEvidence) {
 	// The owner parses these with parseReportQuery against the shard's
 	// span, which is the whole trace's: the window arrives as resolved.
@@ -655,52 +670,40 @@ func (c *clusterCoordinator) shardPartial(ctx context.Context, m clusterMeta, i 
 	}
 	rt := obs.FromContext(ctx)
 	for _, id := range c.fleet.SortByLiveness(c.fleet.Owners(shardKey(m.Name, i), m.Replication)) {
-		var snap []byte
-		var ev *scanEvidence
 		if c.fleet.IsSelf(id) {
 			endSpan := rt.StartSpan("shard-fetch", spanDetail("shard", i, "peer", id, "local", true))
 			v, err := c.srv.store.View(shardTraceName(m.Name, i))
+			var p *core.Partial
+			var ev *scanEvidence
 			if err == nil {
-				snap, ev, err = c.srv.shardSnapshot(v, q)
+				p, _, ev, err = c.srv.partialFor(v, q)
 			}
 			endSpan()
 			if err != nil {
 				continue
 			}
-		} else {
-			c.fleet.AddShardFetch()
-			endSpan := rt.StartSpan("shard-fetch", spanDetail("shard", i, "peer", id))
-			fetchStart := time.Now()
-			resp, err := c.fleet.Client(id).Get(ctx, shardPath(m.Name, i)+"/partial", vals)
-			failed := err != nil || resp.Status != http.StatusOK
-			if c.srv.metrics != nil {
-				c.srv.metrics.recordShardFetch(id, time.Since(fetchStart), failed)
-			}
-			endSpan()
-			if failed {
-				continue
-			}
-			snap, ev = resp.Body, parseScanEvidence(resp.Header)
+			return p, ev
 		}
-		p, err := core.UnmarshalPartial(snap)
+		c.fleet.AddShardFetch()
+		endSpan := rt.StartSpan("shard-fetch", spanDetail("shard", i, "peer", id))
+		fetchStart := time.Now()
+		resp, err := c.fleet.Client(id).Get(ctx, shardPath(m.Name, i)+"/partial", vals)
+		failed := err != nil || resp.Status != http.StatusOK
+		if c.srv.metrics != nil {
+			c.srv.metrics.recordShardFetch(id, time.Since(fetchStart), failed)
+		}
+		endSpan()
+		if failed {
+			continue
+		}
+		p, err := core.UnmarshalPartial(resp.Body)
 		if err != nil {
 			continue
 		}
-		return p, ev
+		return p, parseScanEvidence(resp.Header)
 	}
 	c.fleet.AddShardFailure()
 	return nil, nil
-}
-
-// shardSnapshot resolves a locally stored shard replica's partial and
-// returns its binary snapshot — the exact bytes a remote owner sends.
-func (s *Server) shardSnapshot(v View, q reportQuery) ([]byte, *scanEvidence, error) {
-	p, _, ev, err := s.partialFor(v, q)
-	if err != nil {
-		return nil, nil, err
-	}
-	snap, err := p.MarshalBinary()
-	return snap, ev, err
 }
 
 // append extends a distributed trace. Any node accepts the batch, but
@@ -1012,12 +1015,18 @@ func (s *Server) handleShardPartial(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	snap, ev, err := s.shardSnapshot(v, q)
+	p, _, ev, err := s.partialFor(v, q)
+	if err != nil {
+		writeErr(w, err)
+		return
+	}
+	snap, err := p.MarshalBinary()
 	if err != nil {
 		writeErr(w, err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/x-swim-partial")
+	w.Header().Set("Content-Length", strconv.Itoa(len(snap)))
 	ev.addTo(w.Header())
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(snap)

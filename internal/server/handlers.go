@@ -511,10 +511,10 @@ func (q reportQuery) key(fingerprint string) string {
 // that differ only in finalization (top=N) share one build: the
 // resident jobs are observed in memory (shard-parallel across
 // shards=K), a disk-resident trace is scanned out-of-core with
-// segments and blocks pruned to the window. It returns the path's
-// X-Analysis name and, when this call scanned disk, the scan evidence.
-// The partial is shared frozen state: callers must treat it as
-// read-only.
+// segments and blocks pruned to the window; the tier freezes what it
+// builds before caching it. It returns the path's X-Analysis name and,
+// when this call scanned disk, the scan evidence. The partial is shared
+// frozen state: callers must treat it as read-only.
 func (s *Server) partialFor(v View, q reportQuery) (*core.Partial, string, *scanEvidence, error) {
 	if !q.windowed && v.Partial != nil && v.Partial.Sketch() == q.sketch {
 		if v.Recovered {
@@ -530,7 +530,12 @@ func (s *Server) partialFor(v View, q reportQuery) (*core.Partial, string, *scan
 			if q.windowed {
 				t = t.Window(q.from, q.to.Sub(q.from))
 			}
-			return core.BuildTracePartial(t, q.shards, q.sketch)
+			p, err := core.BuildTracePartial(t, q.shards, q.sketch)
+			if err != nil {
+				return nil, err
+			}
+			p.Freeze()
+			return p, nil
 		}
 		// One IO goroutine frames colseg blocks, shards=K decode workers
 		// (0 = one per CPU) turn them into partials, merged in block
@@ -549,6 +554,7 @@ func (s *Server) partialFor(v View, q reportQuery) (*core.Partial, string, *scan
 		if err != nil {
 			return nil, err
 		}
+		p.Freeze()
 		ev = &scanEvidence{
 			segments:       stats.Segments,
 			segmentsPruned: stats.SegmentsPruned,

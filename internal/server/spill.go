@@ -155,6 +155,9 @@ func (s *Store) spillIngest(name string, buffered *trace.Trace, pending *trace.J
 		}
 	}
 
+	if p != nil {
+		p.Freeze()
+	}
 	info := TraceInfo{
 		Name:        name,
 		Fingerprint: hasher.Sum(),

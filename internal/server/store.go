@@ -74,11 +74,12 @@ type entry struct {
 	info TraceInfo
 	// partial is the frozen aggregate: an exact-mode core.Partial
 	// observed at ingest (or decoded from the on-disk snapshot at
-	// recovery), so a cold report finalizes precomputed section
-	// aggregates instead of re-reading every job. Never mutated after
-	// insertion — Partial.Report is read-only — and nil when the trace
-	// cannot be binned (shorter than two hours) or its persisted
-	// snapshot was unreadable at recovery. Costs ~24 B per job of heap.
+	// recovery) and frozen before insertion, so a cold report finalizes
+	// precomputed, already sorted section aggregates instead of
+	// re-reading every job. Never mutated after insertion —
+	// Partial.Report is read-only — and nil when the trace cannot be
+	// binned (shorter than two hours) or its persisted snapshot was
+	// unreadable at recovery. Costs ~24 B per job of heap.
 	partial *core.Partial
 	// recovered marks a partial decoded from a persisted snapshot
 	// rather than built by this process — surfaced in the X-Analysis
@@ -187,6 +188,9 @@ func (s *Store) AttachBacking(b *storage.Store, recovered []*storage.Trace) {
 			},
 		}
 		if p, err := st.LoadPartial(); err == nil && p != nil {
+			// Snapshots written before partials were frozen at publish
+			// hold unsorted columns: sort them once, here.
+			p.Freeze()
 			e.partial = p
 			e.recovered = true
 		}
@@ -258,6 +262,9 @@ func (s *Store) put(name string, t *trace.Trace, p *core.Partial) (TraceInfo, er
 	}
 	if p == nil {
 		p, _ = core.BuildTracePartial(t, 0, false)
+	}
+	if p != nil {
+		p.Freeze()
 	}
 	fp, err := t.Fingerprint()
 	if err != nil {

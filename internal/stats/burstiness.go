@@ -3,6 +3,7 @@ package stats
 import (
 	"errors"
 	"math"
+	"sort"
 )
 
 // BurstinessCurve is the paper's §5.2 burstiness metric: the vector of
@@ -28,25 +29,21 @@ type BurstinessCurve struct {
 // positive median, since ratios are undefined otherwise — workloads in the
 // paper always keep the cluster at least lightly loaded each hour; callers
 // with idle hours should pre-filter or aggregate into coarser bins.
+// The series is copied and sorted once; it is not modified.
 func Burstiness(series []float64) (BurstinessCurve, error) {
 	if len(series) == 0 {
 		return BurstinessCurve{}, ErrEmpty
 	}
-	med, err := Median(series)
-	if err != nil {
-		return BurstinessCurve{}, err
-	}
+	sorted := append([]float64(nil), series...)
+	sort.Float64s(sorted)
+	med := quantileSorted(sorted, 0.5)
 	if med <= 0 {
 		return BurstinessCurve{}, errors.New("stats: burstiness undefined for non-positive median")
 	}
 	curve := BurstinessCurve{Median: med}
 	for p := 0.0; p <= 100.0+1e-9; p++ {
-		q, err := Quantile(series, math.Min(p/100, 1))
-		if err != nil {
-			return BurstinessCurve{}, err
-		}
 		curve.Percentiles = append(curve.Percentiles, p)
-		curve.Ratios = append(curve.Ratios, q/med)
+		curve.Ratios = append(curve.Ratios, quantileSorted(sorted, math.Min(p/100, 1))/med)
 	}
 	curve.PeakToMedian = curve.Ratios[len(curve.Ratios)-1]
 	return curve, nil

@@ -20,6 +20,13 @@ func NewCDF(sample []float64) *CDF {
 	return &CDF{sorted: s}
 }
 
+// NewSortedCDF wraps an already ascending sample without copying it:
+// the CDF shares the slice, which the caller must not modify while the
+// CDF is in use.
+func NewSortedCDF(sorted []float64) *CDF {
+	return &CDF{sorted: sorted}
+}
+
 // Len returns the number of sample points.
 func (c *CDF) Len() int { return len(c.sorted) }
 

@@ -10,7 +10,6 @@ package stats
 import (
 	"errors"
 	"math"
-	"sort"
 )
 
 // ErrEmpty is returned by statistics that are undefined on empty input.
@@ -56,28 +55,9 @@ func StdDev(xs []float64) (float64, error) {
 	return math.Sqrt(v), nil
 }
 
-// Median returns the median of xs. The paper uses the median as its robust
-// "average" when defining burstiness (§5.2).
-func Median(xs []float64) (float64, error) {
-	return Quantile(xs, 0.5)
-}
-
-// Quantile returns the q-th quantile of xs for q in [0, 1], using linear
-// interpolation between order statistics (type-7 / Excel convention).
-func Quantile(xs []float64, q float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	if q < 0 || q > 1 || math.IsNaN(q) {
-		return 0, errors.New("stats: quantile out of [0,1]")
-	}
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
-	sort.Float64s(sorted)
-	return quantileSorted(sorted, q), nil
-}
-
-// quantileSorted computes the q-th quantile of an already-sorted slice.
+// quantileSorted computes the q-th quantile (q in [0, 1]) of an
+// already-sorted slice, using linear interpolation between order
+// statistics (type-7 / Excel convention).
 func quantileSorted(sorted []float64, q float64) float64 {
 	n := len(sorted)
 	if n == 1 {

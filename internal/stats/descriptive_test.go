@@ -26,8 +26,8 @@ func TestSumMeanEmpty(t *testing.T) {
 	if _, err := StdDev(nil); err == nil {
 		t.Error("StdDev(nil) should error")
 	}
-	if _, err := Median(nil); err == nil {
-		t.Error("Median(nil) should error")
+	if _, err := Burstiness(nil); err != ErrEmpty {
+		t.Errorf("Burstiness(nil) err = %v, want ErrEmpty", err)
 	}
 }
 
@@ -48,13 +48,16 @@ func TestMeanVariance(t *testing.T) {
 }
 
 func TestMedianOddEven(t *testing.T) {
-	m, _ := Median([]float64{3, 1, 2})
-	if m != 2 {
+	if m := NewCDF([]float64{3, 1, 2}).Median(); m != 2 {
 		t.Errorf("Median odd = %v, want 2", m)
 	}
-	m, _ = Median([]float64{4, 1, 3, 2})
-	if m != 2.5 {
+	if m := NewCDF([]float64{4, 1, 3, 2}).Median(); m != 2.5 {
 		t.Errorf("Median even = %v, want 2.5", m)
+	}
+	// Burstiness normalizes by the same median.
+	b, err := Burstiness([]float64{4, 1, 3, 2})
+	if err != nil || b.Median != 2.5 {
+		t.Errorf("Burstiness median = %v, %v; want 2.5", b.Median, err)
 	}
 }
 
@@ -64,36 +67,32 @@ func TestQuantile(t *testing.T) {
 		q, want float64
 	}{
 		{0, 10}, {0.25, 20}, {0.5, 30}, {0.75, 40}, {1, 50}, {0.1, 14},
+		// Out-of-range q clamps to the sample's extremes.
+		{-0.1, 10}, {1.1, 50},
 	}
-	for _, c := range cases {
-		got, err := Quantile(xs, c.q)
-		if err != nil {
-			t.Fatalf("Quantile(%v): %v", c.q, err)
+	for _, sorted := range []bool{false, true} {
+		c := NewCDF([]float64{30, 50, 10, 40, 20})
+		if sorted {
+			c = NewSortedCDF(xs)
 		}
-		if !almostEqual(got, c.want, 1e-12) {
-			t.Errorf("Quantile(%v) = %v, want %v", c.q, got, c.want)
+		for _, tc := range cases {
+			if got := c.Quantile(tc.q); !almostEqual(got, tc.want, 1e-12) {
+				t.Errorf("sorted=%v: Quantile(%v) = %v, want %v", sorted, tc.q, got, tc.want)
+			}
 		}
-	}
-	if _, err := Quantile(xs, -0.1); err == nil {
-		t.Error("Quantile(-0.1) should error")
-	}
-	if _, err := Quantile(xs, 1.1); err == nil {
-		t.Error("Quantile(1.1) should error")
-	}
-	if _, err := Quantile(xs, math.NaN()); err == nil {
-		t.Error("Quantile(NaN) should error")
 	}
 }
 
 func TestQuantileDoesNotMutateInput(t *testing.T) {
 	xs := []float64{5, 1, 4, 2, 3}
 	want := []float64{5, 1, 4, 2, 3}
-	if _, err := Quantile(xs, 0.5); err != nil {
+	NewCDF(xs).Median()
+	if _, err := Burstiness(xs); err != nil {
 		t.Fatal(err)
 	}
 	for i := range xs {
 		if xs[i] != want[i] {
-			t.Fatalf("Quantile mutated input: %v", xs)
+			t.Fatalf("NewCDF/Burstiness mutated input: %v", xs)
 		}
 	}
 }
@@ -150,19 +149,17 @@ func TestQuantileMonotoneQuick(t *testing.T) {
 		if len(xs) == 0 {
 			return true
 		}
+		c := NewCDF(xs)
 		prev := math.Inf(-1)
 		for q := 0.0; q <= 1.0; q += 0.05 {
-			v, err := Quantile(xs, math.Min(q, 1))
-			if err != nil {
-				return false
-			}
+			v := c.Quantile(math.Min(q, 1))
 			if v < prev {
 				return false
 			}
 			prev = v
 		}
 		lo, hi, _ := MinMax(xs)
-		med, _ := Median(xs)
+		med := c.Median()
 		return med >= lo && med <= hi
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {

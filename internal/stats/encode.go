@@ -23,6 +23,9 @@ func (s *ExactSum) AppendBinary(b []byte) []byte {
 	return b
 }
 
+// EncodedSize bounds the bytes AppendBinary appends.
+func (s *ExactSum) EncodedSize() int { return binenc.MaxVarintLen + 8*len(s.partials) }
+
 // ReadExactSum decodes an accumulator written by AppendBinary. On
 // malformed input the reader's sticky error is set and the zero sum is
 // returned.
@@ -52,6 +55,11 @@ func (h *LogHistogram) AppendBinary(b []byte) []byte {
 	return b
 }
 
+// EncodedSize bounds the bytes AppendBinary appends.
+func (h *LogHistogram) EncodedSize() int {
+	return 8 + binenc.MaxVarintLen*(4+len(h.Counts))
+}
+
 // ReadLogHistogram decodes a histogram written by AppendBinary.
 func ReadLogHistogram(r *binenc.Reader) *LogHistogram {
 	h := &LogHistogram{
@@ -76,6 +84,9 @@ func (s *QuantileSketch) AppendBinary(b []byte) []byte {
 	b = binenc.AppendFloat64(b, s.max)
 	return binenc.AppendFloat64(b, s.minPos)
 }
+
+// EncodedSize bounds the bytes AppendBinary appends.
+func (s *QuantileSketch) EncodedSize() int { return s.h.EncodedSize() + 3*8 }
 
 // ReadQuantileSketch decodes a sketch written by AppendBinary.
 func ReadQuantileSketch(r *binenc.Reader) *QuantileSketch {
