@@ -66,8 +66,6 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string, stop <-ch
 		seed         = fs.Int64("seed", 1, "preload generation seed")
 		dataDir      = fs.String("data", "", "durable storage directory: traces persist as checksummed columnar segment files with partial-aggregate snapshots, survive restarts (verified at startup; legacy JSONL segments are converted to colseg once), and spill to disk instead of being rejected when they exceed the in-memory job budget")
 		compactEvery = fs.Duration("compact", 0, "background compaction sweep interval: fragmented traces (many small segments or underfilled columnar blocks, the shape long append sessions leave) are rewritten into packed generations with identical fingerprints; 0 disables, needs -data")
-		compactSegs  = fs.Int("compact-min-segments", 0, "compact a trace once its generation holds at least this many segment files (0 = default 8)")
-		compactFill  = fs.Float64("compact-min-fill", 0, "compact a trace whose columnar blocks average below this fraction of full (0 = default 0.5)")
 		quiet        = fs.Bool("quiet", false, "disable server logging")
 		slowReq      = fs.Duration("slow-request", 0, "latency at which a request is logged as slow and counted in swim_http_slow_requests_total (0 = default 500ms, negative disables)")
 		pprofOn      = fs.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ (opt-in: the profile endpoints expose process internals)")
@@ -99,8 +97,6 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string, stop <-ch
 		CacheEntries:         *cacheSize,
 		DataDir:              *dataDir,
 		CompactInterval:      *compactEvery,
-		CompactMinSegments:   *compactSegs,
-		CompactMinFill:       *compactFill,
 		Logger:               logger,
 		SlowRequestThreshold: *slowReq,
 		EnablePprof:          *pprofOn,

@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"runtime"
 	"testing"
 	"time"
@@ -152,24 +151,19 @@ func benchTrace(tb testing.TB) *trace.Trace {
 
 // BenchmarkParallelAnalyze records the shard-parallel speedup: the same
 // streaming analysis at K=1 (sequential) versus fixed shard counts and
-// K=NumCPU. The K=1 vs K=NumCPU ratio is the headline number appended
-// to BENCH_ANALYZE.json by the CI trend step; on a single-core runner
-// K=NumCPU degenerates to K=1 and the ratio is 1 by construction.
+// K=NumCPU, whose arm name stays fixed so BENCH_ANALYZE.json's
+// speedup_numcpu gate can name it (the -N suffix carries the count). On
+// a single-core runner K=NumCPU degenerates to K=1 and the ratio is 1
+// by construction.
 func BenchmarkParallelAnalyze(b *testing.B) {
 	tr := benchTrace(b)
-	ks := []int{1, 2, 4}
-	ncpu := runtime.GOMAXPROCS(0)
-	seen := map[int]bool{1: true, 2: true, 4: true}
-	if !seen[ncpu] {
-		ks = append(ks, ncpu)
-	}
-	for _, k := range ks {
-		name := fmt.Sprintf("K=%d", k)
-		if k == ncpu {
-			name = fmt.Sprintf("K=NumCPU(%d)", k)
-		}
-		b.Run(name, func(b *testing.B) {
-			opts := AnalyzeOptions{Shards: k}
+	arms := []struct {
+		name string
+		k    int
+	}{{"K=1", 1}, {"K=2", 2}, {"K=4", 4}, {"K=NumCPU", runtime.GOMAXPROCS(0)}}
+	for _, arm := range arms {
+		b.Run(arm.name, func(b *testing.B) {
+			opts := AnalyzeOptions{Shards: arm.k}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := AnalyzeTraceParallel(tr, opts); err != nil {

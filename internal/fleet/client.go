@@ -60,12 +60,6 @@ func newClient(id, base string, timeout time.Duration, retries int, backoff time
 	return c
 }
 
-// ID returns the peer's node ID.
-func (c *Client) ID() string { return c.id }
-
-// URL returns the peer's base URL.
-func (c *Client) URL() string { return c.base }
-
 // Alive returns the last-known reachability.
 func (c *Client) Alive() bool { return c.alive.Load() }
 

@@ -63,20 +63,6 @@ func (c *Counter) Add(n uint64) { c.v.Add(n) }
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.v.Load() }
 
-// Gauge is an atomically settable float64.
-type Gauge struct {
-	bits atomic.Uint64
-}
-
-// Set replaces the gauge value.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Add folds a delta into the gauge via CAS.
-func (g *Gauge) Add(d float64) { addFloat(&g.bits, d) }
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
-
 // addFloat CAS-adds d to the float64 stored in bits.
 func addFloat(bits *atomic.Uint64, d float64) {
 	for {
@@ -262,7 +248,6 @@ type family struct {
 	kind metricKind
 
 	counter    *Counter
-	gauge      *Gauge
 	histogram  *Histogram
 	counterVec *CounterVec
 	histVec    *HistogramVec
@@ -300,13 +285,6 @@ func (r *Registry) Counter(name, help string) *Counter {
 	c := &Counter{}
 	r.add(&family{name: name, help: help, kind: KindCounter, counter: c})
 	return c
-}
-
-// Gauge registers and returns a new gauge.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	g := &Gauge{}
-	r.add(&family{name: name, help: help, kind: KindGauge, gauge: g})
-	return g
 }
 
 // Histogram registers and returns a new log-bucket histogram covering
@@ -373,8 +351,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		switch {
 		case f.counter != nil:
 			writeSample(&b, f.name, nil, float64(f.counter.Value()))
-		case f.gauge != nil:
-			writeSample(&b, f.name, nil, f.gauge.Value())
 		case f.histogram != nil:
 			writeHistogram(&b, f.name, nil, f.histogram)
 		case f.counterVec != nil:

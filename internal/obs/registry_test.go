@@ -12,10 +12,11 @@ import (
 func TestCounterGaugeRender(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("test_ops_total", "Ops.")
-	g := r.Gauge("test_depth", "Depth.")
+	r.RegisterFunc("test_depth", "Depth.", KindGauge, func() []Sample {
+		return []Sample{{Value: 2.5}}
+	})
 	c.Add(41)
 	c.Inc()
-	g.Set(2.5)
 
 	var b strings.Builder
 	if err := r.WritePrometheus(&b); err != nil {

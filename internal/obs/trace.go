@@ -60,14 +60,6 @@ func (rt *Request) ID() string {
 	return rt.id
 }
 
-// Start returns when the trace began.
-func (rt *Request) Start() time.Time {
-	if rt == nil {
-		return time.Time{}
-	}
-	return rt.start
-}
-
 // SetEndpoint records the matched route pattern (the metrics label).
 func (rt *Request) SetEndpoint(p string) {
 	if rt == nil {

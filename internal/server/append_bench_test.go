@@ -14,8 +14,8 @@ import (
 // versus eight appended batches ("batched" — eight manifest commits,
 // aggregate refreezes, and fingerprint extensions on one open
 // generation). The batched/oneshot ratio is the overhead of incremental
-// durability; benchtrend -suite append records it in BENCH_APPEND.json
-// and gates it with -max-append-overhead.
+// durability, recorded and barred by BENCH_APPEND.json's append_overhead
+// gate.
 func BenchmarkAppendIngest(b *testing.B) {
 	tr := genTrace(b, "CC-b", 1, 14*24*time.Hour)
 	tr.Sort()

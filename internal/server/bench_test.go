@@ -46,8 +46,9 @@ func get(tb testing.TB, url string) {
 // "cold-scan" re-reads every stored job for a window spanning the whole
 // trace (which the frozen partial cannot answer) — versus "warm", a
 // result-cache hit. cold-scan/cold is the value of ingest-time
-// aggregation; cold/warm is the value of the ReStore-style result cache
-// (acceptance bar >= 10x).
+// aggregation; cold/warm is the value of the ReStore-style result cache,
+// recorded as BENCH_SERVE.json's speedup (its >= 10x bar is
+// TestServeReportCacheSpeedup).
 func BenchmarkServeReport(b *testing.B) {
 	b.Run("cold", func(b *testing.B) {
 		s, ts := benchServer(b, Config{})
@@ -89,7 +90,8 @@ func BenchmarkServeReport(b *testing.B) {
 // snapshot that must scan the segments out-of-core ("disk-scan"). The
 // first two should be near-identical — that gap is the cost of a
 // restart under the durable store — and the third bounds the worst
-// case. benchtrend -suite serve appends the numbers to BENCH_SERVE.json.
+// case. CI's serve trend step appends the numbers to BENCH_SERVE.json,
+// whose restart_overhead gate bars disk/memory.
 func BenchmarkStoreColdReport(b *testing.B) {
 	b.Run("memory", func(b *testing.B) {
 		s, ts := benchServer(b, Config{})

@@ -164,7 +164,7 @@ func TestClusterReportByteIdentity(t *testing.T) {
 	// three shards somewhere.
 	var scatters, merges uint64
 	for _, nd := range nodes {
-		st := nd.srv.Fleet().Stats()
+		st := nd.srv.cluster.fleet.Stats()
 		scatters += st.Scatters
 		merges += st.Merges
 	}
@@ -325,7 +325,7 @@ func TestClusterDegradedPath(t *testing.T) {
 			t.Fatalf("attempt %d: degraded answer served from cache (X-Cache %q)", attempt, hdr.Get("X-Cache"))
 		}
 	}
-	if st := nodes[0].srv.Fleet().Stats(); st.Degraded == 0 {
+	if st := nodes[0].srv.cluster.fleet.Stats(); st.Degraded == 0 {
 		t.Errorf("degraded counter not incremented: %+v", st)
 	}
 }
@@ -348,7 +348,7 @@ func TestClusterCacheServesWarmFromAnyNode(t *testing.T) {
 		if local != "HIT" && remote != "HIT" {
 			t.Errorf("node %d not served warm: X-Cache=%q X-Cluster-Cache=%q", i, local, remote)
 		}
-		if st := nodes[i].srv.Fleet().Stats(); st.Scatters != 0 {
+		if st := nodes[i].srv.cluster.fleet.Stats(); st.Scatters != 0 {
 			t.Errorf("node %d scattered %d time(s) for a warm result", i, st.Scatters)
 		}
 	}
@@ -540,8 +540,8 @@ func TestClusterRestartRestoresMetadata(t *testing.T) {
 }
 
 // BenchmarkClusterReport compares a cold single-node report against a
-// cold 3-node scatter/gather of the same trace — the scatter-overhead
-// ratio the cluster bench suite gates on.
+// cold 3-node scatter/gather of the same trace — the ratio
+// BENCH_CLUSTER.json's scatter_overhead gate bars.
 func BenchmarkClusterReport(b *testing.B) {
 	tr := genTrace(b, "CC-b", 1, 7*24*time.Hour)
 

@@ -45,11 +45,6 @@ type Config struct {
 	// it needs DataDir. Rewrites preserve fingerprints exactly, so
 	// compaction is invisible to every read path.
 	CompactInterval time.Duration
-	// CompactMinSegments / CompactMinFill tune the fragmentation
-	// triggers (zero: the storage engine's defaults). See
-	// storage.CompactPolicy.
-	CompactMinSegments int
-	CompactMinFill     float64
 	// Logger receives structured server logs (recovery, compaction,
 	// cluster housekeeping, and slow or failing requests — each with its
 	// request_id). Nil disables logging.
@@ -179,10 +174,7 @@ func New(cfg Config) (*Server, error) {
 		if cfg.CompactInterval > 0 {
 			s.compactStop = make(chan struct{})
 			s.compactWG.Add(1)
-			go s.compactLoop(cfg.CompactInterval, storage.CompactPolicy{
-				MinSegments: cfg.CompactMinSegments,
-				MinFill:     cfg.CompactMinFill,
-			})
+			go s.compactLoop(cfg.CompactInterval)
 		}
 	}
 	if cfg.Peers != "" {
@@ -298,10 +290,10 @@ func (s *Server) Close() error {
 }
 
 // compactLoop sweeps the store on a fixed cadence, rewriting whatever
-// the policy deems fragmented. Runs until Close; a sweep in flight
-// finishes before Close returns, so no rewrite races the storage
-// engine's shutdown.
-func (s *Server) compactLoop(interval time.Duration, policy storage.CompactPolicy) {
+// the default storage.CompactPolicy deems fragmented. Runs until Close;
+// a sweep in flight finishes before Close returns, so no rewrite races
+// the storage engine's shutdown.
+func (s *Server) compactLoop(interval time.Duration) {
 	defer s.compactWG.Done()
 	ticker := time.NewTicker(interval)
 	defer ticker.Stop()
@@ -315,7 +307,7 @@ func (s *Server) compactLoop(interval time.Duration, policy storage.CompactPolic
 			// exempt.
 			s.store.ReapIdleAppendSessions(interval)
 			sweepStart := time.Now()
-			n, err := s.store.Compact(policy)
+			n, err := s.store.Compact(storage.CompactPolicy{})
 			if s.metrics != nil {
 				s.metrics.compactionLatency.Observe(time.Since(sweepStart).Seconds())
 			}
@@ -337,11 +329,3 @@ func (s *Server) Store() *Store { return s.store }
 
 // Cache exposes the result cache (for stats and tests).
 func (s *Server) Cache() *ResultCache { return s.cache }
-
-// Fleet exposes the cluster layer, nil when single-node (for tests).
-func (s *Server) Fleet() *fleet.Fleet {
-	if s.cluster == nil {
-		return nil
-	}
-	return s.cluster.fleet
-}

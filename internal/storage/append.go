@@ -136,12 +136,6 @@ func (a *Appender) Append(j *trace.Job) error {
 	return nil
 }
 
-// Jobs returns the total jobs written (committed plus pending).
-func (a *Appender) Jobs() int { return a.jobs }
-
-// BytesMoved returns the running Table-1 bytes-moved total.
-func (a *Appender) BytesMoved() int64 { return a.bytesMoved }
-
 // rotate finishes the open segment — codec close, flush, fsync — and
 // moves it to the closed list.
 func (a *Appender) rotate() error {

@@ -13,9 +13,9 @@ import (
 // segment codec. The paper's 14-day FB-2009 trace is stored once as
 // colseg (what the store writes) and once as v5-era JSONL segments
 // (what Open migrates); each iteration drains every segment through
-// the volatile chain compaction and migration read with. benchtrend's
-// scan suite gates the colseg/jsonl ratio and records the on-disk
-// sizes.
+// the volatile chain compaction and migration read with.
+// BENCH_SCAN.json's scan_speedup gate bars the jsonl/colseg time ratio;
+// its compression_ratio gate records the segbytes ratio.
 func BenchmarkSegmentScan(b *testing.B) {
 	tr := genTrace(b, "FB-2009", 1, 14*24*time.Hour)
 	for _, codec := range []string{"jsonl", CodecColumnar} {
@@ -51,8 +51,8 @@ func BenchmarkSegmentScan(b *testing.B) {
 // append sessions leave (32 segments, one underfilled block each — the
 // shape a long-lived live trace accretes) versus the packed generation
 // the compactor rewrites it into. Both arms scan single-worker so the
-// ratio isolates layout, not parallelism; benchtrend's scan suite gates
-// it with -min-compaction-speedup. The fragmented arm must run first:
+// ratio isolates layout, not parallelism; BENCH_SCAN.json's
+// compaction_speedup gate bars it. The fragmented arm must run first:
 // committing the compaction sweeps the fragmented generation's files.
 func BenchmarkFragmentedScan(b *testing.B) {
 	tr := genTrace(b, "FB-2009", 1, time.Hour)
@@ -98,10 +98,10 @@ func BenchmarkFragmentedScan(b *testing.B) {
 // against each other on a packed single-segment trace — the shape
 // compaction produces. Segment-parallel degenerates there to one
 // sequential partial build over the segment chain; only
-// block-parallel can use the other cores. benchtrend's scan suite gates
-// block/segment with -min-block-parallel-speedup on multi-core runners
-// (the -N benchmark suffix carries GOMAXPROCS; single-core machines are
-// exempt — no parallelism exists to measure).
+// block-parallel can use the other cores. BENCH_SCAN.json's
+// block_parallel_speedup gate bars segment/block on multi-core runners
+// (the -N benchmark suffix carries GOMAXPROCS; single-core machines
+// pass — no parallelism exists to measure).
 func BenchmarkParallelScan(b *testing.B) {
 	tr := genTrace(b, "FB-2009", 1, 14*24*time.Hour)
 	s, _ := openStore(b, b.TempDir(), 1<<20)

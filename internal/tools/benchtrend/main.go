@@ -1,68 +1,72 @@
 // Command benchtrend appends one datapoint to a benchmark trend file
-// from `go test -bench` output. CI runs it after the benchmark steps
-// and uploads the grown files as artifacts, so the headline ratios are
-// tracked per commit on the multi-core runners. Three suites are known:
+// from `go test -bench` output and enforces the bars the file declares.
+// It knows no suites: every result line is kept in the datapoint's
+// results, keyed by benchmark name (without the -N GOMAXPROCS suffix)
+// and unit, and the file's gates say which metrics to derive and bar.
 //
-//   - analyze (default): BenchmarkParallelAnalyze K=1 vs K=NumCPU into
-//     BENCH_ANALYZE.json, with an optional -min-speedup gate.
+//	go test -run '^$' -bench BenchmarkClusterReport ./internal/server | tee bench_cluster.out
+//	go run ./internal/tools/benchtrend -in bench_cluster.out -json BENCH_CLUSTER.json -note "ci trend"
 //
-//   - serve: BenchmarkStoreColdReport memory vs disk vs disk-scan into
-//     BENCH_SERVE.json — the cost of a restart under the durable store
-//     — with an optional -max-restart-overhead gate on disk/memory.
+// A trend file has the keys description, gates and datapoints. A gate
+// such as {"metric": "scatter_overhead", "num": "BenchmarkClusterReport/scatter",
+// "den": "BenchmarkClusterReport/single", "max": 6} derives num/den (or
+// num − minus) in its unit, ns/op by default, rounded to two decimals.
+// A gate without min or max only records its metric; a multicore gate
+// passes when GOMAXPROCS is 1, where there is no parallelism to measure.
 //
-//   - scan: BenchmarkSegmentScan jsonl vs colseg into BENCH_SCAN.json —
-//     the columnar segment codec's disk-scan throughput and on-disk
-//     size against the JSONL baseline — with an optional
-//     -min-scan-speedup gate on the jsonl/colseg time ratio. When
-//     BenchmarkFragmentedScan and BenchmarkParallelScan ran in the same
-//     output, the datapoint also carries the fragmented-vs-compacted
-//     scan times (gated by -min-compaction-speedup) and the
-//     segment-parallel vs block-parallel times (gated by
-//     -min-block-parallel-speedup on multi-core runners).
-//
-//   - cluster: BenchmarkClusterReport single vs scatter into
-//     BENCH_CLUSTER.json — what a cold report costs when it is gathered
-//     from a 3-node loopback cluster instead of computed on one node —
-//     with an optional -max-scatter-overhead gate on the scatter/single
-//     time ratio.
-//
-//   - obs: BenchmarkMiddlewareOverhead bare vs instrumented into
-//     BENCH_OBS.json — what the observability middleware (trace ID,
-//     metrics, request ring) adds to every request — with an optional
-//     -max-mw-overhead-ns gate on the instrumented−bare difference.
-//
-//   - append: BenchmarkAppendIngest oneshot vs batched into
-//     BENCH_APPEND.json — the price of live batched ingest (per-batch
-//     manifest commits, aggregate refreezes, fingerprint extensions)
-//     over a single upload of the same trace — with an optional
-//     -max-append-overhead gate on the batched/oneshot time ratio.
-//
-//     go test -run '^$' -bench BenchmarkParallelAnalyze ./internal/core | \
-//     benchtrend -json BENCH_ANALYZE.json -note "ci trend"
-//     go test -run '^$' -bench BenchmarkStoreColdReport ./internal/server | \
-//     benchtrend -suite serve -json BENCH_SERVE.json -note "ci trend"
-//     go test -run '^$' -bench BenchmarkSegmentScan ./internal/storage | \
-//     benchtrend -suite scan -json BENCH_SCAN.json -note "ci trend"
-//     go test -run '^$' -bench BenchmarkAppendIngest ./internal/server | \
-//     benchtrend -suite append -json BENCH_APPEND.json -note "ci trend"
-//     go test -run '^$' -bench BenchmarkClusterReport ./internal/server | \
-//     benchtrend -suite cluster -json BENCH_CLUSTER.json -note "ci trend"
-//     go test -run '^$' -bench BenchmarkMiddlewareOverhead ./internal/server | \
-//     benchtrend -suite obs -json BENCH_OBS.json -note "ci trend"
+// A gate arm missing from the output fails the run before the file is
+// touched, so a truncated benchmark cannot append garbage. The datapoint
+// is written before the bars are checked, so a failing run still leaves
+// its evidence; every failing bar is named and the exit status is
+// nonzero.
 package main
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
-	"regexp"
 	"runtime"
 	"strconv"
 	"strings"
 	"time"
 )
+
+// trendFile is the one shape every BENCH_*.json file has.
+type trendFile struct {
+	Description string      `json:"description"`
+	Gates       []gate      `json:"gates"`
+	Datapoints  []datapoint `json:"datapoints"`
+}
+
+// gate derives one metric from a datapoint's results and, when it has a
+// min or a max, bars it.
+type gate struct {
+	Metric    string   `json:"metric"`
+	Num       string   `json:"num"`
+	Den       string   `json:"den,omitempty"`
+	Minus     string   `json:"minus,omitempty"`
+	Unit      string   `json:"unit,omitempty"`
+	Min       *float64 `json:"min,omitempty"`
+	Max       *float64 `json:"max,omitempty"`
+	Multicore bool     `json:"multicore,omitempty"`
+}
+
+// datapoint is one run: every result line of its benchmark output and
+// the metrics the file's gates derived from them.
+type datapoint struct {
+	Date    string                        `json:"date"`
+	Go      string                        `json:"go"`
+	CPU     string                        `json:"cpu,omitempty"`
+	Procs   int                           `json:"procs,omitempty"`
+	Note    string                        `json:"note"`
+	Results map[string]map[string]float64 `json:"results"`
+	Metrics map[string]float64            `json:"metrics"`
+}
 
 func main() {
 	if err := run(os.Args[1:], os.Stdin, os.Stdout); err != nil {
@@ -73,638 +77,51 @@ func main() {
 
 func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	fs := flag.NewFlagSet("benchtrend", flag.ContinueOnError)
-	var (
-		in          = fs.String("in", "-", "benchmark output to parse (- = stdin)")
-		suite       = fs.String("suite", "analyze", "benchmark suite to parse: analyze (BenchmarkParallelAnalyze), serve (BenchmarkStoreColdReport), scan (BenchmarkSegmentScan), append (BenchmarkAppendIngest), cluster (BenchmarkClusterReport), or obs (BenchmarkMiddlewareOverhead)")
-		jsonPath    = fs.String("json", "", "trend file to append the datapoint to (default BENCH_ANALYZE.json / BENCH_SERVE.json / BENCH_SCAN.json / BENCH_APPEND.json per suite)")
-		note        = fs.String("note", "ci trend", "note recorded with the datapoint")
-		minSpeed    = fs.Float64("min-speedup", 0, "analyze suite: fail (exit nonzero) when the K=1 vs K=NumCPU speedup is below this bar on a multi-core machine — the acceptance gate; 0 disables, and single-core machines are exempt (no parallelism exists to measure)")
-		maxOver     = fs.Float64("max-restart-overhead", 0, "serve suite: fail when the disk/memory cold-report ratio exceeds this bar — a restarted server must serve from the persisted partial, not rescan; 0 disables")
-		minScan     = fs.Float64("min-scan-speedup", 0, "scan suite: fail when the columnar disk scan is not at least this many times faster than the JSONL baseline — the segment-format acceptance gate; 0 disables")
-		minCompact  = fs.Float64("min-compaction-speedup", 0, "scan suite: fail when scanning the compacted generation is not at least this many times faster than the 32-batch fragmented one (BenchmarkFragmentedScan) — the compaction acceptance gate; 0 disables")
-		minBlockPar = fs.Float64("min-block-parallel-speedup", 0, "scan suite: fail when the block-parallel scan is not at least this many times faster than the segment-parallel scan of the same packed trace (BenchmarkParallelScan) on a multi-core machine — single-core machines are exempt (no parallelism exists to measure); 0 disables")
-		maxApp      = fs.Float64("max-append-overhead", 0, "append suite: fail when batched live ingest costs more than this many times the one-shot upload of the same trace — the live-ingest acceptance gate; 0 disables")
-		maxScat     = fs.Float64("max-scatter-overhead", 0, "cluster suite: fail when a cold scatter/gather report costs more than this many times the single-node cold report of the same trace — the distributed-serving acceptance gate; 0 disables")
-		maxMwNs     = fs.Float64("max-mw-overhead-ns", 0, "obs suite: fail when the observability middleware adds more than this many nanoseconds to a request (instrumented minus bare ns/op) — the per-request overhead acceptance gate; 0 disables")
-	)
+	in := fs.String("in", "-", "benchmark output to parse (- = stdin)")
+	path := fs.String("json", "", "trend file whose gates are derived and enforced, and to which the datapoint is appended (required)")
+	note := fs.String("note", "ci trend", "note recorded with the datapoint")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *jsonPath == "" {
-		switch *suite {
-		case "serve":
-			*jsonPath = "BENCH_SERVE.json"
-		case "scan":
-			*jsonPath = "BENCH_SCAN.json"
-		case "append":
-			*jsonPath = "BENCH_APPEND.json"
-		case "cluster":
-			*jsonPath = "BENCH_CLUSTER.json"
-		case "obs":
-			*jsonPath = "BENCH_OBS.json"
-		default:
-			*jsonPath = "BENCH_ANALYZE.json"
-		}
+	if *path == "" {
+		return errors.New("-json is required")
 	}
-	benchOut, err := readInput(*in, stdin)
+	out, err := readInput(*in, stdin)
 	if err != nil {
 		return err
 	}
-	trend, err := os.ReadFile(*jsonPath)
+	tf, err := loadTrend(*path)
 	if err != nil {
 		return err
 	}
-	var grown []byte
-	var summary string
-	switch *suite {
-	case "analyze":
-		grown, summary, err = appendDatapoint(trend, benchOut, time.Now().UTC(), runtime.Version(), *note)
-	case "serve":
-		grown, summary, err = appendServeDatapoint(trend, benchOut, time.Now().UTC(), runtime.Version(), *note)
-	case "scan":
-		grown, summary, err = appendScanDatapoint(trend, benchOut, time.Now().UTC(), runtime.Version(), *note)
-	case "append":
-		grown, summary, err = appendAppendDatapoint(trend, benchOut, time.Now().UTC(), runtime.Version(), *note)
-	case "cluster":
-		grown, summary, err = appendClusterDatapoint(trend, benchOut, time.Now().UTC(), runtime.Version(), *note)
-	case "obs":
-		grown, summary, err = appendObsDatapoint(trend, benchOut, time.Now().UTC(), runtime.Version(), *note)
-	default:
-		return fmt.Errorf("unknown suite %q (use analyze, serve, scan, append, cluster, or obs)", *suite)
-	}
+	dp, err := parseBench(out)
 	if err != nil {
 		return err
 	}
-	if err := os.WriteFile(*jsonPath, grown, 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintln(stdout, summary)
-	switch *suite {
-	case "serve":
-		return checkRestartOverhead(grown, *maxOver)
-	case "scan":
-		if err := checkScanSpeedup(grown, *minScan); err != nil {
+	dp.Date, dp.Go, dp.Note = time.Now().UTC().Format("2006-01-02"), runtime.Version(), *note
+	var summary, failed []string
+	for _, g := range tf.Gates {
+		v, err := g.value(dp.Results)
+		if err != nil {
 			return err
 		}
-		if err := checkCompactionSpeedup(grown, *minCompact); err != nil {
-			return err
-		}
-		return checkBlockParallelSpeedup(grown, *minBlockPar)
-	case "append":
-		return checkAppendOverhead(grown, *maxApp)
-	case "cluster":
-		return checkScatterOverhead(grown, *maxScat)
-	case "obs":
-		return checkMiddlewareOverhead(grown, *maxMwNs)
-	}
-	return checkSpeedup(grown, *minSpeed)
-}
-
-// appendIngestLine matches one BenchmarkAppendIngest sub-benchmark,
-// e.g. "BenchmarkAppendIngest/batched-4   3   54531950 ns/op".
-var appendIngestLine = regexp.MustCompile(`(?m)^BenchmarkAppendIngest/(oneshot|batched)(?:-\d+)?\s+\d+\s+(\d+(?:\.\d+)?) ns/op`)
-
-// windowReportLine matches the optional rolling-window companion,
-// BenchmarkWindowedReport/{full,window}: cold out-of-core report over
-// the whole trace versus a pruned 6-hour slice.
-var windowReportLine = regexp.MustCompile(`(?m)^BenchmarkWindowedReport/(full|window)(?:-\d+)?\s+\d+\s+(\d+(?:\.\d+)?) ns/op`)
-
-// appendAppendDatapoint parses the live-ingest benchmark and appends
-// the oneshot-vs-batched datapoint. Both arms must be present — a
-// truncated run must fail the step, not append garbage.
-func appendAppendDatapoint(trend, benchOut []byte, now time.Time, goVersion, note string) ([]byte, string, error) {
-	nsPerOp := map[string]float64{}
-	for _, m := range appendIngestLine.FindAllStringSubmatch(string(benchOut), -1) {
-		ns, err := strconv.ParseFloat(m[2], 64)
-		if err != nil {
-			return nil, "", fmt.Errorf("parsing ns/op %q: %w", m[2], err)
-		}
-		nsPerOp[m[1]] = ns
-	}
-	oneshot, okO := nsPerOp["oneshot"]
-	batched, okB := nsPerOp["batched"]
-	if !okO || !okB {
-		return nil, "", fmt.Errorf("benchmark output carries no oneshot or batched result (got %d results)", len(nsPerOp))
-	}
-
-	var doc map[string]any
-	if err := json.Unmarshal(trend, &doc); err != nil {
-		return nil, "", fmt.Errorf("parsing trend file: %w", err)
-	}
-	points, _ := doc["datapoints"].([]any)
-
-	overhead := batched / oneshot
-	dp := map[string]any{
-		"date":              now.Format("2006-01-02"),
-		"go":                goVersion,
-		"oneshot_ns_per_op": int64(oneshot),
-		"batched_ns_per_op": int64(batched),
-		"append_overhead":   math2(overhead),
-		"note":              note,
-	}
-	if m := cpuLine.FindStringSubmatch(string(benchOut)); m != nil {
-		dp["cpu"] = strings.TrimSpace(m[1])
-	}
-	summary := fmt.Sprintf("appended datapoint: oneshot %.1fms, batched %.1fms (append overhead %.2fx)",
-		oneshot/1e6, batched/1e6, overhead)
-
-	// The windowed-vs-full report latency rides along when its
-	// benchmark ran in the same output; absent lines just skip the
-	// fields rather than failing an ingest-only run.
-	winNs := map[string]float64{}
-	for _, m := range windowReportLine.FindAllStringSubmatch(string(benchOut), -1) {
-		ns, err := strconv.ParseFloat(m[2], 64)
-		if err != nil {
-			return nil, "", fmt.Errorf("parsing ns/op %q: %w", m[2], err)
-		}
-		winNs[m[1]] = ns
-	}
-	if full, ok := winNs["full"]; ok {
-		if window, ok := winNs["window"]; ok {
-			dp["full_report_ns_per_op"] = int64(full)
-			dp["window_report_ns_per_op"] = int64(window)
-			dp["window_speedup"] = math2(full / window)
-			summary += fmt.Sprintf("; windowed report %.1fms vs full %.1fms (%.2fx)",
-				window/1e6, full/1e6, full/window)
+		dp.Metrics[g.Metric] = v
+		summary = append(summary, fmt.Sprintf("%s %.2f", g.Metric, v))
+		if why := g.check(v, dp.Procs); why != "" {
+			failed = append(failed, why)
 		}
 	}
-	doc["datapoints"] = append(points, dp)
-
-	grown, err := json.MarshalIndent(doc, "", "  ")
+	tf.Datapoints = append(tf.Datapoints, dp)
+	grown, err := encodeTrend(tf)
 	if err != nil {
-		return nil, "", err
+		return fmt.Errorf("encoding %s: %w", *path, err)
 	}
-	return append(grown, '\n'), summary, nil
-}
-
-// checkAppendOverhead enforces the append-suite bar against the
-// datapoint just appended. The datapoint is always recorded first, so a
-// failing run still leaves the evidence in the trend artifact.
-func checkAppendOverhead(grown []byte, maxOverhead float64) error {
-	if maxOverhead <= 0 {
-		return nil
-	}
-	var doc struct {
-		Datapoints []struct {
-			Overhead float64 `json:"append_overhead"`
-		} `json:"datapoints"`
-	}
-	if err := json.Unmarshal(grown, &doc); err != nil {
+	if err := os.WriteFile(*path, grown, 0o644); err != nil {
 		return err
 	}
-	dp := doc.Datapoints[len(doc.Datapoints)-1]
-	if dp.Overhead > maxOverhead {
-		return fmt.Errorf("batched/oneshot ingest overhead %.2fx exceeds the %.2fx acceptance bar", dp.Overhead, maxOverhead)
-	}
-	return nil
-}
-
-// mwOverheadLine matches one BenchmarkMiddlewareOverhead sub-benchmark,
-// e.g. "BenchmarkMiddlewareOverhead/instrumented-4   500000   1701 ns/op".
-var mwOverheadLine = regexp.MustCompile(`(?m)^BenchmarkMiddlewareOverhead/(bare|instrumented)(?:-\d+)?\s+\d+\s+(\d+(?:\.\d+)?) ns/op`)
-
-// appendObsDatapoint parses the middleware benchmark and appends the
-// bare-vs-instrumented datapoint; the headline number is the absolute
-// per-request cost the observability layer adds. Both arms must be
-// present — a truncated run must fail the step, not append garbage.
-func appendObsDatapoint(trend, benchOut []byte, now time.Time, goVersion, note string) ([]byte, string, error) {
-	nsPerOp := map[string]float64{}
-	for _, m := range mwOverheadLine.FindAllStringSubmatch(string(benchOut), -1) {
-		ns, err := strconv.ParseFloat(m[2], 64)
-		if err != nil {
-			return nil, "", fmt.Errorf("parsing ns/op %q: %w", m[2], err)
-		}
-		nsPerOp[m[1]] = ns
-	}
-	bare, okB := nsPerOp["bare"]
-	instrumented, okI := nsPerOp["instrumented"]
-	if !okB || !okI {
-		return nil, "", fmt.Errorf("benchmark output carries no bare or instrumented result (got %d results)", len(nsPerOp))
-	}
-
-	var doc map[string]any
-	if err := json.Unmarshal(trend, &doc); err != nil {
-		return nil, "", fmt.Errorf("parsing trend file: %w", err)
-	}
-	points, _ := doc["datapoints"].([]any)
-
-	overhead := instrumented - bare
-	dp := map[string]any{
-		"date":                   now.Format("2006-01-02"),
-		"go":                     goVersion,
-		"bare_ns_per_op":         int64(bare),
-		"instrumented_ns_per_op": int64(instrumented),
-		"mw_overhead_ns":         int64(overhead),
-		"note":                   note,
-	}
-	if m := cpuLine.FindStringSubmatch(string(benchOut)); m != nil {
-		dp["cpu"] = strings.TrimSpace(m[1])
-	}
-	doc["datapoints"] = append(points, dp)
-
-	grown, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return nil, "", err
-	}
-	summary := fmt.Sprintf("appended datapoint: bare %.0fns, instrumented %.0fns (middleware adds %.0fns/request)",
-		bare, instrumented, overhead)
-	return append(grown, '\n'), summary, nil
-}
-
-// checkMiddlewareOverhead enforces the obs-suite bar against the
-// datapoint just appended. The datapoint is always recorded first, so a
-// failing run still leaves the evidence in the trend artifact.
-func checkMiddlewareOverhead(grown []byte, maxNs float64) error {
-	if maxNs <= 0 {
-		return nil
-	}
-	var doc struct {
-		Datapoints []struct {
-			OverheadNS float64 `json:"mw_overhead_ns"`
-		} `json:"datapoints"`
-	}
-	if err := json.Unmarshal(grown, &doc); err != nil {
-		return err
-	}
-	dp := doc.Datapoints[len(doc.Datapoints)-1]
-	if dp.OverheadNS > maxNs {
-		return fmt.Errorf("middleware overhead %.0fns/request exceeds the %.0fns acceptance bar", dp.OverheadNS, maxNs)
-	}
-	return nil
-}
-
-// clusterReportLine matches one BenchmarkClusterReport sub-benchmark,
-// e.g. "BenchmarkClusterReport/scatter-4   12   9531950 ns/op".
-var clusterReportLine = regexp.MustCompile(`(?m)^BenchmarkClusterReport/(single|scatter)(?:-\d+)?\s+\d+\s+(\d+(?:\.\d+)?) ns/op`)
-
-// appendClusterDatapoint parses the distributed-serving benchmark and
-// appends the single-vs-scatter cold-report datapoint. Both arms must
-// be present — a truncated run must fail the step, not append garbage.
-func appendClusterDatapoint(trend, benchOut []byte, now time.Time, goVersion, note string) ([]byte, string, error) {
-	nsPerOp := map[string]float64{}
-	for _, m := range clusterReportLine.FindAllStringSubmatch(string(benchOut), -1) {
-		ns, err := strconv.ParseFloat(m[2], 64)
-		if err != nil {
-			return nil, "", fmt.Errorf("parsing ns/op %q: %w", m[2], err)
-		}
-		nsPerOp[m[1]] = ns
-	}
-	single, okS := nsPerOp["single"]
-	scatter, okC := nsPerOp["scatter"]
-	if !okS || !okC {
-		return nil, "", fmt.Errorf("benchmark output carries no single or scatter result (got %d results)", len(nsPerOp))
-	}
-
-	var doc map[string]any
-	if err := json.Unmarshal(trend, &doc); err != nil {
-		return nil, "", fmt.Errorf("parsing trend file: %w", err)
-	}
-	points, _ := doc["datapoints"].([]any)
-
-	overhead := scatter / single
-	dp := map[string]any{
-		"date":              now.Format("2006-01-02"),
-		"go":                goVersion,
-		"single_ns_per_op":  int64(single),
-		"scatter_ns_per_op": int64(scatter),
-		"scatter_overhead":  math2(overhead),
-		"note":              note,
-	}
-	if m := cpuLine.FindStringSubmatch(string(benchOut)); m != nil {
-		dp["cpu"] = strings.TrimSpace(m[1])
-	}
-	doc["datapoints"] = append(points, dp)
-
-	grown, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return nil, "", err
-	}
-	summary := fmt.Sprintf("appended datapoint: single %.1fms, scatter %.1fms (scatter overhead %.2fx)",
-		single/1e6, scatter/1e6, overhead)
-	return append(grown, '\n'), summary, nil
-}
-
-// checkScatterOverhead enforces the cluster-suite bar against the
-// datapoint just appended. The datapoint is always recorded first, so a
-// failing run still leaves the evidence in the trend artifact.
-func checkScatterOverhead(grown []byte, maxOverhead float64) error {
-	if maxOverhead <= 0 {
-		return nil
-	}
-	var doc struct {
-		Datapoints []struct {
-			Overhead float64 `json:"scatter_overhead"`
-		} `json:"datapoints"`
-	}
-	if err := json.Unmarshal(grown, &doc); err != nil {
-		return err
-	}
-	dp := doc.Datapoints[len(doc.Datapoints)-1]
-	if dp.Overhead > maxOverhead {
-		return fmt.Errorf("scatter/single cold-report overhead %.2fx exceeds the %.2fx acceptance bar", dp.Overhead, maxOverhead)
-	}
-	return nil
-}
-
-// serveLine matches one BenchmarkStoreColdReport sub-benchmark, e.g.
-// "BenchmarkStoreColdReport/disk-scan-4   3   54531950 ns/op".
-var serveLine = regexp.MustCompile(`(?m)^BenchmarkStoreColdReport/(memory|disk|disk-scan)(?:-\d+)?\s+\d+\s+(\d+(?:\.\d+)?) ns/op`)
-
-// appendServeDatapoint parses the durability benchmark and appends the
-// memory/disk/disk-scan cold-report datapoint. It errors when the
-// memory or disk result is missing — a truncated run must fail the
-// step, not append garbage (disk-scan is optional; partial-free scans
-// may be skipped in quick runs).
-func appendServeDatapoint(trend, benchOut []byte, now time.Time, goVersion, note string) ([]byte, string, error) {
-	nsPerOp := map[string]float64{}
-	for _, m := range serveLine.FindAllStringSubmatch(string(benchOut), -1) {
-		ns, err := strconv.ParseFloat(m[2], 64)
-		if err != nil {
-			return nil, "", fmt.Errorf("parsing ns/op %q: %w", m[2], err)
-		}
-		nsPerOp[m[1]] = ns
-	}
-	mem, okM := nsPerOp["memory"]
-	disk, okD := nsPerOp["disk"]
-	if !okM || !okD {
-		return nil, "", fmt.Errorf("benchmark output carries no memory or disk result (got %d results)", len(nsPerOp))
-	}
-
-	var doc map[string]any
-	if err := json.Unmarshal(trend, &doc); err != nil {
-		return nil, "", fmt.Errorf("parsing trend file: %w", err)
-	}
-	points, _ := doc["datapoints"].([]any)
-
-	overhead := disk / mem
-	dp := map[string]any{
-		"date":             now.Format("2006-01-02"),
-		"go":               goVersion,
-		"memory_ns_per_op": int64(mem),
-		"disk_ns_per_op":   int64(disk),
-		"restart_overhead": math2(overhead),
-		"note":             note,
-	}
-	if scan, ok := nsPerOp["disk-scan"]; ok {
-		dp["disk_scan_ns_per_op"] = int64(scan)
-	}
-	if m := cpuLine.FindStringSubmatch(string(benchOut)); m != nil {
-		dp["cpu"] = strings.TrimSpace(m[1])
-	}
-	doc["datapoints"] = append(points, dp)
-
-	grown, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return nil, "", err
-	}
-	summary := fmt.Sprintf("appended datapoint: memory %.1fms, disk %.1fms (restart overhead %.2fx)",
-		mem/1e6, disk/1e6, overhead)
-	return append(grown, '\n'), summary, nil
-}
-
-// checkRestartOverhead enforces the serve-suite bar against the
-// datapoint just appended.
-func checkRestartOverhead(grown []byte, maxOverhead float64) error {
-	if maxOverhead <= 0 {
-		return nil
-	}
-	var doc struct {
-		Datapoints []struct {
-			Overhead float64 `json:"restart_overhead"`
-		} `json:"datapoints"`
-	}
-	if err := json.Unmarshal(grown, &doc); err != nil {
-		return err
-	}
-	dp := doc.Datapoints[len(doc.Datapoints)-1]
-	if dp.Overhead > maxOverhead {
-		return fmt.Errorf("disk/memory cold-report overhead %.2fx exceeds the %.2fx acceptance bar", dp.Overhead, maxOverhead)
-	}
-	return nil
-}
-
-// fragLine matches one BenchmarkFragmentedScan sub-benchmark, e.g.
-// "BenchmarkFragmentedScan/compacted-4   50   55542 ns/op".
-var fragLine = regexp.MustCompile(`(?m)^BenchmarkFragmentedScan/(fragmented|compacted)(?:-\d+)?\s+\d+\s+(\d+(?:\.\d+)?) ns/op`)
-
-// parScanLine matches one BenchmarkParallelScan sub-benchmark. The
-// optional -N suffix is GOMAXPROCS (Go's testing package omits it when
-// GOMAXPROCS is 1), which the block-parallel gate uses to exempt
-// single-core machines.
-var parScanLine = regexp.MustCompile(`(?m)^BenchmarkParallelScan/(segment|block)(?:-(\d+))?\s+\d+\s+(\d+(?:\.\d+)?) ns/op`)
-
-// scanLine matches one BenchmarkSegmentScan sub-benchmark with its
-// segbytes metric, e.g. "BenchmarkSegmentScan/colseg-4   100   5488495
-// ns/op   1043.59 MB/s   68581 jobs/scan   5727758 segbytes".
-var scanLine = regexp.MustCompile(`(?m)^BenchmarkSegmentScan/(jsonl|colseg)(?:-\d+)?\s+\d+\s+(\d+(?:\.\d+)?) ns/op.*?\s(\d+(?:\.\d+)?) segbytes`)
-
-// appendScanDatapoint parses the segment-scan benchmark and appends the
-// jsonl-vs-colseg datapoint: scan times, on-disk sizes, and the two
-// headline ratios (scan_speedup = jsonl/colseg time, compression =
-// jsonl/colseg bytes). Both codecs must be present — a truncated run
-// must fail the step, not append garbage.
-func appendScanDatapoint(trend, benchOut []byte, now time.Time, goVersion, note string) ([]byte, string, error) {
-	nsPerOp := map[string]float64{}
-	segBytes := map[string]float64{}
-	for _, m := range scanLine.FindAllStringSubmatch(string(benchOut), -1) {
-		ns, err := strconv.ParseFloat(m[2], 64)
-		if err != nil {
-			return nil, "", fmt.Errorf("parsing ns/op %q: %w", m[2], err)
-		}
-		sz, err := strconv.ParseFloat(m[3], 64)
-		if err != nil {
-			return nil, "", fmt.Errorf("parsing segbytes %q: %w", m[3], err)
-		}
-		nsPerOp[m[1]] = ns
-		segBytes[m[1]] = sz
-	}
-	jsonl, okJ := nsPerOp["jsonl"]
-	colseg, okC := nsPerOp["colseg"]
-	if !okJ || !okC {
-		return nil, "", fmt.Errorf("benchmark output carries no jsonl or colseg result (got %d results)", len(nsPerOp))
-	}
-
-	var doc map[string]any
-	if err := json.Unmarshal(trend, &doc); err != nil {
-		return nil, "", fmt.Errorf("parsing trend file: %w", err)
-	}
-	points, _ := doc["datapoints"].([]any)
-
-	speedup := jsonl / colseg
-	compression := segBytes["jsonl"] / segBytes["colseg"]
-	dp := map[string]any{
-		"date":              now.Format("2006-01-02"),
-		"go":                goVersion,
-		"jsonl_ns_per_op":   int64(jsonl),
-		"colseg_ns_per_op":  int64(colseg),
-		"scan_speedup":      math2(speedup),
-		"jsonl_seg_bytes":   int64(segBytes["jsonl"]),
-		"colseg_seg_bytes":  int64(segBytes["colseg"]),
-		"compression_ratio": math2(compression),
-		"note":              note,
-	}
-	if m := cpuLine.FindStringSubmatch(string(benchOut)); m != nil {
-		dp["cpu"] = strings.TrimSpace(m[1])
-	}
-	summary := fmt.Sprintf("appended datapoint: jsonl %.1fms, colseg %.1fms (scan speedup %.2fx, compression %.2fx)",
-		jsonl/1e6, colseg/1e6, speedup, compression)
-
-	// The compaction and parallel-strategy companions ride along when
-	// their benchmarks ran in the same output; absent lines just skip
-	// the fields rather than failing a codec-only run.
-	fragNs := map[string]float64{}
-	for _, m := range fragLine.FindAllStringSubmatch(string(benchOut), -1) {
-		ns, err := strconv.ParseFloat(m[2], 64)
-		if err != nil {
-			return nil, "", fmt.Errorf("parsing ns/op %q: %w", m[2], err)
-		}
-		fragNs[m[1]] = ns
-	}
-	if frag, ok := fragNs["fragmented"]; ok {
-		if packed, ok := fragNs["compacted"]; ok {
-			dp["fragmented_ns_per_op"] = int64(frag)
-			dp["compacted_ns_per_op"] = int64(packed)
-			dp["compaction_speedup"] = math2(frag / packed)
-			summary += fmt.Sprintf("; compacted scan %.2fms vs fragmented %.2fms (%.2fx)",
-				packed/1e6, frag/1e6, frag/packed)
-		}
-	}
-	parNs := map[string]float64{}
-	parCPUs := 1
-	for _, m := range parScanLine.FindAllStringSubmatch(string(benchOut), -1) {
-		ns, err := strconv.ParseFloat(m[3], 64)
-		if err != nil {
-			return nil, "", fmt.Errorf("parsing ns/op %q: %w", m[3], err)
-		}
-		if m[2] != "" {
-			parCPUs, err = strconv.Atoi(m[2])
-			if err != nil {
-				return nil, "", fmt.Errorf("parsing GOMAXPROCS suffix %q: %w", m[2], err)
-			}
-		}
-		parNs[m[1]] = ns
-	}
-	if seg, ok := parNs["segment"]; ok {
-		if blk, ok := parNs["block"]; ok {
-			dp["segment_parallel_ns_per_op"] = int64(seg)
-			dp["block_parallel_ns_per_op"] = int64(blk)
-			dp["block_parallel_speedup"] = math2(seg / blk)
-			dp["scan_cpus"] = parCPUs
-			summary += fmt.Sprintf("; block-parallel %.1fms vs segment-parallel %.1fms (%.2fx on %d cores)",
-				blk/1e6, seg/1e6, seg/blk, parCPUs)
-		}
-	}
-	doc["datapoints"] = append(points, dp)
-
-	grown, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return nil, "", err
-	}
-	return append(grown, '\n'), summary, nil
-}
-
-// checkScanSpeedup enforces the scan-suite bar against the datapoint
-// just appended. The datapoint is always recorded first, so a failing
-// run still leaves the evidence in the trend artifact.
-func checkScanSpeedup(grown []byte, minSpeedup float64) error {
-	if minSpeedup <= 0 {
-		return nil
-	}
-	var doc struct {
-		Datapoints []struct {
-			Speedup float64 `json:"scan_speedup"`
-		} `json:"datapoints"`
-	}
-	if err := json.Unmarshal(grown, &doc); err != nil {
-		return err
-	}
-	dp := doc.Datapoints[len(doc.Datapoints)-1]
-	if dp.Speedup < minSpeedup {
-		return fmt.Errorf("colseg scan speedup %.2fx is below the %.2fx acceptance bar", dp.Speedup, minSpeedup)
-	}
-	return nil
-}
-
-// checkCompactionSpeedup enforces the fragmented-vs-compacted scan bar
-// against the datapoint just appended. With the gate armed the
-// compaction fields must be present — a run whose FragmentedScan
-// benchmark was truncated must fail, not silently pass.
-func checkCompactionSpeedup(grown []byte, minSpeedup float64) error {
-	if minSpeedup <= 0 {
-		return nil
-	}
-	var doc struct {
-		Datapoints []struct {
-			Fragmented int64   `json:"fragmented_ns_per_op"`
-			Speedup    float64 `json:"compaction_speedup"`
-		} `json:"datapoints"`
-	}
-	if err := json.Unmarshal(grown, &doc); err != nil {
-		return err
-	}
-	dp := doc.Datapoints[len(doc.Datapoints)-1]
-	if dp.Fragmented == 0 {
-		return fmt.Errorf("compaction gate armed but the datapoint carries no BenchmarkFragmentedScan results")
-	}
-	if dp.Speedup < minSpeedup {
-		return fmt.Errorf("compacted-scan speedup %.2fx is below the %.2fx acceptance bar", dp.Speedup, minSpeedup)
-	}
-	return nil
-}
-
-// checkBlockParallelSpeedup enforces the block-vs-segment parallel scan
-// bar against the datapoint just appended. Single-core machines are
-// exempt — with one core both strategies degenerate to a sequential
-// scan and there is no parallelism to measure.
-func checkBlockParallelSpeedup(grown []byte, minSpeedup float64) error {
-	if minSpeedup <= 0 {
-		return nil
-	}
-	var doc struct {
-		Datapoints []struct {
-			Segment int64   `json:"segment_parallel_ns_per_op"`
-			Speedup float64 `json:"block_parallel_speedup"`
-			CPUs    int     `json:"scan_cpus"`
-		} `json:"datapoints"`
-	}
-	if err := json.Unmarshal(grown, &doc); err != nil {
-		return err
-	}
-	dp := doc.Datapoints[len(doc.Datapoints)-1]
-	if dp.Segment == 0 {
-		return fmt.Errorf("block-parallel gate armed but the datapoint carries no BenchmarkParallelScan results")
-	}
-	if dp.CPUs <= 1 {
-		return nil // nothing to parallelize across; the bar needs cores
-	}
-	if dp.Speedup < minSpeedup {
-		return fmt.Errorf("block-parallel scan speedup %.2fx on %d cores is below the %.2fx acceptance bar", dp.Speedup, dp.CPUs, minSpeedup)
-	}
-	return nil
-}
-
-// checkSpeedup enforces the acceptance bar against the datapoint just
-// appended. The datapoint is always recorded first, so a failing run
-// still leaves the evidence in the trend artifact.
-func checkSpeedup(grown []byte, minSpeedup float64) error {
-	if minSpeedup <= 0 {
-		return nil
-	}
-	var doc struct {
-		Datapoints []struct {
-			CPUs    int     `json:"cpus"`
-			Speedup float64 `json:"speedup_numcpu"`
-		} `json:"datapoints"`
-	}
-	if err := json.Unmarshal(grown, &doc); err != nil {
-		return err
-	}
-	dp := doc.Datapoints[len(doc.Datapoints)-1]
-	if dp.CPUs <= 1 {
-		return nil // nothing to parallelize across; the bar needs cores
-	}
-	if dp.Speedup < minSpeedup {
-		return fmt.Errorf("K=NumCPU(%d) speedup %.2fx is below the %.2fx acceptance bar", dp.CPUs, dp.Speedup, minSpeedup)
+	fmt.Fprintf(stdout, "appended datapoint %d to %s: %s\n", len(tf.Datapoints), *path, strings.Join(summary, ", "))
+	if len(failed) > 0 {
+		return fmt.Errorf("%d bar(s) failed: %s", len(failed), strings.Join(failed, "; "))
 	}
 	return nil
 }
@@ -716,79 +133,115 @@ func readInput(path string, stdin io.Reader) ([]byte, error) {
 	return os.ReadFile(path)
 }
 
-// benchLine matches one sub-benchmark result, e.g.
-// "BenchmarkParallelAnalyze/K=NumCPU(4)-4   3   19627556 ns/op ...".
-var benchLine = regexp.MustCompile(`(?m)^BenchmarkParallelAnalyze/K=(NumCPU\((\d+)\)|\d+)(?:-\d+)?\s+\d+\s+(\d+(?:\.\d+)?) ns/op`)
-
-// cpuLine matches the benchmark header's cpu description.
-var cpuLine = regexp.MustCompile(`(?m)^cpu: (.+)$`)
-
-// appendDatapoint parses benchOut and returns the trend file with one
-// datapoint appended, preserving every existing field, plus a one-line
-// summary. It errors when the output carries no K=1 or no K=NumCPU
-// result — a truncated benchmark run must fail the step, not append
-// garbage.
-func appendDatapoint(trend, benchOut []byte, now time.Time, goVersion, note string) ([]byte, string, error) {
-	nsPerOp := map[string]float64{}
-	cpus := 0
-	for _, m := range benchLine.FindAllStringSubmatch(string(benchOut), -1) {
-		ns, err := strconv.ParseFloat(m[3], 64)
-		if err != nil {
-			return nil, "", fmt.Errorf("parsing ns/op %q: %w", m[3], err)
-		}
-		if m[2] != "" { // K=NumCPU(n)
-			cpus, err = strconv.Atoi(m[2])
-			if err != nil {
-				return nil, "", fmt.Errorf("parsing cpu count %q: %w", m[2], err)
-			}
-			nsPerOp["numcpu"] = ns
-			nsPerOp[m[2]] = ns // NumCPU(n) is also the K=n result
-		} else {
-			nsPerOp[strings.TrimPrefix(m[1], "K=")] = ns
-		}
-	}
-	k1, ok1 := nsPerOp["1"]
-	kn, okN := nsPerOp["numcpu"]
-	if !ok1 || !okN {
-		return nil, "", fmt.Errorf("benchmark output carries no K=1 or K=NumCPU result (got %d results)", len(nsPerOp))
-	}
-
-	var doc map[string]any
-	if err := json.Unmarshal(trend, &doc); err != nil {
-		return nil, "", fmt.Errorf("parsing trend file: %w", err)
-	}
-	points, _ := doc["datapoints"].([]any)
-
-	speedup := k1 / kn
-	dp := map[string]any{
-		"date":              now.Format("2006-01-02"),
-		"go":                goVersion,
-		"cpus":              cpus,
-		"k1_ns_per_op":      int64(k1),
-		"knumcpu_ns_per_op": int64(kn),
-		"speedup_numcpu":    math2(speedup),
-		"note":              note,
-	}
-	if m := cpuLine.FindStringSubmatch(string(benchOut)); m != nil {
-		dp["cpu"] = strings.TrimSpace(m[1])
-	}
-	for _, k := range []string{"2", "4"} {
-		if ns, ok := nsPerOp[k]; ok {
-			dp["k"+k+"_ns_per_op"] = int64(ns)
-		}
-	}
-	doc["datapoints"] = append(points, dp)
-
-	grown, err := json.MarshalIndent(doc, "", "  ")
+// loadTrend decodes a trend file strictly: a misspelled gate key would
+// otherwise disarm its bar without a word.
+func loadTrend(path string) (trendFile, error) {
+	var tf trendFile
+	raw, err := os.ReadFile(path)
 	if err != nil {
-		return nil, "", err
+		return tf, err
 	}
-	summary := fmt.Sprintf("appended datapoint: K=1 %.1fms, K=NumCPU(%d) %.1fms, speedup %.2fx",
-		k1/1e6, cpus, kn/1e6, speedup)
-	return append(grown, '\n'), summary, nil
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&tf); err != nil {
+		return tf, fmt.Errorf("parsing %s: %w", path, err)
+	}
+	return tf, nil
 }
 
-// math2 rounds to two decimals so the trend file stays readable.
-func math2(v float64) float64 {
-	return float64(int64(v*100+0.5)) / 100
+// encodeTrend renders the file the way it is committed, so an append
+// only adds lines.
+func encodeTrend(tf trendFile) ([]byte, error) {
+	var b bytes.Buffer
+	enc := json.NewEncoder(&b)
+	enc.SetEscapeHTML(false)
+	enc.SetIndent("", "  ")
+	err := enc.Encode(tf)
+	return b.Bytes(), err
+}
+
+// parseBench turns `go test -bench` output into a datapoint holding
+// every result line. A result line is "BenchmarkName[-N] iterations"
+// followed by value/unit pairs; N is GOMAXPROCS, which the testing
+// package leaves off when it is 1.
+func parseBench(out []byte) (datapoint, error) {
+	dp := datapoint{Results: map[string]map[string]float64{}, Metrics: map[string]float64{}}
+	for _, line := range strings.Split(string(out), "\n") {
+		if cpu, ok := strings.CutPrefix(line, "cpu: "); ok {
+			dp.CPU = strings.TrimSpace(cpu)
+			continue
+		}
+		f := strings.Fields(line)
+		if len(f) < 4 || len(f)%2 != 0 || !strings.HasPrefix(f[0], "Benchmark") {
+			continue
+		}
+		if _, err := strconv.Atoi(f[1]); err != nil {
+			continue
+		}
+		name, procs := f[0], 1
+		if i := strings.LastIndexByte(name, '-'); i >= 0 {
+			if n, err := strconv.Atoi(name[i+1:]); err == nil {
+				name, procs = name[:i], n
+			}
+		}
+		if dp.Procs != 0 && dp.Procs != procs {
+			return dp, fmt.Errorf("%s: GOMAXPROCS %d differs from the run's %d; record one -cpu value per run", f[0], procs, dp.Procs)
+		}
+		dp.Procs = procs
+		values := map[string]float64{}
+		for i := 2; i < len(f); i += 2 {
+			v, err := strconv.ParseFloat(f[i], 64)
+			if err != nil {
+				return dp, fmt.Errorf("%s: parsing %s: %w", f[0], f[i+1], err)
+			}
+			values[f[i+1]] = v
+		}
+		dp.Results[name] = values
+	}
+	return dp, nil
+}
+
+// value derives the gate's metric from one datapoint's results.
+func (g gate) value(results map[string]map[string]float64) (float64, error) {
+	if (g.Den == "") == (g.Minus == "") {
+		return 0, fmt.Errorf("gate %s: needs exactly one of den and minus", g.Metric)
+	}
+	unit := g.Unit
+	if unit == "" {
+		unit = "ns/op"
+	}
+	arm := func(name string) (float64, error) {
+		v, ok := results[name][unit]
+		if !ok {
+			return 0, fmt.Errorf("gate %s: the output has no %s result for %s (truncated run?)", g.Metric, unit, name)
+		}
+		return v, nil
+	}
+	num, err := arm(g.Num)
+	if err != nil {
+		return 0, err
+	}
+	other, err := arm(g.Den + g.Minus) // exactly one of them is set
+	if err != nil {
+		return 0, err
+	}
+	v := num - other
+	if g.Den != "" {
+		v = num / other
+	}
+	return math.Round(v*100) / 100, nil
+}
+
+// check says why v fails the gate's bar on a run with the given
+// GOMAXPROCS, or returns "" when it passes.
+func (g gate) check(v float64, procs int) string {
+	switch {
+	case g.Multicore && procs <= 1:
+		return "" // one core: no parallelism to measure
+	case g.Min != nil && v < *g.Min:
+		return fmt.Sprintf("%s %.2f is below the %g bar", g.Metric, v, *g.Min)
+	case g.Max != nil && v > *g.Max:
+		return fmt.Sprintf("%s %.2f exceeds the %g bar", g.Metric, v, *g.Max)
+	}
+	return ""
 }

@@ -1,616 +1,325 @@
 package main
 
 import (
-	"encoding/json"
+	"bytes"
+	"io"
+	"math"
+	"os"
+	"path/filepath"
+	"reflect"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
-	"time"
 )
 
-const sampleTrend = `{
-  "benchmark": "BenchmarkParallelAnalyze",
-  "acceptance": "speedup > 1.5x",
-  "datapoints": [
-    {"date": "2026-07-28", "speedup_numcpu": 1.0}
-  ]
-}`
+// rows feeds each committed trend file canned `go test -bench` output
+// at GOMAXPROCS 4, with the metrics its gates must derive from it.
+var rows = map[string]struct {
+	out  string
+	want map[string]float64
+}{
+	"BENCH_ANALYZE.json": {`pkg: repro/internal/core
+BenchmarkParallelAnalyze/K=1-4         	       5	  21636837 ns/op	 6118202 B/op	   39083 allocs/op
+BenchmarkParallelAnalyze/K=2-4         	       5	  14159707 ns/op	 6612458 B/op	   40076 allocs/op
+BenchmarkParallelAnalyze/K=4-4         	       5	   9627556 ns/op	 6967050 B/op	   40443 allocs/op
+BenchmarkParallelAnalyze/K=NumCPU-4    	       5	   9627556 ns/op	 6967050 B/op	   40443 allocs/op
+`, map[string]float64{"speedup_numcpu": 2.25}},
+	"BENCH_OBS.json": {`pkg: repro/internal/server
+BenchmarkMiddlewareOverhead/bare-4         	   50000	         0.3575 ns/op	       0 B/op	       0 allocs/op
+BenchmarkMiddlewareOverhead/instrumented-4 	   50000	      2135 ns/op	     998 B/op	      14 allocs/op
+`, map[string]float64{"mw_overhead_ns": 2134.64}},
+	"BENCH_SERVE.json": {`pkg: repro/internal/server
+BenchmarkServeReport/cold-4  	       5	    906136 ns/op
+BenchmarkServeReport/cold-scan-4         	       5	  22766558 ns/op
+BenchmarkServeReport/warm-4              	       5	     73062 ns/op
+BenchmarkStoreColdReport/memory-4        	       5	    805028 ns/op
+BenchmarkStoreColdReport/disk-4          	       5	    846761 ns/op
+BenchmarkStoreColdReport/disk-scan-4     	       5	  20854880 ns/op
+`, map[string]float64{"restart_overhead": 1.05, "speedup": 12.4}},
+	"BENCH_SCAN.json": {`pkg: repro/internal/storage
+BenchmarkSegmentScan/jsonl-4         	      50	  77715937 ns/op	 222.19 MB/s	     68581 jobs/scan	  17267322 segbytes
+BenchmarkSegmentScan/colseg-4        	      50	   6395478 ns/op	 895.60 MB/s	     68581 jobs/scan	   5727758 segbytes
+BenchmarkFragmentedScan/fragmented-4 	      50	    427679 ns/op	        29.00 blocks	        29.00 segments
+BenchmarkFragmentedScan/compacted-4  	      50	     90503 ns/op	         1.000 blocks	         1.000 segments
+BenchmarkParallelScan/segment-4      	      50	  33658125 ns/op
+BenchmarkParallelScan/block-4        	      50	  19939213 ns/op
+`, map[string]float64{"scan_speedup": 12.15, "compression_ratio": 3.01, "compaction_speedup": 4.73, "block_parallel_speedup": 1.69}},
+	"BENCH_APPEND.json": {`pkg: repro/internal/server
+BenchmarkAppendIngest/oneshot-4         	       5	  84343933 ns/op
+BenchmarkAppendIngest/batched-4         	       5	 113039512 ns/op
+BenchmarkWindowedReport/full-4          	       5	    814217 ns/op
+BenchmarkWindowedReport/window-4        	       5	   1596323 ns/op
+`, map[string]float64{"append_overhead": 1.34, "window_speedup": 0.51}},
+	"BENCH_CLUSTER.json": {`pkg: repro/internal/server
+BenchmarkClusterReport/single-4         	       5	    606902 ns/op
+BenchmarkClusterReport/scatter-4        	       5	   1915532 ns/op
+`, map[string]float64{"scatter_overhead": 3.16}},
+}
 
-const sampleBench = `goos: linux
-goarch: amd64
-pkg: repro/internal/core
-cpu: Intel(R) Xeon(R) Processor @ 2.10GHz
-BenchmarkParallelAnalyze/K=1-4         	       3	  21636837 ns/op	 6118202 B/op	   39083 allocs/op
-BenchmarkParallelAnalyze/K=2-4         	       3	  14159707 ns/op	 6612458 B/op	   40076 allocs/op
-BenchmarkParallelAnalyze/K=NumCPU(4)-4 	       3	   9627556 ns/op	 6967050 B/op	   40443 allocs/op
-PASS
-`
+const header = "goos: linux\ngoarch: amd64\ncpu: Test CPU @ 3.00GHz\n"
 
-func TestAppendDatapoint(t *testing.T) {
-	now := time.Date(2026, 8, 1, 12, 0, 0, 0, time.UTC)
-	grown, summary, err := appendDatapoint([]byte(sampleTrend), []byte(sampleBench), now, "go1.24.0", "ci trend")
+// procsSuffix matches a result line's -N GOMAXPROCS suffix.
+var procsSuffix = regexp.MustCompile(`(?m)^(Benchmark\S*)-\d+(\s)`)
+
+// trendCopy writes a temporary copy of a committed trend file, with edit
+// applied to each of its gates.
+func trendCopy(t *testing.T, file string, edit func(*gate)) string {
+	t.Helper()
+	tf, err := loadTrend(filepath.Join("..", "..", "..", file))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(summary, "speedup 2.25x") {
-		t.Errorf("summary %q lacks the speedup", summary)
+	for i := range tf.Gates {
+		edit(&tf.Gates[i])
 	}
-	var doc map[string]any
-	if err := json.Unmarshal(grown, &doc); err != nil {
+	b, err := encodeTrend(tf)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if doc["acceptance"] != "speedup > 1.5x" {
-		t.Error("existing fields not preserved")
+	path := filepath.Join(t.TempDir(), file)
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
 	}
-	points := doc["datapoints"].([]any)
-	if len(points) != 2 {
-		t.Fatalf("got %d datapoints, want 2", len(points))
+	return path
+}
+
+func appendTo(path, out string) error {
+	return run([]string{"-json", path, "-note", "table"}, strings.NewReader(header+out+"PASS\n"), io.Discard)
+}
+
+func load(t *testing.T, path string) (trendFile, []byte) {
+	t.Helper()
+	tf, err := loadTrend(path)
+	if err != nil {
+		t.Fatal(err)
 	}
-	dp := points[1].(map[string]any)
-	for key, want := range map[string]any{
-		"date":              "2026-08-01",
-		"go":                "go1.24.0",
-		"cpus":              4.0, // JSON numbers decode as float64
-		"k1_ns_per_op":      21636837.0,
-		"k2_ns_per_op":      14159707.0,
-		"k4_ns_per_op":      9627556.0, // NumCPU(4) doubles as the K=4 result
-		"knumcpu_ns_per_op": 9627556.0,
-		"speedup_numcpu":    2.25,
-		"cpu":               "Intel(R) Xeon(R) Processor @ 2.10GHz",
-		"note":              "ci trend",
-	} {
-		if dp[key] != want {
-			t.Errorf("datapoint[%q] = %v, want %v", key, dp[key], want)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tf, raw
+}
+
+// checkAppend appends a file's canned output to a copy of it under the
+// committed bars and checks the datapoint: the derived metrics, cpu,
+// note and procs, every result line kept, the history untouched.
+func checkAppend(t *testing.T, file string) datapoint {
+	t.Helper()
+	row := rows[file]
+	path := trendCopy(t, file, func(*gate) {})
+	_, before := load(t, path)
+	if err := appendTo(path, row.out); err != nil {
+		t.Fatalf("committed bars fail on passing output: %v", err)
+	}
+	tf, _ := load(t, path)
+	dp := tf.Datapoints[len(tf.Datapoints)-1]
+	if !reflect.DeepEqual(dp.Metrics, row.want) {
+		t.Errorf("metrics %v, want %v", dp.Metrics, row.want)
+	}
+	if dp.CPU != "Test CPU @ 3.00GHz" || dp.Note != "table" || dp.Procs != 4 {
+		t.Errorf("cpu %q note %q procs %d", dp.CPU, dp.Note, dp.Procs)
+	}
+	if n := strings.Count(row.out, "\nBenchmark"); len(dp.Results) != n {
+		t.Errorf("kept %d results, want every one of the %d result lines", len(dp.Results), n)
+	}
+	tf.Datapoints = tf.Datapoints[:len(tf.Datapoints)-1]
+	if b, _ := encodeTrend(tf); !bytes.Equal(b, before) {
+		t.Error("appending rewrote the earlier datapoints")
+	}
+	return dp
+}
+
+// checkTruncated feeds a file empty output and then its canned output
+// without each gate arm in turn: every run fails, naming the arm, and
+// leaves the file byte-identical.
+func checkTruncated(t *testing.T, file string) {
+	t.Helper()
+	path := trendCopy(t, file, func(*gate) {})
+	tf, before := load(t, path)
+	if err := appendTo(path, ""); err == nil {
+		t.Error("empty benchmark output did not fail")
+	}
+	for _, g := range tf.Gates {
+		for _, arm := range []string{g.Num, g.Den + g.Minus} {
+			cut := regexp.MustCompile(`(?m)^`+regexp.QuoteMeta(arm)+`-\d+\s.*\n`).ReplaceAllString(rows[file].out, "")
+			if err := appendTo(path, cut); err == nil || !strings.Contains(err.Error(), arm) {
+				t.Errorf("output without %s: err = %v", arm, err)
+			}
+		}
+	}
+	if _, after := load(t, path); !bytes.Equal(after, before) {
+		t.Fatal("a truncated run changed the file")
+	}
+}
+
+// checkBars tightens the named metrics' bars (every bar when none is
+// named) past the canned values. At GOMAXPROCS 4 and, without -N
+// suffixes, at GOMAXPROCS 1 the run appends its datapoint and then
+// fails naming exactly the tightened bars, except that the multicore
+// ones pass on one core.
+func checkBars(t *testing.T, file string, metrics ...string) {
+	t.Helper()
+	row := rows[file]
+	barred := func(g gate) bool { return g.Min != nil || g.Max != nil }
+	tight := func(g gate) bool { return barred(g) && (len(metrics) == 0 || slices.Contains(metrics, g.Metric)) }
+	path := trendCopy(t, file, func(g *gate) {
+		if tight(*g) && g.Min != nil {
+			*g.Min = row.want[g.Metric] + 1
+		}
+		if tight(*g) && g.Max != nil {
+			*g.Max = row.want[g.Metric] - 1
+		}
+	})
+	tf, _ := load(t, path)
+	for _, m := range metrics {
+		if !slices.ContainsFunc(tf.Gates, func(g gate) bool { return g.Metric == m && barred(g) }) {
+			t.Fatalf("%s has no barred gate %s", file, m)
+		}
+	}
+	for i, procs := range []int{4, 1} {
+		out := row.out
+		if procs == 1 {
+			out = procsSuffix.ReplaceAllString(out, "$1$2")
+		}
+		err := appendTo(path, out)
+		after, _ := load(t, path)
+		if n := len(after.Datapoints) - len(tf.Datapoints); n != i+1 {
+			t.Errorf("procs %d: %d datapoints appended, want %d", procs, n, i+1)
+		}
+		if dp := after.Datapoints[len(after.Datapoints)-1]; !reflect.DeepEqual(dp.Metrics, row.want) || dp.Procs != procs {
+			t.Errorf("procs %d: appended metrics %v procs %d", procs, dp.Metrics, dp.Procs)
+		}
+		for _, g := range after.Gates {
+			want := tight(g) && (procs > 1 || !g.Multicore)
+			if named := err != nil && strings.Contains(err.Error(), g.Metric+" "); named != want {
+				t.Errorf("procs %d: %s named %v, want %v (err %v)", procs, g.Metric, named, want, err)
+			}
 		}
 	}
 }
 
-func TestAppendDatapointRejectsTruncatedOutput(t *testing.T) {
-	if _, _, err := appendDatapoint([]byte(sampleTrend), []byte("PASS\n"), time.Now(), "go1.24.0", ""); err == nil {
-		t.Fatal("empty benchmark output did not error")
-	}
-	partial := "BenchmarkParallelAnalyze/K=2-4   3   14159707 ns/op\n"
-	if _, _, err := appendDatapoint([]byte(sampleTrend), []byte(partial), time.Now(), "go1.24.0", ""); err == nil {
-		t.Fatal("output without K=1/K=NumCPU did not error")
-	}
-}
+func TestAppendDatapoint(t *testing.T)                       { checkAppend(t, "BENCH_ANALYZE.json") }
+func TestAppendDatapointRejectsTruncatedOutput(t *testing.T) { checkTruncated(t, "BENCH_ANALYZE.json") }
+func TestCheckSpeedup(t *testing.T)                          { checkBars(t, "BENCH_ANALYZE.json", "speedup_numcpu") }
 
-func TestCheckSpeedup(t *testing.T) {
-	trend := func(cpus int, speedup float64) []byte {
-		b, _ := json.Marshal(map[string]any{"datapoints": []any{
-			map[string]any{"cpus": cpus, "speedup_numcpu": speedup},
-		}})
-		return b
-	}
-	if err := checkSpeedup(trend(4, 2.1), 1.5); err != nil {
-		t.Errorf("2.1x on 4 cores failed the 1.5x bar: %v", err)
-	}
-	if err := checkSpeedup(trend(4, 1.2), 1.5); err == nil {
-		t.Error("1.2x on 4 cores passed the 1.5x bar")
-	}
-	if err := checkSpeedup(trend(1, 1.0), 1.5); err != nil {
-		t.Errorf("single-core machine not exempt: %v", err)
-	}
-	if err := checkSpeedup(trend(4, 1.0), 0); err != nil {
-		t.Errorf("disabled bar failed: %v", err)
-	}
-}
-
-const sampleServeTrend = `{
-  "benchmark": "BenchmarkServeReport",
-  "datapoints": [
-    {"date": "2026-07-28", "cold_ns_per_op": 19625480}
-  ]
-}`
-
-const sampleServeBench = `goos: linux
-cpu: Intel(R) Xeon(R) Processor @ 2.10GHz
-BenchmarkStoreColdReport/memory-4       	       3	   7394871 ns/op
-BenchmarkStoreColdReport/disk-4         	       3	   8845664 ns/op
-BenchmarkStoreColdReport/disk-scan-4    	       3	  54531950 ns/op
-PASS
-`
-
-func TestAppendServeDatapoint(t *testing.T) {
-	now := time.Date(2026, 8, 1, 12, 0, 0, 0, time.UTC)
-	grown, summary, err := appendServeDatapoint([]byte(sampleServeTrend), []byte(sampleServeBench), now, "go1.24.0", "ci trend")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(summary, "restart overhead 1.2") {
-		t.Errorf("summary %q lacks the overhead ratio", summary)
-	}
-	var doc map[string]any
-	if err := json.Unmarshal(grown, &doc); err != nil {
-		t.Fatal(err)
-	}
-	points := doc["datapoints"].([]any)
-	if len(points) != 2 {
-		t.Fatalf("got %d datapoints, want 2", len(points))
-	}
-	dp := points[1].(map[string]any)
-	for key, want := range map[string]any{
-		"date":                "2026-08-01",
-		"memory_ns_per_op":    7394871.0,
-		"disk_ns_per_op":      8845664.0,
-		"disk_scan_ns_per_op": 54531950.0,
-		"restart_overhead":    1.2,
-		"cpu":                 "Intel(R) Xeon(R) Processor @ 2.10GHz",
-	} {
-		if dp[key] != want {
-			t.Errorf("datapoint[%q] = %v, want %v", key, dp[key], want)
-		}
-	}
-}
-
-func TestAppendServeDatapointRejectsTruncated(t *testing.T) {
-	partial := "BenchmarkStoreColdReport/memory-4   3   7394871 ns/op\n"
-	if _, _, err := appendServeDatapoint([]byte(sampleServeTrend), []byte(partial), time.Now(), "go1.24.0", ""); err == nil {
-		t.Fatal("output without the disk result did not error")
-	}
-}
-
-func TestCheckRestartOverhead(t *testing.T) {
-	trend := func(overhead float64) []byte {
-		b, _ := json.Marshal(map[string]any{"datapoints": []any{
-			map[string]any{"restart_overhead": overhead},
-		}})
-		return b
-	}
-	if err := checkRestartOverhead(trend(1.3), 3); err != nil {
-		t.Errorf("1.3x failed the 3x bar: %v", err)
-	}
-	if err := checkRestartOverhead(trend(4.2), 3); err == nil {
-		t.Error("4.2x passed the 3x bar")
-	}
-	if err := checkRestartOverhead(trend(9.9), 0); err != nil {
-		t.Errorf("disabled bar failed: %v", err)
-	}
-}
-
-const sampleScanTrend = `{
-  "benchmark": "BenchmarkSegmentScan",
-  "acceptance": "colseg disk scan >= 10x the JSONL baseline",
-  "datapoints": []
-}`
-
-const sampleScanBench = `goos: linux
-cpu: Intel(R) Xeon(R) Processor @ 2.10GHz
-BenchmarkSegmentScan/jsonl-4   	      20	  57633511 ns/op	 299.61 MB/s	     68581 jobs/scan	  17267322 segbytes
-BenchmarkSegmentScan/colseg-4  	      20	   5488495 ns/op	1043.59 MB/s	     68581 jobs/scan	   5727758 segbytes
-PASS
-`
-
-func TestAppendScanDatapoint(t *testing.T) {
-	now := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
-	grown, summary, err := appendScanDatapoint([]byte(sampleScanTrend), []byte(sampleScanBench), now, "go1.24.0", "ci trend")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(summary, "scan speedup 10.50x") {
-		t.Errorf("summary %q lacks the speedup", summary)
-	}
-	var doc map[string]any
-	if err := json.Unmarshal(grown, &doc); err != nil {
-		t.Fatal(err)
-	}
-	if doc["acceptance"] != "colseg disk scan >= 10x the JSONL baseline" {
-		t.Error("existing fields not preserved")
-	}
-	points := doc["datapoints"].([]any)
-	if len(points) != 1 {
-		t.Fatalf("got %d datapoints, want 1", len(points))
-	}
-	dp := points[0].(map[string]any)
-	for key, want := range map[string]any{
-		"date":              "2026-08-08",
-		"go":                "go1.24.0",
-		"jsonl_ns_per_op":   57633511.0,
-		"colseg_ns_per_op":  5488495.0,
-		"scan_speedup":      10.5,
-		"jsonl_seg_bytes":   17267322.0,
-		"colseg_seg_bytes":  5727758.0,
-		"compression_ratio": 3.01,
-		"cpu":               "Intel(R) Xeon(R) Processor @ 2.10GHz",
-		"note":              "ci trend",
-	} {
-		if dp[key] != want {
-			t.Errorf("datapoint[%q] = %v, want %v", key, dp[key], want)
-		}
-	}
-}
-
-func TestAppendScanDatapointRejectsTruncated(t *testing.T) {
-	if _, _, err := appendScanDatapoint([]byte(sampleScanTrend), []byte("PASS\n"), time.Now(), "go1.24.0", ""); err == nil {
-		t.Fatal("empty benchmark output did not error")
-	}
-	partial := "BenchmarkSegmentScan/jsonl-4   20   57633511 ns/op   299.61 MB/s   68581 jobs/scan   17267322 segbytes\n"
-	if _, _, err := appendScanDatapoint([]byte(sampleScanTrend), []byte(partial), time.Now(), "go1.24.0", ""); err == nil {
-		t.Fatal("output without the colseg result did not error")
-	}
-	// A result line missing its segbytes metric is as truncated as a
-	// missing line: the datapoint needs both sizes.
-	noMetric := "BenchmarkSegmentScan/jsonl-4   20   57633511 ns/op\n" +
-		"BenchmarkSegmentScan/colseg-4   20   5488495 ns/op\n"
-	if _, _, err := appendScanDatapoint([]byte(sampleScanTrend), []byte(noMetric), time.Now(), "go1.24.0", ""); err == nil {
-		t.Fatal("output without segbytes metrics did not error")
-	}
-}
-
-func TestCheckScanSpeedup(t *testing.T) {
-	trend := func(speedup float64) []byte {
-		b, _ := json.Marshal(map[string]any{"datapoints": []any{
-			map[string]any{"scan_speedup": speedup},
-		}})
-		return b
-	}
-	if err := checkScanSpeedup(trend(10.5), 10); err != nil {
-		t.Errorf("10.5x failed the 10x bar: %v", err)
-	}
-	if err := checkScanSpeedup(trend(4.5), 10); err == nil {
-		t.Error("4.5x passed the 10x bar")
-	}
-	if err := checkScanSpeedup(trend(1.0), 0); err != nil {
-		t.Errorf("disabled bar failed: %v", err)
-	}
-}
-
-// The compaction and parallel-strategy companions ride on the scan
-// datapoint when their benchmarks ran in the same output.
-func TestAppendScanDatapointWithCompanions(t *testing.T) {
-	bench := sampleScanBench +
-		"BenchmarkFragmentedScan/fragmented-4   50   295155 ns/op   31.00 blocks   31.00 segments\n" +
-		"BenchmarkFragmentedScan/compacted-4    50    55542 ns/op    1.000 blocks   1.000 segments\n" +
-		"BenchmarkParallelScan/segment-4        20   31023497 ns/op\n" +
-		"BenchmarkParallelScan/block-4          20   10341165 ns/op\n"
-	grown, summary, err := appendScanDatapoint([]byte(sampleScanTrend), []byte(bench), time.Now(), "go1.24.0", "ci trend")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(summary, "compacted scan") || !strings.Contains(summary, "block-parallel") {
-		t.Errorf("summary %q lacks the companion ratios", summary)
-	}
-	var doc map[string]any
-	if err := json.Unmarshal(grown, &doc); err != nil {
-		t.Fatal(err)
-	}
-	dp := doc["datapoints"].([]any)[0].(map[string]any)
-	for key, want := range map[string]any{
-		"fragmented_ns_per_op":       295155.0,
-		"compacted_ns_per_op":        55542.0,
-		"compaction_speedup":         5.31,
-		"segment_parallel_ns_per_op": 31023497.0,
-		"block_parallel_ns_per_op":   10341165.0,
-		"block_parallel_speedup":     3.0,
-		"scan_cpus":                  4.0,
-	} {
-		if dp[key] != want {
-			t.Errorf("datapoint[%q] = %v, want %v", key, dp[key], want)
-		}
-	}
-	// Codec-only output still works: no companion fields, no error.
-	grown, _, err = appendScanDatapoint([]byte(sampleScanTrend), []byte(sampleScanBench), time.Now(), "go1.24.0", "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(grown, &doc); err != nil {
-		t.Fatal(err)
-	}
-	dp = doc["datapoints"].([]any)[0].(map[string]any)
-	if _, ok := dp["compaction_speedup"]; ok {
-		t.Error("codec-only output grew compaction fields")
-	}
-}
-
-func TestCheckCompactionSpeedup(t *testing.T) {
-	trend := func(frag int64, speedup float64) []byte {
-		b, _ := json.Marshal(map[string]any{"datapoints": []any{
-			map[string]any{"fragmented_ns_per_op": frag, "compaction_speedup": speedup},
-		}})
-		return b
-	}
-	if err := checkCompactionSpeedup(trend(295155, 5.31), 3); err != nil {
-		t.Errorf("5.31x failed the 3x bar: %v", err)
-	}
-	if err := checkCompactionSpeedup(trend(295155, 1.4), 3); err == nil {
-		t.Error("1.4x passed the 3x bar")
-	}
-	if err := checkCompactionSpeedup(trend(0, 0), 3); err == nil {
-		t.Error("a datapoint without FragmentedScan results passed an armed gate")
-	}
-	if err := checkCompactionSpeedup(trend(0, 0), 0); err != nil {
-		t.Errorf("disabled bar failed: %v", err)
-	}
-}
-
-func TestCheckBlockParallelSpeedup(t *testing.T) {
-	trend := func(seg int64, speedup float64, cpus int) []byte {
-		b, _ := json.Marshal(map[string]any{"datapoints": []any{
-			map[string]any{
-				"segment_parallel_ns_per_op": seg,
-				"block_parallel_speedup":     speedup,
-				"scan_cpus":                  cpus,
-			},
-		}})
-		return b
-	}
-	if err := checkBlockParallelSpeedup(trend(31023497, 3.0, 4), 1.5); err != nil {
-		t.Errorf("3.0x on 4 cores failed the 1.5x bar: %v", err)
-	}
-	if err := checkBlockParallelSpeedup(trend(31023497, 1.1, 4), 1.5); err == nil {
-		t.Error("1.1x on 4 cores passed the 1.5x bar")
-	}
-	// Single-core machines are exempt: no parallelism exists to measure.
-	if err := checkBlockParallelSpeedup(trend(31023497, 0.9, 1), 1.5); err != nil {
-		t.Errorf("single-core run failed the bar: %v", err)
-	}
-	if err := checkBlockParallelSpeedup(trend(0, 0, 4), 1.5); err == nil {
-		t.Error("a datapoint without ParallelScan results passed an armed gate")
-	}
-	if err := checkBlockParallelSpeedup(trend(0, 0, 0), 0); err != nil {
-		t.Errorf("disabled bar failed: %v", err)
-	}
-}
-
+// One core measures no parallelism: a 1.0x speedup passes the 1.5 bar.
 func TestAppendDatapointSingleCore(t *testing.T) {
-	bench := "BenchmarkParallelAnalyze/K=NumCPU(1)   3   21636837 ns/op\n" +
-		"BenchmarkParallelAnalyze/K=2   3   21159707 ns/op\n"
-	grown, _, err := appendDatapoint([]byte(sampleTrend), []byte(bench), time.Now(), "go1.24.0", "")
-	if err != nil {
+	path := trendCopy(t, "BENCH_ANALYZE.json", func(*gate) {})
+	out := "BenchmarkParallelAnalyze/K=1   3   21636837 ns/op\nBenchmarkParallelAnalyze/K=NumCPU   3   21636837 ns/op\n"
+	if err := appendTo(path, out); err != nil {
 		t.Fatal(err)
 	}
-	var doc map[string]any
-	if err := json.Unmarshal(grown, &doc); err != nil {
-		t.Fatal(err)
-	}
-	dp := doc["datapoints"].([]any)[1].(map[string]any)
-	if dp["speedup_numcpu"] != 1.0 || dp["cpus"] != 1.0 {
+	tf, _ := load(t, path)
+	if dp := tf.Datapoints[len(tf.Datapoints)-1]; dp.Metrics["speedup_numcpu"] != 1 || dp.Procs != 1 {
 		t.Errorf("single-core datapoint %+v", dp)
 	}
 }
 
-const sampleAppendTrend = `{
-  "benchmark": "BenchmarkAppendIngest",
-  "acceptance": "batched live ingest <= 3x the one-shot upload",
-  "datapoints": []
-}`
+func TestAppendServeDatapoint(t *testing.T)                 { checkAppend(t, "BENCH_SERVE.json") }
+func TestAppendServeDatapointRejectsTruncated(t *testing.T) { checkTruncated(t, "BENCH_SERVE.json") }
+func TestCheckRestartOverhead(t *testing.T)                 { checkBars(t, "BENCH_SERVE.json", "restart_overhead") }
 
-const sampleAppendBench = `goos: linux
-cpu: Intel(R) Xeon(R) Processor @ 2.10GHz
-BenchmarkAppendIngest/oneshot-4   	       5	  86916228 ns/op
-BenchmarkAppendIngest/batched-4   	       5	 144156169 ns/op
-BenchmarkWindowedReport/full-4    	       5	  60000000 ns/op
-BenchmarkWindowedReport/window-4  	       5	  12000000 ns/op
-PASS
-`
+func TestAppendScanDatapoint(t *testing.T) { checkAppend(t, "BENCH_SCAN.json") }
 
-func TestAppendAppendDatapoint(t *testing.T) {
-	now := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
-	grown, summary, err := appendAppendDatapoint([]byte(sampleAppendTrend), []byte(sampleAppendBench), now, "go1.24.0", "ci trend")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(summary, "append overhead 1.66x") {
-		t.Errorf("summary %q lacks the overhead ratio", summary)
-	}
-	if !strings.Contains(summary, "windowed report 12.0ms vs full 60.0ms") {
-		t.Errorf("summary %q lacks the windowed latency", summary)
-	}
-	var doc map[string]any
-	if err := json.Unmarshal(grown, &doc); err != nil {
-		t.Fatal(err)
-	}
-	if doc["acceptance"] != "batched live ingest <= 3x the one-shot upload" {
-		t.Error("existing fields not preserved")
-	}
-	points := doc["datapoints"].([]any)
-	if len(points) != 1 {
-		t.Fatalf("got %d datapoints, want 1", len(points))
-	}
-	dp := points[0].(map[string]any)
-	for key, want := range map[string]any{
-		"date":                    "2026-08-08",
-		"go":                      "go1.24.0",
-		"oneshot_ns_per_op":       86916228.0,
-		"batched_ns_per_op":       144156169.0,
-		"append_overhead":         1.66,
-		"full_report_ns_per_op":   60000000.0,
-		"window_report_ns_per_op": 12000000.0,
-		"window_speedup":          5.0,
-		"cpu":                     "Intel(R) Xeon(R) Processor @ 2.10GHz",
-		"note":                    "ci trend",
-	} {
-		if dp[key] != want {
-			t.Errorf("datapoint[%q] = %v, want %v", key, dp[key], want)
-		}
+// A result line without the gate's unit is as truncated as a missing line.
+func TestAppendScanDatapointRejectsTruncated(t *testing.T) {
+	checkTruncated(t, "BENCH_SCAN.json")
+	noBytes := regexp.MustCompile(` +\d+ segbytes`).ReplaceAllString(rows["BENCH_SCAN.json"].out, "")
+	if err := appendTo(trendCopy(t, "BENCH_SCAN.json", func(*gate) {}), noBytes); err == nil || !strings.Contains(err.Error(), "segbytes") {
+		t.Errorf("output without segbytes: err = %v", err)
 	}
 }
 
-func TestAppendAppendDatapointWithoutWindowLines(t *testing.T) {
-	ingestOnly := "BenchmarkAppendIngest/oneshot-4   5   86916228 ns/op\n" +
-		"BenchmarkAppendIngest/batched-4   5   144156169 ns/op\n"
-	grown, _, err := appendAppendDatapoint([]byte(sampleAppendTrend), []byte(ingestOnly), time.Now(), "go1.24.0", "")
-	if err != nil {
-		t.Fatal(err)
+func TestCheckScanSpeedup(t *testing.T)       { checkBars(t, "BENCH_SCAN.json", "scan_speedup") }
+func TestCheckCompactionSpeedup(t *testing.T) { checkBars(t, "BENCH_SCAN.json", "compaction_speedup") }
+func TestCheckBlockParallelSpeedup(t *testing.T) {
+	checkBars(t, "BENCH_SCAN.json", "block_parallel_speedup")
+}
+
+// The compaction and parallel-strategy arms ride on the scan datapoint
+// with their own units, and a codec-only run lacks required arms.
+func TestAppendScanDatapointWithCompanions(t *testing.T) {
+	dp := checkAppend(t, "BENCH_SCAN.json")
+	if got := dp.Results["BenchmarkFragmentedScan/fragmented"]; !reflect.DeepEqual(got, map[string]float64{"ns/op": 427679, "blocks": 29, "segments": 29}) {
+		t.Errorf("fragmented result %v", got)
 	}
-	var doc map[string]any
-	if err := json.Unmarshal(grown, &doc); err != nil {
-		t.Fatal(err)
-	}
-	dp := doc["datapoints"].([]any)[0].(map[string]any)
-	if _, ok := dp["window_speedup"]; ok {
-		t.Error("window fields present without the windowed benchmark")
+	codecOnly := regexp.MustCompile(`(?m)^Benchmark(Fragmented|Parallel)Scan/.*\n`).ReplaceAllString(rows["BENCH_SCAN.json"].out, "")
+	if err := appendTo(trendCopy(t, "BENCH_SCAN.json", func(*gate) {}), codecOnly); err == nil || !strings.Contains(err.Error(), "BenchmarkFragmentedScan/") {
+		t.Errorf("codec-only output: err = %v", err)
 	}
 }
 
-func TestAppendAppendDatapointRejectsTruncated(t *testing.T) {
-	if _, _, err := appendAppendDatapoint([]byte(sampleAppendTrend), []byte("PASS\n"), time.Now(), "go1.24.0", ""); err == nil {
-		t.Fatal("empty benchmark output did not error")
-	}
-	partial := "BenchmarkAppendIngest/oneshot-4   5   86916228 ns/op\n"
-	if _, _, err := appendAppendDatapoint([]byte(sampleAppendTrend), []byte(partial), time.Now(), "go1.24.0", ""); err == nil {
-		t.Fatal("output without the batched result did not error")
-	}
-}
+func TestAppendAppendDatapoint(t *testing.T)                 { checkAppend(t, "BENCH_APPEND.json") }
+func TestAppendAppendDatapointRejectsTruncated(t *testing.T) { checkTruncated(t, "BENCH_APPEND.json") }
+func TestCheckAppendOverhead(t *testing.T)                   { checkBars(t, "BENCH_APPEND.json", "append_overhead") }
 
-const sampleClusterTrend = `{
-  "benchmark": "BenchmarkClusterReport",
-  "acceptance": "scatter <= 6x single",
-  "datapoints": []
-}`
-
-const sampleClusterBench = `goos: linux
-goarch: amd64
-pkg: repro/internal/server
-cpu: Intel(R) Xeon(R) Processor @ 2.10GHz
-BenchmarkClusterReport/single-4         	       5	   5541877 ns/op
-BenchmarkClusterReport/scatter-4        	       5	  12756531 ns/op
-PASS
-`
-
-func TestAppendClusterDatapoint(t *testing.T) {
-	now := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
-	grown, summary, err := appendClusterDatapoint([]byte(sampleClusterTrend), []byte(sampleClusterBench), now, "go1.24.0", "ci trend")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(summary, "scatter overhead 2.30x") {
-		t.Errorf("summary %q lacks the overhead ratio", summary)
-	}
-	var doc map[string]any
-	if err := json.Unmarshal(grown, &doc); err != nil {
-		t.Fatal(err)
-	}
-	if doc["acceptance"] != "scatter <= 6x single" {
-		t.Error("existing fields not preserved")
-	}
-	points := doc["datapoints"].([]any)
-	if len(points) != 1 {
-		t.Fatalf("got %d datapoints, want 1", len(points))
-	}
-	dp := points[0].(map[string]any)
-	for key, want := range map[string]any{
-		"date":              "2026-08-08",
-		"go":                "go1.24.0",
-		"single_ns_per_op":  5541877.0,
-		"scatter_ns_per_op": 12756531.0,
-		"scatter_overhead":  2.3,
-		"cpu":               "Intel(R) Xeon(R) Processor @ 2.10GHz",
-		"note":              "ci trend",
-	} {
-		if dp[key] != want {
-			t.Errorf("datapoint[%q] = %v, want %v", key, dp[key], want)
-		}
-	}
-}
-
+func TestAppendClusterDatapoint(t *testing.T) { checkAppend(t, "BENCH_CLUSTER.json") }
 func TestAppendClusterDatapointRejectsTruncated(t *testing.T) {
-	if _, _, err := appendClusterDatapoint([]byte(sampleClusterTrend), []byte("PASS\n"), time.Now(), "go1.24.0", ""); err == nil {
-		t.Fatal("empty benchmark output did not error")
-	}
-	partial := "BenchmarkClusterReport/single-4   5   5541877 ns/op\n"
-	if _, _, err := appendClusterDatapoint([]byte(sampleClusterTrend), []byte(partial), time.Now(), "go1.24.0", ""); err == nil {
-		t.Fatal("output without the scatter result did not error")
+	checkTruncated(t, "BENCH_CLUSTER.json")
+}
+func TestCheckScatterOverhead(t *testing.T) { checkBars(t, "BENCH_CLUSTER.json", "scatter_overhead") }
+
+func TestAppendObsDatapoint(t *testing.T)                 { checkAppend(t, "BENCH_OBS.json") }
+func TestAppendObsDatapointRejectsTruncated(t *testing.T) { checkTruncated(t, "BENCH_OBS.json") }
+func TestCheckMiddlewareOverhead(t *testing.T)            { checkBars(t, "BENCH_OBS.json", "mw_overhead_ns") }
+
+// TestEveryFailingBarNamed tightens every bar of every trend file at
+// once: each failing bar is named, not just the first.
+func TestEveryFailingBarNamed(t *testing.T) {
+	for file := range rows {
+		t.Run(file, func(t *testing.T) { checkBars(t, file) })
 	}
 }
 
-func TestCheckScatterOverhead(t *testing.T) {
-	trend := func(overhead float64) []byte {
-		b, _ := json.Marshal(map[string]any{"datapoints": []any{
-			map[string]any{"scatter_overhead": overhead},
-		}})
-		return b
+// TestCommittedTrendFiles decodes every committed BENCH_*.json strictly,
+// checks it is in the form benchtrend writes, and evaluates each gate on
+// the last datapoint that recorded its metric: the value recomputed from
+// the results must match the recorded one and pass the gate's bar.
+func TestCommittedTrendFiles(t *testing.T) {
+	files, err := filepath.Glob(filepath.Join("..", "..", "..", "BENCH_*.json"))
+	if err != nil || len(files) != len(rows) {
+		t.Fatalf("found %d trend files, the table covers %d (%v)", len(files), len(rows), err)
 	}
-	if err := checkScatterOverhead(trend(2.3), 6); err != nil {
-		t.Errorf("2.3x failed the 6x bar: %v", err)
-	}
-	if err := checkScatterOverhead(trend(7.5), 6); err == nil {
-		t.Error("7.5x passed the 6x bar")
-	}
-	if err := checkScatterOverhead(trend(9.9), 0); err != nil {
-		t.Errorf("disabled bar failed: %v", err)
-	}
-}
-
-func TestCheckAppendOverhead(t *testing.T) {
-	trend := func(overhead float64) []byte {
-		b, _ := json.Marshal(map[string]any{"datapoints": []any{
-			map[string]any{"append_overhead": overhead},
-		}})
-		return b
-	}
-	if err := checkAppendOverhead(trend(1.7), 3); err != nil {
-		t.Errorf("1.7x failed the 3x bar: %v", err)
-	}
-	if err := checkAppendOverhead(trend(4.1), 3); err == nil {
-		t.Error("4.1x passed the 3x bar")
-	}
-	if err := checkAppendOverhead(trend(9.9), 0); err != nil {
-		t.Errorf("disabled bar failed: %v", err)
-	}
-}
-
-const obsTrend = `{
-  "benchmark": "BenchmarkMiddlewareOverhead",
-  "acceptance": "instrumented - bare < 5000ns",
-  "datapoints": []
-}`
-
-const obsBench = `goos: linux
-goarch: amd64
-pkg: repro/internal/server
-cpu: Intel(R) Xeon(R) Processor @ 2.10GHz
-BenchmarkMiddlewareOverhead/bare-4         	  500000	         2.1 ns/op
-BenchmarkMiddlewareOverhead/instrumented-4 	  500000	      1702 ns/op
-PASS
-`
-
-func TestAppendObsDatapoint(t *testing.T) {
-	now := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
-	grown, summary, err := appendObsDatapoint([]byte(obsTrend), []byte(obsBench), now, "go1.24.0", "ci trend")
-	if err != nil {
+	bad := filepath.Join(t.TempDir(), "bad.json")
+	if err := os.WriteFile(bad, []byte(`{"gates": [{"metric": "m", "num": "a", "den": "b", "mx": 1}]}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(summary, "middleware adds 1700ns/request") {
-		t.Errorf("summary %q lacks the overhead", summary)
+	if _, err := loadTrend(bad); err == nil {
+		t.Error("a misspelled gate key loaded, disarming its bar")
 	}
-	var doc map[string]any
-	if err := json.Unmarshal(grown, &doc); err != nil {
-		t.Fatal(err)
-	}
-	points := doc["datapoints"].([]any)
-	if len(points) != 1 {
-		t.Fatalf("got %d datapoints, want 1", len(points))
-	}
-	dp := points[0].(map[string]any)
-	for key, want := range map[string]any{
-		"date":                   "2026-08-08",
-		"bare_ns_per_op":         2.0,
-		"instrumented_ns_per_op": 1702.0,
-		"mw_overhead_ns":         1699.0, // int64(1702 - 2.1)
-		"note":                   "ci trend",
-	} {
-		if dp[key] != want {
-			t.Errorf("datapoint[%q] = %v, want %v", key, dp[key], want)
+	for _, f := range files {
+		if _, ok := rows[filepath.Base(f)]; !ok {
+			t.Errorf("%s has no table row", f)
 		}
-	}
-}
-
-func TestAppendObsDatapointRejectsTruncated(t *testing.T) {
-	truncated := strings.Replace(obsBench, "BenchmarkMiddlewareOverhead/instrumented", "BenchmarkSomethingElse/instrumented", 1)
-	if _, _, err := appendObsDatapoint([]byte(obsTrend), []byte(truncated), time.Now(), "go1.24.0", ""); err == nil {
-		t.Error("truncated output should error, not append garbage")
-	}
-}
-
-func TestCheckMiddlewareOverhead(t *testing.T) {
-	grown := []byte(`{"datapoints": [{"mw_overhead_ns": 1700}]}`)
-	if err := checkMiddlewareOverhead(grown, 0); err != nil {
-		t.Errorf("disabled gate should pass: %v", err)
-	}
-	if err := checkMiddlewareOverhead(grown, 5000); err != nil {
-		t.Errorf("1700ns under a 5000ns bar should pass: %v", err)
-	}
-	if err := checkMiddlewareOverhead(grown, 1000); err == nil {
-		t.Error("1700ns over a 1000ns bar should fail")
+		tf, raw := load(t, f)
+		if b, _ := encodeTrend(tf); !bytes.Equal(b, raw) {
+			t.Errorf("%s is not in the form benchtrend writes", f)
+		}
+		for _, g := range tf.Gates {
+			var dp *datapoint
+			for i := range tf.Datapoints {
+				if _, ok := tf.Datapoints[i].Metrics[g.Metric]; ok {
+					dp = &tf.Datapoints[i]
+				}
+			}
+			if dp == nil {
+				t.Errorf("%s: no datapoint records %s", f, g.Metric)
+				continue
+			}
+			v, err := g.value(dp.Results)
+			if err != nil {
+				t.Errorf("%s: %v", f, err)
+				continue
+			}
+			// Datapoints older than this format kept whole-nanosecond
+			// results, so their recorded metrics may differ by rounding.
+			if rec := dp.Metrics[g.Metric]; math.Abs(v-rec) > 0.01*math.Max(1, math.Abs(rec)) {
+				t.Errorf("%s: %s recomputes to %.2f, recorded %.2f", f, g.Metric, v, rec)
+			}
+			if why := g.check(v, dp.Procs); why != "" {
+				t.Errorf("%s: %s", f, why)
+			}
+		}
 	}
 }
