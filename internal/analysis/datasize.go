@@ -18,6 +18,7 @@ import (
 	"sort"
 	"sync"
 
+	"repro/internal/binenc"
 	"repro/internal/stats"
 	"repro/internal/trace"
 )
@@ -39,20 +40,41 @@ type DataSizes struct {
 // making memory independent of job count at ≤ half-bin relative quantile
 // error (stats.DefaultBinsPerDecade).
 //
-// Exact mode keeps a sorted-prefix invariant: the first sorted values of
-// each column are ascending, each column on its own (Figure 1 plots
-// three independent distributions, so no row pairing is kept). Observe
-// appends past the prefix; Freeze sorts the tail into it. A frozen
-// builder (the whole of every column sorted) finalizes without copying
-// or sorting, and merges with another frozen builder in linear time.
+// Exact mode keeps each column on its own (Figure 1 plots three
+// independent distributions, so no row pairing is kept) as a few
+// immutable ascending runs plus a private unsorted tail. Observe
+// appends to the tail; Freeze sorts it into a new run and merges runs
+// of similar size into a fresh one, so a column holds O(log N) runs and
+// a value moves O(log N) times however small the batches between
+// Freezes. No builder writes a run once it is made: Clone shares runs,
+// and a frozen builder (no tail) finalizes without copying or sorting.
 type DataSizeBuilder struct {
 	workload     string
 	sketch       bool
-	in, sh, out  []float64
-	sorted       int
+	cols         [3]column // input, shuffle, output
 	hin, hsh, ho *stats.QuantileSketch
 	n            int
 }
+
+// column is one exact-mode sample column.
+type column struct {
+	// runs are ascending, oldest (and largest) first, and never written
+	// once made. The list itself is the builder's own.
+	runs [][]float64
+	// tail holds the values observed since the last Freeze.
+	tail []float64
+}
+
+// runRatio is the size ratio Freeze keeps between neighbouring runs:
+// while the older of the two newest runs holds fewer than runRatio
+// times the newer's values, the two merge, so runs shrink at least
+// four-fold from oldest to newest. Runs cost each report a search per
+// run, moves cost each append a copy. Appending ~50-job batches to a
+// trace of 15k jobs until it holds 55k (the live-append benchmark's
+// shape), a ratio of 4 keeps at most 5 runs (3.4 on average) for about
+// 13 moves per appended value; 2 would keep up to 10 for 11 moves, and
+// 8 up to 4 for 18.
+const runRatio = 4
 
 // NewDataSizeBuilder starts a Figure 1 accumulation. sketch selects the
 // fixed-memory mode.
@@ -75,89 +97,159 @@ func (b *DataSizeBuilder) Observe(j *trace.Job) {
 		b.ho.Observe(float64(j.OutputBytes))
 		return
 	}
-	b.in = append(b.in, float64(j.InputBytes))
-	b.sh = append(b.sh, float64(j.ShuffleBytes))
-	b.out = append(b.out, float64(j.OutputBytes))
+	b.cols[0].tail = append(b.cols[0].tail, float64(j.InputBytes))
+	b.cols[1].tail = append(b.cols[1].tail, float64(j.ShuffleBytes))
+	b.cols[2].tail = append(b.cols[2].tail, float64(j.OutputBytes))
 }
 
-// columns returns the exact-mode sample columns.
-func (b *DataSizeBuilder) columns() [3][]float64 { return [3][]float64{b.in, b.sh, b.out} }
+// frozen reports whether no exact-mode value waits in a tail (always
+// true in sketch mode, which keeps no columns). The columns observe
+// together, so their tails are equally long.
+func (b *DataSizeBuilder) frozen() bool { return len(b.cols[0].tail) == 0 }
 
-// frozen reports whether every exact-mode column is fully sorted (always
-// true in sketch mode, which keeps no columns).
-func (b *DataSizeBuilder) frozen() bool { return b.sorted == len(b.in) }
-
-// Freeze sorts the exact-mode columns so Result can share them. Only the
-// unsorted tail is sorted, then merged into the sorted prefix in place:
-// refreezing after b new observations costs O(N + b log b), not a full
-// sort. Freeze is a no-op on a frozen builder and in sketch mode. It
-// mutates the columns, so a builder whose Result is still in use must
-// not be observed into and refrozen.
+// Freeze makes every exact-mode value part of a run, so Result can
+// share the columns: each column's tail is sorted into a new run, and
+// runs merge per runRatio. Refreezing after b new observations costs
+// O(b log b) plus amortized O(b log N) moves, not O(N). Freeze is a
+// no-op on a frozen builder and in sketch mode. It writes no run, so
+// Results and clones taken earlier are unaffected.
 func (b *DataSizeBuilder) Freeze() {
 	if b.frozen() {
 		return
 	}
-	for _, col := range b.columns() {
-		mergeTail(col, b.sorted)
-	}
-	b.sorted = len(b.in)
-}
-
-// mergeTail sorts col[k:] and merges it into the ascending prefix
-// col[:k] in place, with a copy of the tail as the only scratch space.
-func mergeTail(col []float64, k int) {
-	slices.Sort(col[k:])
-	if k > 0 && k < len(col) && col[k-1] > col[k] {
-		mergeInto(col[:k], slices.Clone(col[k:]))
+	for c := range b.cols {
+		b.cols[c].freeze()
 	}
 }
 
-// mergeInto merges ascending b into ascending a and returns the result:
-// in place, walking from the back, when a has the capacity, otherwise
-// in a grown copy of a. b is only read, and must not overlap a's spare
-// capacity. The values of b no larger than a's smallest move to the
-// front in one copy, which keeps a long run of the minimum (the zero
-// shuffle of map-only jobs) out of the loop. The loop picks each output
-// without a data-dependent branch: the inputs interleave at random, so
-// a branch would mispredict half the time.
-func mergeInto(a, b []float64) []float64 {
-	i := len(a) - 1
-	lo := 0
-	if i >= 0 {
-		lo = sort.Search(len(b), func(k int) bool { return b[k] > a[0] })
+// freeze sorts the tail into a new run, then merges the two newest
+// runs into a fresh one while the older holds fewer than runRatio times
+// the newer's values.
+func (c *column) freeze() {
+	run := c.tail[:len(c.tail):len(c.tail)]
+	slices.Sort(run)
+	c.tail = nil
+	c.runs = append(c.runs, run)
+	for k := len(c.runs); k >= 2 && len(c.runs[k-2]) < runRatio*len(c.runs[k-1]); k-- {
+		c.runs[k-2] = mergeRuns(c.runs[k-2 : k])
+		c.runs[k-1] = nil
+		c.runs = c.runs[:k-1]
 	}
-	a = slices.Grow(a, len(b))[:len(a)+len(b)]
-	j, w := len(b)-1, len(a)-1
-	for ; i >= 0 && j >= lo; w-- {
-		x, y := a[i], b[j]
-		fromA := 0
-		if x > y {
-			fromA = 1
+}
+
+// distribution finalizes the column: one run is wrapped as it stands,
+// as NewSortedCDF always did; several are answered across the runs by
+// stats.RunsCDF, with the same bits; an unfrozen column is copied and
+// sorted.
+func (c *column) distribution() stats.Distribution {
+	switch {
+	case len(c.tail) > 0:
+		s := slices.Concat(append(slices.Clone(c.runs), c.tail)...)
+		slices.Sort(s)
+		return stats.NewSortedCDF(s)
+	case len(c.runs) == 1:
+		return stats.NewSortedCDF(c.runs[0])
+	default:
+		return stats.NewRunsCDF(c.runs)
+	}
+}
+
+// mergeRuns returns the ascending merge of runs in one freshly
+// allocated array. It merges pairwise, keeping the merged prefix of
+// runs at the end of the result and writing each next merge forward
+// into the space before it, so no second buffer is needed. It serves
+// Freeze's merges of neighbouring runs and Merge's of frozen builders.
+func mergeRuns(runs [][]float64) []float64 {
+	n := 0
+	for _, r := range runs {
+		n += len(r)
+	}
+	out := make([]float64, n)
+	if len(runs) < 2 {
+		for _, r := range runs {
+			copy(out, r)
 		}
-		a[w] = max(x, y)
-		i -= fromA
-		j -= 1 - fromA
+		return out
 	}
-	// What is left: a's smallest values, to shift up past b[:lo], or
-	// b's, which end at the front.
-	copy(a[lo:], a[:i+1])
-	copy(a, b[:j+1])
-	return a
+	acc := runs[0]
+	for _, r := range runs[1:] {
+		dst := out[n-len(acc)-len(r):]
+		mergePair(dst, acc, r)
+		acc = dst
+	}
+	return out
+}
+
+// mergePair writes the ascending merge of ascending a and b into dst,
+// which holds exactly their values. One input may be the end of dst
+// itself (mergeRuns keeps its accumulated run there): the writes move
+// forward and never overtake that input's unread values, and copy
+// handles the overlap. The leading values of each input that sort
+// before the other's first move in one copy, which keeps a long run of
+// the minimum (the zero shuffle of map-only jobs) out of the loop. The
+// loop picks each output without a data-dependent branch: the inputs
+// interleave at random, so a branch would mispredict half the time.
+func mergePair(dst, a, b []float64) {
+	if len(b) > 0 && (len(a) == 0 || b[0] < a[0]) {
+		a, b = b, a
+	}
+	i, j := len(a), 0
+	if len(b) > 0 {
+		i = sort.Search(len(a), func(k int) bool { return a[k] > b[0] })
+	}
+	w := copy(dst, a[:i])
+	if i < len(a) {
+		j = sort.Search(len(b), func(k int) bool { return b[k] >= a[i] })
+		w += copy(dst[w:], b[:j])
+	}
+	for i < len(a) && j < len(b) {
+		x, y := a[i], b[j]
+		fromB := 0
+		if y < x {
+			fromB = 1
+		}
+		dst[w] = min(x, y)
+		w++
+		j += fromB
+		i += 1 - fromB
+	}
+	w += copy(dst[w:], a[i:])
+	copy(dst[w:], b[j:])
+}
+
+// Clone returns a builder that shares this one's runs, which no
+// builder writes, and copies everything else: the run lists and tails
+// in exact mode, the sketches in sketch mode. Observing into, freezing
+// or merging into either builder afterwards never changes the other.
+func (b *DataSizeBuilder) Clone() *DataSizeBuilder {
+	c := *b
+	for i := range c.cols {
+		c.cols[i] = column{runs: slices.Clone(b.cols[i].runs), tail: slices.Clone(b.cols[i].tail)}
+	}
+	if b.sketch {
+		c.hin, c.hsh, c.ho = cloneSketch(b.hin), cloneSketch(b.hsh), cloneSketch(b.ho)
+	}
+	return &c
+}
+
+// cloneSketch copies a sketch through its exact binary encoding.
+func cloneSketch(s *stats.QuantileSketch) *stats.QuantileSketch {
+	return stats.ReadQuantileSketch(binenc.NewReader(s.AppendBinary(nil)))
 }
 
 // Merge folds other builders into this one. All must cover the same
 // workload and have been built in the same mode (exact or sketch). In
 // exact mode, when the receiver and every argument are frozen, each
-// column is reserved once for all of them and the sorted columns are
-// merged in linearly, in place, the three columns concurrently: the
-// receiver stays frozen. Otherwise the arguments' samples are appended
-// after the receiver's sorted prefix, for Freeze or Result to sort. In
-// sketch mode the fixed-memory sketches merge exactly
-// (stats.QuantileSketch). Either way, shard-built-then-merged Result()
-// matches sequential observation of the same jobs. The arguments are
-// not modified, and the receiver shares no memory with them afterwards.
+// column's runs, the receiver's and the arguments', merge linearly into
+// one fresh run, the three columns concurrently: the receiver stays
+// frozen. Otherwise the arguments' samples are appended to the
+// receiver's tail, for Freeze or Result to sort. In sketch mode the
+// fixed-memory sketches merge exactly (stats.QuantileSketch). Either
+// way, shard-built-then-merged Result() matches sequential observation
+// of the same jobs. The arguments are not modified, and the receiver
+// shares no mutable memory with them afterwards.
 func (b *DataSizeBuilder) Merge(os ...*DataSizeBuilder) error {
-	sorted := b.frozen()
+	frozen := b.frozen()
 	added := 0
 	for _, o := range os {
 		if b.workload != o.workload {
@@ -166,8 +258,8 @@ func (b *DataSizeBuilder) Merge(os ...*DataSizeBuilder) error {
 		if b.sketch != o.sketch {
 			return fmt.Errorf("analysis: cannot merge exact and sketch data-size builders")
 		}
-		sorted = sorted && o.frozen()
-		added += len(o.in)
+		frozen = frozen && o.frozen()
+		added += o.n
 	}
 	for _, o := range os {
 		if b.sketch {
@@ -180,30 +272,37 @@ func (b *DataSizeBuilder) Merge(os ...*DataSizeBuilder) error {
 			if err := b.ho.Merge(o.ho); err != nil {
 				return err
 			}
-		} else if !sorted {
-			b.in = append(b.in, o.in...)
-			b.sh = append(b.sh, o.sh...)
-			b.out = append(b.out, o.out...)
 		}
 		b.n += o.n
 	}
-	if !sorted || added == 0 {
+	if b.sketch || added == 0 {
+		return nil
+	}
+	if !frozen {
+		for c := range b.cols {
+			col := &b.cols[c]
+			for _, o := range os {
+				for _, r := range o.cols[c].runs {
+					col.tail = append(col.tail, r...)
+				}
+				col.tail = append(col.tail, o.cols[c].tail...)
+			}
+		}
 		return nil
 	}
 	var wg sync.WaitGroup
-	for c, col := range [3]*[]float64{&b.in, &b.sh, &b.out} {
+	for c := range b.cols {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			merged := slices.Grow(*col, added)
+			runs := slices.Clone(b.cols[c].runs)
 			for _, o := range os {
-				merged = mergeInto(merged, o.columns()[c])
+				runs = append(runs, o.cols[c].runs...)
 			}
-			*col = merged
+			b.cols[c].runs = [][]float64{mergeRuns(runs)}
 		}()
 	}
 	wg.Wait()
-	b.sorted = len(b.in)
 	return nil
 }
 
@@ -219,24 +318,20 @@ func (b *DataSizeBuilder) Result() (*DataSizes, error) {
 	if b.sketch {
 		return &DataSizes{Workload: b.workload, Input: b.hin, Shuffle: b.hsh, Output: b.ho}, nil
 	}
-	cdf := stats.NewCDF
-	if b.frozen() {
-		cdf = stats.NewSortedCDF
-	}
 	return &DataSizes{
 		Workload: b.workload,
-		Input:    cdf(b.in),
-		Shuffle:  cdf(b.sh),
-		Output:   cdf(b.out),
+		Input:    b.cols[0].distribution(),
+		Shuffle:  b.cols[1].distribution(),
+		Output:   b.cols[2].distribution(),
 	}, nil
 }
 
 // DataSizeCDFs computes Figure 1's exact distributions for a trace.
 func DataSizeCDFs(t *trace.Trace) (*DataSizes, error) {
 	b := NewDataSizeBuilder(t.Meta.Name, false)
-	b.in = make([]float64, 0, t.Len())
-	b.sh = make([]float64, 0, t.Len())
-	b.out = make([]float64, 0, t.Len())
+	for c := range b.cols {
+		b.cols[c].tail = make([]float64, 0, t.Len())
+	}
 	for _, j := range t.Jobs {
 		b.Observe(j)
 	}

@@ -19,8 +19,11 @@ import (
 // builder's, and it remains a valid merge partner for future shards.
 
 // AppendBinary appends the Figure 1 builder state. Exact mode stores
-// the three per-job sample arrays verbatim; sketch mode stores the
-// three fixed-memory sketches.
+// each column as one array: its runs merged ascending, then its tail as
+// observed. A frozen builder therefore encodes as the sorted columns of
+// its values whatever runs hold them, so a partial built by appends
+// snapshots byte for byte like the one-shot frozen partial of the same
+// jobs. Sketch mode stores the three fixed-memory sketches.
 func (b *DataSizeBuilder) AppendBinary(buf []byte) []byte {
 	buf = binenc.AppendString(buf, b.workload)
 	buf = binenc.AppendBool(buf, b.sketch)
@@ -30,9 +33,14 @@ func (b *DataSizeBuilder) AppendBinary(buf []byte) []byte {
 		buf = b.hsh.AppendBinary(buf)
 		return b.ho.AppendBinary(buf)
 	}
-	for _, col := range b.columns() {
-		buf = binenc.AppendUvarint(buf, uint64(len(col)))
-		buf = binenc.AppendFloat64s(buf, col)
+	for _, col := range b.cols {
+		buf = binenc.AppendUvarint(buf, uint64(b.n))
+		if len(col.runs) == 1 {
+			buf = binenc.AppendFloat64s(buf, col.runs[0])
+		} else if len(col.runs) > 1 {
+			buf = binenc.AppendFloat64s(buf, mergeRuns(col.runs))
+		}
+		buf = binenc.AppendFloat64s(buf, col.tail)
 	}
 	return buf
 }
@@ -44,7 +52,7 @@ func (b *DataSizeBuilder) EncodedSize() int {
 	if b.sketch {
 		return n + b.hin.EncodedSize() + b.hsh.EncodedSize() + b.ho.EncodedSize()
 	}
-	return n + 3*binenc.MaxVarintLen + 8*(len(b.in)+len(b.sh)+len(b.out))
+	return n + 3*binenc.MaxVarintLen + 3*8*b.n
 }
 
 // stringSize bounds the bytes binenc.AppendString appends for s.
@@ -55,10 +63,11 @@ func stringSize(s string) int { return binenc.MaxVarintLen + len(s) }
 func (b *DataSizeBuilder) Sketch() bool { return b.sketch }
 
 // ReadDataSizeBuilder decodes a builder written by AppendBinary. It
-// never sorts: the decoded builder is frozen exactly when every column
-// was stored ascending (an O(N) check), otherwise its sorted prefix is
-// the longest one the three columns share. It errors when an exact-mode
-// column's length disagrees with the job count.
+// never sorts: each column's longest prefix that is ascending in all
+// three columns becomes its one run (the whole column, in an O(N)
+// check, for a frozen builder's snapshot) and the rest its tail. It
+// errors when an exact-mode column's length disagrees with the job
+// count.
 func ReadDataSizeBuilder(r *binenc.Reader) (*DataSizeBuilder, error) {
 	b := &DataSizeBuilder{
 		workload: r.String(),
@@ -71,21 +80,29 @@ func ReadDataSizeBuilder(r *binenc.Reader) (*DataSizeBuilder, error) {
 		b.ho = stats.ReadQuantileSketch(r)
 		return b, nil
 	}
-	b.sorted = b.n
-	for _, col := range []*[]float64{&b.in, &b.sh, &b.out} {
+	var cols [3][]float64
+	sorted := b.n
+	for c := range cols {
 		n := r.Count(8)
 		if r.Err() == nil && n != b.n {
 			return nil, fmt.Errorf("analysis: data-size column holds %d samples for %d jobs", n, b.n)
 		}
-		*col = make([]float64, n)
-		r.Float64s(*col)
-		for i := 1; i < min(b.sorted, n); i++ {
-			if (*col)[i] < (*col)[i-1] {
-				b.sorted = i
+		col := make([]float64, n)
+		r.Float64s(col)
+		for i := 1; i < min(sorted, n); i++ {
+			if col[i] < col[i-1] {
+				sorted = i
 			}
 		}
+		cols[c] = col
 	}
-	b.sorted = min(b.sorted, len(b.in))
+	for c, col := range cols {
+		k := min(sorted, len(col))
+		if k > 0 {
+			b.cols[c].runs = [][]float64{col[:k:k]}
+		}
+		b.cols[c].tail = col[k:]
+	}
 	return b, nil
 }
 

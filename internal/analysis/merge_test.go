@@ -271,11 +271,13 @@ func TestNamesMergeMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestMergeIntoMatchesSort pins the in-place merge behind Freeze and
-// frozen Merge against a plain sort: two ascending runs, or a run and
-// an unsorted tail, with long runs of the minimum, duplicates and empty
-// sides, merge to the sorted concatenation.
-func TestMergeIntoMatchesSort(t *testing.T) {
+// TestMergeRunsMatchesSort pins the merge behind Freeze and frozen
+// Merge against a plain sort: ascending runs with long runs of the
+// minimum, duplicates and empty inputs, merged two or more at a time,
+// give the sorted concatenation and leave their inputs unmodified; and
+// a column frozen after every small batch keeps runs that shrink by
+// runRatio and hold its values sorted.
+func TestMergeRunsMatchesSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	run := func(n int) []float64 {
 		s := make([]float64, n)
@@ -288,17 +290,44 @@ func TestMergeIntoMatchesSort(t *testing.T) {
 		return s
 	}
 	for trial := 0; trial < 500; trial++ {
-		a, b := run(rng.Intn(40)), run(rng.Intn(40))
-		want := append(slices.Clone(a), b...)
-		slices.Sort(want)
-		if got := mergeInto(slices.Clone(a), b); !slices.Equal(got, want) {
-			t.Fatalf("mergeInto(%v, %v) = %v, want %v", a, b, got, want)
+		runs := make([][]float64, 1+rng.Intn(5))
+		var want []float64
+		for i := range runs {
+			runs[i] = run(rng.Intn(40))
+			want = append(want, runs[i]...)
 		}
-		col := append(slices.Clone(a), b...)
-		rng.Shuffle(len(b), func(i, j int) { col[len(a)+i], col[len(a)+j] = col[len(a)+j], col[len(a)+i] })
-		mergeTail(col, len(a))
-		if !slices.Equal(col, want) {
-			t.Fatalf("mergeTail(%v | %v) = %v, want %v", a, b, col, want)
+		slices.Sort(want)
+		before := make([][]float64, len(runs))
+		for i, r := range runs {
+			before[i] = slices.Clone(r)
+		}
+		if got := mergeRuns(runs); !slices.Equal(got, want) {
+			t.Fatalf("mergeRuns(%v) = %v, want %v", runs, got, want)
+		}
+		for i := range runs {
+			if !slices.Equal(runs[i], before[i]) {
+				t.Fatalf("mergeRuns modified run %d", i)
+			}
+		}
+	}
+	var col column
+	var all []float64
+	for batch := 0; batch < 300; batch++ {
+		for i := rng.Intn(9); i > 0; i-- {
+			v := float64(rng.Intn(1000))
+			col.tail = append(col.tail, v)
+			all = append(all, v)
+		}
+		col.freeze()
+		for k := 1; k < len(col.runs); k++ {
+			if len(col.runs[k-1]) < runRatio*len(col.runs[k]) {
+				t.Fatalf("batch %d: run sizes %d then %d break the ratio %d", batch, len(col.runs[k-1]), len(col.runs[k]), runRatio)
+			}
+		}
+		want := slices.Clone(all)
+		slices.Sort(want)
+		if got := mergeRuns(col.runs); !slices.Equal(got, want) {
+			t.Fatalf("batch %d: frozen column holds %v, want %v", batch, got, want)
 		}
 	}
 }

@@ -106,6 +106,17 @@ func (b *NamesBuilder) Observe(j *trace.Job) {
 	b.totTask.Add(float64(j.TotalTaskTime()))
 }
 
+// Clone returns an independent copy of the builder, in O(words).
+func (b *NamesBuilder) Clone() *NamesBuilder {
+	c := *b
+	c.totTask = b.totTask.Clone()
+	c.groups = make(map[string]*nameAgg, len(b.groups))
+	for w, g := range b.groups {
+		c.groups[w] = &nameAgg{jobs: g.jobs, bytes: g.bytes, taskTime: g.taskTime.Clone()}
+	}
+	return &c
+}
+
 // Merge folds another builder's buckets into this one. Both must cover
 // the same workload. The argument is not modified.
 func (b *NamesBuilder) Merge(o *NamesBuilder) error {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"repro/internal/stats"
@@ -93,6 +94,20 @@ func (b *TimeSeriesBuilder) Observe(j *trace.Job) {
 	b.bytes[h] += j.TotalBytes()
 	b.task[h].Add(float64(j.TotalTaskTime()))
 	spreadTaskTime(b.spread, b.start, j)
+}
+
+// Clone returns an independent copy of the builder, in O(hours).
+func (b *TimeSeriesBuilder) Clone() *TimeSeriesBuilder {
+	c := *b
+	c.jobs = slices.Clone(b.jobs)
+	c.bytes = slices.Clone(b.bytes)
+	c.task = make([]stats.ExactSum, b.hours)
+	c.spread = make([]stats.ExactSum, b.hours)
+	for h := range b.task {
+		c.task[h] = b.task[h].Clone()
+		c.spread[h] = b.spread[h].Clone()
+	}
+	return &c
 }
 
 // Merge folds another builder's bins into this one. Both builders must

@@ -220,6 +220,34 @@ func TestFrozenPartialProducers(t *testing.T) {
 			}
 			return published
 		}},
+		{"Clone/append-small", tr, func(t *testing.T) *core.Partial {
+			// Small batches, as a live feed sends them: every Freeze seals
+			// a 7-job run and hundreds of runs merge. A clone published
+			// mid-way must keep its report bytes while the original goes
+			// on observing, refreezing and merging runs.
+			live, err := core.NewPartial(tr.Meta, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var published, mid *core.Partial
+			var midReport []byte
+			for i := 0; i < tr.Len(); i += 7 {
+				for _, j := range tr.Jobs[i:min(i+7, tr.Len())] {
+					live.Observe(j)
+				}
+				live.Freeze()
+				if published, err = live.Clone(); err != nil {
+					t.Fatal(err)
+				}
+				if mid == nil && i >= tr.Len()/2 {
+					mid, midReport = published, report(t, published)
+				}
+			}
+			if !bytes.Equal(report(t, mid), midReport) {
+				t.Fatal("a published clone changed as the original went on appending")
+			}
+			return published
+		}},
 		{"Merge/frozen+frozen", tr, func(t *testing.T) *core.Partial {
 			a, b := halves(t, true)
 			return mergeUnmodified(t, a, b)
@@ -296,12 +324,34 @@ func TestFrozenPartialProducers(t *testing.T) {
 
 // TestFrozenPartialConcurrentReaders: readers of one shared frozen
 // partial (Report, MarshalBinary, Clone) race a writer that observes
-// into, refreezes and clones its own private partial — the append
-// session beside report traffic. Run under -race.
+// into, refreezes and clones its own private partial in small batches —
+// the append session beside report traffic. The shared partial is
+// itself a clone the writer published mid-way, so the readers walk
+// runs the writer keeps merging past. Run under -race.
 func TestFrozenPartialConcurrentReaders(t *testing.T) {
 	tr := freezeTrace(t, "CC-b", 2, 26*time.Hour)
-	shared := frozen(t, tr)
-	wantReport, wantSnap := report(t, shared), snapshot(t, shared)
+	live, err := core.NewPartial(tr.Meta, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const batch = 13
+	half := tr.Len() / 2 / batch * batch
+	for i := 0; i < half; i += batch {
+		for _, j := range tr.Jobs[i : i+batch] {
+			live.Observe(j)
+		}
+		live.Freeze()
+	}
+	shared, err := live.Clone()
+	if err != nil {
+		t.Fatal(err)
+	}
+	prefix := &trace.Trace{Meta: tr.Meta, Jobs: tr.Jobs[:half]}
+	wantReport, wantSnap := report(t, build(t, prefix)), snapshot(t, frozen(t, prefix))
+	if !bytes.Equal(report(t, shared), wantReport) || !bytes.Equal(snapshot(t, shared), wantSnap) {
+		t.Fatal("clone of a partial frozen batch by batch diverges from the one-shot build")
+	}
+	fullReport := report(t, build(t, tr))
 
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
@@ -329,13 +379,8 @@ func TestFrozenPartialConcurrentReaders(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		live, err := core.NewPartial(tr.Meta, false)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		for i := 0; i < tr.Len(); i += 997 {
-			for _, j := range tr.Jobs[i:min(i+997, tr.Len())] {
+		for i := half; i < tr.Len(); i += batch {
+			for _, j := range tr.Jobs[i:min(i+batch, tr.Len())] {
 				live.Observe(j)
 			}
 			live.Freeze()
@@ -344,7 +389,7 @@ func TestFrozenPartialConcurrentReaders(t *testing.T) {
 				return
 			}
 		}
-		if !bytes.Equal(report(t, live), wantReport) {
+		if !bytes.Equal(report(t, live), fullReport) {
 			t.Error("private refrozen partial diverged")
 		}
 	}()

@@ -78,12 +78,14 @@ func (p *Partial) Meta() trace.Meta { return p.meta }
 func (p *Partial) Sketch() bool { return p.sketch }
 
 // Freeze readies the partial for sharing: it sorts the exact Figure 1
-// columns (only what was observed since the last Freeze, merged into
-// the sorted rest in place), so every Report wraps them without copying
-// or sorting and a Merge of two frozen partials is a linear merge. It is
-// a no-op in sketch mode and on a frozen partial. Observe after Freeze
-// is allowed on a private partial (the live-append session refreezes
-// every batch); the builders themselves never freeze.
+// values observed since the last Freeze into a new immutable run
+// (merging runs of similar size into fresh ones, see
+// analysis.DataSizeBuilder), so every Report wraps the runs without
+// copying or sorting and a Merge of two frozen partials is a linear
+// merge. It is a no-op in sketch mode and on a frozen partial. Observe
+// after Freeze is allowed on a private partial (the live-append session
+// refreezes every batch, at O(batch log N)); it never disturbs Reports
+// or clones taken before. The builders themselves never freeze.
 func (p *Partial) Freeze() { p.ds.Freeze() }
 
 // Merge folds other partials into this one. All must describe the same
@@ -119,10 +121,10 @@ func (p *Partial) Merge(os ...*Partial) error {
 // Figure 10 (topNames words; 0 means the default 8). Finalization is
 // read-only — a frozen partial can serve concurrent Report calls — and
 // repeatable. The returned report shares the partial's distribution
-// state in sketch mode and, on a frozen partial, its sorted exact
-// columns; callers must not mutate it, nor Observe into and refreeze
-// the partial while the report is in use. An unfrozen exact partial
-// copies and sorts its columns on every call.
+// state in sketch mode and, on a frozen partial, its immutable sorted
+// runs; callers must not mutate it, nor Observe into a sketch-mode
+// partial while the report is in use. An unfrozen exact partial copies
+// and sorts its columns on every call.
 func (p *Partial) Report(topNames int) (*Report, error) {
 	if p.n == 0 {
 		return nil, fmt.Errorf("core: cannot analyze an empty trace")

@@ -116,17 +116,21 @@ func UnmarshalPartial(data []byte) (*Partial, error) {
 	return p, nil
 }
 
-// Clone returns an independent deep copy of the partial: mutating the
-// original (further Observe calls) never changes the clone, and the
-// clone's Report bytes are identical to the original's at the moment of
-// the copy. The live-ingest path uses this to publish a frozen snapshot
-// per committed batch while keeping one private mutable accumulator;
-// the clone of a frozen partial is frozen. Implemented as a snapshot
-// round trip, which the persistence suite pins as byte-exact.
+// Clone returns an independent copy of the partial: mutating the
+// original (further Observe, Freeze or Merge calls) never changes the
+// clone, and the clone's Report bytes are identical to the original's
+// at the moment of the copy. It costs O(runs + hours + words) plus the
+// unfrozen tail, not O(jobs): the clone shares the original's Figure 1
+// runs, which no partial writes once made, and copies everything else —
+// the run lists and tail, the hourly bins with their exact sums, the
+// name buckets and the summary. The live-ingest path uses this to
+// publish a frozen partial per committed batch while keeping one
+// private mutable accumulator; the clone of a frozen partial is frozen.
 func (p *Partial) Clone() (*Partial, error) {
-	b, err := p.MarshalBinary()
-	if err != nil {
-		return nil, err
-	}
-	return UnmarshalPartial(b)
+	c := *p
+	c.sum = trace.RestoreSummaryAccumulator(p.sum.Summary())
+	c.ds = p.ds.Clone()
+	c.ts = p.ts.Clone()
+	c.nb = p.nb.Clone()
+	return &c, nil
 }

@@ -21,16 +21,19 @@ import (
 // upload of the same prefix would have produced, so readers never see
 // an "appending" trace as anything but a normal (shorter) trace.
 //
-// The machinery that makes a batch cheap is all incremental:
+// The machinery that makes a batch cost O(batch log N), not O(trace),
+// is all incremental:
 //   - the fingerprint extends a running trace.Hasher (the canonical
 //     JSONL hash is a stream hash, so in-order appends extend it);
-//   - the aggregate extends a private mutable core.Partial, and each
-//     commit refreezes it (sorting only the batch's samples into the
-//     sorted rest) and publishes an immutable deep copy
-//     (append-and-refreeze: published partials stay frozen, as the
-//     entry contract requires);
+//   - the aggregate extends a private mutable core.Partial; each commit
+//     refreezes it (the batch's samples become a new immutable sorted
+//     run) and publishes a clone that shares those runs and copies only
+//     the hourly and name sections (append-and-refreeze: published
+//     partials stay frozen, as the entry contract requires);
 //   - the segments extend storage's open append generation, with the
-//     manifest commit per batch as the durability point.
+//     manifest commit per batch as the durability point; the partial
+//     snapshot is rewritten only at checkpoints, and recovery replays
+//     the jobs committed after the last one.
 //
 // Incremental hashing and hourly binning both need the header fixed up
 // front, so an appended trace must declare complete metadata (start +

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/trace"
 	"repro/internal/units"
 )
@@ -137,50 +138,91 @@ func TestAppendEquivalence(t *testing.T) {
 
 // TestAppendDurability restarts the server after batched appends (and a
 // torn uncommitted tail) and requires recovery at the last committed
-// batch boundary.
+// batch boundary. In the small-batch arm the committed partial snapshot
+// is a checkpoint that lags the last batch, so the recovered partial
+// replays the jobs past it, and must report the bytes of a one-shot
+// upload of the same jobs.
 func TestAppendDurability(t *testing.T) {
-	dir := t.TempDir()
 	tr := genTrace(t, "CC-b", 9, 26*time.Hour)
+	for _, arm := range []struct {
+		name    string
+		batches int
+	}{{"k=3", 3}, {"small", tr.Len() / 20}} {
+		t.Run(arm.name, func(t *testing.T) {
+			dir := t.TempDir()
+			s1, ts1 := diskServer(t, dir, Config{})
+			live := appendTrace(t, ts1, "live", tr, arm.batches)
+			ts1.Close()
+			if err := s1.Close(); err != nil {
+				t.Fatal(err)
+			}
 
-	s1, ts1 := diskServer(t, dir, Config{})
-	live := appendTrace(t, ts1, "live", tr, 3)
-	ts1.Close()
-	if err := s1.Close(); err != nil {
-		t.Fatal(err)
-	}
+			// A torn tail past the committed boundary, as a crash
+			// mid-append leaves behind.
+			segs, err := filepath.Glob(filepath.Join(dir, "traces", "live", "*.seg"))
+			if err != nil || len(segs) == 0 {
+				t.Fatalf("no segments: %v", err)
+			}
+			f, err := os.OpenFile(segs[len(segs)-1], os.O_WRONLY|os.O_APPEND, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.Write([]byte("half a batch, never committed")); err != nil {
+				t.Fatal(err)
+			}
+			f.Close()
+			if covered := checkpointJobs(t, filepath.Join(dir, "traces", "live")); arm.batches > 3 && covered == tr.Len() {
+				t.Fatalf("the checkpoint covers all %d jobs; the small-batch arm needs a lagging one", covered)
+			}
 
-	// A torn tail past the committed boundary, as a crash mid-append
-	// leaves behind.
-	segs, err := filepath.Glob(filepath.Join(dir, "traces", "live", "*.seg"))
-	if err != nil || len(segs) == 0 {
-		t.Fatalf("no segments: %v", err)
+			s2, ts2 := diskServer(t, dir, Config{})
+			rec := s2.Recovered()
+			if len(rec) != 1 || rec[0] != live.TraceInfo {
+				t.Fatalf("recovered %+v, want %+v", rec, live.TraceInfo)
+			}
+			var got TraceInfo
+			getJSON(t, ts2.URL+"/v1/traces/live", &got)
+			if got != live.TraceInfo {
+				t.Fatalf("served identity %+v, want %+v", got, live.TraceInfo)
+			}
+			resp, body := getRaw(t, ts2.URL+"/v1/traces/live/report")
+			if resp.Header.Get("X-Analysis") != "recovered-partial" {
+				t.Fatalf("post-restart report X-Analysis = %q, want recovered-partial", resp.Header.Get("X-Analysis"))
+			}
+			// The one-shot reference comes from another server: on this
+			// one the equal fingerprint would hit the recovered report in
+			// the result cache.
+			_, tsRef := newTestServer(t)
+			ingestTrace(t, tsRef, "ref", cloneTrace(tr))
+			if _, want := getRaw(t, tsRef.URL+"/v1/traces/ref/report"); !bytes.Equal(body, want) {
+				t.Fatal("recovered report differs from a one-shot upload's")
+			}
+		})
 	}
-	f, err := os.OpenFile(segs[len(segs)-1], os.O_WRONLY|os.O_APPEND, 0)
+}
+
+// checkpointJobs returns the jobs the committed partial snapshot of the
+// trace in dir covers.
+func checkpointJobs(t *testing.T, dir string) int {
+	t.Helper()
+	var man struct {
+		Partial struct{ File string } `json:"partial"`
+	}
+	b, err := os.ReadFile(filepath.Join(dir, "manifest.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Write([]byte("half a batch, never committed")); err != nil {
+	if err := json.Unmarshal(b, &man); err != nil {
 		t.Fatal(err)
 	}
-	f.Close()
-
-	s2, ts2 := diskServer(t, dir, Config{})
-	rec := s2.Recovered()
-	if len(rec) != 1 || rec[0] != live.TraceInfo {
-		t.Fatalf("recovered %+v, want %+v", rec, live.TraceInfo)
+	if b, err = os.ReadFile(filepath.Join(dir, man.Partial.File)); err != nil {
+		t.Fatal(err)
 	}
-	var got TraceInfo
-	getJSON(t, ts2.URL+"/v1/traces/live", &got)
-	if got != live.TraceInfo {
-		t.Fatalf("served identity %+v, want %+v", got, live.TraceInfo)
+	p, err := core.UnmarshalPartial(b)
+	if err != nil {
+		t.Fatal(err)
 	}
-	resp, body := getRaw(t, ts2.URL+"/v1/traces/live/report")
-	if resp.Header.Get("X-Analysis") != "recovered-partial" {
-		t.Fatalf("post-restart report X-Analysis = %q, want recovered-partial", resp.Header.Get("X-Analysis"))
-	}
-	if len(body) == 0 {
-		t.Fatal("empty report")
-	}
+	return p.Jobs()
 }
 
 // TestAppendConflicts covers the 409/400 surface: out-of-order batches,

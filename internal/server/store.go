@@ -167,9 +167,11 @@ func NewStore(maxTraces, maxTotalJobs int) *Store {
 
 // AttachBacking wires a durable storage engine under the store and
 // registers its recovered traces as disk-resident entries, loading each
-// one's persisted partial aggregate so the first cold report after a
-// restart finalizes on-disk state instead of rescanning jobs. Call
-// before the store starts serving.
+// one's persisted partial aggregate (its checkpoint plus the jobs
+// appended after it) so the first cold report after a restart finalizes
+// on-disk state instead of rescanning jobs. A trace whose snapshot
+// cannot be loaded serves disk scans. Call before the store starts
+// serving.
 func (s *Store) AttachBacking(b *storage.Store, recovered []*storage.Trace) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

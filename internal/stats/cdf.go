@@ -101,24 +101,34 @@ func (c *CDF) LogPoints(perDecade int) []Point {
 	if len(c.sorted) == 0 || perDecade < 1 {
 		return nil
 	}
-	// Find the positive support.
 	minPos := math.Inf(1)
-	for _, v := range c.sorted {
-		if v > 0 {
-			minPos = v
-			break
-		}
+	if i := firstPositive(c.sorted); i < len(c.sorted) {
+		minPos = c.sorted[i]
 	}
+	return logPoints(minPos, c.sorted[len(c.sorted)-1], perDecade, c.P)
+}
+
+// firstPositive returns the index of the first positive value of an
+// ascending sample (len(sorted) when there is none) by binary search,
+// so the zero shuffle of map-only jobs is never scanned.
+func firstPositive(sorted []float64) int {
+	return sort.Search(len(sorted), func(i int) bool { return sorted[i] > 0 })
+}
+
+// logPoints samples the CDF p at perDecade points per decade, from the
+// decade of the smallest positive sample minPos through the first point
+// at or past the largest sample maxVal. It returns nil when minPos is
+// +Inf: no positive sample.
+func logPoints(minPos, maxVal float64, perDecade int, p func(float64) float64) []Point {
 	if math.IsInf(minPos, 1) {
 		return nil
 	}
-	maxVal := c.sorted[len(c.sorted)-1]
 	loExp := math.Floor(math.Log10(minPos))
 	hiExp := math.Ceil(math.Log10(maxVal))
 	var pts []Point
 	for e := loExp; e <= hiExp+1e-9; e += 1.0 / float64(perDecade) {
 		x := math.Pow(10, e)
-		pts = append(pts, Point{X: x, Y: c.P(x)})
+		pts = append(pts, Point{X: x, Y: p(x)})
 		if x >= maxVal {
 			break
 		}

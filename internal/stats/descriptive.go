@@ -59,18 +59,24 @@ func StdDev(xs []float64) (float64, error) {
 // already-sorted slice, using linear interpolation between order
 // statistics (type-7 / Excel convention).
 func quantileSorted(sorted []float64, q float64) float64 {
-	n := len(sorted)
+	return quantileAt(len(sorted), q, func(i int) float64 { return sorted[i] })
+}
+
+// quantileAt is quantileSorted over n ascending values read through
+// at, which it calls for the one or two order statistics it
+// interpolates: the one arithmetic both exact distributions share.
+func quantileAt(n int, q float64, at func(int) float64) float64 {
 	if n == 1 {
-		return sorted[0]
+		return at(0)
 	}
 	pos := q * float64(n-1)
 	lo := int(math.Floor(pos))
 	hi := int(math.Ceil(pos))
 	if lo == hi {
-		return sorted[lo]
+		return at(lo)
 	}
 	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
+	return at(lo)*(1-frac) + at(hi)*frac
 }
 
 // MinMax returns the smallest and largest values in xs.

@@ -1,6 +1,9 @@
 package stats
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
 // ExactSum accumulates float64 values with no rounding error, using
 // Shewchuk's non-overlapping expansion (the algorithm behind Python's
@@ -39,6 +42,10 @@ func (s *ExactSum) Add(x float64) {
 	}
 	s.partials = append(s.partials[:i], x)
 }
+
+// Clone returns an independent copy: Add on either never changes the
+// other, since Add rewrites the expansion in place.
+func (s *ExactSum) Clone() ExactSum { return ExactSum{partials: slices.Clone(s.partials)} }
 
 // Merge folds another accumulator's exact value into this one. The
 // other accumulator is not modified; merging is associative and

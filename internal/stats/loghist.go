@@ -3,9 +3,10 @@ package stats
 import "math"
 
 // Distribution is the read side of an empirical distribution — the
-// interface every "fraction of jobs vs size" figure renders through. Two
-// implementations exist: the exact sample-holding CDF and the
-// fixed-memory QuantileSketch used by the streaming analyses.
+// interface every "fraction of jobs vs size" figure renders through.
+// The exact implementations hold the sample, as one sorted array (CDF)
+// or as several ascending runs (RunsCDF), and answer identically; the
+// fixed-memory QuantileSketch serves the streaming analyses.
 type Distribution interface {
 	// Len is the number of observations.
 	Len() int
@@ -27,6 +28,7 @@ type Distribution interface {
 // Compile-time interface checks.
 var (
 	_ Distribution = (*CDF)(nil)
+	_ Distribution = (*RunsCDF)(nil)
 	_ Distribution = (*QuantileSketch)(nil)
 )
 

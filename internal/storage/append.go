@@ -44,11 +44,25 @@ type Appender struct {
 	seg    *segmentWriter
 	segIdx int
 
-	batchSeq     int
-	prevPartial  string
-	sealedOpen   bool // open segment appears in the last sealed manifest
-	doneOrClosed bool
+	batchSeq int
+	// checkpoint is the committed partial snapshot the next manifest
+	// names unless Seal writes a new one; checkpointJobs is the job count
+	// it covers, or -1 until this appender commits one of its own.
+	checkpoint     *FileInfo
+	checkpointJobs int
+	sealedOpen     bool // open segment appears in the last sealed manifest
+	doneOrClosed   bool
 }
+
+// checkpointFraction sets how often an appender's Seal writes a partial
+// snapshot: once the jobs appended since the committed checkpoint reach
+// 1/checkpointFraction of the trace. Any other seal's manifest keeps
+// naming the committed checkpoint, and LoadPartial observes the jobs
+// past it from the segments, so a restart replays under an eighth of
+// the trace. A checkpoint then covers at least 8/9 of the jobs, and the
+// snapshot bytes written per appended job amortize to about 9 × 24 B
+// instead of 24 B × the whole trace per batch.
+const checkpointFraction = 8
 
 // OpenAppend opens name for live batched appends. A fresh name creates
 // the trace directory and allocates a new generation with meta as the
@@ -69,7 +83,7 @@ func (s *Store) OpenAppend(name string, meta trace.Meta) (*Appender, *Trace, err
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("storage: creating trace dir: %w", err)
 	}
-	a := &Appender{store: s, dir: dir, name: name, meta: meta}
+	a := &Appender{store: s, dir: dir, name: name, meta: meta, checkpointJobs: -1}
 	man, err := readManifest(filepath.Join(dir, manifestName))
 	if err != nil {
 		if !os.IsNotExist(err) {
@@ -92,7 +106,7 @@ func (s *Store) OpenAppend(name string, meta trace.Meta) (*Appender, *Trace, err
 	a.closed = append(a.closed, man.Segments...)
 	a.segIdx = len(man.Segments)
 	if man.Partial != nil {
-		a.prevPartial = man.Partial.File
+		a.checkpoint = man.Partial
 		// Resume the batch sequence past the committed snapshot's so the
 		// next Seal never rewrites it in place. A one-shot upload's
 		// snapshot (g%06d.partial) doesn't parse and leaves seq at 0.
@@ -155,10 +169,16 @@ func (a *Appender) rotate() error {
 // Seal makes everything appended so far durable and builds the batch's
 // manifest, ready to commit: the open segment's codec is flushed at a
 // block boundary (blocks are self-contained, so the committed prefix
-// decodes without the tail), the file fsynced, and the partial snapshot
-// written under a per-batch name so the previous batch's committed
-// snapshot is never rewritten in place. fp must be the canonical
-// fingerprint of all jobs appended so far.
+// decodes without the tail) and the file fsynced. fp must be the
+// canonical fingerprint of all jobs appended so far, and partial (nil
+// for none) the aggregate of all of them.
+//
+// The partial snapshot is a checkpoint, written only on the
+// appender's first seal and once the jobs appended since the committed
+// checkpoint reach 1/checkpointFraction of the trace, under a per-batch
+// name so the committed one is never rewritten in place. Any other
+// seal's manifest names the committed checkpoint, and Trace.LoadPartial
+// replays the jobs past it; partial is then not read.
 func (a *Appender) Seal(fp string, partial *core.Partial) (*Sealed, error) {
 	if a.doneOrClosed {
 		return nil, fmt.Errorf("storage: seal after close")
@@ -182,7 +202,11 @@ func (a *Appender) Seal(fp string, partial *core.Partial) (*Sealed, error) {
 		BytesMoved:  a.bytesMoved,
 		Segments:    segments,
 	}
-	if partial != nil {
+	switch {
+	case partial == nil:
+	case a.checkpointJobs >= 0 && (a.jobs-a.checkpointJobs)*checkpointFraction < a.jobs:
+		man.Partial = a.checkpoint
+	default:
 		snap, err := partial.MarshalBinary()
 		if err != nil {
 			return nil, fmt.Errorf("storage: encoding partial snapshot: %w", err)
@@ -200,23 +224,26 @@ func (a *Appender) Seal(fp string, partial *core.Partial) (*Sealed, error) {
 	return &Sealed{store: a.store, dir: a.dir, man: man}, nil
 }
 
-// Commit atomically installs a sealed batch and garbage-collects the
-// previous batch's partial snapshot (which Sealed.Commit's sweep leaves
-// alone — it shares the committed generation). The appender stays open
-// for more appends.
+// Commit atomically installs a sealed batch. When the batch committed a
+// new checkpoint (or none), it garbage-collects the previous one, which
+// Sealed.Commit's sweep leaves alone because it shares the committed
+// generation. The appender stays open for more appends.
 func (a *Appender) Commit(sealed *Sealed) (*Trace, error) {
 	t, err := sealed.Commit()
 	if err != nil {
 		return nil, err
 	}
-	committed := ""
-	if sealed.man.Partial != nil {
-		committed = sealed.man.Partial.File
+	next := sealed.man.Partial
+	if a.checkpoint != nil && next != a.checkpoint {
+		os.Remove(filepath.Join(a.dir, a.checkpoint.File))
 	}
-	if a.prevPartial != "" && a.prevPartial != committed {
-		os.Remove(filepath.Join(a.dir, a.prevPartial))
+	switch {
+	case next == nil:
+		a.checkpointJobs = -1
+	case next != a.checkpoint:
+		a.checkpointJobs = sealed.man.Jobs
 	}
-	a.prevPartial = committed
+	a.checkpoint = next
 	return t, nil
 }
 

@@ -1,6 +1,8 @@
 package storage
 
 import (
+	"bytes"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -135,9 +137,11 @@ func TestAppenderBatchedEquivalence(t *testing.T) {
 }
 
 // TestAppenderResume continues an appended trace across appender
-// lifetimes (as a server restart does): the resumed appender must start
-// a new segment file, keep the batch-snapshot sequence moving, and land
-// on the same fingerprint as the one-shot write.
+// lifetimes (as a server restart does), from a committed checkpoint that
+// lags the manifest: the resumed appender must start a new segment
+// file, keep the batch-snapshot sequence moving without rewriting the
+// committed checkpoint in place, and land on the same fingerprint as
+// the one-shot write.
 func TestAppenderResume(t *testing.T) {
 	tr := genTrace(t, "CC-b", 5, 26*time.Hour)
 	want := fingerprint(t, tr)
@@ -145,7 +149,29 @@ func TestAppenderResume(t *testing.T) {
 
 	root := t.TempDir()
 	s, _ := openStore(t, root, 60)
-	appendAll(t, s, "live", tr.Meta, batches[:2])
+	first := openLive(t, s, "live", tr.Meta)
+	var last *Trace
+	for _, batch := range smallBatches(tr.Jobs[:len(batches[0])+len(batches[1])], 11) {
+		last = first.commit(t, batch)
+	}
+	first.a.Close()
+	lagging := *last.man.Partial
+	if checkpointJobs(t, last) == last.Jobs() {
+		t.Fatal("the committed checkpoint covers every job; the test needs a lagging one")
+	}
+	laggingPath := filepath.Join(root, "traces", "live", lagging.File)
+	laggingBytes, err := os.ReadFile(laggingPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seqOf := func(file string) int {
+		var g uint64
+		var seq int
+		if _, err := fmt.Sscanf(file, "g%06d-b%06d.partial", &g, &seq); err != nil {
+			t.Fatalf("snapshot %q is not a batch snapshot: %v", file, err)
+		}
+		return seq
+	}
 
 	// Resume: replay the committed prefix through a fresh hasher and
 	// aggregate exactly as the serving layer does, then continue.
@@ -183,7 +209,7 @@ func TestAppenderResume(t *testing.T) {
 		live.Observe(j)
 	}
 	fp := ""
-	for _, batch := range batches[2:] {
+	for i, batch := range batches[2:] {
 		for _, j := range batch {
 			if err := a.Append(j); err != nil {
 				t.Fatal(err)
@@ -202,11 +228,24 @@ func TestAppenderResume(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		if i == 0 {
+			// The resumed appender's first seal checkpoints under a later
+			// sequence number, leaving the committed checkpoint as it was.
+			if next := sealed.man.Partial.File; seqOf(next) <= seqOf(lagging.File) {
+				t.Fatalf("resumed checkpoint %s does not follow the committed %s", next, lagging.File)
+			}
+			if b, err := os.ReadFile(laggingPath); err != nil || !bytes.Equal(b, laggingBytes) {
+				t.Fatalf("the committed checkpoint was rewritten before its successor committed: %v", err)
+			}
+		}
 		if _, err := a.Commit(sealed); err != nil {
 			t.Fatal(err)
 		}
 	}
 	a.Close()
+	if _, err := os.Stat(laggingPath); !os.IsNotExist(err) {
+		t.Fatalf("the superseded checkpoint %s was not collected: %v", lagging.File, err)
+	}
 	if fp != want {
 		t.Fatalf("resumed fingerprint %s, want one-shot %s", fp, want)
 	}

@@ -128,9 +128,15 @@ func (t *Trace) Collect() (*trace.Trace, error) {
 }
 
 // LoadPartial reads, verifies, and decodes the persisted aggregate
-// snapshot. It returns (nil, nil) when the trace committed without one,
-// and an error when the snapshot exists but fails its CRC or decode —
-// callers treat that as "rebuild from the jobs", never as fatal.
+// snapshot, and returns a partial covering every committed job. A live
+// append commits a snapshot only at checkpoints (Appender.Seal), so the
+// snapshot may cover a prefix of the jobs; LoadPartial then observes
+// the rest — under an eighth of the trace — from the segments, skipping
+// the segments the snapshot covers whole, and freezes the result. It
+// returns (nil, nil) when the trace committed without a snapshot, and
+// an error when the snapshot fails its CRC or decode, or covers more
+// jobs than the manifest — callers treat that as "rebuild from the
+// jobs", never as fatal.
 func (t *Trace) LoadPartial() (*core.Partial, error) {
 	if t.man.Partial == nil {
 		return nil, nil
@@ -146,7 +152,34 @@ func (t *Trace) LoadPartial() (*core.Partial, error) {
 	if crc := crc32.Checksum(b, castagnoli); crc != t.man.Partial.CRC32C {
 		return nil, fmt.Errorf("storage: partial snapshot CRC mismatch (%08x vs %08x)", crc, t.man.Partial.CRC32C)
 	}
-	return core.UnmarshalPartial(b)
+	p, err := core.UnmarshalPartial(b)
+	if err != nil {
+		return nil, err
+	}
+	switch skip := p.Jobs(); {
+	case skip > t.man.Jobs:
+		return nil, fmt.Errorf("storage: partial snapshot covers %d jobs, manifest says %d", skip, t.man.Jobs)
+	case skip < t.man.Jobs:
+		for _, seg := range t.man.Segments {
+			if skip >= seg.Jobs {
+				skip -= seg.Jobs
+				continue
+			}
+			err := t.eachInSegment(seg, func(j *trace.Job) error {
+				if skip > 0 {
+					skip--
+				} else {
+					p.Observe(j)
+				}
+				return nil
+			})
+			if err != nil {
+				return nil, fmt.Errorf("storage: replaying %s past the partial snapshot: %w", seg.File, err)
+			}
+		}
+		p.Freeze()
+	}
+	return p, nil
 }
 
 // segmentSources builds one lazily-opened Source per colseg segment.

@@ -47,10 +47,11 @@ BenchmarkParallelScan/block-4        	      50	  19939213 ns/op
 `, map[string]float64{"scan_speedup": 12.15, "compression_ratio": 3.01, "compaction_speedup": 4.73, "block_parallel_speedup": 1.69}},
 	"BENCH_APPEND.json": {`pkg: repro/internal/server
 BenchmarkAppendIngest/oneshot-4         	       5	  84343933 ns/op
-BenchmarkAppendIngest/batched-4         	       5	 113039512 ns/op
+BenchmarkAppendIngest/batched-4         	       5	 113039512 ns/op	        85.95 snapshot-B/job
+BenchmarkAppendIngest/live-4            	       5	1094557538 ns/op	       173.4 snapshot-B/job
 BenchmarkWindowedReport/full-4          	       5	    814217 ns/op
 BenchmarkWindowedReport/window-4        	       5	   1596323 ns/op
-`, map[string]float64{"append_overhead": 1.34, "window_speedup": 0.51}},
+`, map[string]float64{"append_overhead": 1.34, "live_append_overhead": 12.98, "window_speedup": 0.51}},
 	"BENCH_CLUSTER.json": {`pkg: repro/internal/server
 BenchmarkClusterReport/single-4         	       5	    606902 ns/op
 BenchmarkClusterReport/scatter-4        	       5	   1915532 ns/op
