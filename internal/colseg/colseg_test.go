@@ -38,7 +38,7 @@ func encode(t testing.TB, jobs []*trace.Job, opts ...WriterOption) []byte {
 			t.Fatalf("encoding job %d: %v", j.ID, err)
 		}
 	}
-	if err := w.Close(); err != nil {
+	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()

@@ -54,7 +54,7 @@ func FuzzColumnarRoundTrip(f *testing.F) {
 					t.Fatalf("encoding parsed job: %v", err)
 				}
 			}
-			if err := w.Close(); err != nil {
+			if err := w.Flush(); err != nil {
 				t.Fatal(err)
 			}
 			decoded, _, err := decodeAll(seg.Bytes(), trace.Meta{})
@@ -81,7 +81,7 @@ func FuzzColumnarRoundTrip(f *testing.F) {
 					t.Fatalf("re-encoding decoded job: %v", err)
 				}
 			}
-			if err := w2.Close(); err != nil {
+			if err := w2.Flush(); err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(seg.Bytes(), seg2.Bytes()) {
@@ -137,7 +137,7 @@ func encodeFuzz(f *testing.F, jsonl []byte) []byte {
 			f.Fatal(err)
 		}
 	}
-	if err := w.Close(); err != nil {
+	if err := w.Flush(); err != nil {
 		f.Fatal(err)
 	}
 	return seg.Bytes()

@@ -12,7 +12,7 @@ import (
 
 // Writer encodes a stream of job records into colseg blocks. Jobs are
 // buffered column-at-a-time and flushed as one framed block when the
-// block fills (BlockJobs jobs or the block byte cap); Close flushes the
+// block fills (BlockJobs jobs or the block byte cap); Flush emits the
 // final short block. The writer never seeks — output is append-only —
 // so it composes with the storage engine's streaming, constant-memory
 // ingest path.
@@ -112,29 +112,15 @@ func (w *Writer) Write(j *trace.Job) error {
 	return nil
 }
 
-// Close flushes the final block. It does not close the underlying
-// writer. An empty stream still emits the segment header, so a
-// zero-job segment is a valid (empty) colseg file.
-func (w *Writer) Close() error {
-	if w.err != nil {
-		return w.err
-	}
-	if !w.began {
-		if err := w.writeHeader(); err != nil {
-			return err
-		}
-	}
-	return w.flushBlock()
-}
-
 // Flush emits the buffered jobs as one (possibly short) block and
-// leaves the stream open for more writes. Blocks are self-contained —
-// each resets the delta and dictionary state — so a flushed prefix of
-// the stream is a valid colseg segment on its own. The live-ingest
-// path flushes at every batch commit boundary: everything up to the
-// manifest's recorded size then decodes without the uncommitted tail.
-// Flushing an empty buffer writes nothing (but still emits the header
-// on a fresh stream, so even a zero-job flush leaves a valid segment).
+// leaves the stream open for more writes; it does not close the
+// underlying writer. Blocks are self-contained — each resets the delta
+// and dictionary state — so a flushed prefix of the stream is a valid
+// colseg segment on its own. The storage writer flushes at every seal
+// and at segment rotation: everything up to the manifest's recorded
+// size then decodes without the uncommitted tail. Flushing an empty
+// buffer writes nothing, but an empty stream still emits the segment
+// header, so a zero-job segment is a valid (empty) colseg file.
 func (w *Writer) Flush() error {
 	if w.err != nil {
 		return w.err
@@ -178,7 +164,7 @@ func (w *Writer) blockBytes() int {
 }
 
 // writeHeader emits the segment magic and version once, before the
-// first block (or at Close for an empty segment).
+// first block (or at Flush for an empty segment).
 func (w *Writer) writeHeader() error {
 	w.began = true
 	var hdr [len(Magic) + binary.MaxVarintLen64]byte

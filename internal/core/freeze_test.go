@@ -122,11 +122,21 @@ func storeTrace(t testing.TB, tr *trace.Trace) *storage.Trace {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sealed, err := s.Stage("t", tr, fp, nil)
+	w, err := s.Create("t", tr.Meta)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := sealed.Commit()
+	defer w.Close()
+	for _, j := range tr.Jobs {
+		if err := w.Append(j); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sealed, err := w.Seal(fp, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := w.Commit(sealed)
 	if err != nil {
 		t.Fatal(err)
 	}

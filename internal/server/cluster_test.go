@@ -635,12 +635,16 @@ func TestClusterRequestTracing(t *testing.T) {
 	}
 
 	// The ID crossed the fleet client: peers recorded their shard-partial
-	// requests under it.
+	// requests under it. A peer records a request after its handler
+	// returns, which can be after the coordinator has read the whole
+	// response, so wait for the record instead of reading the rings once.
 	remote := 0
-	for _, nd := range nodes[1:] {
-		for _, rec := range nd.srv.metrics.ring.Snapshot(0, 0) {
-			if rec.ID == "trace-e2e-1" && rec.Endpoint == "GET /internal/v1/shards/{name}/{shard}/partial" {
-				remote++
+	for deadline := time.Now().Add(5 * time.Second); remote == 0 && time.Now().Before(deadline); time.Sleep(5 * time.Millisecond) {
+		for _, nd := range nodes[1:] {
+			for _, rec := range nd.srv.metrics.ring.Snapshot(0, 0) {
+				if rec.ID == "trace-e2e-1" && rec.Endpoint == "GET /internal/v1/shards/{name}/{shard}/partial" {
+					remote++
+				}
 			}
 		}
 	}

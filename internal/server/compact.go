@@ -17,14 +17,14 @@ import (
 
 // Compact rewrites every eligible fragmented trace into a packed
 // generation and returns how many committed. A trace is eligible when
-// it is disk-resident, has no open append session, and the policy's
-// fragmentation triggers fire. The expensive rewrite runs outside the
-// store lock; the commit (a manifest rename plus an entry swap) runs
-// under it, re-checking that the trace is still the one that was
-// scanned and invalidating any append session that opened mid-rewrite.
-// Per-trace failures are collected, not fatal: one corrupt trace must
-// not stop the others from compacting.
-func (s *Store) Compact(policy storage.CompactPolicy) (int, error) {
+// it is disk-resident, has no open append session, and
+// storage.NeedsCompaction's fragmentation triggers fire. The expensive
+// rewrite runs outside the store lock; the commit (a manifest rename
+// plus an entry swap) runs under it, re-checking that the trace is
+// still the one that was scanned and invalidating any append session
+// that opened mid-rewrite. Per-trace failures are collected, not fatal:
+// one corrupt trace must not stop the others from compacting.
+func (s *Store) Compact() (int, error) {
 	if s.backing == nil {
 		return 0, nil
 	}
@@ -53,7 +53,7 @@ func (s *Store) Compact(policy storage.CompactPolicy) (int, error) {
 	n := 0
 	var errs []error
 	for _, c := range cands {
-		if !s.backing.NeedsCompaction(c.stored, policy) {
+		if !s.backing.NeedsCompaction(c.stored) {
 			continue
 		}
 		committed, err := s.compactOne(c.name, c.fp, c.stored)
@@ -98,24 +98,24 @@ func (s *Store) ReapIdleAppendSessions(olderThan time.Duration) int {
 // the replacement is a fresh generation with its own fragmentation
 // history, picked up on a later sweep).
 func (s *Store) compactOne(name, fp string, stored *storage.Trace) (bool, error) {
-	sealed, res, err := s.backing.CompactTrace(stored)
+	w, sealed, err := s.backing.CompactTrace(stored)
 	if err != nil {
 		return false, fmt.Errorf("server: compacting %q: %w", name, err)
 	}
+	// Closing the writer discards the generation unless it commits.
+	defer w.Close()
 
 	s.mu.Lock()
 	cur, ok := s.entries[name]
 	if !ok || cur.stored == nil || cur.info.Fingerprint != fp {
-		// Lost the race with a re-ingest, append, or delete: the staged
+		// Lost the race with a re-ingest, append, or delete: the written
 		// generation describes content the store no longer serves.
 		s.mu.Unlock()
-		sealed.Abort()
 		return false, nil
 	}
-	newStored, err := sealed.Commit()
+	newStored, err := w.Commit(sealed)
 	if err != nil {
 		s.mu.Unlock()
-		sealed.Abort()
 		return false, fmt.Errorf("server: committing compaction of %q: %w", name, err)
 	}
 	// A session that opened after the candidate snapshot holds the OLD
@@ -133,10 +133,10 @@ func (s *Store) compactOne(name, fp string, stored *storage.Trace) (bool, error)
 	}
 	s.installLocked(name, e)
 	s.compactions++
-	if d := res.SegmentsBefore - res.SegmentsAfter; d > 0 {
+	if d := stored.Segments() - newStored.Segments(); d > 0 {
 		s.segmentsMerged += uint64(d)
 	}
-	if d := res.BlocksBefore - res.BlocksAfter; d > 0 {
+	if d := stored.Blocks() - newStored.Blocks(); d > 0 {
 		s.blocksRefilled += uint64(d)
 	}
 	s.mu.Unlock()

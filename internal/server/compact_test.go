@@ -44,7 +44,8 @@ func decodeAppend(t testing.TB, body []byte) AppendResponse {
 // serving layer: a trace fragmented across two append sessions (a
 // restart between them) must report byte-identically before and after
 // Compact — whole and windowed, freshly scanned each time — the stats
-// counters must record the rewrite, a later append must grow the
+// counters must record the rewrite, the compacted mark must stop a
+// second sweep that would otherwise fire, a later append must grow the
 // compacted generation onto the golden full-trace fingerprint, and a
 // restart must recover the compacted generation.
 func TestCompactionDifferential(t *testing.T) {
@@ -69,7 +70,7 @@ func TestCompactionDifferential(t *testing.T) {
 
 	// Fragment across a restart: two append sessions over one data dir.
 	dir := t.TempDir()
-	cfg := Config{SegmentJobs: 5000}
+	cfg := Config{SegmentJobs: 400}
 	sA, tsA := diskServer(t, dir, cfg)
 	for i := 0; i < 5; i++ {
 		if resp, body := postAppend(t, tsA, "live", tr.Meta, batches[i]); resp.StatusCode != http.StatusOK {
@@ -116,7 +117,7 @@ func TestCompactionDifferential(t *testing.T) {
 	}
 
 	fp := refInfo.Fingerprint
-	n, err := s.Store().Compact(storage.CompactPolicy{MinSegments: 2})
+	n, err := s.Store().Compact()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,9 +146,28 @@ func TestCompactionDifferential(t *testing.T) {
 	if !bytes.Equal(againWin, wantWin) {
 		t.Error("compacted windowed report diverges: the rewrite was not a byte-identical no-op")
 	}
-	// A second sweep finds nothing: the compacted mark holds.
-	if n, err := s.Store().Compact(storage.CompactPolicy{MinSegments: 2}); err != nil || n != 0 {
-		t.Fatalf("second sweep: n=%d err=%v, want a no-op", n, err)
+	// A second sweep finds nothing: the compacted mark holds even where
+	// the triggers alone would fire. Reopened at a 5000-job cap, the
+	// generation packed at 400 jobs per segment has more segments than
+	// the trigger allows; with the mark stripped, the same generation
+	// does compact.
+	wide := Config{SegmentJobs: 5000}
+	for _, marked := range []bool{true, false} {
+		ts.Close()
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if !marked {
+			unmarkCompacted(t, dir, "live")
+		}
+		s, ts = diskServer(t, dir, wide)
+		want := 0
+		if !marked {
+			want = 1
+		}
+		if n, err := s.Store().Compact(); err != nil || n != want {
+			t.Fatalf("sweep at the wider cap (marked=%t): n=%d err=%v, want %d", marked, n, err, want)
+		}
 	}
 
 	// The compacted generation still grows: the tail batch lands on the
@@ -167,13 +187,39 @@ func TestCompactionDifferential(t *testing.T) {
 	}
 
 	// Restart: the compacted-then-grown trace recovers intact.
-	sD, tsD := diskServer(t, dir, cfg)
+	sD, tsD := diskServer(t, dir, wide)
 	defer sD.Close()
 	rec := sD.Recovered()
 	if len(rec) != 1 || rec[0].Fingerprint != wantFP || rec[0].Jobs != tr.Len() {
 		t.Fatalf("recovered %+v, want golden %s/%d", rec, wantFP, tr.Len())
 	}
 	_ = tsD
+}
+
+// unmarkCompacted clears the compacted mark in name's committed
+// manifest, as if the generation had been written by anything but the
+// compactor. The store under dir must be closed.
+func unmarkCompacted(t *testing.T, dir, name string) {
+	t.Helper()
+	path := filepath.Join(dir, "traces", name, "manifest.json")
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var man storage.Manifest
+	if err := json.Unmarshal(b, &man); err != nil {
+		t.Fatal(err)
+	}
+	if !man.Compacted {
+		t.Fatalf("%s is not marked compacted", path)
+	}
+	man.Compacted = false
+	if b, err = json.Marshal(&man); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestCompactSkipsOpenSession: a trace mid-append is not a compaction
@@ -187,12 +233,13 @@ func TestCompactSkipsOpenSession(t *testing.T) {
 			t.Fatalf("batch %d: %d %s", i, resp.StatusCode, clip(body))
 		}
 	}
-	// The session is open: even an eager policy must leave it alone.
-	if n, err := s.Store().Compact(storage.CompactPolicy{MinSegments: 1, MinFill: 1}); err != nil || n != 0 {
+	// The session is open: the sweep must leave it alone, though the
+	// fragmented trace triggers once the session is dropped.
+	if n, err := s.Store().Compact(); err != nil || n != 0 {
 		t.Fatalf("compacting under an open session: n=%d err=%v, want skip", n, err)
 	}
 	dropAllSessions(s)
-	if n, err := s.Store().Compact(storage.CompactPolicy{MinSegments: 1, MinFill: 1}); err != nil || n != 1 {
+	if n, err := s.Store().Compact(); err != nil || n != 1 {
 		t.Fatalf("compacting after session drop: n=%d err=%v, want 1", n, err)
 	}
 	// The dropped-then-compacted trace still accepts the rest.
@@ -229,14 +276,14 @@ func TestCompactReapsIdleSessions(t *testing.T) {
 	if n := s.Store().ReapIdleAppendSessions(time.Hour); n != 0 {
 		t.Fatalf("reaped %d fresh session(s), want 0", n)
 	}
-	if n, err := s.Store().Compact(storage.CompactPolicy{MinSegments: 1, MinFill: 1}); err != nil || n != 0 {
+	if n, err := s.Store().Compact(); err != nil || n != 0 {
 		t.Fatalf("compacting under a fresh session: n=%d err=%v, want skip", n, err)
 	}
 	// Zero idle bar: the session has necessarily been idle that long.
 	if n := s.Store().ReapIdleAppendSessions(0); n != 1 {
 		t.Fatalf("reaped %d session(s), want 1", n)
 	}
-	if n, err := s.Store().Compact(storage.CompactPolicy{MinSegments: 1, MinFill: 1}); err != nil || n != 1 {
+	if n, err := s.Store().Compact(); err != nil || n != 1 {
 		t.Fatalf("compacting after reap: n=%d err=%v, want 1", n, err)
 	}
 	for i := 3; i < 6; i++ {
@@ -259,7 +306,7 @@ func TestCompactMemoryModeNoop(t *testing.T) {
 	s, ts := newTestServer(t)
 	tr := genTrace(t, "FB-2010", 1, 26*time.Hour)
 	ingestTrace(t, ts, "mem", tr)
-	if n, err := s.Store().Compact(storage.CompactPolicy{MinSegments: 1}); err != nil || n != 0 {
+	if n, err := s.Store().Compact(); err != nil || n != 0 {
 		t.Fatalf("memory-mode compact: n=%d err=%v, want a no-op", n, err)
 	}
 	if st := s.Store().Stats(); st.Compactions != 0 {
@@ -290,7 +337,7 @@ func TestCompactWhileQuerying(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		n, err := s.Store().Compact(storage.CompactPolicy{})
+		n, err := s.Store().Compact()
 		if err != nil {
 			t.Errorf("concurrent compact: %v", err)
 		}
@@ -349,7 +396,7 @@ func TestCompactDuringAppend(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 6; i++ {
-			if _, err := s.Store().Compact(storage.CompactPolicy{MinSegments: 1, MinFill: 1}); err != nil {
+			if _, err := s.Store().Compact(); err != nil {
 				t.Errorf("compact sweep %d: %v", i, err)
 			}
 		}
@@ -408,7 +455,7 @@ func TestClusterCompactionDifferential(t *testing.T) {
 	total := 0
 	for _, nd := range nodes {
 		dropAllSessions(nd.srv)
-		n, err := nd.srv.Store().Compact(storage.CompactPolicy{})
+		n, err := nd.srv.Store().Compact()
 		if err != nil {
 			t.Fatalf("compacting node %s: %v", nd.id, err)
 		}

@@ -290,9 +290,9 @@ func (s *Server) Close() error {
 }
 
 // compactLoop sweeps the store on a fixed cadence, rewriting whatever
-// the default storage.CompactPolicy deems fragmented. Runs until Close;
-// a sweep in flight finishes before Close returns, so no rewrite races
-// the storage engine's shutdown.
+// storage.NeedsCompaction deems fragmented. Runs until Close; a sweep
+// in flight finishes before Close returns, so no rewrite races the
+// storage engine's shutdown.
 func (s *Server) compactLoop(interval time.Duration) {
 	defer s.compactWG.Done()
 	ticker := time.NewTicker(interval)
@@ -307,7 +307,7 @@ func (s *Server) compactLoop(interval time.Duration) {
 			// exempt.
 			s.store.ReapIdleAppendSessions(interval)
 			sweepStart := time.Now()
-			n, err := s.store.Compact(storage.CompactPolicy{})
+			n, err := s.store.Compact()
 			if s.metrics != nil {
 				s.metrics.compactionLatency.Observe(time.Since(sweepStart).Seconds())
 			}

@@ -11,12 +11,13 @@ import (
 )
 
 // The spill-ingest path: an upload that exceeds the hot tier's
-// remaining job budget streams straight to disk segments instead of
-// being rejected. The jobs never materialize in memory — validation,
-// span tracking, fingerprinting, and the partial aggregate all run
-// inline on the stream — so the only per-job heap is the aggregate's
-// ~24 B. The resulting entry is disk-resident: reports finalize the
-// inline-built partial or scan the segments out-of-core.
+// remaining job budget streams straight to disk segments, through the
+// same storage.Appender every other write uses, instead of being
+// rejected. The jobs never materialize in memory — validation, span
+// tracking, fingerprinting, and the partial aggregate all run inline on
+// the stream — so the only per-job heap is the aggregate's ~24 B. The
+// resulting entry is disk-resident: reports finalize the inline-built
+// partial or scan the segments out-of-core.
 //
 // Equivalence with the in-memory path is the invariant: the committed
 // fingerprint, metadata, and aggregate must match what Put(normalize)
@@ -38,7 +39,7 @@ func jobLess(a, b *trace.Job) bool {
 
 // spillIngest continues an Ingest whose buffered prefix (buffered, in
 // arrival order) plus next job (pending) overflowed the hot budget:
-// everything goes to a disk stager, the rest of src is drained behind
+// everything goes to a disk writer, the rest of src is drained behind
 // it, and the trace commits as a disk-resident entry.
 func (s *Store) spillIngest(name string, buffered *trace.Trace, pending *trace.Job, src trace.Source, p *core.Partial) (TraceInfo, error) {
 	meta := buffered.Meta
@@ -47,26 +48,25 @@ func (s *Store) spillIngest(name string, buffered *trace.Trace, pending *trace.J
 	}
 	metaComplete := !meta.Start.IsZero() && meta.Length > 0
 
-	stager, err := s.backing.NewStager(name)
+	// Closing the writer discards the generation unless it commits.
+	w, err := s.backing.Create(name, meta)
 	if err != nil {
 		return TraceInfo{}, fmt.Errorf("server: spilling %q: %w", name, err)
 	}
+	defer w.Close()
 	var hasher *trace.Hasher
 	if metaComplete {
 		hasher = trace.NewHasher()
 		if err := hasher.Begin(meta); err != nil {
-			stager.Abort()
 			return TraceInfo{}, err
 		}
 	}
 
 	var (
-		count      int
-		bytesMoved int64
-		sorted     = true
-		prev       *trace.Job
-		minSubmit  time.Time
-		maxFinish  time.Time
+		sorted    = true
+		prev      *trace.Job
+		minSubmit time.Time
+		maxFinish time.Time
 	)
 	write := func(j *trace.Job) error {
 		if err := j.Validate(); err != nil {
@@ -83,7 +83,7 @@ func (s *Store) spillIngest(name string, buffered *trace.Trace, pending *trace.J
 		if f := j.FinishTime(); f.After(maxFinish) {
 			maxFinish = f
 		}
-		if err := stager.Write(j); err != nil {
+		if err := w.Append(j); err != nil {
 			return err
 		}
 		if hasher != nil {
@@ -91,8 +91,6 @@ func (s *Store) spillIngest(name string, buffered *trace.Trace, pending *trace.J
 				return err
 			}
 		}
-		count++
-		bytesMoved += int64(j.TotalBytes())
 		return nil
 	}
 
@@ -102,12 +100,10 @@ func (s *Store) spillIngest(name string, buffered *trace.Trace, pending *trace.J
 	// spill path are observed below.
 	for _, j := range buffered.Jobs {
 		if err := write(j); err != nil {
-			stager.Abort()
 			return TraceInfo{}, err
 		}
 	}
 	if err := write(pending); err != nil {
-		stager.Abort()
 		return TraceInfo{}, err
 	}
 	if p != nil {
@@ -119,11 +115,9 @@ func (s *Store) spillIngest(name string, buffered *trace.Trace, pending *trace.J
 			break
 		}
 		if err != nil {
-			stager.Abort()
 			return TraceInfo{}, err
 		}
 		if err := write(j); err != nil {
-			stager.Abort()
 			return TraceInfo{}, err
 		}
 		if p != nil {
@@ -138,9 +132,10 @@ func (s *Store) spillIngest(name string, buffered *trace.Trace, pending *trace.J
 	if meta.Length <= 0 {
 		meta.Length = maxFinish.Sub(meta.Start)
 	}
+	w.SetMeta(meta)
 
 	if !sorted {
-		return s.sortSpilled(name, stager, meta)
+		return s.sortSpilled(name, w, meta)
 	}
 
 	if hasher == nil || p == nil {
@@ -148,9 +143,8 @@ func (s *Store) spillIngest(name string, buffered *trace.Trace, pending *trace.J
 		// the aggregate's binning origin) only became known at EOF: one
 		// sequential readback pass over the just-written segments derives
 		// the fingerprint and the partial in constant memory.
-		hasher, p, err = s.rescanSpilled(stager, meta)
+		hasher, p, err = s.rescanSpilled(w, meta)
 		if err != nil {
-			stager.Abort()
 			return TraceInfo{}, fmt.Errorf("server: finalizing spilled %q: %w", name, err)
 		}
 	}
@@ -158,18 +152,8 @@ func (s *Store) spillIngest(name string, buffered *trace.Trace, pending *trace.J
 	if p != nil {
 		p.Freeze()
 	}
-	info := TraceInfo{
-		Name:        name,
-		Fingerprint: hasher.Sum(),
-		Workload:    meta.Name,
-		Machines:    meta.Machines,
-		LengthMS:    meta.Length.Milliseconds(),
-		Jobs:        count,
-		BytesMoved:  bytesMoved,
-	}
-	sealed, err := stager.Seal(meta, info.Fingerprint, count, bytesMoved, p)
+	sealed, err := w.Seal(hasher.Sum(), p)
 	if err != nil {
-		stager.Abort()
 		return TraceInfo{}, fmt.Errorf("server: sealing spilled %q: %w", name, err)
 	}
 
@@ -177,14 +161,13 @@ func (s *Store) spillIngest(name string, buffered *trace.Trace, pending *trace.J
 	defer s.mu.Unlock()
 	if err := s.admitLocked(name, 0); err != nil {
 		s.rejected++
-		sealed.Abort()
 		return TraceInfo{}, err
 	}
-	stored, err := sealed.Commit()
+	stored, err := w.Commit(sealed)
 	if err != nil {
-		sealed.Abort()
 		return TraceInfo{}, fmt.Errorf("server: committing spilled %q: %w", name, err)
 	}
+	info := storedInfo(stored)
 	s.installLocked(name, &entry{info: info, partial: p, stored: stored})
 	s.invalidateAppendLocked(name)
 	s.ingests++
@@ -192,11 +175,11 @@ func (s *Store) spillIngest(name string, buffered *trace.Trace, pending *trace.J
 	return info, nil
 }
 
-// rescanSpilled reads the staged segments back once, in order, to
+// rescanSpilled reads the written segments back once, in order, to
 // compute the canonical fingerprint and the partial aggregate under the
 // finalized metadata.
-func (s *Store) rescanSpilled(stager *storage.Stager, meta trace.Meta) (*trace.Hasher, *core.Partial, error) {
-	shards, err := stager.Shards(meta)
+func (s *Store) rescanSpilled(w *storage.Appender, meta trace.Meta) (*trace.Hasher, *core.Partial, error) {
+	shards, err := w.Shards()
 	if err != nil {
 		return nil, nil, err
 	}
@@ -232,9 +215,8 @@ func (s *Store) rescanSpilled(stager *storage.Stager, meta trace.Meta) (*trace.H
 // through the regular write-through path — evicting colder residents is
 // better than refusing data. Bigger than the budget, it is rejected:
 // sorting needs random access the out-of-core path does not have.
-func (s *Store) sortSpilled(name string, stager *storage.Stager, meta trace.Meta) (TraceInfo, error) {
-	defer stager.Abort()
-	shards, err := stager.Shards(meta)
+func (s *Store) sortSpilled(name string, w *storage.Appender, meta trace.Meta) (TraceInfo, error) {
+	shards, err := w.Shards()
 	if err != nil {
 		return TraceInfo{}, err
 	}
@@ -259,7 +241,7 @@ func (s *Store) sortSpilled(name string, stager *storage.Stager, meta trace.Meta
 }
 
 // closeSources releases the descriptors of sources a rejected spill
-// abandons mid-stream (a no-op for drained ones), before the stager
+// abandons mid-stream (a no-op for drained ones), before the writer
 // unlinks their segments.
 func closeSources(srcs []trace.Source) {
 	for _, src := range srcs {

@@ -177,18 +177,7 @@ func (s *Store) AttachBacking(b *storage.Store, recovered []*storage.Trace) {
 	defer s.mu.Unlock()
 	s.backing = b
 	for _, st := range recovered {
-		e := &entry{
-			stored: st,
-			info: TraceInfo{
-				Name:        st.Name(),
-				Fingerprint: st.Fingerprint(),
-				Workload:    st.Meta().Name,
-				Machines:    st.Meta().Machines,
-				LengthMS:    st.Meta().Length.Milliseconds(),
-				Jobs:        st.Jobs(),
-				BytesMoved:  st.BytesMoved(),
-			},
-		}
+		e := &entry{stored: st, info: storedInfo(st)}
 		if p, err := st.LoadPartial(); err == nil && p != nil {
 			// Snapshots written before partials were frozen at publish
 			// hold unsorted columns: sort them once, here.
@@ -197,6 +186,20 @@ func (s *Store) AttachBacking(b *storage.Store, recovered []*storage.Trace) {
 			e.recovered = true
 		}
 		s.entries[st.Name()] = e
+	}
+}
+
+// storedInfo describes a committed generation from its manifest.
+func storedInfo(st *storage.Trace) TraceInfo {
+	meta := st.Meta()
+	return TraceInfo{
+		Name:        st.Name(),
+		Fingerprint: st.Fingerprint(),
+		Workload:    meta.Name,
+		Machines:    meta.Machines,
+		LengthMS:    meta.Length.Milliseconds(),
+		Jobs:        st.Jobs(),
+		BytesMoved:  st.BytesMoved(),
 	}
 }
 
@@ -238,7 +241,7 @@ func (s *Store) Put(name string, t *trace.Trace) (TraceInfo, error) {
 // reports fall back to scanning.
 //
 // With backing, the trace is written through: segments and snapshot
-// are staged and fsynced outside the store lock (the expensive part),
+// are written and fsynced outside the store lock (the expensive part),
 // and only the atomic manifest commit happens inside it, ordered with
 // the map insert so the disk and memory views can never disagree about
 // which upload won a race on one name.
@@ -286,9 +289,21 @@ func (s *Store) put(name string, t *trace.Trace, p *core.Partial) (TraceInfo, er
 		BytesMoved:  int64(sum.BytesMoved),
 	}
 
+	var w *storage.Appender
 	var sealed *storage.Sealed
 	if s.backing != nil {
-		sealed, err = s.backing.Stage(name, t, fp, p)
+		// Closing the writer discards the generation unless it commits.
+		if w, err = s.backing.Create(name, t.Meta); err == nil {
+			defer w.Close()
+			for _, j := range t.Jobs {
+				if err = w.Append(j); err != nil {
+					break
+				}
+			}
+		}
+		if err == nil {
+			sealed, err = w.Seal(fp, p)
+		}
 		if err != nil {
 			// Every non-committed ingest outcome counts as a rejection,
 			// not just admission failures — /v1/stats must not undercount
@@ -304,17 +319,13 @@ func (s *Store) put(name string, t *trace.Trace, p *core.Partial) (TraceInfo, er
 	defer s.mu.Unlock()
 	if err := s.admitLocked(name, t.Len()); err != nil {
 		s.rejected++
-		if sealed != nil {
-			sealed.Abort()
-		}
 		return TraceInfo{}, err
 	}
 	var stored *storage.Trace
-	if sealed != nil {
-		stored, err = sealed.Commit()
+	if w != nil {
+		stored, err = w.Commit(sealed)
 		if err != nil {
 			s.rejected++
-			sealed.Abort()
 			return TraceInfo{}, fmt.Errorf("server: committing %q: %w", name, err)
 		}
 	}

@@ -1,37 +1,51 @@
 package storage
 
 import (
+	"bufio"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 
+	"repro/internal/colseg"
 	"repro/internal/core"
 	"repro/internal/trace"
 )
 
-// Appender writes batched live appends into an *open* trace generation.
-// Unlike a Stager — which stages a whole replacement generation and
-// commits once — an Appender keeps one segment file open across batch
-// commits: each Seal flushes the codec at a block boundary, fsyncs the
-// open segment, and builds a manifest whose SegmentInfo records the
-// file's committed prefix (size, CRC, job count). The file keeps
-// growing after the commit; recovery verifies the committed prefix and
-// truncates any uncommitted tail, so a crash mid-batch loses exactly
-// the jobs past the last committed batch boundary and nothing else.
+// castagnoli is the CRC-32C table every segment and snapshot checksum
+// uses.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// Appender is the store's one writer: uploads, spills, compactions,
+// legacy migrations and live appends all write their generations
+// through it. Create starts a replacement generation; OpenAppend
+// continues the committed one. Append streams jobs into rotating colseg
+// segment files, each checksummed as it is written, so a trace far
+// larger than RAM goes straight to disk in constant memory. Seal
+// flushes the open segment's codec at a block boundary, fsyncs it, and
+// builds a manifest whose SegmentInfo records the file's committed
+// prefix (size, CRC, job count); Commit installs that manifest
+// atomically. The appender stays open after a commit, so a live trace
+// seals and commits once per batch while its open segment keeps
+// growing; recovery verifies the committed prefix and truncates any
+// uncommitted tail, so a crash mid-batch loses exactly the jobs past
+// the last committed batch boundary and nothing else. Close ends the
+// writer.
 //
-// Segments rotate at the store's job cap exactly as on the one-shot
-// path, so a long-lived appended trace is indistinguishable on disk
-// from an uploaded one (same file names, same codec, same manifest
-// schema). Per-name write serialization — one appender per trace, no
-// concurrent Stager on the same name — is the caller's concern, as it
-// is for the rest of the store.
+// Segments rotate at the store's job cap, so a live-appended trace is
+// indistinguishable on disk from an uploaded one (same file names, same
+// codec, same manifest schema). Per-name write serialization is the
+// caller's concern, as it is for the rest of the store.
 type Appender struct {
 	store *Store
 	dir   string
 	name  string
 	gen   uint64
 	meta  trace.Meta
+	// fresh marks a generation Create started and no Commit installed:
+	// Close removes all of its files.
+	fresh bool
 
 	jobs       int
 	bytesMoved int64
@@ -44,14 +58,14 @@ type Appender struct {
 	seg    *segmentWriter
 	segIdx int
 
-	batchSeq int
+	sealSeq int
 	// checkpoint is the committed partial snapshot the next manifest
 	// names unless Seal writes a new one; checkpointJobs is the job count
 	// it covers, or -1 until this appender commits one of its own.
 	checkpoint     *FileInfo
 	checkpointJobs int
 	sealedOpen     bool // open segment appears in the last sealed manifest
-	doneOrClosed   bool
+	done           bool
 }
 
 // checkpointFraction sets how often an appender's Seal writes a partial
@@ -64,14 +78,36 @@ type Appender struct {
 // instead of 24 B × the whole trace per batch.
 const checkpointFraction = 8
 
-// OpenAppend opens name for live batched appends. A fresh name creates
-// the trace directory and allocates a new generation with meta as the
-// trace metadata; an existing trace is continued — its committed
-// generation keeps its segment files and new segments are appended
-// after them — provided meta matches the committed metadata exactly
-// (the fingerprint and the hourly partial bins both hash the header
-// first, so appended jobs must agree on it). It returns the appender
-// plus the committed state being continued (nil for a fresh name).
+// Create starts a new generation of name with meta as its metadata,
+// creating the trace directory if needed. Its first Commit replaces
+// whatever generation the name had committed; closing it uncommitted
+// removes every file it wrote.
+func (s *Store) Create(name string, meta trace.Meta) (*Appender, error) {
+	dir, err := s.traceDir(name)
+	if err != nil {
+		return nil, err
+	}
+	if err := s.checkOpen(); err != nil {
+		return nil, err
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, fmt.Errorf("storage: creating trace dir: %w", err)
+	}
+	gen, err := s.nextGen(dir)
+	if err != nil {
+		return nil, err
+	}
+	return &Appender{store: s, dir: dir, name: name, gen: gen, meta: meta, fresh: true, checkpointJobs: -1}, nil
+}
+
+// OpenAppend opens name for live batched appends. A name with no
+// committed manifest is Created; an existing trace is continued — its
+// committed generation keeps its segment files and new segments are
+// appended after them — provided meta matches the committed metadata
+// exactly (the fingerprint and the hourly partial bins both hash the
+// header first, so appended jobs must agree on it). It returns the
+// appender plus the committed state being continued (nil for a fresh
+// name).
 func (s *Store) OpenAppend(name string, meta trace.Meta) (*Appender, *Trace, error) {
 	dir, err := s.traceDir(name)
 	if err != nil {
@@ -80,40 +116,33 @@ func (s *Store) OpenAppend(name string, meta trace.Meta) (*Appender, *Trace, err
 	if err := s.checkOpen(); err != nil {
 		return nil, nil, err
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, nil, fmt.Errorf("storage: creating trace dir: %w", err)
-	}
-	a := &Appender{store: s, dir: dir, name: name, meta: meta, checkpointJobs: -1}
 	man, err := readManifest(filepath.Join(dir, manifestName))
+	if os.IsNotExist(err) {
+		a, err := s.Create(name, meta)
+		return a, nil, err
+	}
 	if err != nil {
-		if !os.IsNotExist(err) {
-			return nil, nil, fmt.Errorf("storage: opening %q for append: %w", name, err)
-		}
-		gen, err := s.nextGen(dir)
-		if err != nil {
-			return nil, nil, err
-		}
-		a.gen = gen
-		return a, nil, nil
+		return nil, nil, fmt.Errorf("storage: opening %q for append: %w", name, err)
 	}
 	if got := man.Meta.TraceMeta(); !got.Start.Equal(meta.Start) || got.Length != meta.Length ||
 		got.Machines != meta.Machines || got.Name != meta.Name {
 		return nil, nil, fmt.Errorf("storage: append metadata %+v does not match committed %+v", meta, got)
 	}
-	a.gen = man.Generation
+	a := &Appender{store: s, dir: dir, name: name, gen: man.Generation, meta: meta, checkpointJobs: -1}
 	a.jobs = man.Jobs
 	a.bytesMoved = man.BytesMoved
 	a.closed = append(a.closed, man.Segments...)
 	a.segIdx = len(man.Segments)
 	if man.Partial != nil {
 		a.checkpoint = man.Partial
-		// Resume the batch sequence past the committed snapshot's so the
-		// next Seal never rewrites it in place. A one-shot upload's
-		// snapshot (g%06d.partial) doesn't parse and leaves seq at 0.
+		// Resume the seal sequence past the committed snapshot's so the
+		// next Seal never rewrites it in place. A snapshot named before
+		// sequence numbers (g%06d.partial) doesn't parse and leaves seq
+		// at 0.
 		var g uint64
 		var seq int
 		if _, err := fmt.Sscanf(man.Partial.File, "g%06d-b%06d.partial", &g, &seq); err == nil {
-			a.batchSeq = seq
+			a.sealSeq = seq
 		}
 	}
 	// A resumed appender always starts a new segment file rather than
@@ -123,12 +152,16 @@ func (s *Store) OpenAppend(name string, meta trace.Meta) (*Appender, *Trace, err
 	return a, &Trace{dir: dir, man: man}, nil
 }
 
+// SetMeta replaces the metadata Seal records, for a writer whose header
+// is complete only at the end of its stream (a spilled upload).
+func (a *Appender) SetMeta(meta trace.Meta) { a.meta = meta }
+
 // Append writes one job into the open segment, rotating at the store's
 // per-segment job cap. Jobs must arrive in canonical order (submit
 // time, then ID) for the caller's incremental fingerprint to match the
 // one-shot upload; the appender itself only stores them.
 func (a *Appender) Append(j *trace.Job) error {
-	if a.doneOrClosed {
+	if a.done {
 		return fmt.Errorf("storage: append after close")
 	}
 	if a.seg == nil {
@@ -150,8 +183,8 @@ func (a *Appender) Append(j *trace.Job) error {
 	return nil
 }
 
-// rotate finishes the open segment — codec close, flush, fsync — and
-// moves it to the closed list.
+// rotate finishes the open segment — codec flush, buffer flush, fsync,
+// close — and moves it to the closed list.
 func (a *Appender) rotate() error {
 	if a.seg == nil {
 		return nil
@@ -166,32 +199,55 @@ func (a *Appender) rotate() error {
 	return nil
 }
 
-// Seal makes everything appended so far durable and builds the batch's
+// Shards returns one Source per segment of the generation under the
+// appender's metadata, for pre-commit readback: the spill-ingest path
+// re-scans what it just wrote to derive the fingerprint (and, when the
+// upload header was incomplete, the aggregate) without holding jobs in
+// memory. The open segment is rotated first.
+func (a *Appender) Shards() ([]trace.Source, error) {
+	if a.done {
+		return nil, fmt.Errorf("storage: shards after close")
+	}
+	if err := a.rotate(); err != nil {
+		return nil, err
+	}
+	return segmentSources(a.dir, a.meta, a.closed), nil
+}
+
+// Sealed is a generation whose files are durable and whose manifest is
+// built but not yet committed. Appender.Commit is the cheap atomic
+// step, so callers can serialize it under their own locks without
+// holding them across the streaming writes.
+type Sealed struct {
+	man *Manifest
+}
+
+// Seal makes everything appended so far durable and builds the
 // manifest, ready to commit: the open segment's codec is flushed at a
 // block boundary (blocks are self-contained, so the committed prefix
 // decodes without the tail) and the file fsynced. fp must be the
 // canonical fingerprint of all jobs appended so far, and partial (nil
 // for none) the aggregate of all of them.
 //
-// The partial snapshot is a checkpoint, written only on the
-// appender's first seal and once the jobs appended since the committed
-// checkpoint reach 1/checkpointFraction of the trace, under a per-batch
-// name so the committed one is never rewritten in place. Any other
-// seal's manifest names the committed checkpoint, and Trace.LoadPartial
-// replays the jobs past it; partial is then not read.
+// The partial snapshot is a checkpoint, written only on the appender's
+// first seal and once the jobs appended since the committed checkpoint
+// reach 1/checkpointFraction of the trace, under a per-seal name so the
+// committed one is never rewritten in place. Any other seal's manifest
+// names the committed checkpoint, and Trace.LoadPartial replays the
+// jobs past it; partial is then not read.
 func (a *Appender) Seal(fp string, partial *core.Partial) (*Sealed, error) {
-	if a.doneOrClosed {
+	if a.done {
 		return nil, fmt.Errorf("storage: seal after close")
 	}
 	segments := a.closed
 	if a.seg != nil {
-		if err := a.seg.sync(false); err != nil {
+		if err := a.seg.sync(); err != nil {
 			return nil, err
 		}
 		segments = append(segments[:len(segments):len(segments)], a.seg.info())
 		a.sealedOpen = true
 	}
-	a.batchSeq++
+	a.sealSeq++
 	man := &Manifest{
 		Format:      manifestFormat,
 		Generation:  a.gen,
@@ -211,7 +267,7 @@ func (a *Appender) Seal(fp string, partial *core.Partial) (*Sealed, error) {
 		if err != nil {
 			return nil, fmt.Errorf("storage: encoding partial snapshot: %w", err)
 		}
-		name := batchPartialFile(a.gen, a.batchSeq)
+		name := checkpointFile(a.gen, a.sealSeq)
 		if err := writeFileSync(filepath.Join(a.dir, name), snap); err != nil {
 			return nil, err
 		}
@@ -221,18 +277,25 @@ func (a *Appender) Seal(fp string, partial *core.Partial) (*Sealed, error) {
 			CRC32C: crc32.Checksum(snap, castagnoli),
 		}
 	}
-	return &Sealed{store: a.store, dir: a.dir, man: man}, nil
+	return &Sealed{man: man}, nil
 }
 
-// Commit atomically installs a sealed batch. When the batch committed a
-// new checkpoint (or none), it garbage-collects the previous one, which
-// Sealed.Commit's sweep leaves alone because it shares the committed
-// generation. The appender stays open for more appends.
+// Commit atomically installs a sealed manifest as the trace's committed
+// state, then garbage-collects what it superseded: files of older
+// generations, and the previous checkpoint when the manifest names a
+// new one (or none). The appender stays open for more appends.
 func (a *Appender) Commit(sealed *Sealed) (*Trace, error) {
-	t, err := sealed.Commit()
-	if err != nil {
+	if a.done {
+		return nil, fmt.Errorf("storage: commit after close")
+	}
+	if err := a.store.checkOpen(); err != nil {
 		return nil, err
 	}
+	if err := commitManifest(a.dir, sealed.man); err != nil {
+		return nil, err
+	}
+	a.fresh = false
+	sweepOlderGenerations(a.dir, sealed.man)
 	next := sealed.man.Partial
 	if a.checkpoint != nil && next != a.checkpoint {
 		os.Remove(filepath.Join(a.dir, a.checkpoint.File))
@@ -244,38 +307,220 @@ func (a *Appender) Commit(sealed *Sealed) (*Trace, error) {
 		a.checkpointJobs = sealed.man.Jobs
 	}
 	a.checkpoint = next
-	return t, nil
+	return &Trace{dir: a.dir, man: sealed.man}, nil
 }
 
-// Close releases the open segment's descriptor without committing.
-// Appends past the last commit stay on disk as an uncommitted tail that
-// recovery (or the next committed batch) supersedes; if nothing was
-// ever committed and the open segment never reached a manifest, the
-// file is removed outright.
+// Close releases the open segment's descriptor. A generation Create
+// started and no Commit installed is removed outright, every file of
+// it — how a rejected upload, spill or compaction is abandoned.
+// Otherwise appends past the last commit stay on disk as an
+// uncommitted tail that recovery (or the next committed batch)
+// supersedes, and an open segment no seal reached is removed. The trace
+// directory itself is never removed: another writer may have just
+// created it for the same name, and recovery drops a directory left
+// without a manifest.
 func (a *Appender) Close() error {
-	if a.doneOrClosed {
+	if a.done {
 		return nil
 	}
-	a.doneOrClosed = true
+	a.done = true
+	var err error
 	if a.seg != nil {
-		err := a.seg.f.Close()
+		err = a.seg.f.Close()
 		if !a.sealedOpen {
 			os.Remove(filepath.Join(a.dir, a.seg.file))
 		}
 		a.seg = nil
-		if err != nil {
-			return fmt.Errorf("storage: closing segment: %w", err)
-		}
 	}
-	// A fresh name that never committed leaves an empty directory;
-	// remove it quietly (fails, ignored, when non-empty).
-	os.Remove(a.dir)
+	if a.fresh {
+		removeGeneration(a.dir, a.gen)
+	}
+	if err != nil {
+		return fmt.Errorf("storage: closing segment: %w", err)
+	}
 	return nil
 }
 
-// batchPartialFile names the aggregate snapshot committed by batch seq
-// of generation gen. Distinct from partialFile so a live-append batch
-// never rewrites the previous batch's committed snapshot in place.
-func batchPartialFile(gen uint64, seq int) string {
-	return fmt.Sprintf("%s-b%06d.partial", genPrefix(gen), seq)
+// sweepOlderGenerations removes files of generations older than the
+// committed one. Newer-generation files (a concurrent writer's
+// generation in progress) are left untouched; crashes here are cleaned
+// by recovery.
+func sweepOlderGenerations(dir string, man *Manifest) {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return
+	}
+	keep := man.fileSet()
+	for _, e := range entries {
+		name := e.Name()
+		if name == manifestName || keep[name] {
+			continue
+		}
+		if gen, ok := fileGeneration(name); ok && gen >= man.Generation {
+			continue // concurrent newer generation; not ours to touch
+		}
+		os.Remove(filepath.Join(dir, name))
+	}
+}
+
+// removeGeneration removes every file of generation gen in dir.
+func removeGeneration(dir string, gen uint64) {
+	entries, _ := os.ReadDir(dir)
+	for _, e := range entries {
+		if g, ok := fileGeneration(e.Name()); ok && g == gen {
+			os.Remove(filepath.Join(dir, e.Name()))
+		}
+	}
+}
+
+// fileGeneration parses the generation a segment or snapshot file
+// belongs to.
+func fileGeneration(name string) (uint64, bool) {
+	var gen uint64
+	_, err := fmt.Sscanf(name, "g%06d", &gen)
+	return gen, err == nil
+}
+
+// fileSet returns the manifest's committed file names.
+func (m *Manifest) fileSet() map[string]bool {
+	set := make(map[string]bool, len(m.Segments)+1)
+	for _, seg := range m.Segments {
+		set[seg.File] = true
+	}
+	if m.Partial != nil {
+		set[m.Partial.File] = true
+	}
+	return set
+}
+
+// writeFileSync writes data to path and fsyncs it.
+func writeFileSync(path string, data []byte) error {
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return fmt.Errorf("storage: writing %s: %w", path, err)
+	}
+	if _, err := f.Write(data); err != nil {
+		f.Close()
+		return fmt.Errorf("storage: writing %s: %w", path, err)
+	}
+	if err := f.Sync(); err != nil {
+		f.Close()
+		return fmt.Errorf("storage: syncing %s: %w", path, err)
+	}
+	return f.Close()
+}
+
+// countCRCWriter counts and checksums every byte passing through it —
+// the one place segment sizes and CRCs are computed, so the manifest's
+// size and CRC always describe the file's bytes exactly.
+type countCRCWriter struct {
+	w   io.Writer
+	n   int64
+	crc uint32
+}
+
+func (c *countCRCWriter) Write(p []byte) (int, error) {
+	n, err := c.w.Write(p)
+	c.crc = crc32.Update(c.crc, castagnoli, p[:n])
+	c.n += int64(n)
+	return n, err
+}
+
+// segmentWriter is one open segment file: a colseg writer over a
+// buffered, checksummed file, plus the segment's job count and submit
+// span.
+type segmentWriter struct {
+	file string
+	f    *os.File
+	bw   *bufio.Writer
+	cw   *countCRCWriter
+	enc  *colseg.Writer
+	jobs int
+	span submitSpan
+}
+
+// createSegment creates (truncating) segment file in dir.
+func createSegment(dir, file string) (*segmentWriter, error) {
+	f, err := os.OpenFile(filepath.Join(dir, file), os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return nil, fmt.Errorf("storage: creating segment: %w", err)
+	}
+	bw := bufio.NewWriterSize(f, 1<<16)
+	cw := &countCRCWriter{w: bw}
+	return &segmentWriter{file: file, f: f, bw: bw, cw: cw, enc: colseg.NewWriter(cw)}, nil
+}
+
+func (w *segmentWriter) write(j *trace.Job) error {
+	if err := w.enc.Write(j); err != nil {
+		return err
+	}
+	w.jobs++
+	w.span.observe(j)
+	return nil
+}
+
+// sync makes every job written so far durable: the codec is flushed at
+// a self-contained block boundary, then the buffer is flushed and the
+// file fsynced.
+func (w *segmentWriter) sync() error {
+	if err := w.enc.Flush(); err != nil {
+		return fmt.Errorf("storage: finishing segment: %w", err)
+	}
+	if err := w.bw.Flush(); err != nil {
+		return fmt.Errorf("storage: flushing segment: %w", err)
+	}
+	if err := w.f.Sync(); err != nil {
+		return fmt.Errorf("storage: syncing segment: %w", err)
+	}
+	return nil
+}
+
+// finish syncs and closes the file and returns the segment's info.
+func (w *segmentWriter) finish() (SegmentInfo, error) {
+	if err := w.sync(); err != nil {
+		w.f.Close()
+		return SegmentInfo{}, err
+	}
+	if err := w.f.Close(); err != nil {
+		return SegmentInfo{}, fmt.Errorf("storage: closing segment: %w", err)
+	}
+	return w.info(), nil
+}
+
+// info describes the bytes written so far — after sync, exactly the
+// durable prefix.
+func (w *segmentWriter) info() SegmentInfo {
+	info := SegmentInfo{
+		FileInfo: FileInfo{File: w.file, Size: w.cw.n, CRC32C: w.cw.crc},
+		Jobs:     w.jobs,
+		Codec:    CodecColumnar,
+		Blocks:   w.enc.Blocks(),
+	}
+	if w.span.has {
+		info.MinSubmitSec, info.MaxSubmitSec = w.span.min, w.span.max
+		info.HasSpan = true
+	}
+	return info
+}
+
+// submitSpan accumulates a segment's min/max job submit seconds — the
+// segment-level zone map recorded in the manifest.
+type submitSpan struct {
+	has      bool
+	min, max int64
+}
+
+func (sp *submitSpan) observe(j *trace.Job) {
+	sec := j.SubmitTime.Unix()
+	if !sp.has {
+		sp.has = true
+		sp.min, sp.max = sec, sec
+		return
+	}
+	if sec < sp.min {
+		sp.min = sec
+	}
+	if sec > sp.max {
+		sp.max = sec
+	}
 }

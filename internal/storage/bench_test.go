@@ -24,7 +24,7 @@ func BenchmarkSegmentScan(b *testing.B) {
 			var st *Trace
 			if codec == CodecColumnar {
 				s, _ := openStore(b, root, 0)
-				st = stageCommit(b, s, "bench", tr, nil)
+				st = commitTrace(b, s, "bench", tr, nil)
 			} else {
 				st = writeLegacyGeneration(b, root, "bench", tr, DefaultSegmentJobs, tr.Len(), nil)
 			}
@@ -77,11 +77,12 @@ func BenchmarkFragmentedScan(b *testing.B) {
 		b.ReportMetric(float64(frag.Blocks()), "blocks")
 	})
 
-	sealed, _, err := s.CompactTrace(frag)
+	a, sealed, err := s.CompactTrace(frag)
 	if err != nil {
 		b.Fatal(err)
 	}
-	ct, err := sealed.Commit()
+	defer a.Close()
+	ct, err := a.Commit(sealed)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -15,7 +15,8 @@ import (
 // scanned job, weaker zone-map pruning, bigger manifests. Compaction
 // rewrites the committed generation into packed segments (full blocks,
 // rebuilt zone maps, fresh per-segment submit spans) as a NEW
-// generation committed through the standard atomic manifest protocol.
+// generation, written by the same Appender as every other generation
+// and committed through the standard atomic manifest protocol.
 // Identity is canonical JSONL, so the rewrite preserves the fingerprint
 // exactly — the compactor re-hashes every job it moves and aborts on
 // any mismatch rather than committing a generation that lies about its
@@ -33,41 +34,23 @@ const (
 	DefaultCompactMinFill     = 0.5
 )
 
-// CompactPolicy decides when a committed generation is fragmented
-// enough to rewrite. Zero fields take the defaults above.
-type CompactPolicy struct {
-	// MinSegments triggers when the generation has at least this many
-	// segment files (and packing would actually reduce the count).
-	MinSegments int
-	// MinFill triggers when the average colseg block holds fewer than
-	// MinFill×BlockJobs jobs (and packing would actually merge blocks).
-	// Traces whose manifests predate per-segment block counts never
-	// trigger on fill.
-	MinFill float64
-}
-
 // NeedsCompaction reports whether t's committed generation would
-// benefit from compaction under p. A generation the compactor itself
-// wrote never re-triggers (its manifest is marked), so the background
-// loop converges instead of rewriting packed traces forever.
-func (s *Store) NeedsCompaction(t *Trace, p CompactPolicy) bool {
+// benefit from compaction under the triggers above. Each fires only if
+// packing would actually reduce what it counts, and manifests that
+// predate per-segment block counts never trigger on fill. A generation
+// the compactor itself wrote never re-triggers (its manifest is
+// marked), so the background loop converges instead of rewriting packed
+// traces forever.
+func (s *Store) NeedsCompaction(t *Trace) bool {
 	if t.Jobs() == 0 || t.man.Compacted {
 		return false
 	}
-	minSegs := p.MinSegments
-	if minSegs <= 0 {
-		minSegs = DefaultCompactMinSegments
-	}
-	minFill := p.MinFill
-	if minFill <= 0 {
-		minFill = DefaultCompactMinFill
-	}
 	packedSegs := (t.Jobs() + s.segJobs - 1) / s.segJobs
-	if t.Segments() >= minSegs && t.Segments() > packedSegs {
+	if t.Segments() >= DefaultCompactMinSegments && t.Segments() > packedSegs {
 		return true
 	}
 	if blocks, ok := t.colsegBlocks(); ok && blocks > packedBlocks(t.Jobs(), s.segJobs) {
-		if float64(t.Jobs()) < minFill*float64(blocks)*float64(colseg.BlockJobs) {
+		if float64(t.Jobs()) < DefaultCompactMinFill*float64(blocks)*float64(colseg.BlockJobs) {
 			return true
 		}
 	}
@@ -104,37 +87,39 @@ func packedBlocks(jobs, segJobs int) int {
 
 // Blocks sums the recorded colseg block counts (0 for manifests that
 // predate block counts).
-func (t *Trace) Blocks() int { return blocksOf(t.man.Segments) }
-
-// CompactResult reports what one compaction rewrite accomplished.
-type CompactResult struct {
-	Jobs           int
-	SegmentsBefore int
-	SegmentsAfter  int
-	BlocksBefore   int
-	BlocksAfter    int
+func (t *Trace) Blocks() int {
+	n := 0
+	for _, seg := range t.man.Segments {
+		n += seg.Blocks
+	}
+	return n
 }
 
 // CompactTrace streams t's committed generation into a packed new
 // generation and seals it, re-deriving the canonical fingerprint along
-// the way: a mismatch with the committed manifest aborts the rewrite
+// the way: a mismatch with the committed manifest abandons the rewrite
 // (segment corruption insurance — a compaction must be a byte-identical
 // no-op or nothing). The persisted partial snapshot is carried over
 // when readable; a damaged one only costs the snapshot, as on the
-// recovery path. Open's legacy migration runs through here too. The
-// caller commits the returned Sealed under whatever lock serializes
-// writes to this name (and must invalidate or have excluded concurrent
-// append sessions, whose manifests would otherwise regress the
-// compacted generation), or Aborts it to discard the staged files.
-func (s *Store) CompactTrace(t *Trace) (*Sealed, *CompactResult, error) {
-	st, err := s.NewStager(t.Name())
+// recovery path. Open's legacy migration runs through here too. It
+// returns the writer with its sealed generation: the caller commits it
+// under whatever lock serializes writes to this name (and must
+// invalidate or have excluded concurrent append sessions, whose
+// manifests would otherwise regress the compacted generation), and
+// Closes the writer, which discards the generation if it never
+// committed.
+func (s *Store) CompactTrace(t *Trace) (*Appender, *Sealed, error) {
+	a, err := s.Create(t.Name(), t.Meta())
 	if err != nil {
+		return nil, nil, err
+	}
+	fail := func(err error) (*Appender, *Sealed, error) {
+		a.Close()
 		return nil, nil, err
 	}
 	hasher := trace.NewHasher()
 	if err := hasher.Begin(t.Meta()); err != nil {
-		st.Abort()
-		return nil, nil, err
+		return fail(err)
 	}
 	// Every job is hashed and re-encoded on the spot, so the volatile
 	// chain's reused batches are safe.
@@ -142,16 +127,14 @@ func (s *Store) CompactTrace(t *Trace) (*Sealed, *CompactResult, error) {
 		if err := hasher.Write(j); err != nil {
 			return err
 		}
-		return st.Write(j)
+		return a.Append(j)
 	})
 	if err != nil {
-		st.Abort()
-		return nil, nil, fmt.Errorf("storage: compacting %q: %w", t.Name(), err)
+		return fail(fmt.Errorf("storage: compacting %q: %w", t.Name(), err))
 	}
 	if got := hasher.Sum(); got != t.Fingerprint() {
-		st.Abort()
-		return nil, nil, fmt.Errorf("storage: compacting %q: rewrite fingerprint %.12s does not match committed %.12s",
-			t.Name(), got, t.Fingerprint())
+		return fail(fmt.Errorf("storage: compacting %q: rewrite fingerprint %.12s does not match committed %.12s",
+			t.Name(), got, t.Fingerprint()))
 	}
 	// Carry the frozen aggregate snapshot into the new generation; a
 	// damaged or absent one only costs the snapshot (reports rebuild
@@ -160,27 +143,10 @@ func (s *Store) CompactTrace(t *Trace) (*Sealed, *CompactResult, error) {
 	if err != nil {
 		partial = nil
 	}
-	sealed, err := st.Seal(t.Meta(), t.Fingerprint(), t.Jobs(), t.BytesMoved(), partial)
+	sealed, err := a.Seal(t.Fingerprint(), partial)
 	if err != nil {
-		st.Abort()
-		return nil, nil, err
+		return fail(err)
 	}
 	sealed.man.Compacted = true
-	res := &CompactResult{
-		Jobs:           t.Jobs(),
-		SegmentsBefore: t.Segments(),
-		SegmentsAfter:  len(sealed.man.Segments),
-		BlocksBefore:   t.Blocks(),
-		BlocksAfter:    blocksOf(sealed.man.Segments),
-	}
-	return sealed, res, nil
-}
-
-// blocksOf sums recorded block counts over segment infos.
-func blocksOf(segs []SegmentInfo) int {
-	n := 0
-	for _, seg := range segs {
-		n += seg.Blocks
-	}
-	return n
+	return a, sealed, nil
 }

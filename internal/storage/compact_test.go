@@ -24,7 +24,7 @@ func TestCompactTraceIdentity(t *testing.T) {
 	if want := fingerprint(t, tr); fp != want {
 		t.Fatalf("fragmented fingerprint %s, want one-shot %s", fp, want)
 	}
-	if !s.NeedsCompaction(tt, CompactPolicy{}) {
+	if !s.NeedsCompaction(tt) {
 		t.Fatal("a session-fragmented trace must trigger compaction")
 	}
 	ref, err := core.BuildPartial(trace.NewSliceSource(tr), false)
@@ -34,11 +34,12 @@ func TestCompactTraceIdentity(t *testing.T) {
 	want := reportBytes(t, ref)
 	segsBefore, blocksBefore := tt.Segments(), tt.Blocks()
 
-	sealed, res, err := s.CompactTrace(tt)
+	a, sealed, err := s.CompactTrace(tt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ct, err := sealed.Commit()
+	defer a.Close()
+	ct, err := a.Commit(sealed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,12 +59,7 @@ func TestCompactTraceIdentity(t *testing.T) {
 	if ct.Blocks() >= blocksBefore {
 		t.Fatalf("compaction kept %d blocks (was %d)", ct.Blocks(), blocksBefore)
 	}
-	if res.SegmentsBefore != segsBefore || res.SegmentsAfter != ct.Segments() ||
-		res.BlocksBefore != blocksBefore || res.BlocksAfter != ct.Blocks() || res.Jobs != tr.Len() {
-		t.Fatalf("result %+v inconsistent with manifests (segments %d→%d, blocks %d→%d)",
-			res, segsBefore, ct.Segments(), blocksBefore, ct.Blocks())
-	}
-	if s.NeedsCompaction(ct, CompactPolicy{}) {
+	if s.NeedsCompaction(ct) {
 		t.Fatal("a compacted generation must not re-trigger")
 	}
 
@@ -125,9 +121,9 @@ func TestCompactTraceIdentity(t *testing.T) {
 	}
 }
 
-// TestCrashMidCompaction: a crash between staging the rewrite and
+// TestCrashMidCompaction: a crash between sealing the rewrite and
 // committing its manifest must cost nothing — recovery serves the old
-// generation untouched and sweeps the orphaned staged files.
+// generation untouched and sweeps the orphaned files.
 func TestCrashMidCompaction(t *testing.T) {
 	tr := genTrace(t, "CC-b", 2, 26*time.Hour)
 	root := t.TempDir()
@@ -135,12 +131,12 @@ func TestCrashMidCompaction(t *testing.T) {
 	tt, fp := fragmentTrace(t, s, "live", tr, 8, 2)
 	segsBefore := tt.Segments()
 
+	// Crash: the rewrite's writer is neither committed nor closed. Its
+	// sealed segment files sit in the trace directory as a future
+	// generation.
 	if _, _, err := s.CompactTrace(tt); err != nil {
 		t.Fatal(err)
 	}
-	// Crash: the sealed rewrite is neither committed nor aborted. Its
-	// staged segment files sit in the trace directory as a future
-	// generation.
 	dir := filepath.Join(root, "traces", "live")
 	staged := 0
 	entries, err := os.ReadDir(dir)
@@ -195,7 +191,7 @@ func TestCompactionPolicy(t *testing.T) {
 	s, _ := openStore(t, t.TempDir(), 0)
 
 	packed := writeTrace(t, s, "packed", tr)
-	if s.NeedsCompaction(packed, CompactPolicy{}) {
+	if s.NeedsCompaction(packed) {
 		t.Error("a one-shot packed write triggered compaction")
 	}
 
@@ -206,7 +202,7 @@ func TestCompactionPolicy(t *testing.T) {
 	if frag.Segments() >= DefaultCompactMinSegments {
 		t.Fatalf("premise broken: %d segments reach the segment trigger", frag.Segments())
 	}
-	if !s.NeedsCompaction(frag, CompactPolicy{}) {
+	if !s.NeedsCompaction(frag) {
 		t.Error("batch-underfilled blocks did not trigger compaction")
 	}
 
@@ -218,22 +214,37 @@ func TestCompactionPolicy(t *testing.T) {
 	for i := range legacy.man.Segments {
 		legacy.man.Segments[i].Blocks = 0
 	}
-	if s.NeedsCompaction(legacy, CompactPolicy{}) {
+	if s.NeedsCompaction(legacy) {
 		t.Error("legacy manifest without block counts triggered on fill")
 	}
 
-	// MinFill=1 would re-trigger even on packed output (the tail block
-	// is almost never full): the Compacted mark must hold the line.
-	sealed, _, err := s.CompactTrace(frag)
+	// The Compacted mark must hold the line where the triggers alone
+	// would fire: a rewrite packed at a 100-job cap, reopened at the
+	// default cap, has more than DefaultCompactMinSegments segments.
+	root := t.TempDir()
+	small, _ := openStore(t, root, 100)
+	fragSmall, _ := fragmentTrace(t, small, "frag", tr, 1, 12)
+	a, sealed, err := small.CompactTrace(fragSmall)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ct, err := sealed.Commit()
-	if err != nil {
+	if _, err := a.Commit(sealed); err != nil {
 		t.Fatal(err)
 	}
-	if s.NeedsCompaction(ct, CompactPolicy{MinFill: 1}) {
-		t.Error("compacted generation re-triggered under an unachievable fill target")
+	a.Close()
+	small.Close()
+	big, rec := openStore(t, root, 0)
+	if len(rec.Traces) != 1 || !rec.Traces[0].man.Compacted {
+		t.Fatalf("reopen after compaction: %+v", rec)
+	}
+	ct := rec.Traces[0]
+	if big.NeedsCompaction(ct) {
+		t.Error("compacted generation re-triggered")
+	}
+	unmarkedMan := *ct.man
+	unmarkedMan.Compacted = false
+	if !big.NeedsCompaction(&Trace{dir: ct.dir, man: &unmarkedMan}) {
+		t.Fatalf("premise broken: unmarked, the %d-segment compacted generation does not trigger", ct.Segments())
 	}
 }
 
@@ -248,14 +259,15 @@ func TestCompactedFlagClearedByAppend(t *testing.T) {
 	s, _ := openStore(t, t.TempDir(), 2000)
 	tt, _ := fragmentTrace(t, s, "live", head, 8, 2)
 
-	sealed, _, err := s.CompactTrace(tt)
+	w, sealed, err := s.CompactTrace(tt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ct, err := sealed.Commit()
+	ct, err := w.Commit(sealed)
 	if err != nil {
 		t.Fatal(err)
 	}
+	w.Close()
 	if !ct.man.Compacted {
 		t.Fatal("compacted manifest not marked")
 	}
@@ -318,7 +330,7 @@ func TestCompactionVerifiesFingerprint(t *testing.T) {
 	if _, _, err := s.CompactTrace(forged); err == nil {
 		t.Fatal("compaction committed a generation whose rewrite hash mismatched the manifest")
 	}
-	// The abort left no staged litter behind.
+	// The abandoned rewrite left no litter behind.
 	entries, err := os.ReadDir(filepath.Join(root, "traces", "live"))
 	if err != nil {
 		t.Fatal(err)

@@ -189,5 +189,9 @@ func segmentFile(gen uint64, idx int) string {
 	return fmt.Sprintf("%s-%05d.seg", genPrefix(gen), idx)
 }
 
-// partialFile names generation gen's aggregate snapshot.
-func partialFile(gen uint64) string { return genPrefix(gen) + ".partial" }
+// checkpointFile names the aggregate snapshot written by seal seq of
+// generation gen. The sequence keeps a seal from rewriting the
+// committed snapshot in place.
+func checkpointFile(gen uint64, seq int) string {
+	return fmt.Sprintf("%s-b%06d.partial", genPrefix(gen), seq)
+}

@@ -16,7 +16,7 @@ import (
 // into a colseg generation, once, through CompactTrace: every job is
 // re-hashed and a fingerprint mismatch aborts, the partial snapshot is
 // carried over, and the new manifest commits atomically. A failure
-// fails Open naming the trace; its staged files are removed and the
+// fails Open naming the trace; its written files are removed and the
 // legacy generation stays committed and untouched. After Open every
 // committed segment is colseg, so segmentSource and ParallelScanPartial
 // decode nothing else, and the rewrite chain below is the one place
@@ -36,16 +36,12 @@ func (m *Manifest) legacy() bool {
 
 // migrate rewrites legacy generation t as colseg and commits it.
 func (s *Store) migrate(t *Trace) (*Trace, error) {
-	sealed, _, err := s.CompactTrace(t)
+	a, sealed, err := s.CompactTrace(t)
 	if err != nil {
 		return nil, err
 	}
-	mt, err := sealed.Commit()
-	if err != nil {
-		sealed.Abort()
-		return nil, err
-	}
-	return mt, nil
+	defer a.Close()
+	return a.Commit(sealed)
 }
 
 // each streams every committed job to fn in manifest order — the

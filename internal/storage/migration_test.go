@@ -97,6 +97,10 @@ func writeLegacyGeneration(t testing.TB, root, name string, tr *trace.Trace, seg
 	return &Trace{dir: dir, man: man}
 }
 
+// partialFile names generation gen's snapshot the way v5-era stores
+// did, before snapshot names carried a seal sequence.
+func partialFile(gen uint64) string { return genPrefix(gen) + ".partial" }
+
 // legacyFixture is one trace to write in the legacy layout: colsegFrom
 // is a fraction of its jobs (1 = pure JSONL).
 type legacyFixture struct {
@@ -243,7 +247,7 @@ func TestMigrationMixedCodecs(t *testing.T) {
 }
 
 // TestMigrationCrashBeforeCommit: a crash after the colseg rewrite is
-// staged but before its manifest rename reopens on the legacy
+// sealed but before its manifest rename reopens on the legacy
 // generation and migrates it again; a crash after the rename but before
 // the sweep reopens on the colseg generation. Either way the trace
 // serves identical bytes.
@@ -254,14 +258,15 @@ func TestMigrationCrashBeforeCommit(t *testing.T) {
 		root := t.TempDir()
 		s, _ := openStore(t, root, 300)
 		legacy, want := writeFixture(t, root, legacyFixture{"live", tr, 1})
-		sealed, _, err := s.CompactTrace(legacy)
+		// Crash: the rewrite's writer is never committed or closed.
+		a, sealed, err := s.CompactTrace(legacy)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if renamed {
 			// The manifest rename landed; the sweep of the legacy files
 			// did not.
-			if err := commitManifest(sealed.dir, sealed.man); err != nil {
+			if err := commitManifest(a.dir, sealed.man); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -216,15 +216,16 @@ func TestOpenZeroSegmentsMeta(t *testing.T) {
 	if err := hasher.Begin(meta); err != nil {
 		t.Fatal(err)
 	}
-	st, err := s.NewStager("empty")
+	a, err := s.Create("empty", meta)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sealed, err := st.Seal(meta, hasher.Sum(), 0, 0, nil)
+	defer a.Close()
+	sealed, err := a.Seal(hasher.Sum(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tt, err := sealed.Commit()
+	tt, err := a.Commit(sealed)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -77,7 +77,7 @@ func (s *Store) recoverTrace(dir, encName string) (*Trace, []TrimmedTail, string
 		}
 	}
 	// Committed and verified: sweep files the manifest does not name
-	// (stale generations, tmp files, crashed future stages).
+	// (stale generations, tmp files, crashed future generations).
 	if entries, err := os.ReadDir(dir); err == nil {
 		keep := man.fileSet()
 		for _, e := range entries {

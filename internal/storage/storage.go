@@ -9,21 +9,23 @@
 // Inside, job records live in generation-prefixed segment files
 // (g000001-00000.seg, …) in the compact columnar colseg format (package
 // colseg), and the trace's frozen core.Partial lives in a versioned
-// snapshot file (g000001.partial). The single commit point is
+// snapshot file (g000001-b000001.partial). The single commit point is
 // manifest.json: it names the generation's files with their sizes,
 // CRC-32C checksums, and codecs, plus the trace metadata, fingerprint,
 // and Table-1 totals. Fingerprints are always computed over the jobs'
 // canonical JSONL serialization, never over segment bytes, so trace
 // identity is independent of the on-disk representation.
 //
-// Commit protocol. A writer stages a new generation's segment and
-// snapshot files in the trace directory, fsyncs them, then commits by
-// writing manifest.json.tmp, fsyncing it, renaming it over
-// manifest.json, and fsyncing the directory. rename(2) is atomic, so a
-// crash leaves either the old manifest or the new one — never a torn
-// mix. Files of older generations are deleted only after the commit;
-// files of newer generations (a concurrent writer mid-stage) are left
-// alone.
+// Commit protocol. Every generation is written by one type, Appender:
+// Create (or OpenAppend) → Append → Seal → Commit, then Close. Seal
+// writes and fsyncs the generation's segment and snapshot files in the
+// trace directory; Commit writes manifest.json.tmp, fsyncs it, renames
+// it over manifest.json, and fsyncs the directory. rename(2) is atomic,
+// so a crash leaves either the old manifest or the new one — never a
+// torn mix. Files of older generations are deleted only after the
+// commit; files of newer generations (a concurrent writer mid-write)
+// are left alone. Closing a created generation that never committed
+// removes its files.
 //
 // Recovery. Open scans every trace directory: a missing or unparsable
 // manifest drops the directory (an uncommitted trace from a crashed
@@ -69,7 +71,7 @@ type Options struct {
 }
 
 // Store is a handle to one storage root. It hands out immutable Trace
-// handles for committed generations and Stagers for writing new ones.
+// handles for committed generations and Appenders for writing them.
 // The handle is safe for concurrent use; per-trace write ordering
 // (last-commit-wins on re-ingest) is the caller's concern.
 type Store struct {
@@ -130,7 +132,7 @@ func Open(root string, opts Options) (*Store, *Recovery, error) {
 
 func (s *Store) tracesDir() string { return filepath.Join(s.root, "traces") }
 
-// Close marks the store closed; subsequent stagers and commits fail.
+// Close marks the store closed; subsequent writers and commits fail.
 // Committed state needs no flushing — every commit is synced before it
 // returns — so Close is about refusing work during shutdown, not about
 // writing anything.

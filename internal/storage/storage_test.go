@@ -56,17 +56,27 @@ func writeTrace(t testing.TB, s *Store, name string, tr *trace.Trace) *Trace {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return stageCommit(t, s, name, tr, p)
+	return commitTrace(t, s, name, tr, p)
 }
 
-// stageCommit stages tr under name and commits it.
-func stageCommit(t testing.TB, s *Store, name string, tr *trace.Trace, p *core.Partial) *Trace {
+// commitTrace writes tr under name as a new generation and commits it.
+func commitTrace(t testing.TB, s *Store, name string, tr *trace.Trace, p *core.Partial) *Trace {
 	t.Helper()
-	sealed, err := s.Stage(name, tr, fingerprint(t, tr), p)
+	a, err := s.Create(name, tr.Meta)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := sealed.Commit()
+	defer a.Close()
+	for _, j := range tr.Jobs {
+		if err := a.Append(j); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sealed, err := a.Seal(fingerprint(t, tr), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := a.Commit(sealed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +104,7 @@ func TestWriteReopenRoundTrip(t *testing.T) {
 	}
 
 	s, _ := openStore(t, root, 100) // many segments on purpose
-	stageCommit(t, s, "mine", tr, liveP)
+	commitTrace(t, s, "mine", tr, liveP)
 	s.Close()
 
 	s2, rec := openStore(t, root, 100)
@@ -185,68 +195,6 @@ func TestShardsOutOfCore(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Error("out-of-core shard analysis drifted from sequential in-memory analysis")
-	}
-}
-
-// TestStagerStreamingIngest: the stager path (write jobs one at a time,
-// read back pre-commit, seal, commit) matches the whole-trace path.
-func TestStagerStreamingIngest(t *testing.T) {
-	s, _ := openStore(t, t.TempDir(), 300)
-	tr := genTrace(t, "CC-e", 3, 26*time.Hour)
-	fp := fingerprint(t, tr)
-
-	st, err := s.NewStager("streamed")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, j := range tr.Jobs {
-		if err := st.Write(j); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Pre-commit readback sees exactly what was staged.
-	shards, err := st.Shards(tr.Meta)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := 0
-	for _, sh := range shards {
-		for {
-			_, err := sh.Next()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			n++
-		}
-	}
-	if n != tr.Len() {
-		t.Fatalf("staged readback saw %d jobs, wrote %d", n, tr.Len())
-	}
-	sum := tr.Summarize()
-	sealed, err := st.Seal(tr.Meta, fp, tr.Len(), int64(sum.BytesMoved), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h, err := sealed.Commit()
-	if err != nil {
-		t.Fatal(err)
-	}
-	src, err := h.Open()
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotFP, err := trace.Fingerprint(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotFP != fp {
-		t.Errorf("streamed fingerprint %s != %s", gotFP, fp)
-	}
-	if h.man.Partial != nil {
-		t.Error("nil partial produced a snapshot entry")
 	}
 }
 
@@ -342,13 +290,16 @@ func TestNameEncoding(t *testing.T) {
 	}
 }
 
-// TestClosedStoreRefusesWrites: Close makes stagers and deletes fail —
+// TestClosedStoreRefusesWrites: Close makes writers and deletes fail —
 // the shutdown contract.
 func TestClosedStoreRefusesWrites(t *testing.T) {
 	s, _ := openStore(t, t.TempDir(), 0)
 	s.Close()
-	if _, err := s.NewStager("x"); err == nil {
-		t.Error("stager after close")
+	if _, err := s.Create("x", trace.Meta{}); err == nil {
+		t.Error("Create after close")
+	}
+	if _, _, err := s.OpenAppend("x", trace.Meta{}); err == nil {
+		t.Error("OpenAppend after close")
 	}
 	if err := s.Delete("x"); err == nil {
 		t.Error("delete after close")
