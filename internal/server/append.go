@@ -11,25 +11,27 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/storage"
 	"repro/internal/trace"
 )
 
-// The live-ingest path: batched appends into an open trace. Every
-// committed batch is a full store state — fingerprint, frozen partial
-// aggregate, durable segments — byte-identical to what a one-shot
-// upload of the same prefix would have produced, so readers never see
-// an "appending" trace as anything but a normal (shorter) trace.
+// The live-ingest path: batched appends into an open trace. An append
+// session is the upload's writer kept open: the same session (write.go)
+// folds every batch, and the same publish commits it, once per batch
+// instead of once per upload. Every committed batch is therefore a full
+// store state — fingerprint, frozen partial aggregate, durable segments
+// — byte-identical to what a one-shot upload of the same prefix would
+// have produced, so readers never see an "appending" trace as anything
+// but a normal (shorter) trace.
 //
-// The machinery that makes a batch cost O(batch log N), not O(trace),
-// is all incremental:
-//   - the fingerprint extends a running trace.Hasher (the canonical
+// What makes a batch cost O(batch log N), not O(trace), is that the
+// session stays open between batches:
+//   - the fingerprint extends its running trace.Hasher (the canonical
 //     JSONL hash is a stream hash, so in-order appends extend it);
-//   - the aggregate extends a private mutable core.Partial; each commit
-//     refreezes it (the batch's samples become a new immutable sorted
-//     run) and publishes a clone that shares those runs and copies only
-//     the hourly and name sections (append-and-refreeze: published
-//     partials stay frozen, as the entry contract requires);
+//   - the aggregate extends its private mutable core.Partial; each
+//     commit refreezes it (the batch's samples become a new immutable
+//     sorted run) and publishes a clone that shares those runs and
+//     copies only the hourly and name sections (append-and-refreeze:
+//     published partials stay frozen, as the entry contract requires);
 //   - the segments extend storage's open append generation, with the
 //     manifest commit per batch as the durability point; the partial
 //     snapshot is rewritten only at checkpoints, and recovery replays
@@ -53,28 +55,17 @@ func errAppendOrder(j *trace.Job, lastSubmit time.Time, lastID int64) error {
 		ErrAppendConflict, j.ID, j.SubmitTime.Format(time.RFC3339), lastSubmit.Format(time.RFC3339), lastID)
 }
 
-// appendState is one trace's live append session: the running hasher,
-// the private mutable aggregate, and (with backing) the open storage
-// generation. Batches serialize on mu; the store's write lock is taken
-// only for the commit. stale is set (under the store's write lock) when
-// a Put, spill, or Delete replaces the trace out from under the
-// session — the session is then abandoned and the next append reopens
-// from the new committed state.
+// appendState is one trace's live append session: the open write
+// session plus what keeps it alive between batches. Batches serialize
+// on mu; the store's write lock is taken only inside publish. stale is
+// set (under the store's write lock) when a Put, spill, or Delete
+// replaces the trace out from under the session — the session is then
+// abandoned and the next append reopens from the new committed state.
+// Memory-mode sessions keep every job in the resident copy, and each
+// committed batch publishes its own trace header over a prefix of them.
 type appendState struct {
-	mu   sync.Mutex
-	meta trace.Meta
-
-	hasher *trace.Hasher
-	live   *core.Partial // private mutable aggregate; nil when disabled
-	jobs   []*trace.Job  // memory mode: all jobs, committed snapshots alias prefixes
-
-	appender *storage.Appender // disk mode; nil without backing
-
-	count      int
-	bytesMoved int64
-	lastSubmit time.Time
-	lastID     int64
-
+	session
+	mu    sync.Mutex
 	stale atomic.Bool
 	// lastBatch is the unix-nano wall time of the session's open or its
 	// most recent committed batch, read lock-free by the idle reaper.
@@ -88,9 +79,7 @@ type appendState struct {
 func (st *appendState) teardown() {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if st.appender != nil {
-		st.appender.Close()
-	}
+	st.close()
 }
 
 // invalidateAppendLocked detaches name's live append session, if any,
@@ -107,9 +96,9 @@ func (s *Store) invalidateAppendLocked(name string) {
 }
 
 // dropAppendSession abandons a session after a failure that left it
-// unusable (a write error mid-batch, a lost commit race): it is
-// detached from the map unless a replacement session already took the
-// slot, and its descriptor closed.
+// unusable (a batch folded but not committed: a write, seal, admission
+// or commit error): it is detached from the map unless a replacement
+// session already took the slot, and its descriptor closed.
 func (s *Store) dropAppendSession(name string, st *appendState) {
 	s.mu.Lock()
 	if cur, ok := s.appendStates[name]; ok && cur == st {
@@ -117,9 +106,7 @@ func (s *Store) dropAppendSession(name string, st *appendState) {
 	}
 	s.mu.Unlock()
 	st.stale.Store(true)
-	if st.appender != nil {
-		st.appender.Close()
-	}
+	st.close()
 }
 
 // Append drains src as one batch appended to name, committing the
@@ -142,8 +129,7 @@ func (s *Store) Append(name string, src trace.Source) (TraceInfo, int, string, e
 	}
 	batch, err := collectBatch(src)
 	if err != nil {
-		s.countAppendRejected()
-		return TraceInfo{}, 0, "", err
+		return TraceInfo{}, 0, "", s.reject(&s.appendRejected, err)
 	}
 
 	// A replaced-under-us session retries against the new committed
@@ -151,14 +137,13 @@ func (s *Store) Append(name string, src trace.Source) (TraceInfo, int, string, e
 	// spin forever.
 	for attempt := 0; ; attempt++ {
 		info, prevFP, err := s.appendBatch(name, src.Meta(), batch)
-		if err == nil {
-			return info, len(batch), prevFP, nil
-		}
 		if errors.Is(err, errSessionStale) && attempt < 3 {
 			continue
 		}
-		s.countAppendRejected()
-		return TraceInfo{}, 0, "", err
+		if err != nil {
+			return TraceInfo{}, 0, "", s.reject(&s.appendRejected, err)
+		}
+		return info, len(batch), prevFP, nil
 	}
 }
 
@@ -190,9 +175,9 @@ func collectBatch(src trace.Source) ([]*trace.Job, error) {
 	return batch, nil
 }
 
-// appendBatch runs one attempt: resolve (or open) the session, write
-// the batch through it, and commit the new state.
-func (s *Store) appendBatch(name string, batchMeta trace.Meta, batch []*trace.Job) (TraceInfo, string, error) {
+// appendBatch runs one attempt: resolve (or open) the session, fold
+// the batch through it, and publish the new state.
+func (s *Store) appendBatch(name string, batchMeta trace.Meta, batch []*trace.Job) (info TraceInfo, prevFP string, err error) {
 	st, err := s.appendSession(name, batchMeta)
 	if err != nil {
 		return TraceInfo{}, "", err
@@ -205,136 +190,43 @@ func (s *Store) appendBatch(name string, batchMeta trace.Meta, batch []*trace.Jo
 	if err := checkBatchMeta(batchMeta, st.meta); err != nil {
 		return TraceInfo{}, "", err
 	}
-	if st.count > 0 && jobLess(batch[0], &trace.Job{SubmitTime: st.lastSubmit, ID: st.lastID}) {
+	if st.count > 0 && st.precedes(batch[0]) {
 		return TraceInfo{}, "", errAppendOrder(batch[0], st.lastSubmit, st.lastID)
 	}
-	// Sample the admission bounds before the expensive work; the commit
+	// Sample the admission bounds before the expensive work; publish
 	// re-checks authoritatively under the write lock.
-	if err := s.precheckAppend(name, len(batch)); err != nil {
+	if err := s.precheck(name, st.count+len(batch)); err != nil {
 		return TraceInfo{}, "", err
 	}
-
-	for _, j := range batch {
-		if st.appender != nil {
-			if err := st.appender.Append(j); err != nil {
-				s.dropAppendSession(name, st)
-				return TraceInfo{}, "", fmt.Errorf("server: appending to %q: %w", name, err)
-			}
-		} else {
-			st.jobs = append(st.jobs, j)
-		}
-		if err := st.hasher.Write(j); err != nil {
+	defer func() {
+		if err != nil && !errors.Is(err, errSessionStale) {
+			// The session already holds the batch (written, hashed,
+			// observed); it cannot be unwound, so it is abandoned.
 			s.dropAppendSession(name, st)
-			return TraceInfo{}, "", err
 		}
-		if st.live != nil {
-			st.live.Observe(j)
-		}
-		st.count++
-		st.bytesMoved += int64(j.TotalBytes())
-	}
-	last := batch[len(batch)-1]
-	st.lastSubmit, st.lastID = last.SubmitTime, last.ID
+	}()
 
-	fp := st.hasher.Sum()
+	if st.hot != nil {
+		// The published prefix keeps its header; the next batch grows a
+		// new one over the same jobs.
+		st.hot = &trace.Trace{Meta: st.meta, Jobs: st.hot.Jobs}
+	}
+	for _, j := range batch {
+		if err := st.add(j); err != nil {
+			return TraceInfo{}, "", fmt.Errorf("server: appending to %q: %w", name, err)
+		}
+	}
 	var frozen *core.Partial
 	if st.live != nil {
 		st.live.Freeze()
-		frozen, err = st.live.Clone()
-		if err != nil {
-			s.dropAppendSession(name, st)
+		if frozen, err = st.live.Clone(); err != nil {
 			return TraceInfo{}, "", fmt.Errorf("server: refreezing aggregate for %q: %w", name, err)
 		}
 	}
-	info := TraceInfo{
-		Name:        name,
-		Fingerprint: fp,
-		Workload:    st.meta.Name,
-		Machines:    st.meta.Machines,
-		LengthMS:    st.meta.Length.Milliseconds(),
-		Jobs:        st.count,
-		BytesMoved:  st.bytesMoved,
+	if info, prevFP, err = s.publish(name, &st.session, frozen, st); err == nil {
+		st.lastBatch.Store(time.Now().UnixNano())
 	}
-
-	// Durability outside the store lock (fsync of segment + snapshot),
-	// exactly like put; only the atomic manifest commit and the entry
-	// swap happen inside it.
-	var sealed *storage.Sealed
-	if st.appender != nil {
-		sealed, err = st.appender.Seal(fp, frozen)
-		if err != nil {
-			s.dropAppendSession(name, st)
-			return TraceInfo{}, "", fmt.Errorf("server: sealing append to %q: %w", name, err)
-		}
-	}
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if st.stale.Load() {
-		// Lost the race with a replacement between write and commit: the
-		// replacement already owns the name (and, on disk, a newer
-		// generation). The batch's staged bytes are uncommitted tail;
-		// nothing to undo.
-		return TraceInfo{}, "", errSessionStale
-	}
-	if err := s.admitAppendLocked(name, len(batch)); err != nil {
-		// The session's state already includes this batch (hashed,
-		// observed); it cannot be unwound, so the session is abandoned.
-		s.invalidateAppendLocked(name)
-		return TraceInfo{}, "", err
-	}
-	var prevFP string
-	if old, ok := s.entries[name]; ok {
-		prevFP = old.info.Fingerprint
-	}
-	e := &entry{info: info, partial: frozen}
-	if st.appender != nil {
-		stored, err := st.appender.Commit(sealed)
-		if err != nil {
-			s.invalidateAppendLocked(name)
-			return TraceInfo{}, "", fmt.Errorf("server: committing append to %q: %w", name, err)
-		}
-		e.stored = stored
-	} else {
-		t := trace.New(st.meta)
-		t.Jobs = st.jobs[:len(st.jobs)]
-		e.t = t
-	}
-	s.installLocked(name, e)
-	s.appends++
-	st.lastBatch.Store(time.Now().UnixNano())
-	return info, prevFP, nil
-}
-
-// countAppendRejected bumps the append failure counter.
-func (s *Store) countAppendRejected() {
-	s.mu.Lock()
-	s.appendRejected++
-	s.mu.Unlock()
-}
-
-// precheckAppend samples the admission bounds for an append of n jobs
-// to name (advisory; the commit re-checks under the write lock).
-func (s *Store) precheckAppend(name string, n int) error {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.admitAppendLocked(name, n)
-}
-
-// admitAppendLocked checks the admission bounds for growing name by n
-// jobs: the trace-count cap when the batch creates the name, and —
-// memory-only — the job budget (appends grow the trace in place, so
-// nothing is freed). Callers hold mu (either mode).
-func (s *Store) admitAppendLocked(name string, n int) error {
-	if _, ok := s.entries[name]; !ok && len(s.entries) >= s.maxTraces {
-		return fmt.Errorf("%w: %d traces (max %d)", ErrStoreFull, len(s.entries), s.maxTraces)
-	}
-	if s.backing == nil {
-		if newTotal := s.residentJobs + n; newTotal > s.maxTotalJobs {
-			return fmt.Errorf("%w: %d total jobs would exceed max %d", ErrStoreFull, newTotal, s.maxTotalJobs)
-		}
-	}
-	return nil
+	return info, prevFP, err
 }
 
 // appendSession resolves name's live session, opening one from the
@@ -411,90 +303,51 @@ func (s *Store) openAppendSession(name string, batchMeta trace.Meta) (*appendSta
 		meta = committed
 	}
 
-	st := &appendState{meta: meta, hasher: trace.NewHasher()}
-	if err := st.hasher.Begin(meta); err != nil {
+	// Adopt the committed frozen aggregate when it demonstrably covers
+	// the committed jobs in the mode the session needs — the replay then
+	// only hashes. Otherwise the replay rebuilds the aggregate too.
+	adopt := !fresh && v.Partial != nil && !v.Partial.Sketch() &&
+		v.Partial.Jobs() == v.Info.Jobs && v.Partial.Meta() == meta
+	st := &appendState{}
+	if err := st.begin(meta, !adopt); err != nil {
 		return nil, err
 	}
-	st.live, _ = core.NewPartial(meta, false) // best-effort, like put
-
 	if s.backing != nil {
-		appender, _, err := s.backing.OpenAppend(name, meta)
-		if err != nil {
+		if st.appender, _, err = s.backing.OpenAppend(name, meta); err != nil {
 			return nil, fmt.Errorf("server: opening %q for append: %w", name, err)
 		}
-		st.appender = appender
+	} else {
+		st.hot = trace.New(meta)
 	}
 	if fresh {
 		return st, nil
 	}
 
-	// Adopt the committed frozen aggregate when it demonstrably covers
-	// the committed jobs in the mode the session needs — the replay then
-	// only hashes. Otherwise the replay rebuilds the aggregate too.
-	adopted := false
-	if st.live != nil && v.Partial != nil && !v.Partial.Sketch() &&
-		v.Partial.Jobs() == v.Info.Jobs && v.Partial.Meta() == meta {
-		clone, err := v.Partial.Clone()
-		if err == nil {
-			st.live = clone
-			adopted = true
-		}
-	}
-
-	var src trace.Source
 	if v.Trace != nil {
-		src = trace.NewSliceSource(v.Trace)
-		if s.backing == nil {
-			st.jobs = append(make([]*trace.Job, 0, v.Trace.Len()+1024), v.Trace.Jobs...)
+		for _, j := range v.Trace.Jobs {
+			if err = st.fold(j); err != nil {
+				break
+			}
+		}
+		if st.hot != nil {
+			st.hot.Jobs = append(make([]*trace.Job, 0, v.Trace.Len()+1024), v.Trace.Jobs...)
 		}
 	} else {
-		src, err = v.Stored.Open()
-		if err != nil {
-			st.close()
-			return nil, err
-		}
+		err = v.Stored.Each(st.fold)
 	}
-	for {
-		j, err := src.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			if cl, ok := src.(io.Closer); ok {
-				cl.Close()
-			}
-			st.close()
-			return nil, fmt.Errorf("server: replaying %q for append: %w", name, err)
-		}
-		if err := st.hasher.Write(j); err != nil {
-			if cl, ok := src.(io.Closer); ok {
-				cl.Close()
-			}
-			st.close()
-			return nil, err
-		}
-		if st.live != nil && !adopted {
-			st.live.Observe(j)
-		}
-		st.count++
-		st.bytesMoved += int64(j.TotalBytes())
-		st.lastSubmit, st.lastID = j.SubmitTime, j.ID
-	}
-	if st.count != v.Info.Jobs || st.hasher.Sum() != v.Info.Fingerprint {
+	if err == nil && (st.count != v.Info.Jobs || st.hasher.Sum() != v.Info.Fingerprint) {
 		// The replay must reproduce the committed identity exactly or the
 		// appended fingerprints would silently diverge from re-uploads.
+		err = errors.New("state diverges from committed identity")
+	}
+	if err == nil && adopt {
+		st.live, err = v.Partial.Clone()
+	}
+	if err != nil {
 		st.close()
-		return nil, fmt.Errorf("server: replaying %q for append: state diverges from committed identity", name)
+		return nil, fmt.Errorf("server: replaying %q for append: %w", name, err)
 	}
 	return st, nil
-}
-
-// close releases a half-open session's resources.
-func (st *appendState) close() {
-	if st.appender != nil {
-		st.appender.Close()
-		st.appender = nil
-	}
 }
 
 // checkBatchMeta verifies a batch's declared header against the

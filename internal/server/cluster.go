@@ -960,10 +960,7 @@ func (s *Server) handleShardIngest(w http.ResponseWriter, r *http.Request) {
 	}
 	info, err := s.store.Ingest(shardTraceName(name, i), src)
 	if err != nil {
-		if !errors.Is(err, ErrStoreFull) {
-			err = badReq("%v", err)
-		}
-		writeErr(w, err)
+		writeUploadErr(w, err)
 		return
 	}
 	writeJSON(w, http.StatusCreated, info)
@@ -983,12 +980,7 @@ func (s *Server) handleShardAppend(w http.ResponseWriter, r *http.Request) {
 	}
 	info, appended, _, err := s.store.Append(shardTraceName(name, i), src)
 	if err != nil {
-		switch {
-		case errors.Is(err, ErrStoreFull), errors.Is(err, ErrAppendConflict), errors.Is(err, errBadRequest):
-		default:
-			err = badReq("%v", err)
-		}
-		writeErr(w, err)
+		writeUploadErr(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, AppendResponse{TraceInfo: info, Appended: appended})

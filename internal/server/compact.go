@@ -12,8 +12,9 @@ import (
 // Background compaction, the serving half. storage.CompactTrace does
 // the rewrite (and proves it preserved the fingerprint); this file
 // decides which traces to rewrite and serializes the commit against
-// everything else that swaps a trace's state — re-ingests, spills, and
-// live append sessions — using the same entry-swap protocol Put uses.
+// everything else that swaps a trace's state (publish's uploads, spills
+// and live batches); it keeps its own commit, swapping the generation
+// under an unchanged identity.
 
 // Compact rewrites every eligible fragmented trace into a packed
 // generation and returns how many committed. A trace is eligible when
@@ -120,7 +121,7 @@ func (s *Store) compactOne(name, fp string, stored *storage.Trace) (bool, error)
 	}
 	// A session that opened after the candidate snapshot holds the OLD
 	// generation's appender; left alone, its next batch would commit a
-	// manifest regressing this one. Invalidate it exactly as Put does —
+	// manifest regressing this one. Invalidate it as an upload does —
 	// the in-flight batch sees the stale flag under this same lock and
 	// retries against the compacted state.
 	s.invalidateAppendLocked(name)

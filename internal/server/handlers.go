@@ -67,6 +67,23 @@ func badReq(format string, args ...any) error {
 	return fmt.Errorf("%w: %s", errBadRequest, fmt.Sprintf(format, args...))
 }
 
+// writeUploadErr answers a failed upload or append, on the public and
+// the shard routes alike: an over-limit body is ErrStoreFull (507), the
+// store's and the cluster's own sentinels keep their statuses, and any
+// other failure is the client's input (400).
+func writeUploadErr(w http.ResponseWriter, err error) {
+	var tooLarge *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooLarge):
+		err = fmt.Errorf("%w: body exceeds the %d-byte limit", ErrStoreFull, tooLarge.Limit)
+	case errors.Is(err, ErrStoreFull), errors.Is(err, ErrAppendConflict),
+		errors.Is(err, errUpstream), errors.Is(err, errBadRequest):
+	default:
+		err = badReq("%v", err)
+	}
+	writeErr(w, err)
+}
+
 // queryBool parses a boolean query parameter strictly: anything outside
 // {"", "0", "1", "true", "false", "yes", "no"} is a 400, not a silent
 // false — a misspelled ?ful=1 or ?sketch=ture must not quietly serve
@@ -245,15 +262,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 	endIngest()
 	if err != nil {
-		var tooLarge *http.MaxBytesError
-		switch {
-		case errors.As(err, &tooLarge):
-			err = fmt.Errorf("%w: upload exceeds the %d-byte limit", ErrStoreFull, tooLarge.Limit)
-		case errors.Is(err, ErrStoreFull), errors.Is(err, errUpstream), errors.Is(err, errBadRequest):
-		default:
-			err = badReq("%v", err)
-		}
-		writeErr(w, err)
+		writeUploadErr(w, err)
 		return
 	}
 	writeJSON(w, http.StatusCreated, info)
@@ -293,15 +302,7 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 	}
 	info, appended, prevFP, err := s.store.Append(name, src)
 	if err != nil {
-		var tooLarge *http.MaxBytesError
-		switch {
-		case errors.As(err, &tooLarge):
-			err = fmt.Errorf("%w: append exceeds the %d-byte limit", ErrStoreFull, tooLarge.Limit)
-		case errors.Is(err, ErrStoreFull), errors.Is(err, ErrAppendConflict), errors.Is(err, errBadRequest):
-		default:
-			err = badReq("%v", err)
-		}
-		writeErr(w, err)
+		writeUploadErr(w, err)
 		return
 	}
 	// The batch retired the trace's previous fingerprint; drop its

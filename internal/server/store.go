@@ -12,7 +12,6 @@ import (
 	"container/list"
 	"errors"
 	"fmt"
-	"io"
 	"sort"
 	"sync"
 	"time"
@@ -35,11 +34,6 @@ var ErrNotFound = errors.New("server: no such trace")
 // trace alone exceeds the in-memory job budget; such traces are served
 // by the out-of-core streaming analyses only.
 var ErrTooLarge = errors.New("server: trace exceeds the in-memory budget")
-
-// errUnsortedSpill rejects the one upload shape the spill path cannot
-// take: jobs out of submit order in a stream too large to sort in
-// memory (the engine has no external sort).
-var errUnsortedSpill = errors.New("server: upload is not in submit order and exceeds the in-memory budget (sort the stream before uploading)")
 
 // TraceInfo is the stored identity of one trace: the name it is served
 // under, its content fingerprint, and its Table-1 summary.
@@ -103,6 +97,10 @@ type entry struct {
 // rejected, and hot-tier overflow evicts the least-recently-used
 // resident copy (the segments remain, so eviction costs a reload, not
 // data). DELETE garbage-collects the on-disk segments.
+//
+// Every write (write.go) streams through a session outside the lock;
+// the write lock covers only publish's admit, commit and entry swap.
+// This file holds admission, residency and the read side.
 type Store struct {
 	mu sync.RWMutex
 	// lruMu serializes recency touches from concurrent readers. Reads
@@ -228,7 +226,8 @@ func normalize(name string, t *trace.Trace) error {
 // ownership: the store normalizes the trace in place, fingerprints it,
 // and from then on treats it as immutable. Returns the stored identity.
 func (s *Store) Put(name string, t *trace.Trace) (TraceInfo, error) {
-	return s.put(name, t, nil)
+	info, err := s.put(name, t, nil)
+	return info, s.reject(&s.rejected, err)
 }
 
 // put is Put with an optional partial aggregate observed during a
@@ -238,13 +237,8 @@ func (s *Store) Put(name string, t *trace.Trace) (TraceInfo, error) {
 // fresh aggregate is built here, shard-parallel across the CPUs, so
 // every stored trace carries one. Partial construction is best-effort:
 // a trace too short for hourly binning stores with a nil partial and
-// reports fall back to scanning.
-//
-// With backing, the trace is written through: segments and snapshot
-// are written and fsynced outside the store lock (the expensive part),
-// and only the atomic manifest commit happens inside it, ordered with
-// the map insert so the disk and memory views can never disagree about
-// which upload won a race on one name.
+// reports fall back to scanning. One session then fingerprints the
+// jobs, and publish writes (with backing) and commits them.
 func (s *Store) put(name string, t *trace.Trace, p *core.Partial) (TraceInfo, error) {
 	if name == "" {
 		return TraceInfo{}, fmt.Errorf("server: empty trace name")
@@ -253,13 +247,10 @@ func (s *Store) put(name string, t *trace.Trace, p *core.Partial) (TraceInfo, er
 		return TraceInfo{}, err
 	}
 	// Cheap non-authoritative admission check before the expensive work
-	// (partial aggregation + fingerprint): a store that is already full
-	// must not burn a multi-core analysis scan per rejected upload. The
-	// bounds are re-checked authoritatively under the write lock below.
+	// (partial aggregation, fingerprint, disk writes): a store that is
+	// already full must not burn a multi-core analysis scan per rejected
+	// upload. publish re-checks authoritatively under the write lock.
 	if err := s.precheck(name, t.Len()); err != nil {
-		s.mu.Lock()
-		s.rejected++
-		s.mu.Unlock()
 		return TraceInfo{}, err
 	}
 	if p != nil && (p.Sketch() || p.Jobs() != t.Len() || p.Meta() != t.Meta) {
@@ -268,72 +259,22 @@ func (s *Store) put(name string, t *trace.Trace, p *core.Partial) (TraceInfo, er
 	if p == nil {
 		p, _ = core.BuildTracePartial(t, 0, false)
 	}
-	if p != nil {
-		p.Freeze()
-	}
-	fp, err := t.Fingerprint()
+	ss, err := s.create(name, t.Meta)
 	if err != nil {
-		s.mu.Lock()
-		s.rejected++
-		s.mu.Unlock()
 		return TraceInfo{}, err
 	}
-	sum := t.Summarize()
-	info := TraceInfo{
-		Name:        name,
-		Fingerprint: fp,
-		Workload:    t.Meta.Name,
-		Machines:    t.Meta.Machines,
-		LengthMS:    t.Meta.Length.Milliseconds(),
-		Jobs:        sum.Jobs,
-		BytesMoved:  int64(sum.BytesMoved),
-	}
-
-	var w *storage.Appender
-	var sealed *storage.Sealed
-	if s.backing != nil {
-		// Closing the writer discards the generation unless it commits.
-		if w, err = s.backing.Create(name, t.Meta); err == nil {
-			defer w.Close()
-			for _, j := range t.Jobs {
-				if err = w.Append(j); err != nil {
-					break
-				}
-			}
-		}
-		if err == nil {
-			sealed, err = w.Seal(fp, p)
-		}
-		if err != nil {
-			// Every non-committed ingest outcome counts as a rejection,
-			// not just admission failures — /v1/stats must not undercount
-			// failed uploads.
-			s.mu.Lock()
-			s.rejected++
-			s.mu.Unlock()
-			return TraceInfo{}, fmt.Errorf("server: persisting %q: %w", name, err)
-		}
-	}
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.admitLocked(name, t.Len()); err != nil {
-		s.rejected++
+	defer ss.close()
+	if err := ss.begin(t.Meta, false); err != nil {
 		return TraceInfo{}, err
 	}
-	var stored *storage.Trace
-	if w != nil {
-		stored, err = w.Commit(sealed)
-		if err != nil {
-			s.rejected++
-			return TraceInfo{}, fmt.Errorf("server: committing %q: %w", name, err)
+	ss.hot = t
+	for _, j := range t.Jobs {
+		if err := ss.fold(j); err != nil {
+			return TraceInfo{}, err
 		}
 	}
-	e := &entry{t: t, info: info, partial: p, stored: stored}
-	s.installLocked(name, e)
-	s.invalidateAppendLocked(name)
-	s.ingests++
-	return info, nil
+	info, _, err := s.publish(name, ss, p, nil)
+	return info, err
 }
 
 // admitLocked re-checks the admission bounds under the write lock for a
@@ -418,62 +359,10 @@ func (s *Store) touch(e *entry) {
 	s.lruMu.Unlock()
 }
 
-// Ingest drains a job stream into the store under name. The stream is
-// bounded as it is read: an upload that would not fit the *remaining*
-// hot-tier job budget (counting the trace it would replace as freed)
-// is, without backing, rejected mid-stream before it can balloon the
-// heap — and, with backing, switched to the spill path: the buffered
-// jobs and the rest of the stream go straight to disk segments, the
-// aggregate keeps building inline, and the trace is served out-of-core.
-//
-// When the upload header carries complete metadata, the partial
-// aggregate is built inline as the jobs decode — the analysis work of a
-// first cold report happens during the upload itself. The builders are
-// order-independent, so observing the pre-sort upload order produces
-// exactly the aggregate of the normalized trace.
-func (s *Store) Ingest(name string, src trace.Source) (TraceInfo, error) {
-	if name == "" {
-		return TraceInfo{}, fmt.Errorf("server: empty trace name")
-	}
-	budget := s.RemainingBudget(name)
-	meta := src.Meta()
-	var p *core.Partial
-	if !meta.Start.IsZero() && meta.Length > 0 {
-		if meta.Name == "" {
-			meta.Name = name // mirrors what normalize will decide
-		}
-		p, _ = core.NewPartial(meta, false)
-	}
-	t := trace.New(src.Meta())
-	for {
-		j, err := src.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return TraceInfo{}, err
-		}
-		if t.Len() >= budget {
-			if s.backing != nil {
-				return s.spillIngest(name, t, j, src, p)
-			}
-			s.mu.Lock()
-			s.rejected++
-			s.mu.Unlock()
-			return TraceInfo{}, fmt.Errorf("%w: upload exceeds the remaining %d-job budget", ErrStoreFull, budget)
-		}
-		t.Add(j)
-		if p != nil {
-			p.Observe(j)
-		}
-	}
-	return s.put(name, t, p)
-}
-
 // precheck samples the store bounds for a prospective insert of jobs
 // under name. It is advisory — concurrent writers can invalidate it —
-// so put re-checks under the write lock; its job is to fail clearly
-// doomed inserts before the expensive aggregation and hashing.
+// so publish re-checks under the write lock; its job is to fail clearly
+// doomed writes before the expensive aggregation, hashing and fsyncs.
 func (s *Store) precheck(name string, jobs int) error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()

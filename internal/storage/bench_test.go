@@ -32,7 +32,7 @@ func BenchmarkSegmentScan(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				jobs := 0
-				if err := st.each(func(*trace.Job) error { jobs++; return nil }); err != nil {
+				if err := st.Each(func(*trace.Job) error { jobs++; return nil }); err != nil {
 					b.Fatal(err)
 				}
 				if jobs != tr.Len() {
@@ -116,7 +116,7 @@ func BenchmarkParallelScan(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if err := tt.each(func(j *trace.Job) error { p.Observe(j); return nil }); err != nil {
+			if err := tt.Each(func(j *trace.Job) error { p.Observe(j); return nil }); err != nil {
 				b.Fatal(err)
 			}
 			if p.Jobs() != tr.Len() {

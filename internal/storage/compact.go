@@ -123,7 +123,7 @@ func (s *Store) CompactTrace(t *Trace) (*Appender, *Sealed, error) {
 	}
 	// Every job is hashed and re-encoded on the spot, so the volatile
 	// chain's reused batches are safe.
-	err = t.each(func(j *trace.Job) error {
+	err = t.Each(func(j *trace.Job) error {
 		if err := hasher.Write(j); err != nil {
 			return err
 		}

@@ -44,10 +44,10 @@ func (s *Store) migrate(t *Trace) (*Trace, error) {
 	return a.Commit(sealed)
 }
 
-// each streams every committed job to fn in manifest order — the
-// chain compaction and migration rewrite through. Colseg segments
-// decode into a reused batch, so fn must not retain the job.
-func (t *Trace) each(fn func(*trace.Job) error) error {
+// Each streams every committed job to fn in manifest order — the chain
+// compaction, migration and append-session replay read through. Colseg
+// segments decode into a reused batch, so fn must not retain the job.
+func (t *Trace) Each(fn func(*trace.Job) error) error {
 	for _, seg := range t.man.Segments {
 		if err := t.eachInSegment(seg, fn); err != nil {
 			return fmt.Errorf("storage: reading %s: %w", seg.File, err)
