@@ -127,7 +127,7 @@ func (b *DataSizeBuilder) Freeze() {
 // the newer's values.
 func (c *column) freeze() {
 	run := c.tail[:len(c.tail):len(c.tail)]
-	slices.Sort(run)
+	stats.SortFloats(run)
 	c.tail = nil
 	c.runs = append(c.runs, run)
 	for k := len(c.runs); k >= 2 && len(c.runs[k-2]) < runRatio*len(c.runs[k-1]); k-- {
@@ -145,7 +145,7 @@ func (c *column) distribution() stats.Distribution {
 	switch {
 	case len(c.tail) > 0:
 		s := slices.Concat(append(slices.Clone(c.runs), c.tail)...)
-		slices.Sort(s)
+		stats.SortFloats(s)
 		return stats.NewSortedCDF(s)
 	case len(c.runs) == 1:
 		return stats.NewSortedCDF(c.runs[0])

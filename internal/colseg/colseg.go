@@ -51,11 +51,13 @@
 // # Zone maps
 //
 // The min/max submit-second stats sit at the front of the body, before
-// the dictionary. A reader given a time range peeks just those stats,
-// and when the block lies wholly outside the range it discards the
-// frame without verifying or decoding it. The stats are second-floored,
-// so pruning is conservative: a block is only skipped when every job in
-// it is strictly outside the requested range.
+// the dictionary. A FrameScanner given a time range reads just the
+// frame length and those stats — one bounded header read per frame —
+// and when the block lies wholly outside the range it skips the frame
+// by advancing its offset: a pruned frame is never read, verified or
+// decoded. The stats are second-floored, so pruning is conservative: a
+// block is only skipped when every job in it is strictly outside the
+// requested range.
 package colseg
 
 import (

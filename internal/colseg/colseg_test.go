@@ -214,10 +214,10 @@ func TestBitFlipsDetected(t *testing.T) {
 	}
 }
 
-// TestZoneMapPruning: a time-ranged read skips blocks outside the range
-// without decoding them — proven both by the block counters and by
+// TestZoneMapPruning: a time-ranged scan skips blocks outside the
+// range without reading them — proven both by the block counters and by
 // corrupting a block outside the range: the ranged scan still succeeds
-// (the corruption is never even checksummed), while a full scan fails.
+// (the corruption is never even read), while a full scan fails.
 func TestZoneMapPruning(t *testing.T) {
 	start := time.Date(2010, 5, 1, 0, 0, 0, 0, time.UTC)
 	var jobs []*trace.Job
@@ -231,15 +231,15 @@ func TestZoneMapPruning(t *testing.T) {
 	seg := encode(t, jobs, WithBlockJobs(16)) // 25 blocks of 16 minutes each
 
 	from, to := start.Add(2*time.Hour), start.Add(3*time.Hour)
-	got, r, err := decodeAll(seg, trace.Meta{}, WithTimeRange(from, to))
+	got, fs, err := scanJobs(seg, WithTimeRange(from, to))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.BlocksPruned() == 0 || r.BlocksRead() == 0 {
-		t.Fatalf("pruning did not engage: read %d, pruned %d", r.BlocksRead(), r.BlocksPruned())
+	if fs.BlocksPruned() == 0 || fs.BlocksRead() == 0 {
+		t.Fatalf("pruning did not engage: read %d, pruned %d", fs.BlocksRead(), fs.BlocksPruned())
 	}
-	if r.BlocksRead()+r.BlocksPruned() != 25 {
-		t.Fatalf("read %d + pruned %d blocks, want 25 total", r.BlocksRead(), r.BlocksPruned())
+	if fs.BlocksRead()+fs.BlocksPruned() != 25 {
+		t.Fatalf("read %d + pruned %d blocks, want 25 total", fs.BlocksRead(), fs.BlocksPruned())
 	}
 	// Every job in the range came back (pruning is conservative: it may
 	// keep edge blocks, never drop in-range jobs).
@@ -262,17 +262,17 @@ func TestZoneMapPruning(t *testing.T) {
 	// Corrupt the tail of the segment — inside the last block, which
 	// covers minutes far outside [from, to].
 	seg[len(seg)-3] ^= 0xff
-	if _, _, err := decodeAll(seg, trace.Meta{}); err == nil {
+	if _, _, err := scanJobs(seg); err == nil {
 		t.Fatal("full scan of corrupted segment decoded without error")
 	}
-	gotPruned, r2, err := decodeAll(seg, trace.Meta{}, WithTimeRange(from, to))
+	gotPruned, fs2, err := scanJobs(seg, WithTimeRange(from, to))
 	if err != nil {
 		t.Fatalf("ranged scan decoded the corrupt pruned block: %v", err)
 	}
 	if len(gotPruned) != len(got) {
 		t.Fatalf("ranged scan over corrupt segment yielded %d jobs, want %d", len(gotPruned), len(got))
 	}
-	if r2.BlocksPruned() == 0 {
+	if fs2.BlocksPruned() == 0 {
 		t.Fatal("second ranged scan pruned nothing")
 	}
 }

@@ -103,6 +103,78 @@ func FuzzColumnarRoundTrip(f *testing.F) {
 	})
 }
 
+// FuzzFrameScanner holds the positional scanner to its bounds, on two
+// legs:
+//
+//  1. Arbitrary bytes, a committed size anywhere up to their length,
+//     and any window: scanning, and decoding what it keeps, must end in
+//     frames or an error — never a panic, and never a read at or past
+//     the size.
+//
+//  2. The input's canonical JSONL jobs, encoded as a segment: the
+//     scanner must keep exactly the frames a full-decode reference,
+//     filtered by the zone maps recomputed from its jobs, keeps.
+func FuzzFrameScanner(f *testing.F) {
+	may1 := time.Date(2010, 5, 1, 0, 0, 0, 0, time.UTC)
+	var jobs []byte
+	for i := 0; i < 6; i++ {
+		line, err := trace.AppendJobLine(nil, &trace.Job{ID: int64(i), Name: "hourly", SubmitTime: may1.Add(time.Duration(i) * time.Hour)})
+		if err != nil {
+			f.Fatal(err)
+		}
+		jobs = append(jobs, line...)
+	}
+	if len(parseJobs(jobs)) != 6 {
+		f.Fatal("seed jobs do not parse")
+	}
+	f.Add(jobs, uint32(0), uint8(1), may1.Unix()+3600, int64(60))
+	f.Add(encodeFuzz(f, jobs), uint32(0), uint8(1), may1.Unix(), int64(3600))
+	f.Add(encodeFuzz(f, jobs), uint32(7), uint8(2), may1.Unix()+7200, int64(0))
+	f.Add([]byte(Magic), uint32(0), uint8(0), int64(0), int64(-1))
+	f.Add([]byte{}, uint32(0), uint8(0), int64(0), int64(0))
+
+	f.Fuzz(func(t *testing.T, data []byte, cut uint32, blockHint uint8, fromSec, spanSec int64) {
+		from, to := time.Unix(fromSec, 0), time.Unix(fromSec+spanSec, 0)
+
+		// Leg 1: arbitrary bytes under any committed size.
+		size := int64(len(data) - int(cut%uint32(len(data)+1)))
+		rd := &countingReaderAt{data: data, size: size}
+		frames, _, err := scanFrames(rd, size, WithTimeRange(from, to))
+		if err == nil {
+			dec := NewBlockDecoder(trace.Meta{Name: "fuzz"})
+			for _, fr := range frames {
+				if _, err := dec.Decode(fr); err != nil {
+					break
+				}
+			}
+			dec.Close()
+		}
+		if rd.past {
+			t.Fatalf("a read reached the committed size %d", size)
+		}
+
+		// Leg 2: an encoded segment keeps the reference's frames.
+		parsed := parseJobs(data)
+		if len(parsed) == 0 {
+			return
+		}
+		seg := encode(t, parsed, WithBlockJobs(int(blockHint)%8+1))
+		want := refKept(refFrames(t, seg, int64(len(seg))), true, from, to)
+		got, _, err := scanFrames(bytes.NewReader(seg), int64(len(seg)), WithTimeRange(from, to))
+		if err != nil {
+			t.Fatalf("scanning our own encoding: %v", err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("kept %d frames, reference keeps %d", len(got), len(want))
+		}
+		for i := range want {
+			if !bytes.Equal(got[i], want[i]) {
+				t.Fatalf("frame %d differs from the reference", i)
+			}
+		}
+	})
+}
+
 // parseJobs decodes data as canonical JSONL body lines, stopping at the
 // first malformed line, and bounds the job count to keep iterations
 // fast.

@@ -1,7 +1,6 @@
 package colseg
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -11,42 +10,63 @@ import (
 )
 
 // The block-parallel scan splits the sequential Reader into its two
-// halves. A FrameScanner does the stream work — one goroutine walks the
-// segment, validates the header, frames blocks, and prunes via zone
-// maps without decoding a byte — while BlockDecoders do the CPU work:
-// each framed payload is self-contained (own CRC, own dictionary, own
-// delta bases), so any number of decoders can turn frames into job
-// batches concurrently. The storage layer owns the pipeline; this file
-// only provides the two halves.
+// halves. A FrameScanner does the positional work — one goroutine walks
+// the segment by offset, validates the header, frames blocks, and
+// prunes via zone maps without reading a pruned block's bytes — while
+// BlockDecoders do the CPU work: each framed payload is self-contained
+// (own CRC, own dictionary, own delta bases), so any number of decoders
+// can turn frames into job batches concurrently. The storage layer owns
+// the pipeline; this file only provides the two halves.
 
-// FrameScanner iterates a colseg segment's framed blocks without
-// decoding them. Next copies one surviving frame into the caller's
-// buffer; with WithTimeRange, blocks whose zone map lies wholly outside
-// the range are skipped (counted, never copied). Errors latch exactly
-// like the Reader's, and the pooled stream buffer is released at EOF,
-// on error, or at Close.
+// zoneMapWindow bounds a block's zone map: 4 CRC bytes plus the jobs
+// count and the two submit-second varints, each at most 10 bytes wide,
+// always fit.
+const zoneMapWindow = 44
+
+// frameHeaderMax bounds one frame's header read: the frame-length
+// varint plus the zone-map window.
+const frameHeaderMax = binary.MaxVarintLen64 + zoneMapWindow
+
+// FrameScanner walks the committed prefix [0, size) of a colseg segment
+// by offset and frames its blocks without decoding them. Each frame
+// costs one bounded header read — the frame-length varint plus the
+// zone-map window. With WithTimeRange, a frame whose zone map lies
+// wholly outside the range is skipped by advancing the offset: its
+// payload is never read, so never CRC-verified. A kept frame is read
+// once, straight into the caller's buffer, and the same read takes the
+// next frame's header, as the first read takes the segment header with
+// the first frame's. Nothing at or past size is read, so bytes a live
+// appender writes past the committed size stay invisible, and a frame
+// that runs past it fails as truncated. Errors latch: every later Next
+// repeats them.
 type FrameScanner struct {
-	br  *bufio.Reader
-	err error
+	r    io.ReaderAt
+	size int64
+	off  int64
+	err  error
 
 	began          bool
 	prune          bool
 	fromSec, toSec int64
 
+	// hdr holds header bytes already read; ahead is the part of it
+	// that starts at off, empty when the next header is still unread.
+	hdr   [maxSegmentHeader + frameHeaderMax]byte
+	ahead []byte
+
 	read, pruned int
 }
 
-// NewFrameScanner returns a FrameScanner over rd. It accepts the same
-// options as NewReader; only WithTimeRange is meaningful (the scanner
-// never decodes, so WithVolatileBatch is a no-op).
-func NewFrameScanner(rd io.Reader, opts ...Option) *FrameScanner {
-	var cfg Reader
-	for _, o := range opts {
-		o(&cfg)
+// NewFrameScanner returns a FrameScanner over the first size bytes of
+// r. It accepts the same options as NewReader; only WithTimeRange is
+// meaningful (the scanner never decodes, so WithVolatileBatch is a
+// no-op). It holds no pooled buffer, so there is nothing to close.
+func NewFrameScanner(r io.ReaderAt, size int64, opts ...Option) *FrameScanner {
+	var o options
+	for _, opt := range opts {
+		opt(&o)
 	}
-	br := brPool.Get().(*bufio.Reader)
-	br.Reset(rd)
-	return &FrameScanner{br: br, prune: cfg.prune, fromSec: cfg.fromSec, toSec: cfg.toSec}
+	return &FrameScanner{r: r, size: max(size, 0), prune: o.prune, fromSec: o.fromSec, toSec: o.toSec}
 }
 
 // Next returns the next surviving block frame's payload (CRC word plus
@@ -58,38 +78,77 @@ func (s *FrameScanner) Next(buf []byte) ([]byte, error) {
 		return nil, s.err
 	}
 	if !s.began {
-		if err := readSegmentHeader(s.br); err != nil {
+		h := s.hdr[:min(int64(len(s.hdr)), s.size)]
+		if err := s.readAt(h, 0); err != nil {
+			return nil, s.fail(fmt.Errorf("colseg: reading segment header: %w", err))
+		}
+		n, err := parseSegmentHeader(h)
+		if err != nil {
 			return nil, s.fail(err)
 		}
-		s.began = true
+		s.began, s.off, s.ahead = true, int64(n), h[n:]
 	}
-	for {
-		frameLen, err := binary.ReadUvarint(s.br)
-		if err == io.EOF {
-			s.err = io.EOF
-			s.release()
-			return nil, io.EOF
+	for s.off < s.size {
+		h := s.ahead
+		if want := min(frameHeaderMax, s.size-s.off); int64(len(h)) < want {
+			h = s.hdr[:want]
+			if err := s.readAt(h, s.off); err != nil {
+				return nil, s.fail(fmt.Errorf("colseg: reading block frame header: %w", err))
+			}
 		}
-		if err != nil {
+		s.ahead = nil
+		frameLen, k := binary.Uvarint(h)
+		if err := uvarintErr(k); err != nil {
 			return nil, s.fail(fmt.Errorf("colseg: reading block frame length: %w", err))
 		}
 		if frameLen < 5 {
 			return nil, s.fail(fmt.Errorf("colseg: block frame of %d bytes is shorter than its checksum", frameLen))
 		}
-		if s.prune && shouldPruneFrame(s.br, frameLen, s.fromSec, s.toSec) {
-			if err := discard(s.br, frameLen); err != nil {
-				return nil, s.fail(fmt.Errorf("colseg: skipping pruned block: %w", err))
-			}
+		if frameLen > uint64(s.size-s.off-int64(k)) {
+			return nil, s.fail(fmt.Errorf("colseg: block frame of %d bytes runs past the %d committed bytes: %w", frameLen, s.size, io.ErrUnexpectedEOF))
+		}
+		at := s.off + int64(k)
+		s.off = at + int64(frameLen)
+		// The frame fits the committed prefix, so h holds at least the
+		// first min(frameLen, zoneMapWindow) bytes of its payload.
+		head := h[k:min(uint64(len(h)), uint64(k)+frameLen)]
+		if s.prune && zoneMapOutside(head, s.fromSec, s.toSec) {
 			s.pruned++
 			continue
 		}
-		payload, err := readFull(s.br, frameLen, buf)
-		if err != nil {
+		n := frameLen + uint64(min(frameHeaderMax, s.size-s.off))
+		if uint64(cap(buf)) < n {
+			buf = make([]byte, n)
+		}
+		buf = buf[:n]
+		have := copy(buf, head)
+		if err := s.readAt(buf[have:], at+int64(have)); err != nil {
 			return nil, s.fail(fmt.Errorf("colseg: reading block: %w", err))
 		}
+		s.ahead = s.hdr[:copy(s.hdr[:], buf[frameLen:])]
 		s.read++
-		return payload, nil
+		return buf[:frameLen], nil
 	}
+	s.err = io.EOF
+	return nil, io.EOF
+}
+
+// readAt fills p from offset off; a short read is io.ErrUnexpectedEOF.
+func (s *FrameScanner) readAt(p []byte, off int64) error {
+	n, err := s.r.ReadAt(p, off)
+	if n == len(p) {
+		return nil
+	}
+	if err == nil || err == io.EOF {
+		err = io.ErrUnexpectedEOF
+	}
+	return err
+}
+
+// fail latches err.
+func (s *FrameScanner) fail(err error) error {
+	s.err = err
+	return err
 }
 
 // BlocksRead returns how many frames Next has handed out.
@@ -97,31 +156,6 @@ func (s *FrameScanner) BlocksRead() int { return s.read }
 
 // BlocksPruned returns how many frames the zone maps skipped.
 func (s *FrameScanner) BlocksPruned() int { return s.pruned }
-
-// Close releases the pooled stream buffer without draining; a scanner
-// already at EOF or failed has released it and Close is a no-op.
-func (s *FrameScanner) Close() error {
-	if s.err == nil {
-		s.err = errClosed
-		s.release()
-	}
-	return nil
-}
-
-// fail latches err and releases the stream buffer.
-func (s *FrameScanner) fail(err error) error {
-	s.err = err
-	s.release()
-	return err
-}
-
-func (s *FrameScanner) release() {
-	if s.br != nil {
-		s.br.Reset(nil)
-		brPool.Put(s.br)
-		s.br = nil
-	}
-}
 
 // BlockDecoder decodes framed block payloads independently of any
 // stream — the concurrent half of a block-parallel scan; each worker

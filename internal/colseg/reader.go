@@ -3,6 +3,7 @@ package colseg
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -16,13 +17,16 @@ import (
 	"repro/internal/units"
 )
 
-// Reader streams the jobs of one colseg segment in order, implementing
-// trace.Source. Blocks decode one at a time — each CRC-verified before
-// a single column is parsed — into a batch the reader hands out job by
-// job; the batch is freshly allocated per block, so callers may retain
-// returned pointers (WithVolatileBatch opts out for scan loops that
-// don't). Corrupt or truncated input fails with an error, never a
-// panic, and a latched error repeats on every subsequent Next.
+// Reader streams every job of one colseg segment in order, implementing
+// trace.Source: the whole-segment read compaction, Trace.Each, readback
+// and migration use (windowed scans frame blocks with a FrameScanner
+// instead, which skips pruned blocks unread). Blocks decode one at a
+// time — each CRC-verified before a single column is parsed — into a
+// batch the reader hands out job by job; the batch is freshly allocated
+// per block, so callers may retain returned pointers (WithVolatileBatch
+// opts out for scan loops that don't). Corrupt or truncated input fails
+// with an error, never a panic, and a latched error repeats on every
+// subsequent Next.
 type Reader struct {
 	br   *bufio.Reader
 	meta trace.Meta
@@ -37,30 +41,35 @@ type Reader struct {
 	payload []byte
 	sc      *scratch
 
-	prune          bool
-	fromSec, toSec int64
-
-	blocksRead   int
-	blocksPruned int
+	blocksRead int
 
 	lastOff  int
 	lastZone *time.Location
 }
 
-// Option tunes a Reader.
-type Option func(*Reader)
+// Option tunes a Reader or a FrameScanner.
+type Option func(*options)
 
-// WithTimeRange restricts the scan to blocks that may contain jobs
-// submitted in [from, to]: blocks whose zone map lies wholly outside
-// the range are skipped without being decoded or CRC-verified. Pruning
-// is conservative at second granularity — the reader still yields every
-// job of a kept block, including jobs outside the range near its edges;
-// callers filter exactly, the reader only skips I/O-and-decode work.
+// options is what the Options set: the Reader reads volatile, the
+// FrameScanner the time range.
+type options struct {
+	volatile       bool
+	prune          bool
+	fromSec, toSec int64
+}
+
+// WithTimeRange restricts a FrameScanner to blocks that may contain
+// jobs submitted in [from, to]: blocks whose zone map lies wholly
+// outside the range are skipped without being read, decoded or
+// CRC-verified. Pruning is conservative at second granularity — every
+// job of a kept block is still yielded, including jobs outside the
+// range near its edges; callers filter exactly, the scanner only skips
+// I/O-and-decode work.
 func WithTimeRange(from, to time.Time) Option {
-	return func(r *Reader) {
-		r.prune = true
-		r.fromSec = from.Unix()
-		r.toSec = to.Unix()
+	return func(o *options) {
+		o.prune = true
+		o.fromSec = from.Unix()
+		o.toSec = to.Unix()
 	}
 }
 
@@ -75,7 +84,7 @@ func WithTimeRange(from, to time.Time) Option {
 // batch from a shared pool, so a scan over many single-block segments
 // recycles one batch across all of them.
 func WithVolatileBatch() Option {
-	return func(r *Reader) { r.volatile = true }
+	return func(o *options) { o.volatile = true }
 }
 
 // scratch is the per-block decode state: the job batch and the column
@@ -94,11 +103,12 @@ type scratch struct {
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
-// brPool recycles the max-block-sized bufio buffers: a shard-parallel
-// scan opens one reader per segment, and a fresh 1MiB buffer per open
-// would be the scan's dominant allocation. Buffers return to the pool
-// at stream end (EOF or error); nothing a decode hands out points into
-// them.
+// brPool recycles the Reader's max-block-sized bufio buffers: a
+// whole-trace read (compaction, Trace.Each) opens one reader per
+// segment, and a fresh 1MiB buffer per open would be its dominant
+// allocation. Buffers return to the pool at stream end (EOF, error or
+// Close); nothing a decode hands out points into them. Windowed scans
+// use none: a FrameScanner reads frames by offset.
 var brPool = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, maxBlockBytes) }}
 
 // grow sizes the column arrays for an n-job block.
@@ -150,13 +160,13 @@ func (r *Reader) release() {
 func NewReader(rd io.Reader, meta trace.Meta, opts ...Option) *Reader {
 	// The buffer is one max-sized block: an ordinary frame is decoded
 	// in place from the buffer (Peek) without a payload copy.
+	var o options
+	for _, opt := range opts {
+		opt(&o)
+	}
 	br := brPool.Get().(*bufio.Reader)
 	br.Reset(rd)
-	r := &Reader{br: br, meta: meta}
-	for _, o := range opts {
-		o(r)
-	}
-	return r
+	return &Reader{br: br, meta: meta, volatile: o.volatile}
 }
 
 // Meta returns the trace metadata.
@@ -164,9 +174,6 @@ func (r *Reader) Meta() trace.Meta { return r.meta }
 
 // BlocksRead returns how many blocks have been decoded so far.
 func (r *Reader) BlocksRead() int { return r.blocksRead }
-
-// BlocksPruned returns how many blocks the zone maps skipped.
-func (r *Reader) BlocksPruned() int { return r.blocksPruned }
 
 // Close releases the reader's pooled buffers without draining the
 // stream. A scan abandoned mid-segment — a handler error on a sibling
@@ -204,8 +211,8 @@ func (r *Reader) Next() (*trace.Job, error) {
 	}
 }
 
-// loadBlock reads frames until one survives pruning and decodes, or the
-// segment ends (io.EOF).
+// loadBlock reads and decodes the next block, or reports io.EOF at the
+// end of the segment.
 func (r *Reader) loadBlock() error {
 	if !r.began {
 		if err := r.readHeader(); err != nil {
@@ -213,109 +220,114 @@ func (r *Reader) loadBlock() error {
 		}
 		r.began = true
 	}
-	for {
-		frameLen, err := binary.ReadUvarint(r.br)
-		if err == io.EOF {
-			return io.EOF
-		}
-		if err != nil {
-			return fmt.Errorf("colseg: reading block frame length: %w", err)
-		}
-		if frameLen < 5 {
-			return fmt.Errorf("colseg: block frame of %d bytes is shorter than its checksum", frameLen)
-		}
-		if r.prune && r.shouldPrune(frameLen) {
-			if err := discard(r.br, frameLen); err != nil {
-				return fmt.Errorf("colseg: skipping pruned block: %w", err)
-			}
-			r.blocksPruned++
-			continue
-		}
-		if frameLen <= uint64(r.br.Size()) {
-			// Common case: the frame fits the read buffer, so decode it in
-			// place. Nothing survives decodeBlock that points into the
-			// peeked bytes — strings are copied out via the dictionary
-			// blob — so the frame can be discarded immediately after.
-			payload, err := r.br.Peek(int(frameLen))
-			if err != nil {
-				if err == io.EOF {
-					err = io.ErrUnexpectedEOF
-				}
-				return fmt.Errorf("colseg: reading block: %w", err)
-			}
-			derr := r.decodeBlock(payload)
-			if _, err := r.br.Discard(int(frameLen)); derr == nil && err != nil {
-				derr = fmt.Errorf("colseg: reading block: %w", err)
-			}
-			if derr != nil {
-				return derr
-			}
-		} else {
-			// A frame larger than the buffer (a block carrying
-			// multi-megabyte strings) takes the copying path.
-			payload, err := readFull(r.br, frameLen, r.payload)
-			if err != nil {
-				return fmt.Errorf("colseg: reading block: %w", err)
-			}
-			r.payload = payload
-			if err := r.decodeBlock(payload); err != nil {
-				return err
-			}
-		}
-		r.blocksRead++
-		return nil
+	frameLen, err := binary.ReadUvarint(r.br)
+	if err == io.EOF {
+		return io.EOF
 	}
+	if err != nil {
+		return fmt.Errorf("colseg: reading block frame length: %w", err)
+	}
+	if frameLen < 5 {
+		return fmt.Errorf("colseg: block frame of %d bytes is shorter than its checksum", frameLen)
+	}
+	if frameLen <= uint64(r.br.Size()) {
+		// Common case: the frame fits the read buffer, so decode it in
+		// place. Nothing survives decodeBlock that points into the
+		// peeked bytes — strings are copied out via the dictionary
+		// blob — so the frame can be discarded immediately after.
+		payload, err := r.br.Peek(int(frameLen))
+		if err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return fmt.Errorf("colseg: reading block: %w", err)
+		}
+		derr := r.decodeBlock(payload)
+		if _, err := r.br.Discard(int(frameLen)); derr == nil && err != nil {
+			derr = fmt.Errorf("colseg: reading block: %w", err)
+		}
+		if derr != nil {
+			return derr
+		}
+	} else {
+		// A frame larger than the buffer (a block carrying
+		// multi-megabyte strings) takes the copying path.
+		payload, err := readFull(r.br, frameLen, r.payload)
+		if err != nil {
+			return fmt.Errorf("colseg: reading block: %w", err)
+		}
+		r.payload = payload
+		if err := r.decodeBlock(payload); err != nil {
+			return err
+		}
+	}
+	r.blocksRead++
+	return nil
 }
 
 // readHeader validates the segment magic and version.
-func (r *Reader) readHeader() error { return readSegmentHeader(r.br) }
-
-// readSegmentHeader validates the segment magic and version at the
-// start of br — shared by the streaming Reader and the FrameScanner.
-func readSegmentHeader(br *bufio.Reader) error {
-	var magic [len(Magic)]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		return fmt.Errorf("colseg: reading segment header: %w", err)
-	}
-	if string(magic[:]) != Magic {
-		return fmt.Errorf("colseg: bad magic %q", magic)
-	}
-	version, err := binary.ReadUvarint(br)
+func (r *Reader) readHeader() error {
+	b, perr := r.br.Peek(maxSegmentHeader)
+	n, err := parseSegmentHeader(b)
 	if err != nil {
-		return fmt.Errorf("colseg: reading segment version: %w", err)
+		if perr != nil && perr != io.EOF {
+			return fmt.Errorf("colseg: reading segment header: %w", perr)
+		}
+		return err
+	}
+	_, err = r.br.Discard(n)
+	return err
+}
+
+// maxSegmentHeader bounds the segment header: the magic plus the
+// version uvarint.
+const maxSegmentHeader = len(Magic) + binary.MaxVarintLen64
+
+// parseSegmentHeader validates the segment magic and version at the
+// start of b and returns the header's length — shared by the streaming
+// Reader and the FrameScanner. b holds the segment's first
+// maxSegmentHeader bytes, or all of them when it is shorter.
+func parseSegmentHeader(b []byte) (int, error) {
+	if len(b) < len(Magic) {
+		return 0, fmt.Errorf("colseg: reading segment header: %w", io.ErrUnexpectedEOF)
+	}
+	if string(b[:len(Magic)]) != Magic {
+		return 0, fmt.Errorf("colseg: bad magic %q", b[:len(Magic)])
+	}
+	version, n := binary.Uvarint(b[len(Magic):])
+	if err := uvarintErr(n); err != nil {
+		return 0, fmt.Errorf("colseg: reading segment version: %w", err)
 	}
 	if version != Version {
-		return fmt.Errorf("colseg: unsupported segment version %d", version)
+		return 0, fmt.Errorf("colseg: unsupported segment version %d", version)
+	}
+	return len(Magic) + n, nil
+}
+
+// uvarintErr is the error binary.Uvarint's length result n reports: a
+// varint the input ends inside, or one that overflows 64 bits.
+func uvarintErr(n int) error {
+	switch {
+	case n == 0:
+		return io.ErrUnexpectedEOF
+	case n < 0:
+		return errVarintOverflow
 	}
 	return nil
 }
 
-// shouldPrune peeks the block's zone-map stats (without consuming or
-// CRC-verifying the frame) and reports whether the block lies wholly
-// outside the requested range.
-func (r *Reader) shouldPrune(frameLen uint64) bool {
-	return shouldPruneFrame(r.br, frameLen, r.fromSec, r.toSec)
-}
+var errVarintOverflow = errors.New("varint overflows a 64-bit integer")
 
-// shouldPruneFrame peeks the next frame's zone-map stats (without
-// consuming or CRC-verifying it) and reports whether the block lies
-// wholly outside [fromSec, toSec]. Unparseable stats never prune: the
-// full decode path then surfaces the corruption as an error.
-func shouldPruneFrame(br *bufio.Reader, frameLen uint64, fromSec, toSec int64) bool {
-	// 4 CRC bytes + 3 varints of up to 10 bytes each, plus the jobs
-	// uvarint: 44 bytes always covers the stats.
-	peek := int(frameLen)
-	if peek > 44 {
-		peek = 44
-	}
-	b, err := br.Peek(peek)
-	if err != nil {
+// zoneMapOutside parses a block's zone-map stats from the first bytes
+// of its payload (CRC word, jobs count, min and max submit second) and
+// reports whether the block lies wholly outside [fromSec, toSec].
+// Unparseable stats never prune: the kept block's CRC check or decode
+// then surfaces the corruption as an error.
+func zoneMapOutside(head []byte, fromSec, toSec int64) bool {
+	if len(head) < 4 {
 		return false
 	}
-	rd := binenc.NewReader(b[4:])
+	rd := binenc.NewReader(head[4:])
 	rd.Uvarint() // jobs
 	minSec := rd.Varint()
 	maxSec := rd.Varint()
@@ -655,22 +667,6 @@ func (r *Reader) inZone(t time.Time, off int) time.Time {
 		r.lastZone = time.FixedZone("", off)
 	}
 	return t.In(r.lastZone)
-}
-
-// discard consumes n bytes of a pruned frame.
-func discard(br *bufio.Reader, n uint64) error {
-	for n > 0 {
-		step := n
-		const max = 1 << 30
-		if step > max {
-			step = max
-		}
-		if _, err := br.Discard(int(step)); err != nil {
-			return err
-		}
-		n -= step
-	}
-	return nil
 }
 
 // readFull reads exactly n bytes into buf (reusing its capacity),

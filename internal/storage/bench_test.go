@@ -102,7 +102,11 @@ func BenchmarkFragmentedScan(b *testing.B) {
 // block-parallel can use the other cores. BENCH_SCAN.json's
 // block_parallel_speedup gate bars segment/block on multi-core runners
 // (the -N benchmark suffix carries GOMAXPROCS; single-core machines
-// pass — no parallelism exists to measure).
+// pass — no parallelism exists to measure). The window arm is the
+// block-parallel scan of 6-hour windows stepping through the trace,
+// the paper's small ad-hoc query over recent hours: zone maps prune
+// all but a window's blocks, so its cost tracks the window rather than
+// the trace. BENCH_SCAN.json's window_scan_share records window/block.
 func BenchmarkParallelScan(b *testing.B) {
 	tr := genTrace(b, "FB-2009", 1, 14*24*time.Hour)
 	s, _ := openStore(b, b.TempDir(), 1<<20)
@@ -134,5 +138,23 @@ func BenchmarkParallelScan(b *testing.B) {
 				b.Fatalf("scanned %d jobs, want %d", p.Jobs(), tr.Len())
 			}
 		}
+	})
+	b.Run("window", func(b *testing.B) {
+		const span = 6 * time.Hour
+		windows := int(meta.Length / span)
+		jobs := 0
+		for i := 0; i < b.N; i++ {
+			win := meta
+			win.Start = meta.Start.Add(time.Duration(i%windows) * span)
+			win.Length = span
+			p, _, err := tt.ParallelScanPartial(ParallelScanOptions{
+				Window: true, From: win.Start, To: win.Start.Add(span), Meta: win,
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			jobs += p.Jobs()
+		}
+		b.ReportMetric(float64(jobs)/float64(b.N), "jobs/window")
 	})
 }

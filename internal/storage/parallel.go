@@ -4,8 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 	"runtime"
 	"sync"
 	"time"
@@ -20,12 +18,14 @@ import (
 // packed into one or two big segments on one or two cores. Instead one
 // IO goroutine walks the segments in manifest order, prunes at segment
 // (manifest span) and block (zone map) granularity, and frames colseg
-// blocks without decoding them; a bounded pool of workers decodes
-// frames into per-chunk core.Partials; and the caller merges those
-// partials in frame order. Because every aggregate is exact and
-// mergeable, the merged partial reports byte-identically to a
-// sequential core.BuildPartial over the same jobs, and is the same
-// partial at any worker count.
+// blocks without decoding them: a colseg.FrameScanner reads each
+// segment's committed prefix by offset, skips a pruned block without
+// reading it, and reads a kept one straight into a pooled frame
+// buffer. A bounded pool of workers decodes frames into per-chunk
+// core.Partials, and the caller merges those partials in frame order.
+// Because every aggregate is exact and mergeable, the merged partial
+// reports byte-identically to a sequential core.BuildPartial over the
+// same jobs, and is the same partial at any worker count.
 
 // framePool recycles block-frame payload buffers between the IO
 // goroutine and the decode workers. Entries are pointers so Put never
@@ -212,25 +212,17 @@ func (t *Trace) ParallelScanPartial(opts ParallelScanOptions) (*core.Partial, *S
 
 // emitSegmentFrames frames one colseg segment's blocks and emits them
 // in frameChunk batches. Block counters harvest into stats when the
-// segment's stream ends, exactly as the sequential reader's do.
+// segment's frames end, exactly as a WindowShards source's do.
 func (t *Trace) emitSegmentFrames(seg SegmentInfo, opts ParallelScanOptions, stats *ScanStats, seq *int, emit func(scanTask) bool) error {
-	f, err := os.Open(filepath.Join(t.dir, seg.File))
-	if err != nil {
-		return fmt.Errorf("storage: opening segment: %w", err)
-	}
-	defer f.Close()
-	// Readers see exactly the manifest-recorded committed prefix; a
-	// live-append tail past it stays invisible (see segmentSource).
-	var rd io.Reader = f
-	if seg.Size > 0 {
-		rd = io.LimitReader(f, seg.Size)
-	}
 	var copts []colseg.Option
 	if opts.Window {
 		copts = append(copts, colseg.WithTimeRange(opts.From, opts.To))
 	}
-	fs := colseg.NewFrameScanner(rd, copts...)
-	defer fs.Close()
+	f, fs, err := t.scanSegment(seg, copts...)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
 	harvest := func() {
 		stats.blocksRead.Add(int64(fs.BlocksRead()))
 		stats.blocksPruned.Add(int64(fs.BlocksPruned()))

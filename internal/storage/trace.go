@@ -61,7 +61,7 @@ func (t *Trace) Open() (trace.Source, error) {
 
 // ScanStats counts what a windowed disk scan actually touched — the
 // proof that zone maps pruned, independent of timing. Block counters
-// are harvested from each segment's colseg reader when its stream ends
+// are harvested from each segment's frame scanner when its frames end
 // (EOF, error, or Close), so read them only after the scan completes.
 // The counters are atomic: shard sources finish on scatter workers.
 type ScanStats struct {
@@ -71,46 +71,50 @@ type ScanStats struct {
 	blocksPruned   atomic.Int64
 }
 
-// BlocksRead returns how many colseg blocks the scan decoded.
+// BlocksRead returns how many colseg blocks the scan read and decoded.
 func (st *ScanStats) BlocksRead() int64 { return st.blocksRead.Load() }
 
-// BlocksPruned returns how many colseg blocks zone maps skipped inside
-// segments that were opened.
+// BlocksPruned returns how many colseg blocks zone maps skipped, unread,
+// inside segments that were opened.
 func (st *ScanStats) BlocksPruned() int64 { return st.blocksPruned.Load() }
 
 // WindowShards returns one scan source per kept segment for the jobs
 // submitted in [from, to], pruned at two levels: segments whose
 // manifest zone map lies wholly outside the window are skipped without
 // opening (manifests without zone maps never prune), and colseg blocks
-// inside kept segments are skipped via their per-block zone maps.
-// Pruning is conservative at second granularity — kept sources may
-// still yield edge jobs outside the window, so the caller filters
-// exactly (e.g. trace.NewWindowSource). The sources are volatile: each
-// decodes into one reused batch, so a job is valid only until that
-// source's next Next call (strings inside it are safe to retain). The
-// returned stats are valid once every source has been drained or
-// closed.
+// inside kept segments are skipped unread via their per-block zone
+// maps — the same colseg.FrameScanner and BlockDecoder the
+// block-parallel scan frames and decodes with. Pruning is conservative
+// at second granularity — kept sources may still yield edge jobs
+// outside the window, so the caller filters exactly (e.g.
+// trace.NewWindowSource). The sources are volatile: each decodes into
+// one reused batch, so a job is valid only until that source's next
+// Next call (strings inside it are safe to retain). The returned stats
+// are valid once every source has been drained or closed.
 func (t *Trace) WindowShards(from, to time.Time) ([]trace.Source, *ScanStats) {
 	stats := &ScanStats{Segments: len(t.man.Segments)}
 	fromSec, toSec := from.Unix(), to.Unix()
-	meta := t.Meta()
 	var out []trace.Source
 	for _, seg := range t.man.Segments {
 		if seg.pruneOutside(fromSec, toSec) {
 			stats.SegmentsPruned++
 			continue
 		}
-		out = append(out, &segmentSource{
-			path:   filepath.Join(t.dir, seg.File),
-			meta:   meta,
-			size:   seg.Size,
-			window: true,
-			from:   from,
-			to:     to,
-			stats:  stats,
-		})
+		out = append(out, &windowSource{t: t, seg: seg, from: from, to: to, stats: stats})
 	}
 	return out, stats
+}
+
+// scanSegment opens seg for a frame scan of its committed prefix. Every
+// committed segment records its size, which Open CRC-verified; bytes a
+// live appender wrote past it stay invisible. The caller closes the
+// file.
+func (t *Trace) scanSegment(seg SegmentInfo, opts ...colseg.Option) (*os.File, *colseg.FrameScanner, error) {
+	f, err := os.Open(filepath.Join(t.dir, seg.File))
+	if err != nil {
+		return nil, nil, fmt.Errorf("storage: opening segment: %w", err)
+	}
+	return f, colseg.NewFrameScanner(f, seg.Size, opts...), nil
 }
 
 // Collect materializes the whole trace in memory — the reload path for
@@ -191,22 +195,17 @@ func segmentSources(dir string, meta trace.Meta, segs []SegmentInfo) []trace.Sou
 	return out
 }
 
-// segmentSource streams one colseg segment file's jobs. The file opens
-// on the first Next and closes at io.EOF or on the first error; a
+// segmentSource streams every job of one colseg segment file. The file
+// opens on the first Next and closes at io.EOF or on the first error; a
 // consumer abandoning the stream mid-segment must Close it to release
-// the descriptor (and the colseg reader's pooled buffers). A window
-// source prunes blocks to [from, to] and decodes into a reused
-// (volatile) batch.
+// the descriptor (and the colseg reader's pooled buffers).
 type segmentSource struct {
-	path     string
-	meta     trace.Meta
-	size     int64 // committed byte count from the manifest
-	window   bool
-	from, to time.Time
-	stats    *ScanStats
-	f        *os.File
-	cr       *colseg.Reader
-	done     bool
+	path string
+	meta trace.Meta
+	size int64 // committed byte count from the manifest
+	f    *os.File
+	cr   *colseg.Reader
+	done bool
 }
 
 // Meta returns the full trace's metadata.
@@ -229,19 +228,10 @@ func (s *segmentSource) Next() (*trace.Job, error) {
 		// growing it); readers see exactly the manifest-recorded prefix.
 		// Batch commits flush the codec at a self-contained boundary, so
 		// the prefix always decodes cleanly.
-		var rd io.Reader = f
-		if s.size > 0 {
-			rd = io.LimitReader(f, s.size)
-		}
-		var opts []colseg.Option
-		if s.window {
-			opts = append(opts, colseg.WithVolatileBatch(), colseg.WithTimeRange(s.from, s.to))
-		}
-		s.cr = colseg.NewReader(rd, s.meta, opts...)
+		s.cr = colseg.NewReader(io.LimitReader(f, s.size), s.meta)
 	}
 	j, err := s.cr.Next()
 	if err != nil {
-		s.done = true
 		s.finish()
 		if err == io.EOF {
 			return nil, io.EOF
@@ -251,32 +241,101 @@ func (s *segmentSource) Next() (*trace.Job, error) {
 	return j, nil
 }
 
-// finish releases the descriptor and harvests the colseg reader's
-// block counters into the scan stats, exactly once per stream.
+// finish releases the reader's pooled buffers (a no-op once its stream
+// has ended) and the descriptor, exactly once per stream.
 func (s *segmentSource) finish() {
+	s.done = true
 	if s.cr != nil {
-		if s.stats != nil {
-			s.stats.blocksRead.Add(int64(s.cr.BlocksRead()))
-			s.stats.blocksPruned.Add(int64(s.cr.BlocksPruned()))
-		}
-		s.cr = nil
-	}
-	if s.f != nil {
+		s.cr.Close()
 		s.f.Close()
-		s.f = nil
+		s.cr, s.f = nil, nil
 	}
 }
 
-// Close abandons the stream, releasing the open descriptor and the
-// reader's pooled buffers. A source already drained to EOF (or failed)
-// has released them; Close is then a no-op. Never an error — it exists
-// for early-exit paths.
+// Close abandons the stream. A source already drained to EOF (or
+// failed) has released everything; Close is then a no-op. Never an
+// error — it exists for early-exit paths.
 func (s *segmentSource) Close() error {
 	if !s.done {
-		s.done = true
-		if s.cr != nil {
-			s.cr.Close()
+		s.finish()
+	}
+	return nil
+}
+
+// windowSource streams the kept blocks of one segment for a windowed
+// scan: a FrameScanner skips the blocks the window's zone maps rule out
+// and reads the rest, and a BlockDecoder decodes each into its reused
+// (volatile) batch. The file opens on the first Next and closes at
+// io.EOF or on the first error, when the block counters harvest into
+// the scan stats; a consumer abandoning the stream mid-segment must
+// Close it.
+type windowSource struct {
+	t        *Trace
+	seg      SegmentInfo
+	from, to time.Time
+	stats    *ScanStats
+	f        *os.File
+	fs       *colseg.FrameScanner
+	dec      *colseg.BlockDecoder
+	frame    []byte
+	jobs     []trace.Job
+	done     bool
+}
+
+// Meta returns the full trace's metadata.
+func (s *windowSource) Meta() trace.Meta { return s.t.Meta() }
+
+// Next yields the next job of a kept block, or io.EOF at segment end.
+func (s *windowSource) Next() (*trace.Job, error) {
+	for len(s.jobs) == 0 {
+		if s.done {
+			return nil, io.EOF
 		}
+		if s.fs == nil {
+			f, fs, err := s.t.scanSegment(s.seg, colseg.WithTimeRange(s.from, s.to))
+			if err != nil {
+				s.done = true
+				return nil, err
+			}
+			s.f, s.fs, s.dec = f, fs, colseg.NewBlockDecoder(s.t.Meta())
+		}
+		frame, err := s.fs.Next(s.frame[:0])
+		if err == nil {
+			s.frame = frame
+			s.jobs, err = s.dec.Decode(frame)
+		}
+		if err != nil {
+			s.finish()
+			if err == io.EOF {
+				return nil, io.EOF
+			}
+			return nil, fmt.Errorf("storage: reading %s: %w", s.seg.File, err)
+		}
+	}
+	j := &s.jobs[0]
+	s.jobs = s.jobs[1:]
+	return j, nil
+}
+
+// finish harvests the block counters into the scan stats and releases
+// the decoder and the descriptor, exactly once per stream.
+func (s *windowSource) finish() {
+	s.done = true
+	s.jobs = nil
+	if s.fs != nil {
+		s.stats.blocksRead.Add(int64(s.fs.BlocksRead()))
+		s.stats.blocksPruned.Add(int64(s.fs.BlocksPruned()))
+		s.dec.Close()
+		s.f.Close()
+		s.fs, s.dec, s.f = nil, nil, nil
+	}
+}
+
+// Close abandons the stream. A source already drained to EOF (or
+// failed) has released everything; Close is then a no-op. Never an
+// error — it exists for early-exit paths.
+func (s *windowSource) Close() error {
+	if !s.done {
 		s.finish()
 	}
 	return nil

@@ -44,7 +44,8 @@ BenchmarkFragmentedScan/fragmented-4 	      50	    427679 ns/op	        29.00 bl
 BenchmarkFragmentedScan/compacted-4  	      50	     90503 ns/op	         1.000 blocks	         1.000 segments
 BenchmarkParallelScan/segment-4      	      50	  33658125 ns/op
 BenchmarkParallelScan/block-4        	      50	  19939213 ns/op
-`, map[string]float64{"scan_speedup": 12.15, "compression_ratio": 3.01, "compaction_speedup": 4.73, "block_parallel_speedup": 1.69}},
+BenchmarkParallelScan/window-4       	      50	   1214335 ns/op	      1230 jobs/window
+`, map[string]float64{"scan_speedup": 12.15, "compression_ratio": 3.01, "compaction_speedup": 4.73, "block_parallel_speedup": 1.69, "window_scan_share": 0.06}},
 	"BENCH_APPEND.json": {`pkg: repro/internal/server
 BenchmarkAppendIngest/oneshot-4         	       5	  84343933 ns/op
 BenchmarkAppendIngest/batched-4         	       5	 113039512 ns/op	        85.95 snapshot-B/job
