@@ -58,6 +58,14 @@
 // decoded. The stats are second-floored, so pruning is conservative: a
 // block is only skipped when every job in it is strictly outside the
 // requested range.
+//
+// # Reading
+//
+// A segment is read one way: a FrameScanner bounded by the committed
+// size frames the blocks it keeps, and a BlockDecoder CRC-verifies each
+// frame before it parses a column, decoding into one reused job batch.
+// A sequential read pairs one scanner with one decoder; a parallel scan
+// feeds one scanner's frames to several decoders.
 package colseg
 
 import (

@@ -28,11 +28,23 @@ func genJobs(t testing.TB, workload string, seed int64, dur time.Duration) []*tr
 	return tr.Jobs
 }
 
-// encode runs jobs through a Writer and returns the segment bytes.
-func encode(t testing.TB, jobs []*trace.Job, opts ...WriterOption) []byte {
+// newWriter returns a Writer cutting blocks at blockJobs jobs; zero or
+// less keeps BlockJobs. Tests force tiny blocks to exercise framing and
+// pruning.
+func newWriter(w io.Writer, blockJobs int) *Writer {
+	cw := NewWriter(w)
+	if blockJobs > 0 {
+		cw.blockJobs = blockJobs
+	}
+	return cw
+}
+
+// encode runs jobs through a Writer cutting blocks at blockJobs jobs
+// (zero keeps BlockJobs) and returns the segment bytes.
+func encode(t testing.TB, jobs []*trace.Job, blockJobs int) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	w := NewWriter(&buf, opts...)
+	w := newWriter(&buf, blockJobs)
 	for _, j := range jobs {
 		if err := w.Write(j); err != nil {
 			t.Fatalf("encoding job %d: %v", j.ID, err)
@@ -42,23 +54,6 @@ func encode(t testing.TB, jobs []*trace.Job, opts ...WriterOption) []byte {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
-}
-
-// decodeAll drains a Reader, returning the jobs and the reader (for its
-// block counters).
-func decodeAll(b []byte, meta trace.Meta, opts ...Option) ([]*trace.Job, *Reader, error) {
-	r := NewReader(bytes.NewReader(b), meta, opts...)
-	var jobs []*trace.Job
-	for {
-		j, err := r.Next()
-		if err == io.EOF {
-			return jobs, r, nil
-		}
-		if err != nil {
-			return jobs, r, err
-		}
-		jobs = append(jobs, j)
-	}
 }
 
 // canonical returns the canonical JSONL line of j.
@@ -91,13 +86,13 @@ func assertJSONLEqual(t *testing.T, got, want []*trace.Job) {
 // JSONL — the fingerprint bytes — intact, across block boundaries.
 func TestRoundTripGenerated(t *testing.T) {
 	jobs := genJobs(t, "CC-b", 1, 26*time.Hour)
-	seg := encode(t, jobs, WithBlockJobs(100)) // force many blocks
-	got, r, err := decodeAll(seg, trace.Meta{Name: "CC-b"})
+	seg := encode(t, jobs, 100) // force many blocks
+	got, fs, err := scanJobs(seg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.BlocksRead() < 2 {
-		t.Fatalf("want multiple blocks, read %d", r.BlocksRead())
+	if fs.BlocksRead() < 2 {
+		t.Fatalf("want multiple blocks, read %d", fs.BlocksRead())
 	}
 	assertJSONLEqual(t, got, jobs)
 }
@@ -123,8 +118,8 @@ func TestRoundTripEdgeJobs(t *testing.T) {
 			Name: strings.Repeat("n", 2<<20)}, // outgrows maxBlockBytes
 		{ID: 8, SubmitTime: time.Date(2010, 5, 2, 2, 0, 0, 0, time.UTC), Name: "after-big"},
 	}
-	seg := encode(t, jobs)
-	got, _, err := decodeAll(seg, trace.Meta{})
+	seg := encode(t, jobs, 0)
+	got, _, err := scanJobs(seg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,16 +131,16 @@ func TestRoundTripEdgeJobs(t *testing.T) {
 // storage engine's per-segment CRCs rely on.
 func TestEncodeDeterministic(t *testing.T) {
 	jobs := genJobs(t, "CC-e", 2, 25*time.Hour)
-	seg1 := encode(t, jobs, WithBlockJobs(64))
-	seg2 := encode(t, jobs, WithBlockJobs(64))
+	seg1 := encode(t, jobs, 64)
+	seg2 := encode(t, jobs, 64)
 	if !bytes.Equal(seg1, seg2) {
 		t.Fatal("two encodings of the same jobs differ")
 	}
-	decoded, _, err := decodeAll(seg1, trace.Meta{})
+	decoded, _, err := scanJobs(seg1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	seg3 := encode(t, decoded, WithBlockJobs(64))
+	seg3 := encode(t, decoded, 64)
 	if !bytes.Equal(seg1, seg3) {
 		t.Fatal("re-encoding decoded jobs changed the bytes")
 	}
@@ -154,20 +149,20 @@ func TestEncodeDeterministic(t *testing.T) {
 // TestEmptySegment: zero jobs still form a valid segment (header only)
 // that reads back as an empty stream.
 func TestEmptySegment(t *testing.T) {
-	seg := encode(t, nil)
-	got, r, err := decodeAll(seg, trace.Meta{})
+	seg := encode(t, nil, 0)
+	got, fs, err := scanJobs(seg)
 	if err != nil || len(got) != 0 {
 		t.Fatalf("empty segment: %d jobs, err %v", len(got), err)
 	}
-	if r.BlocksRead() != 0 {
-		t.Fatalf("empty segment read %d blocks", r.BlocksRead())
+	if fs.BlocksRead() != 0 {
+		t.Fatalf("empty segment read %d blocks", fs.BlocksRead())
 	}
 }
 
 // TestHeaderValidation: wrong magic, wrong version, and empty input are
 // errors, not EOF.
 func TestHeaderValidation(t *testing.T) {
-	seg := encode(t, genJobs(t, "CC-b", 3, 12*time.Hour))
+	seg := encode(t, genJobs(t, "CC-b", 3, 12*time.Hour), 0)
 	for name, mutate := range map[string]func([]byte) []byte{
 		"empty":         func(b []byte) []byte { return nil },
 		"torn magic":    func(b []byte) []byte { return b[:4] },
@@ -175,7 +170,7 @@ func TestHeaderValidation(t *testing.T) {
 		"wrong version": func(b []byte) []byte { b[len(Magic)] = 0x7f; return b },
 	} {
 		b := mutate(append([]byte(nil), seg...))
-		if _, _, err := decodeAll(b, trace.Meta{}); err == nil {
+		if _, _, err := scanJobs(b); err == nil {
 			t.Errorf("%s: decoded without error", name)
 		}
 	}
@@ -188,10 +183,10 @@ func TestHeaderValidation(t *testing.T) {
 // detection.
 func TestTruncationMidBlock(t *testing.T) {
 	jobs := genJobs(t, "CC-b", 4, 12*time.Hour)
-	seg := encode(t, jobs, WithBlockJobs(50))
+	seg := encode(t, jobs, 50)
 	for _, frac := range []float64{0.3, 0.5, 0.9} {
 		cut := int(float64(len(seg)) * frac)
-		_, _, err := decodeAll(seg[:cut], trace.Meta{})
+		_, _, err := scanJobs(seg[:cut])
 		if err == nil {
 			t.Errorf("truncation at %d/%d bytes decoded cleanly", cut, len(seg))
 		}
@@ -204,11 +199,11 @@ func TestTruncationMidBlock(t *testing.T) {
 // jobs. This is the per-block CRC doing its job.
 func TestBitFlipsDetected(t *testing.T) {
 	jobs := genJobs(t, "CC-b", 5, 8*time.Hour)
-	seg := encode(t, jobs, WithBlockJobs(32))
+	seg := encode(t, jobs, 32)
 	for off := 0; off < len(seg); off += 37 {
 		b := append([]byte(nil), seg...)
 		b[off] ^= 0xff
-		if _, _, err := decodeAll(b, trace.Meta{}); err == nil {
+		if _, _, err := scanJobs(b); err == nil {
 			t.Errorf("flip at offset %d decoded without error", off)
 		}
 	}
@@ -228,7 +223,7 @@ func TestZoneMapPruning(t *testing.T) {
 			SubmitTime: start.Add(time.Duration(i) * time.Minute),
 		})
 	}
-	seg := encode(t, jobs, WithBlockJobs(16)) // 25 blocks of 16 minutes each
+	seg := encode(t, jobs, 16) // 25 blocks of 16 minutes each
 
 	from, to := start.Add(2*time.Hour), start.Add(3*time.Hour)
 	got, fs, err := scanJobs(seg, WithTimeRange(from, to))

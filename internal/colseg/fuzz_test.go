@@ -20,8 +20,10 @@ import (
 //     function of the job stream).
 //
 //  2. As a raw colseg segment: arbitrary — truncated, bit-flipped,
-//     adversarial — bytes fed straight to the Reader must produce jobs
-//     or an error, never a panic and never an unbounded allocation.
+//     adversarial — bytes framed by a FrameScanner over their whole
+//     length and decoded by a BlockDecoder, the read path of every
+//     stored segment, must produce jobs or an error, never a panic and
+//     never an unbounded allocation.
 func FuzzColumnarRoundTrip(f *testing.F) {
 	var seedJobs bytes.Buffer
 	for _, j := range []*trace.Job{
@@ -48,7 +50,7 @@ func FuzzColumnarRoundTrip(f *testing.F) {
 		jobs := parseJobs(data)
 		if len(jobs) > 0 {
 			var seg bytes.Buffer
-			w := NewWriter(&seg, WithBlockJobs(blockJobs))
+			w := newWriter(&seg, blockJobs)
 			for _, j := range jobs {
 				if err := w.Write(j); err != nil {
 					t.Fatalf("encoding parsed job: %v", err)
@@ -57,7 +59,7 @@ func FuzzColumnarRoundTrip(f *testing.F) {
 			if err := w.Flush(); err != nil {
 				t.Fatal(err)
 			}
-			decoded, _, err := decodeAll(seg.Bytes(), trace.Meta{})
+			decoded, _, err := scanJobs(seg.Bytes())
 			if err != nil {
 				t.Fatalf("decoding our own encoding: %v", err)
 			}
@@ -75,7 +77,7 @@ func FuzzColumnarRoundTrip(f *testing.F) {
 				}
 			}
 			var seg2 bytes.Buffer
-			w2 := NewWriter(&seg2, WithBlockJobs(blockJobs))
+			w2 := newWriter(&seg2, blockJobs)
 			for _, j := range decoded {
 				if err := w2.Write(j); err != nil {
 					t.Fatalf("re-encoding decoded job: %v", err)
@@ -89,15 +91,22 @@ func FuzzColumnarRoundTrip(f *testing.F) {
 			}
 		}
 
-		// Leg 2: arbitrary bytes into the Reader — no panics, errors OK.
-		r := NewReader(bytes.NewReader(data), trace.Meta{Name: "fuzz"})
-		for n := 0; ; n++ {
-			_, err := r.Next()
+		// Leg 2: arbitrary bytes through the scanner and the decoder —
+		// no panics, errors OK.
+		fs := NewFrameScanner(bytes.NewReader(data), int64(len(data)))
+		dec := NewBlockDecoder()
+		defer dec.Close()
+		for n := 0; ; {
+			frame, err := fs.Next(nil)
 			if err != nil {
 				break
 			}
-			if n > 1<<20 {
-				t.Fatal("reader yielded over a million jobs from fuzz input")
+			jobs, err := dec.Decode(frame)
+			if err != nil {
+				break
+			}
+			if n += len(jobs); n > 1<<20 {
+				t.Fatal("decoded over a million jobs from fuzz input")
 			}
 		}
 	})
@@ -141,7 +150,7 @@ func FuzzFrameScanner(f *testing.F) {
 		rd := &countingReaderAt{data: data, size: size}
 		frames, _, err := scanFrames(rd, size, WithTimeRange(from, to))
 		if err == nil {
-			dec := NewBlockDecoder(trace.Meta{Name: "fuzz"})
+			dec := NewBlockDecoder()
 			for _, fr := range frames {
 				if _, err := dec.Decode(fr); err != nil {
 					break
@@ -158,7 +167,7 @@ func FuzzFrameScanner(f *testing.F) {
 		if len(parsed) == 0 {
 			return
 		}
-		seg := encode(t, parsed, WithBlockJobs(int(blockHint)%8+1))
+		seg := encode(t, parsed, int(blockHint)%8+1)
 		want := refKept(refFrames(t, seg, int64(len(seg))), true, from, to)
 		got, _, err := scanFrames(bytes.NewReader(seg), int64(len(seg)), WithTimeRange(from, to))
 		if err != nil {
@@ -203,7 +212,7 @@ func encodeFuzz(f *testing.F, jsonl []byte) []byte {
 	f.Helper()
 	jobs := parseJobs(jsonl)
 	var seg bytes.Buffer
-	w := NewWriter(&seg, WithBlockJobs(2))
+	w := newWriter(&seg, 2)
 	for _, j := range jobs {
 		if err := w.Write(j); err != nil {
 			f.Fatal(err)

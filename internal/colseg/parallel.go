@@ -9,14 +9,14 @@ import (
 	"repro/internal/trace"
 )
 
-// The block-parallel scan splits the sequential Reader into its two
-// halves. A FrameScanner does the positional work — one goroutine walks
-// the segment by offset, validates the header, frames blocks, and
-// prunes via zone maps without reading a pruned block's bytes — while
-// BlockDecoders do the CPU work: each framed payload is self-contained
-// (own CRC, own dictionary, own delta bases), so any number of decoders
-// can turn frames into job batches concurrently. The storage layer owns
-// the pipeline; this file only provides the two halves.
+// The two halves of every segment read. A FrameScanner does the
+// positional work: it walks the committed prefix by offset, validates
+// the header, frames blocks, and prunes via zone maps without reading a
+// pruned block's bytes. A BlockDecoder does the CPU work: it verifies
+// and decodes one framed payload. Each payload is self-contained (own
+// CRC, own dictionary, own delta bases), so one scanner's frames can
+// decode on any number of goroutines. The storage layer owns the files
+// and the pipelines.
 
 // zoneMapWindow bounds a block's zone map: 4 CRC bytes plus the jobs
 // count and the two submit-second varints, each at most 10 bytes wide,
@@ -58,9 +58,9 @@ type FrameScanner struct {
 }
 
 // NewFrameScanner returns a FrameScanner over the first size bytes of
-// r. It accepts the same options as NewReader; only WithTimeRange is
-// meaningful (the scanner never decodes, so WithVolatileBatch is a
-// no-op). It holds no pooled buffer, so there is nothing to close.
+// r — for a stored segment, the committed size its manifest records.
+// WithTimeRange makes it prune. It holds no pooled buffer, so there is
+// nothing to close.
 func NewFrameScanner(r io.ReaderAt, size int64, opts ...Option) *FrameScanner {
 	var o options
 	for _, opt := range opts {
@@ -158,24 +158,22 @@ func (s *FrameScanner) BlocksRead() int { return s.read }
 func (s *FrameScanner) BlocksPruned() int { return s.pruned }
 
 // BlockDecoder decodes framed block payloads independently of any
-// stream — the concurrent half of a block-parallel scan; each worker
-// owns one. It decodes into a pooled batch reused across Decode calls
-// (the Reader's volatile discipline), so the returned jobs are valid
-// only until the next Decode or Close. Strings inside them are
-// immutable and safe to retain.
+// stream — the CPU half of every segment read; each reader or scan
+// worker owns one. It owns the decode state: scratch drawn from a
+// shared pool on the first Decode (the job batch, reused across Decode
+// calls, plus the column arrays) and a cache of the last fixed zone.
+// The returned jobs are therefore valid only until the next Decode or
+// Close; strings inside them are immutable and safe to retain. A
+// reader that keeps jobs copies them out of the batch.
 type BlockDecoder struct {
-	r Reader
+	sc       *scratch
+	lastOff  int
+	lastZone *time.Location
 }
 
-// NewBlockDecoder returns a decoder stamping meta's zone-independent
-// fields into decoded jobs (the metadata itself travels with the
-// partials, not the jobs; meta only seeds the reader state).
-func NewBlockDecoder(meta trace.Meta) *BlockDecoder {
-	d := &BlockDecoder{}
-	d.r.meta = meta
-	d.r.volatile = true
-	return d
-}
+// NewBlockDecoder returns a decoder. It holds nothing pooled until its
+// first Decode.
+func NewBlockDecoder() *BlockDecoder { return &BlockDecoder{} }
 
 // Decode verifies payload's CRC and decodes its columns, returning the
 // block's jobs in order. payload must be one frame as handed out by
@@ -184,16 +182,19 @@ func (d *BlockDecoder) Decode(payload []byte) ([]trace.Job, error) {
 	if len(payload) < 5 {
 		return nil, fmt.Errorf("colseg: block frame of %d bytes is shorter than its checksum", len(payload))
 	}
-	if err := d.r.decodeBlock(payload); err != nil {
-		return nil, err
+	if d.sc == nil {
+		d.sc = scratchPool.Get().(*scratch)
 	}
-	return d.r.jobs, nil
+	return d.decodeBlock(payload)
 }
 
-// Close returns the pooled decode scratch. The decoder uses none of
-// Reader's stream state, so there is nothing else to release.
+// Close returns the pooled decode scratch; jobs handed out by Decode
+// expire with it. The decoder may Decode again after Close.
 func (d *BlockDecoder) Close() error {
-	d.r.release()
+	if d.sc != nil {
+		scratchPool.Put(d.sc)
+		d.sc = nil
+	}
 	return nil
 }
 

@@ -1,7 +1,6 @@
 package colseg
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -17,43 +16,12 @@ import (
 	"repro/internal/units"
 )
 
-// Reader streams every job of one colseg segment in order, implementing
-// trace.Source: the whole-segment read compaction, Trace.Each, readback
-// and migration use (windowed scans frame blocks with a FrameScanner
-// instead, which skips pruned blocks unread). Blocks decode one at a
-// time — each CRC-verified before a single column is parsed — into a
-// batch the reader hands out job by job; the batch is freshly allocated
-// per block, so callers may retain returned pointers (WithVolatileBatch
-// opts out for scan loops that don't). Corrupt or truncated input fails
-// with an error, never a panic, and a latched error repeats on every
-// subsequent Next.
-type Reader struct {
-	br   *bufio.Reader
-	meta trace.Meta
-	err  error
-
-	began    bool
-	volatile bool
-
-	jobs []trace.Job
-	i    int
-
-	payload []byte
-	sc      *scratch
-
-	blocksRead int
-
-	lastOff  int
-	lastZone *time.Location
-}
-
-// Option tunes a Reader or a FrameScanner.
+// Option tunes a FrameScanner.
 type Option func(*options)
 
-// options is what the Options set: the Reader reads volatile, the
-// FrameScanner the time range.
+// options is what the Options set: the time range a FrameScanner
+// prunes by.
 type options struct {
-	volatile       bool
 	prune          bool
 	fromSec, toSec int64
 }
@@ -73,24 +41,9 @@ func WithTimeRange(from, to time.Time) Option {
 	}
 }
 
-// WithVolatileBatch makes the reader reuse one decode batch across
-// blocks: each job handed out by Next is valid only until the Next call
-// that crosses into the following block (or returns EOF or an error).
-// Scan loops that fold every job into an aggregate and move on — the
-// disk-scan analysis path — opt in to skip a batch allocation (and its
-// GC scanning) per block; anything that retains *Job pointers, like
-// trace.Collect, must not. Strings are unaffected: a job's name and
-// paths stay valid forever either way. Volatile readers draw their
-// batch from a shared pool, so a scan over many single-block segments
-// recycles one batch across all of them.
-func WithVolatileBatch() Option {
-	return func(o *options) { o.volatile = true }
-}
-
 // scratch is the per-block decode state: the job batch and the column
-// value arrays. A plain reader allocates its own (fresh job batches,
-// reader-local columns); volatile readers recycle whole bundles
-// through scratchPool across blocks, readers, and goroutines.
+// value arrays. BlockDecoders recycle whole bundles through scratchPool
+// across blocks, decoders and goroutines.
 type scratch struct {
 	jobs   []trace.Job
 	secs   []int64
@@ -103,16 +56,13 @@ type scratch struct {
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
-// brPool recycles the Reader's max-block-sized bufio buffers: a
-// whole-trace read (compaction, Trace.Each) opens one reader per
-// segment, and a fresh 1MiB buffer per open would be its dominant
-// allocation. Buffers return to the pool at stream end (EOF, error or
-// Close); nothing a decode hands out points into them. Windowed scans
-// use none: a FrameScanner reads frames by offset.
-var brPool = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, maxBlockBytes) }}
-
-// grow sizes the column arrays for an n-job block.
+// grow sizes the job batch and the column arrays for an n-job block.
+// Every column loop assigns every field of every job, so a reused batch
+// needs no clearing.
 func (sc *scratch) grow(n int) {
+	if cap(sc.jobs) < n {
+		sc.jobs = make([]trace.Job, n)
+	}
 	if cap(sc.secs) < n {
 		sc.secs = make([]int64, n)
 		sc.nanos = make([]uint64, n)
@@ -122,171 +72,13 @@ func (sc *scratch) grow(n int) {
 	}
 }
 
-// ensureScratch lazily attaches decode state: pooled for volatile
-// readers, owned otherwise.
-func (r *Reader) ensureScratch() *scratch {
-	if r.sc == nil {
-		if r.volatile {
-			r.sc = scratchPool.Get().(*scratch)
-		} else {
-			r.sc = new(scratch)
-		}
-	}
-	return r.sc
-}
-
-// release returns the pooled buffer (and, for volatile readers, the
-// decode scratch) once the stream is over. The jobs batch of a volatile
-// reader is dropped alongside: handed-out volatile pointers expired
-// with the Next call that ended the stream. A non-volatile reader's
-// final batch survives — its jobs were freshly allocated and callers
-// may hold pointers into it.
-func (r *Reader) release() {
-	if r.br != nil {
-		r.br.Reset(nil)
-		brPool.Put(r.br)
-		r.br = nil
-	}
-	if r.volatile && r.sc != nil {
-		scratchPool.Put(r.sc)
-		r.jobs = nil
-	}
-	r.sc = nil
-}
-
-// NewReader returns a Reader over r carrying the trace metadata meta
-// (segments store no metadata; the manifest owns it, exactly as with
-// JSONL segments).
-func NewReader(rd io.Reader, meta trace.Meta, opts ...Option) *Reader {
-	// The buffer is one max-sized block: an ordinary frame is decoded
-	// in place from the buffer (Peek) without a payload copy.
-	var o options
-	for _, opt := range opts {
-		opt(&o)
-	}
-	br := brPool.Get().(*bufio.Reader)
-	br.Reset(rd)
-	return &Reader{br: br, meta: meta, volatile: o.volatile}
-}
-
-// Meta returns the trace metadata.
-func (r *Reader) Meta() trace.Meta { return r.meta }
-
-// BlocksRead returns how many blocks have been decoded so far.
-func (r *Reader) BlocksRead() int { return r.blocksRead }
-
-// Close releases the reader's pooled buffers without draining the
-// stream. A scan abandoned mid-segment — a handler error on a sibling
-// shard, a disconnected client — must Close so the max-block bufio
-// buffer returns to the pool; a stream read to EOF or error has
-// already released and Close is a no-op. The reader is unusable after:
-// any subsequent Next reports the latched error.
-func (r *Reader) Close() error {
-	if r.err == nil {
-		r.err = errClosed
-		r.release()
-	}
-	return nil
-}
-
-// errClosed is the latched error after an explicit Close.
-var errClosed = fmt.Errorf("colseg: reader closed")
-
-// Next returns the next job, or io.EOF at end of segment.
-func (r *Reader) Next() (*trace.Job, error) {
-	for {
-		if r.i < len(r.jobs) {
-			j := &r.jobs[r.i]
-			r.i++
-			return j, nil
-		}
-		if r.err != nil {
-			return nil, r.err
-		}
-		if err := r.loadBlock(); err != nil {
-			r.err = err
-			r.release()
-			return nil, err
-		}
-	}
-}
-
-// loadBlock reads and decodes the next block, or reports io.EOF at the
-// end of the segment.
-func (r *Reader) loadBlock() error {
-	if !r.began {
-		if err := r.readHeader(); err != nil {
-			return err
-		}
-		r.began = true
-	}
-	frameLen, err := binary.ReadUvarint(r.br)
-	if err == io.EOF {
-		return io.EOF
-	}
-	if err != nil {
-		return fmt.Errorf("colseg: reading block frame length: %w", err)
-	}
-	if frameLen < 5 {
-		return fmt.Errorf("colseg: block frame of %d bytes is shorter than its checksum", frameLen)
-	}
-	if frameLen <= uint64(r.br.Size()) {
-		// Common case: the frame fits the read buffer, so decode it in
-		// place. Nothing survives decodeBlock that points into the
-		// peeked bytes — strings are copied out via the dictionary
-		// blob — so the frame can be discarded immediately after.
-		payload, err := r.br.Peek(int(frameLen))
-		if err != nil {
-			if err == io.EOF {
-				err = io.ErrUnexpectedEOF
-			}
-			return fmt.Errorf("colseg: reading block: %w", err)
-		}
-		derr := r.decodeBlock(payload)
-		if _, err := r.br.Discard(int(frameLen)); derr == nil && err != nil {
-			derr = fmt.Errorf("colseg: reading block: %w", err)
-		}
-		if derr != nil {
-			return derr
-		}
-	} else {
-		// A frame larger than the buffer (a block carrying
-		// multi-megabyte strings) takes the copying path.
-		payload, err := readFull(r.br, frameLen, r.payload)
-		if err != nil {
-			return fmt.Errorf("colseg: reading block: %w", err)
-		}
-		r.payload = payload
-		if err := r.decodeBlock(payload); err != nil {
-			return err
-		}
-	}
-	r.blocksRead++
-	return nil
-}
-
-// readHeader validates the segment magic and version.
-func (r *Reader) readHeader() error {
-	b, perr := r.br.Peek(maxSegmentHeader)
-	n, err := parseSegmentHeader(b)
-	if err != nil {
-		if perr != nil && perr != io.EOF {
-			return fmt.Errorf("colseg: reading segment header: %w", perr)
-		}
-		return err
-	}
-	_, err = r.br.Discard(n)
-	return err
-}
-
 // maxSegmentHeader bounds the segment header: the magic plus the
 // version uvarint.
 const maxSegmentHeader = len(Magic) + binary.MaxVarintLen64
 
 // parseSegmentHeader validates the segment magic and version at the
-// start of b and returns the header's length — shared by the streaming
-// Reader and the FrameScanner. b holds the segment's first
-// maxSegmentHeader bytes, or all of them when it is shorter.
+// start of b and returns the header's length. b holds the segment's
+// first maxSegmentHeader bytes, or all of them when it is shorter.
 func parseSegmentHeader(b []byte) (int, error) {
 	if len(b) < len(Magic) {
 		return 0, fmt.Errorf("colseg: reading segment header: %w", io.ErrUnexpectedEOF)
@@ -338,18 +130,18 @@ func zoneMapOutside(head []byte, fromSec, toSec int64) bool {
 }
 
 // decodeBlock verifies payload's checksum and decodes its columns into
-// a fresh job batch. The column loops decode varints directly from the
-// body with a one-byte fast path instead of going through binenc's
-// Reader — this is the hottest loop of every disk scan, and the
-// per-value method-call and error-check overhead is what the columnar
-// format exists to avoid. Corruption still cannot pass silently: the
-// CRC already vouched for the bytes, and the raw loops fail (never
-// panic) on any structural mismatch, exactly like the Reader would.
-func (r *Reader) decodeBlock(payload []byte) error {
+// the decoder's reused job batch. The column loops decode varints
+// directly from the body with a one-byte fast path instead of going
+// through binenc's Reader — this is the hottest loop of every disk
+// scan, and the per-value method-call and error-check overhead is what
+// the columnar format exists to avoid. Corruption still cannot pass
+// silently: the CRC already vouched for the bytes, and the raw loops
+// fail (never panic) on any structural mismatch.
+func (d *BlockDecoder) decodeBlock(payload []byte) ([]trace.Job, error) {
 	want := binary.LittleEndian.Uint32(payload[:4])
 	body := payload[4:]
 	if got := crc32.Checksum(body, castagnoli); got != want {
-		return fmt.Errorf("colseg: block CRC mismatch (%08x vs %08x)", got, want)
+		return nil, fmt.Errorf("colseg: block CRC mismatch (%08x vs %08x)", got, want)
 	}
 	rd := binenc.NewReader(body)
 	// Every job costs at least one byte per column, so Count bounds the
@@ -359,26 +151,16 @@ func (r *Reader) decodeBlock(payload []byte) error {
 	rd.Varint() // maxSubmitSec
 	dictN := rd.Count(1)
 	if rd.Err() != nil {
-		return fmt.Errorf("colseg: corrupt block header: %w", rd.Err())
+		return nil, fmt.Errorf("colseg: corrupt block header: %w", rd.Err())
 	}
-	blob, spans, off, ok := r.readDict(body, len(body)-rd.Remaining(), dictN)
+	blob, spans, off, ok := d.readDict(body, len(body)-rd.Remaining(), dictN)
 	if !ok {
-		return fmt.Errorf("colseg: corrupt block dictionary")
+		return nil, fmt.Errorf("colseg: corrupt block dictionary")
 	}
 
-	sc := r.ensureScratch()
-	var jobs []trace.Job
-	if r.volatile && n <= cap(sc.jobs) {
-		// Every column loop assigns every field of every job, so a
-		// reused batch needs no clearing.
-		jobs = sc.jobs[:n]
-	} else {
-		jobs = make([]trace.Job, n)
-		if r.volatile {
-			sc.jobs = jobs
-		}
-	}
+	sc := d.sc
 	sc.grow(n)
+	jobs := sc.jobs[:n]
 	secs, nanos := sc.secs[:n], sc.nanos[:n]
 	uvals, ivals, ivals2 := sc.uvals[:n], sc.ivals[:n], sc.ivals2[:n]
 
@@ -389,10 +171,10 @@ func (r *Reader) decodeBlock(payload []byte) error {
 
 	// Pass 1: IDs (delta varints) and names (dictionary references).
 	if off, ok = readVarints(ivals, body, off); !ok {
-		return fmt.Errorf("colseg: corrupt id column")
+		return nil, fmt.Errorf("colseg: corrupt id column")
 	}
 	if off, ok = readUvarints(uvals, body, off); !ok {
-		return fmt.Errorf("colseg: corrupt name column")
+		return nil, fmt.Errorf("colseg: corrupt name column")
 	}
 	var id int64
 	for i := range jobs {
@@ -404,7 +186,7 @@ func (r *Reader) decodeBlock(payload []byte) error {
 			continue
 		}
 		if ref > uint64(dictN) {
-			return fmt.Errorf("colseg: dictionary reference out of range")
+			return nil, fmt.Errorf("colseg: dictionary reference out of range")
 		}
 		jobs[i].Name = blob[spans[2*ref-2]:spans[2*ref-1]]
 	}
@@ -412,7 +194,7 @@ func (r *Reader) decodeBlock(payload []byte) error {
 	// Pass 2: submit times from the three time columns (delta seconds,
 	// fixed 4-byte nanosecond-of-second, zone offset).
 	if off, ok = readVarints(ivals, body, off); !ok {
-		return fmt.Errorf("colseg: corrupt submit-seconds column")
+		return nil, fmt.Errorf("colseg: corrupt submit-seconds column")
 	}
 	var sec int64
 	for i := range secs {
@@ -420,26 +202,26 @@ func (r *Reader) decodeBlock(payload []byte) error {
 		secs[i] = sec
 	}
 	if len(body)-off < 4*n {
-		return fmt.Errorf("colseg: truncated submit-nanos column")
+		return nil, fmt.Errorf("colseg: truncated submit-nanos column")
 	}
 	nsCol := body[off : off+4*n]
 	off += 4 * n
 	if off, ok = readVarints(ivals, body, off); !ok {
-		return fmt.Errorf("colseg: corrupt zone-offset column")
+		return nil, fmt.Errorf("colseg: corrupt zone-offset column")
 	}
 	for i := range jobs {
 		ns := binary.LittleEndian.Uint32(nsCol[4*i:])
 		if ns >= 1e9 {
-			return fmt.Errorf("colseg: submit nanoseconds out of range")
+			return nil, fmt.Errorf("colseg: submit nanoseconds out of range")
 		}
-		jobs[i].SubmitTime = r.inZone(time.Unix(secs[i], int64(ns)), int(ivals[i]))
+		jobs[i].SubmitTime = d.inZone(time.Unix(secs[i], int64(ns)), int(ivals[i]))
 	}
 
 	// Pass 3: the six consecutive fixed 8-byte columns — duration, the
 	// three byte counts, and the two task-time floats — read strided
 	// from the body in one loop.
 	if len(body)-off < 8*6*n {
-		return fmt.Errorf("colseg: truncated fixed-width columns")
+		return nil, fmt.Errorf("colseg: truncated fixed-width columns")
 	}
 	wide := body[off : off+8*6*n]
 	d1, d2, d3, d4, d5 := 8*n, 16*n, 24*n, 32*n, 40*n
@@ -456,23 +238,23 @@ func (r *Reader) decodeBlock(payload []byte) error {
 
 	// Pass 4: task counts and the two path reference columns.
 	if off, ok = readVarints(ivals, body, off); !ok {
-		return fmt.Errorf("colseg: corrupt map-tasks column")
+		return nil, fmt.Errorf("colseg: corrupt map-tasks column")
 	}
 	if off, ok = readVarints(ivals2, body, off); !ok {
-		return fmt.Errorf("colseg: corrupt reduce-tasks column")
+		return nil, fmt.Errorf("colseg: corrupt reduce-tasks column")
 	}
 	if off, ok = readUvarints(uvals, body, off); !ok {
-		return fmt.Errorf("colseg: corrupt input-path column")
+		return nil, fmt.Errorf("colseg: corrupt input-path column")
 	}
 	if off, ok = readUvarints(nanos, body, off); !ok {
-		return fmt.Errorf("colseg: corrupt output-path column")
+		return nil, fmt.Errorf("colseg: corrupt output-path column")
 	}
 	for i := range jobs {
 		jobs[i].MapTasks = int(ivals[i])
 		jobs[i].ReduceTasks = int(ivals2[i])
 		in, out := uvals[i], nanos[i]
 		if in > uint64(dictN) || out > uint64(dictN) {
-			return fmt.Errorf("colseg: dictionary reference out of range")
+			return nil, fmt.Errorf("colseg: dictionary reference out of range")
 		}
 		if in == 0 {
 			jobs[i].InputPath = ""
@@ -487,11 +269,9 @@ func (r *Reader) decodeBlock(payload []byte) error {
 	}
 
 	if off != len(body) {
-		return fmt.Errorf("colseg: %d trailing bytes after block columns", len(body)-off)
+		return nil, fmt.Errorf("colseg: %d trailing bytes after block columns", len(body)-off)
 	}
-	r.jobs = jobs
-	r.i = 0
-	return nil
+	return jobs, nil
 }
 
 // readDict parses dictN length-prefixed strings starting at off. All
@@ -500,10 +280,10 @@ func (r *Reader) decodeBlock(payload []byte) error {
 // spans[2k] and spans[2k+1], materialized only when a job references
 // it. A block whose jobs carry mostly-unique names or paths therefore
 // costs one allocation and no per-entry pointer stores; the span slice
-// is reader scratch, reused across blocks (the strings themselves are
+// is decoder scratch, reused across blocks (the strings themselves are
 // immutable and safe to retain).
-func (r *Reader) readDict(body []byte, off, dictN int) (string, []int32, int, bool) {
-	sc := r.ensureScratch()
+func (d *BlockDecoder) readDict(body []byte, off, dictN int) (string, []int32, int, bool) {
+	sc := d.sc
 	if cap(sc.spans) < 2*dictN {
 		sc.spans = make([]int32, 2*dictN)
 	}
@@ -658,48 +438,15 @@ func readUvarints(dst []uint64, b []byte, off int) (int, bool) {
 // generated traces and every "Z" timestamp), other offsets get a fixed
 // zone cached per offset so a block of same-zone jobs allocates one
 // Location, not one per job.
-func (r *Reader) inZone(t time.Time, off int) time.Time {
+func (d *BlockDecoder) inZone(t time.Time, off int) time.Time {
 	if off == 0 {
 		return t.UTC()
 	}
-	if r.lastZone == nil || off != r.lastOff {
-		r.lastOff = off
-		r.lastZone = time.FixedZone("", off)
+	if d.lastZone == nil || off != d.lastOff {
+		d.lastOff = off
+		d.lastZone = time.FixedZone("", off)
 	}
-	return t.In(r.lastZone)
-}
-
-// readFull reads exactly n bytes into buf (reusing its capacity),
-// growing in bounded chunks so a corrupt frame length cannot demand an
-// absurd allocation before the bytes exist.
-func readFull(br *bufio.Reader, n uint64, buf []byte) ([]byte, error) {
-	if uint64(cap(buf)) >= n {
-		buf = buf[:n]
-		if _, err := io.ReadFull(br, buf); err != nil {
-			if err == io.EOF {
-				err = io.ErrUnexpectedEOF
-			}
-			return nil, err
-		}
-		return buf, nil
-	}
-	buf = buf[:0]
-	const chunk = 1 << 20
-	for uint64(len(buf)) < n {
-		step := n - uint64(len(buf))
-		if step > chunk {
-			step = chunk
-		}
-		start := len(buf)
-		buf = append(buf, make([]byte, step)...)
-		if _, err := io.ReadFull(br, buf[start:]); err != nil {
-			if err == io.EOF {
-				err = io.ErrUnexpectedEOF
-			}
-			return nil, err
-		}
-	}
-	return buf, nil
+	return t.In(d.lastZone)
 }
 
 // unitsBytes and unitsTaskSeconds are conversion shims keeping the

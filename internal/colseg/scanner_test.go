@@ -45,15 +45,15 @@ func scanFrames(r io.ReaderAt, size int64, opts ...Option) ([][]byte, *FrameScan
 	}
 }
 
-// scanJobs scans the whole of seg and decodes every kept frame, the
-// windowed scan's read path. The jobs are copied out of the decoder's
-// reused batch.
+// scanJobs scans the whole of seg and decodes every kept frame — the
+// read path every stored segment takes — returning the scanner for its
+// block counters. The jobs are copied out of the decoder's reused batch.
 func scanJobs(seg []byte, opts ...Option) ([]*trace.Job, *FrameScanner, error) {
 	frames, fs, err := scanFrames(bytes.NewReader(seg), int64(len(seg)), opts...)
 	if err != nil {
 		return nil, fs, err
 	}
-	dec := NewBlockDecoder(trace.Meta{})
+	dec := NewBlockDecoder()
 	defer dec.Close()
 	var jobs []*trace.Job
 	for _, f := range frames {
@@ -87,7 +87,7 @@ func refFrames(t testing.TB, seg []byte, size int64) []refBlock {
 		t.Fatal(err)
 	}
 	b = b[n:]
-	dec := NewBlockDecoder(trace.Meta{})
+	dec := NewBlockDecoder()
 	defer dec.Close()
 	var out []refBlock
 	for len(b) > 0 {
@@ -144,11 +144,11 @@ type scanSegment struct {
 // committed size.
 func scanSegments(t testing.TB) []scanSegment {
 	jobs := genJobs(t, "FB-2009", 7, 24*time.Hour)
-	packed := encode(t, jobs, WithBlockJobs(64))
-	fragment := encode(t, jobs[:10])
+	packed := encode(t, jobs, 64)
+	fragment := encode(t, jobs[:10], 0)
 
 	var buf bytes.Buffer
-	w := NewWriter(&buf, WithBlockJobs(64))
+	w := newWriter(&buf, 64)
 	write := func(js []*trace.Job) {
 		for _, j := range js {
 			if err := w.Write(j); err != nil {
@@ -243,7 +243,7 @@ func TestFrameScannerReadsOnlyKeptFrames(t *testing.T) {
 // never a panic and never a read at or past the committed size. An
 // unparseable zone map is kept, and the CRC check then fails it.
 func corruptFrameRows(t *testing.T) {
-	seg := encode(t, genJobs(t, "CC-b", 3, 12*time.Hour), WithBlockJobs(64))
+	seg := encode(t, genJobs(t, "CC-b", 3, 12*time.Hour), 64)
 	hdr, err := parseSegmentHeader(seg)
 	if err != nil {
 		t.Fatal(err)
@@ -282,7 +282,7 @@ func corruptFrameRows(t *testing.T) {
 					t.Fatalf("error did not latch: %v, then %v", err, again)
 				}
 			} else {
-				dec := NewBlockDecoder(trace.Meta{})
+				dec := NewBlockDecoder()
 				for _, f := range frames {
 					if _, err = dec.Decode(f); err != nil {
 						break

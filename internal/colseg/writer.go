@@ -21,6 +21,8 @@ type Writer struct {
 	err   error
 	began bool
 
+	// blockJobs is the jobs-per-block cap: BlockJobs, lowered only by
+	// this package's tests to force many small blocks.
 	blockJobs int
 	blocks    int
 
@@ -35,32 +37,15 @@ type Writer struct {
 	frame          []byte
 }
 
-// WriterOption tunes a Writer.
-type WriterOption func(*Writer)
-
-// WithBlockJobs overrides the jobs-per-block cap (tests use tiny blocks
-// to exercise framing and pruning; zero or negative keeps the default).
-func WithBlockJobs(n int) WriterOption {
-	return func(w *Writer) {
-		if n > 0 {
-			w.blockJobs = n
-		}
-	}
-}
-
 // NewWriter returns a Writer emitting to w. The caller owns w's
 // buffering and close; Writer issues a few writes per block, so w
 // should be buffered.
-func NewWriter(w io.Writer, opts ...WriterOption) *Writer {
-	cw := &Writer{
+func NewWriter(w io.Writer) *Writer {
+	return &Writer{
 		w:         w,
 		blockJobs: BlockJobs,
 		dict:      make(map[string]uint64),
 	}
-	for _, o := range opts {
-		o(cw)
-	}
-	return cw
 }
 
 // Write appends one job record to the current block, flushing the

@@ -3,7 +3,9 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io/fs"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -194,6 +196,88 @@ func TestCompactionDifferential(t *testing.T) {
 		t.Fatalf("recovered %+v, want golden %s/%d", rec, wantFP, tr.Len())
 	}
 	_ = tsD
+}
+
+// TestCompactionSweptViewReads: a read that resolved its view before a
+// compaction sweep still answers through that stale view. The sweep
+// unlinks the view's segments, so its generation no longer opens; the
+// reload behind full=1, synth and replay and the disk scan each retry
+// once on a fresh view of the same fingerprint, and return the
+// committed jobs and the same report bytes.
+func TestCompactionSweptViewReads(t *testing.T) {
+	tr := genTrace(t, "FB-2009", 1, 24*time.Hour)
+	batches := splitBatches(tr, 6)
+	dir := t.TempDir()
+	cfg := Config{SegmentJobs: 400}
+	// Fragment across a restart, then restart once more: the trace is
+	// disk-resident, with no open append session to stop the sweep.
+	s, ts := diskServer(t, dir, cfg)
+	for i, batch := range batches {
+		if i == 3 {
+			ts.Close()
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			s, ts = diskServer(t, dir, cfg)
+		}
+		if resp, body := postAppend(t, ts, "live", tr.Meta, batch); resp.StatusCode != http.StatusOK {
+			t.Fatalf("batch %d: %d %s", i, resp.StatusCode, clip(body))
+		}
+	}
+	ts.Close()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s, ts = diskServer(t, dir, cfg)
+	defer ts.Close()
+
+	st := s.Store()
+	v, err := st.View("live")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v.Trace != nil || v.Stored == nil {
+		t.Fatal("the trace is resident; the test needs a disk-resident view")
+	}
+	scanReport := func(t *testing.T) []byte {
+		t.Helper()
+		p, _, err := s.scanStored(v, storage.ParallelScanOptions{Workers: 2})
+		if err != nil {
+			t.Fatalf("scan through the view: %v", err)
+		}
+		rep, err := p.Report(8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := json.Marshal(rep.JSON())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	want := scanReport(t)
+
+	if n, err := st.Compact(); err != nil || n != 1 {
+		t.Fatalf("Compact: n=%d err=%v, want 1", n, err)
+	}
+	if _, err := v.Stored.Collect(); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("the swept generation still reads (err %v); the test needs a stale view", err)
+	}
+	t.Run("reload", func(t *testing.T) {
+		got, info, err := st.load(v)
+		if err != nil {
+			t.Fatalf("reload through the stale view: %v", err)
+		}
+		fp, err := got.Fingerprint()
+		if err != nil || fp != v.Info.Fingerprint || info.Fingerprint != fp {
+			t.Fatalf("reloaded fingerprint %.12s (info %.12s, err %v), want committed %.12s", fp, info.Fingerprint, err, v.Info.Fingerprint)
+		}
+	})
+	t.Run("scan", func(t *testing.T) {
+		if !bytes.Equal(scanReport(t), want) {
+			t.Fatal("scan through the stale view reports different bytes")
+		}
+	})
 }
 
 // unmarkCompacted clears the compacted mark in name's committed

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io/fs"
 	"net/http"
 	"net/url"
 	"runtime"
@@ -622,21 +621,13 @@ func scanWorkers(shards int) int {
 	return shards
 }
 
-// scanStored runs the block-parallel disk scan for a view, retrying
-// once with a fresh view when a background compaction swept the old
-// generation's segments out from under the scan (committed files are
-// unlinked, never rewritten, so a scan that opened its descriptors
-// early is safe — but one racing the sweep can hit a vanished path).
-// The retry is sound because compaction preserves the fingerprint: a
-// view with the same fingerprint scans to byte-identical results.
-func (s *Server) scanStored(v View, opts storage.ParallelScanOptions) (*core.Partial, *storage.ScanStats, error) {
-	p, stats, err := v.Stored.ParallelScanPartial(opts)
-	if err != nil && errors.Is(err, fs.ErrNotExist) {
-		nv, verr := s.store.View(v.Info.Name)
-		if verr == nil && nv.Stored != nil && nv.Info.Fingerprint == v.Info.Fingerprint {
-			return nv.Stored.ParallelScanPartial(opts)
-		}
-	}
+// scanStored runs the block-parallel disk scan for a view, retried
+// once on a compaction sweep (Store.readStored).
+func (s *Server) scanStored(v View, opts storage.ParallelScanOptions) (p *core.Partial, stats *storage.ScanStats, err error) {
+	err = s.store.readStored(v, func(st *storage.Trace) (err error) {
+		p, stats, err = st.ParallelScanPartial(opts)
+		return err
+	})
 	return p, stats, err
 }
 

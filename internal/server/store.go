@@ -12,6 +12,7 @@ import (
 	"container/list"
 	"errors"
 	"fmt"
+	"io/fs"
 	"sort"
 	"sync"
 	"time"
@@ -436,6 +437,12 @@ func (s *Store) Get(name string) (*trace.Trace, TraceInfo, error) {
 	if err != nil {
 		return nil, TraceInfo{}, err
 	}
+	return s.load(v)
+}
+
+// load is Get for a resolved view.
+func (s *Store) load(v View) (*trace.Trace, TraceInfo, error) {
+	name := v.Info.Name
 	if v.Trace != nil {
 		return v.Trace, v.Info, nil
 	}
@@ -445,7 +452,11 @@ func (s *Store) Get(name string) (*trace.Trace, TraceInfo, error) {
 	}
 	// Load outside the lock; admit under it. A concurrent re-ingest may
 	// have replaced the entry meanwhile — then the load is discarded.
-	tr, err := v.Stored.Collect()
+	var tr *trace.Trace
+	err := s.readStored(v, func(st *storage.Trace) (err error) {
+		tr, err = st.Collect()
+		return err
+	})
 	if err != nil {
 		return nil, TraceInfo{}, fmt.Errorf("server: reloading %q: %w", name, err)
 	}
@@ -473,6 +484,24 @@ func (s *Store) Get(name string) (*trace.Trace, TraceInfo, error) {
 		s.evictToFitLocked()
 	}
 	return e.t, e.info, nil
+}
+
+// readStored runs read over v's durable generation and, when a
+// background compaction swept that generation's files out from under it
+// (committed files are unlinked, never rewritten, so a read that opened
+// its descriptors early is safe, but one racing the sweep can hit a
+// vanished path), once more over a fresh view of the name. The retry
+// is sound because compaction preserves the fingerprint: a generation
+// with the same fingerprint reads the same jobs.
+func (s *Store) readStored(v View, read func(*storage.Trace) error) error {
+	err := read(v.Stored)
+	if errors.Is(err, fs.ErrNotExist) {
+		nv, verr := s.View(v.Info.Name)
+		if verr == nil && nv.Stored != nil && nv.Info.Fingerprint == v.Info.Fingerprint {
+			return read(nv.Stored)
+		}
+	}
+	return err
 }
 
 // Delete removes name, reporting the deleted identity and whether the

@@ -148,33 +148,6 @@ func (ss *session) precedes(j *trace.Job) bool {
 	return j.SubmitTime.Before(ss.lastSubmit) || j.SubmitTime.Equal(ss.lastSubmit) && j.ID < ss.lastID
 }
 
-// readback streams the spilled generation's jobs to fn once, in write
-// order, closing the segment it stops in on error.
-func (ss *session) readback(fn func(*trace.Job) error) error {
-	shards, err := ss.appender.Shards()
-	if err != nil {
-		return err
-	}
-	for _, sh := range shards {
-		for {
-			j, err := sh.Next()
-			if err == io.EOF {
-				break
-			}
-			if err == nil {
-				err = fn(j)
-			}
-			if err != nil {
-				if cl, ok := sh.(io.Closer); ok {
-					cl.Close()
-				}
-				return err
-			}
-		}
-	}
-	return nil
-}
-
 // close ends the writer; a generation that never committed is removed.
 func (ss *session) close() {
 	if ss.appender != nil {
@@ -340,9 +313,15 @@ func (s *Store) ingest(name string, src trace.Source) (TraceInfo, error) {
 		if ss.count > s.maxTotalJobs {
 			return TraceInfo{}, errUnsortedSpill
 		}
-		t := trace.New(meta)
-		if err := ss.readback(func(j *trace.Job) error { t.Add(j); return nil }); err != nil {
+		// The readback decodes into a reused batch: copy the jobs out,
+		// into one allocation.
+		jobs := make([]trace.Job, 0, ss.count)
+		if err := ss.appender.Each(func(j *trace.Job) error { jobs = append(jobs, *j); return nil }); err != nil {
 			return TraceInfo{}, fmt.Errorf("server: reading back %q: %w", name, err)
+		}
+		t := trace.New(meta)
+		for i := range jobs {
+			t.Add(&jobs[i])
 		}
 		return s.put(name, t, ss.live)
 	default:
@@ -358,7 +337,7 @@ func (s *Store) ingest(name string, src trace.Source) (TraceInfo, error) {
 		if err := ss.begin(meta, true); err != nil {
 			return TraceInfo{}, err
 		}
-		if err := ss.readback(ss.fold); err != nil {
+		if err := ss.appender.Each(ss.fold); err != nil {
 			return TraceInfo{}, fmt.Errorf("server: reading back %q: %w", name, err)
 		}
 	}

@@ -199,19 +199,21 @@ func (a *Appender) rotate() error {
 	return nil
 }
 
-// Shards returns one Source per segment of the generation under the
-// appender's metadata, for pre-commit readback: the spill-ingest path
-// re-scans what it just wrote to derive the fingerprint (and, when the
-// upload header was incomplete, the aggregate) without holding jobs in
-// memory. The open segment is rotated first.
-func (a *Appender) Shards() ([]trace.Source, error) {
+// Each streams every job appended so far to fn, in order — the
+// pre-commit readback: the spill-ingest path re-reads what it just
+// wrote to derive the fingerprint (and, when the upload header was
+// incomplete, the aggregate) without holding jobs in memory. The open
+// segment is rotated first. Jobs decode into a reused batch, so fn must
+// not retain them.
+func (a *Appender) Each(fn func(*trace.Job) error) error {
 	if a.done {
-		return nil, fmt.Errorf("storage: shards after close")
+		return fmt.Errorf("storage: readback after close")
 	}
 	if err := a.rotate(); err != nil {
-		return nil, err
+		return err
 	}
-	return segmentSources(a.dir, a.meta, a.closed), nil
+	pending := &Trace{dir: a.dir, man: &Manifest{Meta: metaToManifest(a.meta), Segments: a.closed}}
+	return pending.Each(fn)
 }
 
 // Sealed is a generation whose files are durable and whose manifest is

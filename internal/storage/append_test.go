@@ -2,6 +2,7 @@ package storage
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -191,22 +192,12 @@ func TestAppenderResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src, err := committed.Open()
+	err = committed.Each(func(j *trace.Job) error {
+		live.Observe(j)
+		return hasher.Write(j)
+	})
 	if err != nil {
 		t.Fatal(err)
-	}
-	for {
-		j, err := src.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := hasher.Write(j); err != nil {
-			t.Fatal(err)
-		}
-		live.Observe(j)
 	}
 	fp := ""
 	for i, batch := range batches[2:] {
@@ -434,29 +425,41 @@ func drainCount(t *testing.T, shards []trace.Source, from, to time.Time) int {
 	return in
 }
 
-// TestSegmentSourceClose covers the fd-leak fix: abandoning a scan
-// mid-stream must release the reader immediately.
+// TestSegmentSourceClose covers the fd-leak fix: a reader abandoning a
+// segment mid-stream — by Close, or by an Each callback that fails —
+// releases its descriptor and pooled buffers at once, and so does every
+// WindowShards source closed after its first job.
 func TestSegmentSourceClose(t *testing.T) {
 	tr := genTrace(t, "CC-b", 11, 26*time.Hour)
 	s, _ := openStore(t, t.TempDir(), 100)
 	st := writeTrace(t, s, "w", tr)
-
-	src, err := st.Open()
-	if err != nil {
-		t.Fatal(err)
+	released := func(src *segmentSource) {
+		t.Helper()
+		if !src.done || src.f != nil || src.frame != nil || src.jobs != nil {
+			t.Fatal("an abandoned segment source kept its descriptor or buffers")
+		}
 	}
+
+	src := st.source(st.man.Segments[0], nil, nil)
 	if _, err := src.Next(); err != nil {
 		t.Fatal(err)
 	}
-	cl, ok := src.(io.Closer)
-	if !ok {
-		t.Fatal("segment chain is not closable")
-	}
-	if err := cl.Close(); err != nil {
+	if err := src.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := src.Next(); err == nil {
-		t.Fatal("Next succeeded after Close")
+	released(src)
+	if _, err := src.Next(); err != io.EOF {
+		t.Fatalf("Next after Close: %v, want io.EOF", err)
+	}
+
+	stop := errors.New("stop")
+	src = st.source(st.man.Segments[0], nil, nil)
+	if err := src.each(func(*trace.Job) error { return stop }); err != stop {
+		t.Fatalf("each returned %v, want the callback's error", err)
+	}
+	released(src)
+	if err := st.Each(func(*trace.Job) error { return stop }); !errors.Is(err, stop) {
+		t.Fatalf("Each returned %v, want the callback's error", err)
 	}
 
 	meta := st.Meta()
@@ -470,5 +473,6 @@ func TestSegmentSourceClose(t *testing.T) {
 		} else if err := c.Close(); err != nil {
 			t.Fatal(err)
 		}
+		released(sh.(*segmentSource))
 	}
 }

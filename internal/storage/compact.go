@@ -121,8 +121,8 @@ func (s *Store) CompactTrace(t *Trace) (*Appender, *Sealed, error) {
 	if err := hasher.Begin(t.Meta()); err != nil {
 		return fail(err)
 	}
-	// Every job is hashed and re-encoded on the spot, so the volatile
-	// chain's reused batches are safe.
+	// Every job is hashed and re-encoded on the spot, so Each's reused
+	// batches are safe.
 	err = t.Each(func(j *trace.Job) error {
 		if err := hasher.Write(j); err != nil {
 			return err

@@ -66,17 +66,14 @@ func TestCompactTraceIdentity(t *testing.T) {
 	// The rewrite is a byte-identical no-op for every read path: the
 	// canonical readback hashes to the same fingerprint, and both scan
 	// paths reproduce the reference report exactly.
-	src, err := ct.Open()
+	back, err := ct.Collect()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gotFP, err := trace.Fingerprint(src); err != nil || gotFP != fp {
-		t.Fatalf("compacted readback fingerprint %s (err %v), want %s", gotFP, err, fp)
+	if gotFP := fingerprint(t, back); gotFP != fp {
+		t.Fatalf("compacted readback fingerprint %s, want %s", gotFP, fp)
 	}
-	if src, err = ct.Open(); err != nil {
-		t.Fatal(err)
-	}
-	seq, err := core.BuildPartial(src, false)
+	seq, err := core.BuildPartial(trace.NewSliceSource(back), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,12 +171,12 @@ func TestCrashMidCompaction(t *testing.T) {
 		}
 	}
 	// The survivor still reads end to end.
-	src, err := got.Open()
+	back, err := got.Collect()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gotFP, err := trace.Fingerprint(src); err != nil || gotFP != fp {
-		t.Fatalf("post-crash readback fingerprint %s (err %v), want %s", gotFP, err, fp)
+	if gotFP := fingerprint(t, back); gotFP != fp {
+		t.Fatalf("post-crash readback fingerprint %s, want %s", gotFP, fp)
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 
-	"repro/internal/colseg"
 	"repro/internal/trace"
 )
 
@@ -18,9 +17,10 @@ import (
 // carried over, and the new manifest commits atomically. A failure
 // fails Open naming the trace; its written files are removed and the
 // legacy generation stays committed and untouched. After Open every
-// committed segment is colseg, so segmentSource and ParallelScanPartial
-// decode nothing else, and the rewrite chain below is the one place
-// storage decodes JSONL.
+// committed segment is colseg, so every other read — the one
+// segmentSource, which ParallelScanPartial frames through too — decodes
+// nothing else, and eachLegacy below, which Each calls for a JSONL
+// segment, is the one place storage decodes JSONL.
 
 // legacy reports whether the manifest names a JSONL segment. It reads
 // only the manifest, so recovering a colseg data directory decodes
@@ -44,35 +44,31 @@ func (s *Store) migrate(t *Trace) (*Trace, error) {
 	return a.Commit(sealed)
 }
 
-// Each streams every committed job to fn in manifest order — the chain
-// compaction, migration and append-session replay read through. Colseg
-// segments decode into a reused batch, so fn must not retain the job.
+// Each streams every committed job to fn in manifest order — the read
+// compaction, migration and append-session replay share. A colseg
+// segment decodes into a reused batch, so fn must not retain the job.
 func (t *Trace) Each(fn func(*trace.Job) error) error {
 	for _, seg := range t.man.Segments {
-		if err := t.eachInSegment(seg, fn); err != nil {
+		if seg.Codec == CodecColumnar {
+			if err := t.source(seg, nil, nil).each(fn); err != nil {
+				return err
+			}
+		} else if err := t.eachLegacy(seg, fn); err != nil {
 			return fmt.Errorf("storage: reading %s: %w", seg.File, err)
 		}
 	}
 	return nil
 }
 
-// eachInSegment streams one segment's committed prefix to fn. A legacy
-// segment decodes as canonical JSONL.
-func (t *Trace) eachInSegment(seg SegmentInfo, fn func(*trace.Job) error) error {
+// eachLegacy streams one legacy segment's committed prefix to fn,
+// decoded as canonical JSONL.
+func (t *Trace) eachLegacy(seg SegmentInfo, fn func(*trace.Job) error) error {
 	f, err := os.Open(filepath.Join(t.dir, seg.File))
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	rd := io.LimitReader(f, seg.Size)
-	var src trace.Source
-	if seg.Codec == CodecColumnar {
-		cr := colseg.NewReader(rd, t.Meta(), colseg.WithVolatileBatch())
-		defer cr.Close()
-		src = cr
-	} else {
-		src = trace.NewJSONLBodyReader(rd, t.Meta())
-	}
+	src := trace.NewJSONLBodyReader(io.LimitReader(f, seg.Size), t.Meta())
 	for {
 		j, err := src.Next()
 		if err == io.EOF {

@@ -151,12 +151,12 @@ func checkMigrated(t *testing.T, st *Trace, fp string, want []byte) {
 			t.Errorf("%s workers=%d: disk-scan report differs from the in-memory reference", st.Name(), workers)
 		}
 	}
-	src, err := st.Open()
+	back, err := st.Collect()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, err := trace.Fingerprint(src); err != nil || got != fp {
-		t.Fatalf("%s: readback fingerprint %s (err %v), want %s", st.Name(), got, err, fp)
+	if got := fingerprint(t, back); got != fp {
+		t.Fatalf("%s: readback fingerprint %s, want %s", st.Name(), got, fp)
 	}
 	p, err := st.LoadPartial()
 	if err != nil || p == nil {

@@ -2,7 +2,6 @@ package storage
 
 import (
 	"errors"
-	"fmt"
 	"io"
 	"runtime"
 	"sync"
@@ -18,18 +17,20 @@ import (
 // packed into one or two big segments on one or two cores. Instead one
 // IO goroutine walks the segments in manifest order, prunes at segment
 // (manifest span) and block (zone map) granularity, and frames colseg
-// blocks without decoding them: a colseg.FrameScanner reads each
-// segment's committed prefix by offset, skips a pruned block without
-// reading it, and reads a kept one straight into a pooled frame
-// buffer. A bounded pool of workers decodes frames into per-chunk
-// core.Partials, and the caller merges those partials in frame order.
+// blocks without decoding them: each segment's source (the one
+// segmentSource every read shares) reads its committed prefix by
+// offset, skips a pruned block without reading it, and reads a kept one
+// straight into a pooled frame buffer. A bounded pool of workers
+// decodes frames into per-chunk core.Partials, and the caller merges
+// those partials in frame order.
 // Because every aggregate is exact and mergeable, the merged partial
 // reports byte-identically to a sequential core.BuildPartial over the
 // same jobs, and is the same partial at any worker count.
 
-// framePool recycles block-frame payload buffers between the IO
-// goroutine and the decode workers. Entries are pointers so Put never
-// allocates a slice header.
+// framePool recycles block-frame payload buffers: between the IO
+// goroutine and the decode workers, and across the segment sources of
+// sequential reads. Entries are pointers so Put never allocates a slice
+// header.
 var framePool = sync.Pool{
 	New: func() any { b := make([]byte, 0, 64<<10); return &b },
 }
@@ -84,7 +85,7 @@ type scanResult struct {
 
 // ParallelScanPartial builds the trace's partial aggregate with the
 // block-parallel pipeline. The result reports the same bytes as a
-// sequential core.BuildPartial over Open (or over WindowShards plus
+// sequential partial observed over Each (or over WindowShards plus
 // exact filtering, when windowed), and its snapshot is identical at any
 // worker count; the returned stats carry the same pruning evidence as
 // WindowShards. Errors release every pooled buffer and descriptor
@@ -122,12 +123,16 @@ func (t *Trace) ParallelScanPartial(opts ParallelScanOptions) (*core.Partial, *S
 			}
 		}
 		fromSec, toSec := opts.From.Unix(), opts.To.Unix()
+		var prune []colseg.Option
+		if opts.Window {
+			prune = []colseg.Option{colseg.WithTimeRange(opts.From, opts.To)}
+		}
 		for _, seg := range t.man.Segments {
 			if opts.Window && seg.pruneOutside(fromSec, toSec) {
 				stats.SegmentsPruned++
 				continue
 			}
-			if err := t.emitSegmentFrames(seg, opts, stats, &seq, emit); err != nil {
+			if err := emitSegmentFrames(t.source(seg, prune, stats), &seq, emit); err != nil {
 				if err != errScanAborted {
 					ioErr = err
 				}
@@ -142,7 +147,7 @@ func (t *Trace) ParallelScanPartial(opts ParallelScanOptions) (*core.Partial, *S
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			dec := colseg.NewBlockDecoder(meta)
+			dec := colseg.NewBlockDecoder()
 			defer dec.Close()
 			for tk := range work {
 				select {
@@ -210,23 +215,11 @@ func (t *Trace) ParallelScanPartial(opts ParallelScanOptions) (*core.Partial, *S
 	return merged, stats, nil
 }
 
-// emitSegmentFrames frames one colseg segment's blocks and emits them
-// in frameChunk batches. Block counters harvest into stats when the
-// segment's frames end, exactly as a WindowShards source's do.
-func (t *Trace) emitSegmentFrames(seg SegmentInfo, opts ParallelScanOptions, stats *ScanStats, seq *int, emit func(scanTask) bool) error {
-	var copts []colseg.Option
-	if opts.Window {
-		copts = append(copts, colseg.WithTimeRange(opts.From, opts.To))
-	}
-	f, fs, err := t.scanSegment(seg, copts...)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	harvest := func() {
-		stats.blocksRead.Add(int64(fs.BlocksRead()))
-		stats.blocksPruned.Add(int64(fs.BlocksPruned()))
-	}
+// emitSegmentFrames frames one segment source's kept blocks into
+// pooled buffers and emits them in frameChunk batches. The source's
+// block counters harvest into the scan stats when its frames end, or
+// when an abort closes it.
+func emitSegmentFrames(src *segmentSource, seq *int, emit func(scanTask) bool) error {
 	var tk scanTask
 	flush := func() bool {
 		if len(tk.bufs) == 0 {
@@ -240,10 +233,9 @@ func (t *Trace) emitSegmentFrames(seg SegmentInfo, opts ParallelScanOptions, sta
 	}
 	for {
 		bp := framePool.Get().(*[]byte)
-		payload, err := fs.Next((*bp)[:0])
+		payload, err := src.nextFrame((*bp)[:0])
 		if err != nil {
 			framePool.Put(bp)
-			harvest()
 			if err == io.EOF {
 				if !flush() {
 					return errScanAborted
@@ -251,15 +243,13 @@ func (t *Trace) emitSegmentFrames(seg SegmentInfo, opts ParallelScanOptions, sta
 				return nil
 			}
 			tk.recycle()
-			return fmt.Errorf("storage: reading %s: %w", seg.File, err)
+			return err
 		}
 		*bp = payload
 		tk.bufs = append(tk.bufs, bp)
-		if len(tk.bufs) >= frameChunk {
-			if !flush() {
-				harvest()
-				return errScanAborted
-			}
+		if len(tk.bufs) >= frameChunk && !flush() {
+			src.Close()
+			return errScanAborted
 		}
 	}
 }

@@ -3,7 +3,6 @@ package storage
 import (
 	"bytes"
 	"encoding/json"
-	"io"
 	"testing"
 	"time"
 
@@ -203,41 +202,6 @@ func TestParallelScanWindowIdentity(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestOpenZeroSegmentsMeta: a committed zero-segment generation (an
-// empty trace) must still answer Meta() with the manifest metadata —
-// the chain source cannot delegate to a first segment that isn't there.
-func TestOpenZeroSegmentsMeta(t *testing.T) {
-	s, _ := openStore(t, t.TempDir(), 0)
-	meta := trace.Meta{Name: "empty", Machines: 3, Start: time.Unix(1_000_000_000, 0).UTC(), Length: time.Hour}
-	hasher := trace.NewHasher()
-	if err := hasher.Begin(meta); err != nil {
-		t.Fatal(err)
-	}
-	a, err := s.Create("empty", meta)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-	sealed, err := a.Seal(hasher.Sum(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tt, err := a.Commit(sealed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	src, err := tt.Open()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := src.Meta(); got != meta {
-		t.Fatalf("zero-segment source Meta() = %+v, want %+v", got, meta)
-	}
-	if _, err := src.Next(); err != io.EOF {
-		t.Fatalf("zero-segment source Next() err = %v, want EOF", err)
 	}
 }
 

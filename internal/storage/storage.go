@@ -36,8 +36,17 @@
 // removed. A damaged partial snapshot, by contrast, only costs the
 // snapshot: the jobs on disk can always rebuild it. A verified
 // generation that still holds legacy JSONL segments is then rewritten
-// to colseg once (see migrate.go), so every Trace Open hands out reads
-// only colseg.
+// to colseg once (see migrate.go), so every Trace that Open recovers
+// holds only colseg segments.
+//
+// Reads. Every read of a committed segment — Each, Collect,
+// LoadPartial's replay past its checkpoint, the appender's readback,
+// WindowShards and ParallelScanPartial — goes through one per-segment
+// source: a colseg.FrameScanner bounded by the manifest's committed
+// size, so bytes a live appender wrote past it stay invisible, and a
+// colseg.BlockDecoder that CRC-verifies each kept frame before it
+// parses a column. Jobs decode into a reused batch; Collect copies
+// them out, and every other reader must not retain them.
 package storage
 
 import (

@@ -3,7 +3,6 @@ package storage
 import (
 	"bytes"
 	"encoding/json"
-	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -128,15 +127,11 @@ func TestWriteReopenRoundTrip(t *testing.T) {
 
 	// The on-disk jobs are canonically identical: fingerprinting the
 	// readback reproduces the committed fingerprint.
-	src, err := got.Open()
+	back, err := got.Collect()
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotFP, err := trace.Fingerprint(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotFP != fp {
+	if gotFP := fingerprint(t, back); gotFP != fp {
 		t.Errorf("readback fingerprint %s != committed %s", gotFP, fp)
 	}
 
@@ -199,29 +194,37 @@ func TestShardsOutOfCore(t *testing.T) {
 }
 
 // TestReplaceSweepsOldGeneration: re-writing a name commits a new
-// generation and removes the old one's files; readers that opened the
-// old generation keep streaming it.
+// generation and removes the old one's files; a read that opened the
+// old generation keeps streaming it.
 func TestReplaceSweepsOldGeneration(t *testing.T) {
 	s, _ := openStore(t, t.TempDir(), 0)
 	v1 := genTrace(t, "CC-b", 1, 25*time.Hour)
 	v2 := genTrace(t, "CC-b", 2, 26*time.Hour)
 	h1 := writeTrace(t, s, "hot", v1)
+	if h1.Segments() != 1 {
+		t.Fatalf("generation 1 has %d segments; the test reads one open segment across the replace", h1.Segments())
+	}
 
-	// Open a reader on generation 1, then replace.
-	src, err := h1.Open()
+	// Read generation 1, replacing it after the first job.
+	var h2 *Trace
+	n := 0
+	err := h1.Each(func(*trace.Job) error {
+		if n++; n == 1 {
+			h2 = writeTrace(t, s, "hot", v2)
+		}
+		return nil
+	})
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("reader of replaced generation failed: %v", err)
 	}
-	if _, err := src.Next(); err != nil {
-		t.Fatal(err)
+	if n != v1.Len() {
+		t.Errorf("reader of replaced generation saw %d jobs, want %d", n, v1.Len())
 	}
-
-	h2 := writeTrace(t, s, "hot", v2)
 	if h2.Fingerprint() == h1.Fingerprint() {
 		t.Fatal("test traces should differ")
 	}
 
-	// Old generation files are swept...
+	// Old generation files are swept.
 	entries, err := os.ReadDir(h2.dir)
 	if err != nil {
 		t.Fatal(err)
@@ -233,21 +236,6 @@ func TestReplaceSweepsOldGeneration(t *testing.T) {
 		if want := genPrefix(h2.man.Generation); e.Name()[:len(want)] != want {
 			t.Errorf("stale file survived replacement: %s", e.Name())
 		}
-	}
-	// ...but the open reader still drains generation 1 in full.
-	n := 1
-	for {
-		_, err := src.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatalf("reader of replaced generation failed: %v", err)
-		}
-		n++
-	}
-	if n != v1.Len() {
-		t.Errorf("reader of replaced generation saw %d jobs, want %d", n, v1.Len())
 	}
 }
 

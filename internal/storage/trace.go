@@ -51,14 +51,6 @@ func (t *Trace) SizeBytes() int64 {
 	return n
 }
 
-// Open returns a Source streaming every job in order across the
-// segments — the sequential out-of-core read path. The source owns its
-// file descriptors and closes them at io.EOF or on error; abandon it
-// only at a stream boundary.
-func (t *Trace) Open() (trace.Source, error) {
-	return &chainSource{meta: t.Meta(), sources: segmentSources(t.dir, t.Meta(), t.man.Segments)}, nil
-}
-
 // ScanStats counts what a windowed disk scan actually touched — the
 // proof that zone maps pruned, independent of timing. Block counters
 // are harvested from each segment's frame scanner when its frames end
@@ -94,39 +86,38 @@ func (st *ScanStats) BlocksPruned() int64 { return st.blocksPruned.Load() }
 func (t *Trace) WindowShards(from, to time.Time) ([]trace.Source, *ScanStats) {
 	stats := &ScanStats{Segments: len(t.man.Segments)}
 	fromSec, toSec := from.Unix(), to.Unix()
+	prune := []colseg.Option{colseg.WithTimeRange(from, to)}
 	var out []trace.Source
 	for _, seg := range t.man.Segments {
 		if seg.pruneOutside(fromSec, toSec) {
 			stats.SegmentsPruned++
 			continue
 		}
-		out = append(out, &windowSource{t: t, seg: seg, from: from, to: to, stats: stats})
+		out = append(out, t.source(seg, prune, stats))
 	}
 	return out, stats
 }
 
-// scanSegment opens seg for a frame scan of its committed prefix. Every
-// committed segment records its size, which Open CRC-verified; bytes a
-// live appender wrote past it stay invisible. The caller closes the
-// file.
-func (t *Trace) scanSegment(seg SegmentInfo, opts ...colseg.Option) (*os.File, *colseg.FrameScanner, error) {
-	f, err := os.Open(filepath.Join(t.dir, seg.File))
-	if err != nil {
-		return nil, nil, fmt.Errorf("storage: opening segment: %w", err)
-	}
-	return f, colseg.NewFrameScanner(f, seg.Size, opts...), nil
-}
-
 // Collect materializes the whole trace in memory — the reload path for
-// analyses that need random access. The caller owns the result.
+// analyses that need random access. Each decoded block is copied out of
+// the reused batch in one allocation, so the caller owns the result.
 func (t *Trace) Collect() (*trace.Trace, error) {
-	src, err := t.Open()
-	if err != nil {
-		return nil, err
-	}
-	tr, err := trace.Collect(src)
-	if err != nil {
-		return nil, err
+	tr := trace.New(t.Meta())
+	for _, seg := range t.man.Segments {
+		src := t.source(seg, nil, nil)
+		for {
+			batch, err := src.batch()
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				return nil, err
+			}
+			jobs := append([]trace.Job(nil), batch...)
+			for i := range jobs {
+				tr.Add(&jobs[i])
+			}
+		}
 	}
 	return tr, nil
 }
@@ -169,7 +160,7 @@ func (t *Trace) LoadPartial() (*core.Partial, error) {
 				skip -= seg.Jobs
 				continue
 			}
-			err := t.eachInSegment(seg, func(j *trace.Job) error {
+			err := t.source(seg, nil, nil).each(func(j *trace.Job) error {
 				if skip > 0 {
 					skip--
 				} else {
@@ -178,7 +169,7 @@ func (t *Trace) LoadPartial() (*core.Partial, error) {
 				return nil
 			})
 			if err != nil {
-				return nil, fmt.Errorf("storage: replaying %s past the partial snapshot: %w", seg.File, err)
+				return nil, fmt.Errorf("storage: replaying past the partial snapshot: %w", err)
 			}
 		}
 		p.Freeze()
@@ -186,194 +177,154 @@ func (t *Trace) LoadPartial() (*core.Partial, error) {
 	return p, nil
 }
 
-// segmentSources builds one lazily-opened Source per colseg segment.
-func segmentSources(dir string, meta trace.Meta, segs []SegmentInfo) []trace.Source {
-	out := make([]trace.Source, len(segs))
-	for i, seg := range segs {
-		out[i] = &segmentSource{path: filepath.Join(dir, seg.File), meta: meta, size: seg.Size}
-	}
-	return out
+// segmentSource is the one reader of a committed colseg segment. A
+// colseg.FrameScanner walks the segment's committed prefix — the
+// manifest's SegmentInfo.Size, so bytes a live appender wrote past it
+// stay invisible — skipping the blocks the window's zone maps rule out
+// when prune is set, and a colseg.BlockDecoder CRC-verifies and decodes
+// each kept frame into its reused batch. The file opens on the first
+// read, and the source finishes — block counters harvested into stats,
+// pooled buffers returned, file closed — at io.EOF, on the first error,
+// or at Close, which a reader abandoning the segment mid-way must call.
+//
+// Sequential readers (Each, Collect, LoadPartial's replay, the
+// appender's readback, WindowShards) take decoded batches, and a job is
+// valid only until the next one; ParallelScanPartial's IO goroutine
+// takes bare frames and decodes them on its workers.
+type segmentSource struct {
+	dir   string
+	seg   SegmentInfo
+	meta  trace.Meta
+	prune []colseg.Option
+	stats *ScanStats
+
+	f     *os.File
+	fs    *colseg.FrameScanner
+	dec   *colseg.BlockDecoder
+	frame *[]byte // from framePool, for batch
+	jobs  []trace.Job
+	done  bool
 }
 
-// segmentSource streams every job of one colseg segment file. The file
-// opens on the first Next and closes at io.EOF or on the first error; a
-// consumer abandoning the stream mid-segment must Close it to release
-// the descriptor (and the colseg reader's pooled buffers).
-type segmentSource struct {
-	path string
-	meta trace.Meta
-	size int64 // committed byte count from the manifest
-	f    *os.File
-	cr   *colseg.Reader
-	done bool
+// source returns a reader of seg, one of t's committed segments, that
+// prunes by prune (nil reads every block) and harvests its block
+// counters into stats (nil keeps none).
+func (t *Trace) source(seg SegmentInfo, prune []colseg.Option, stats *ScanStats) *segmentSource {
+	return &segmentSource{dir: t.dir, seg: seg, meta: t.Meta(), prune: prune, stats: stats, dec: colseg.NewBlockDecoder()}
 }
 
 // Meta returns the full trace's metadata.
 func (s *segmentSource) Meta() trace.Meta { return s.meta }
 
-// Next yields the next job, or io.EOF at segment end.
-func (s *segmentSource) Next() (*trace.Job, error) {
+// nextFrame reads the next kept frame's payload into buf, reusing its
+// capacity, or reports io.EOF at the end of the committed prefix.
+func (s *segmentSource) nextFrame(buf []byte) ([]byte, error) {
 	if s.done {
 		return nil, io.EOF
 	}
-	if s.f == nil {
-		f, err := os.Open(s.path)
+	if s.fs == nil {
+		f, err := os.Open(filepath.Join(s.dir, s.seg.File))
 		if err != nil {
-			s.done = true
+			s.Close()
 			return nil, fmt.Errorf("storage: opening segment: %w", err)
 		}
-		s.f = f
-		// A live-append trace's open segment may hold bytes past the
-		// committed batch boundary (and a concurrent appender keeps
-		// growing it); readers see exactly the manifest-recorded prefix.
-		// Batch commits flush the codec at a self-contained boundary, so
-		// the prefix always decodes cleanly.
-		s.cr = colseg.NewReader(io.LimitReader(f, s.size), s.meta)
+		s.f, s.fs = f, colseg.NewFrameScanner(f, s.seg.Size, s.prune...)
 	}
-	j, err := s.cr.Next()
+	payload, err := s.fs.Next(buf)
 	if err != nil {
-		s.finish()
+		return nil, s.fail(err)
+	}
+	return payload, nil
+}
+
+// batch decodes the next kept block into the decoder's reused batch, or
+// reports io.EOF at the end of the committed prefix.
+func (s *segmentSource) batch() ([]trace.Job, error) {
+	if s.done {
+		return nil, io.EOF
+	}
+	if s.frame == nil {
+		s.frame = framePool.Get().(*[]byte)
+	}
+	payload, err := s.nextFrame((*s.frame)[:0])
+	if err != nil {
+		return nil, err
+	}
+	*s.frame = payload
+	jobs, err := s.dec.Decode(payload)
+	if err != nil {
+		return nil, s.fail(err)
+	}
+	return jobs, nil
+}
+
+// each hands every job of the segment to fn, closing the source when fn
+// fails.
+func (s *segmentSource) each(fn func(*trace.Job) error) error {
+	for {
+		jobs, err := s.batch()
 		if err == io.EOF {
-			return nil, io.EOF
-		}
-		return nil, fmt.Errorf("storage: reading %s: %w", filepath.Base(s.path), err)
-	}
-	return j, nil
-}
-
-// finish releases the reader's pooled buffers (a no-op once its stream
-// has ended) and the descriptor, exactly once per stream.
-func (s *segmentSource) finish() {
-	s.done = true
-	if s.cr != nil {
-		s.cr.Close()
-		s.f.Close()
-		s.cr, s.f = nil, nil
-	}
-}
-
-// Close abandons the stream. A source already drained to EOF (or
-// failed) has released everything; Close is then a no-op. Never an
-// error — it exists for early-exit paths.
-func (s *segmentSource) Close() error {
-	if !s.done {
-		s.finish()
-	}
-	return nil
-}
-
-// windowSource streams the kept blocks of one segment for a windowed
-// scan: a FrameScanner skips the blocks the window's zone maps rule out
-// and reads the rest, and a BlockDecoder decodes each into its reused
-// (volatile) batch. The file opens on the first Next and closes at
-// io.EOF or on the first error, when the block counters harvest into
-// the scan stats; a consumer abandoning the stream mid-segment must
-// Close it.
-type windowSource struct {
-	t        *Trace
-	seg      SegmentInfo
-	from, to time.Time
-	stats    *ScanStats
-	f        *os.File
-	fs       *colseg.FrameScanner
-	dec      *colseg.BlockDecoder
-	frame    []byte
-	jobs     []trace.Job
-	done     bool
-}
-
-// Meta returns the full trace's metadata.
-func (s *windowSource) Meta() trace.Meta { return s.t.Meta() }
-
-// Next yields the next job of a kept block, or io.EOF at segment end.
-func (s *windowSource) Next() (*trace.Job, error) {
-	for len(s.jobs) == 0 {
-		if s.done {
-			return nil, io.EOF
-		}
-		if s.fs == nil {
-			f, fs, err := s.t.scanSegment(s.seg, colseg.WithTimeRange(s.from, s.to))
-			if err != nil {
-				s.done = true
-				return nil, err
-			}
-			s.f, s.fs, s.dec = f, fs, colseg.NewBlockDecoder(s.t.Meta())
-		}
-		frame, err := s.fs.Next(s.frame[:0])
-		if err == nil {
-			s.frame = frame
-			s.jobs, err = s.dec.Decode(frame)
+			return nil
 		}
 		if err != nil {
-			s.finish()
-			if err == io.EOF {
-				return nil, io.EOF
-			}
-			return nil, fmt.Errorf("storage: reading %s: %w", s.seg.File, err)
+			return err
 		}
+		for i := range jobs {
+			if err := fn(&jobs[i]); err != nil {
+				s.Close()
+				return err
+			}
+		}
+	}
+}
+
+// Next yields the next job of a kept block, or io.EOF at segment end.
+func (s *segmentSource) Next() (*trace.Job, error) {
+	for len(s.jobs) == 0 {
+		jobs, err := s.batch()
+		if err != nil {
+			return nil, err
+		}
+		s.jobs = jobs
 	}
 	j := &s.jobs[0]
 	s.jobs = s.jobs[1:]
 	return j, nil
 }
 
-// finish harvests the block counters into the scan stats and releases
-// the decoder and the descriptor, exactly once per stream.
-func (s *windowSource) finish() {
+// fail finishes the source on err: io.EOF passes through, anything else
+// is named after the segment.
+func (s *segmentSource) fail(err error) error {
+	s.Close()
+	if err == io.EOF {
+		return io.EOF
+	}
+	return fmt.Errorf("storage: reading %s: %w", s.seg.File, err)
+}
+
+// Close finishes the source, exactly once: the block counters harvest
+// into the scan stats, and the frame buffer, the decode scratch and the
+// descriptor are released. A source already drained to EOF (or failed)
+// has finished, and Close is then a no-op. Never an error — it exists
+// for early-exit paths.
+func (s *segmentSource) Close() error {
+	if s.done {
+		return nil
+	}
 	s.done = true
 	s.jobs = nil
+	if s.frame != nil {
+		framePool.Put(s.frame)
+		s.frame = nil
+	}
+	s.dec.Close()
 	if s.fs != nil {
-		s.stats.blocksRead.Add(int64(s.fs.BlocksRead()))
-		s.stats.blocksPruned.Add(int64(s.fs.BlocksPruned()))
-		s.dec.Close()
+		if s.stats != nil {
+			s.stats.blocksRead.Add(int64(s.fs.BlocksRead()))
+			s.stats.blocksPruned.Add(int64(s.fs.BlocksPruned()))
+		}
 		s.f.Close()
-		s.fs, s.dec, s.f = nil, nil, nil
-	}
-}
-
-// Close abandons the stream. A source already drained to EOF (or
-// failed) has released everything; Close is then a no-op. Never an
-// error — it exists for early-exit paths.
-func (s *windowSource) Close() error {
-	if !s.done {
-		s.finish()
-	}
-	return nil
-}
-
-// chainSource concatenates segment sources into one ordered stream.
-// It carries the manifest metadata itself so a committed trace with
-// zero segments (e.g. a sealed-empty generation) still reports its
-// identity instead of a zero Meta.
-type chainSource struct {
-	meta    trace.Meta
-	sources []trace.Source
-	i       int
-}
-
-// Meta returns the trace metadata.
-func (c *chainSource) Meta() trace.Meta { return c.meta }
-
-// Next yields the next job across segment boundaries.
-func (c *chainSource) Next() (*trace.Job, error) {
-	for c.i < len(c.sources) {
-		j, err := c.sources[c.i].Next()
-		if err == io.EOF {
-			c.i++
-			continue
-		}
-		return j, err
-	}
-	return nil, io.EOF
-}
-
-// Close abandons the chain, closing the in-progress segment and every
-// unread one after it.
-func (c *chainSource) Close() error {
-	for ; c.i < len(c.sources); c.i++ {
-		if cl, ok := c.sources[c.i].(io.Closer); ok {
-			cl.Close()
-		}
+		s.f, s.fs = nil, nil
 	}
 	return nil
 }
