@@ -1,8 +1,6 @@
 package core
 
 import (
-	"encoding/json"
-	"io"
 	"time"
 
 	"repro/internal/analysis"
@@ -18,6 +16,13 @@ import (
 // Distributions are exported as summary quantiles plus the same
 // log-spaced CDF points ExportCSV writes, so any client can re-plot the
 // paper's figures from one response.
+//
+// The *JSON types and JSON() are the reference encoding: the wire bytes
+// are defined as json.Marshal(r.JSON()). Clients decode into them, and
+// tests and bench/ marshal them with encoding/json to check the bytes
+// the server writes. The server itself, and WriteJSON, encode through
+// Report.AppendJSON (append_json.go), which writes those same bytes
+// straight from the Report.
 
 // PointJSON is one (x, cumulative fraction) CDF sample.
 type PointJSON struct {
@@ -293,9 +298,4 @@ func (r *Report) JSON() *ReportJSON {
 		out.Clusters = cj
 	}
 	return out
-}
-
-// WriteJSON writes the report's wire form to w, newline-terminated.
-func (r *Report) WriteJSON(w io.Writer) error {
-	return json.NewEncoder(w).Encode(r.JSON())
 }

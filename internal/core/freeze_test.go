@@ -65,6 +65,21 @@ func report(t testing.TB, p *core.Partial) []byte {
 	return b
 }
 
+// encoded is report through the server's encoder, Report.AppendJSON,
+// into a reused buffer.
+func encoded(t testing.TB, p *core.Partial, buf []byte) []byte {
+	t.Helper()
+	rep, err := p.Report(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := rep.AppendJSON(buf[:0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
 func snapshot(t testing.TB, p *core.Partial) []byte {
 	t.Helper()
 	b, err := p.MarshalBinary()
@@ -337,7 +352,9 @@ func TestFrozenPartialProducers(t *testing.T) {
 // into, refreezes and clones its own private partial in small batches —
 // the append session beside report traffic. The shared partial is
 // itself a clone the writer published mid-way, so the readers walk
-// runs the writer keeps merging past. Run under -race.
+// runs the writer keeps merging past. The readers also encode through
+// Report.AppendJSON, filling and reading stats' shared log-point grid
+// concurrently, and must get the reference bytes. Run under -race.
 func TestFrozenPartialConcurrentReaders(t *testing.T) {
 	tr := freezeTrace(t, "CC-b", 2, 26*time.Hour)
 	live, err := core.NewPartial(tr.Meta, false)
@@ -368,9 +385,13 @@ func TestFrozenPartialConcurrentReaders(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var buf []byte
 			for i := 0; i < 5; i++ {
 				if !bytes.Equal(report(t, shared), wantReport) {
 					t.Error("concurrent Report diverged")
+				}
+				if buf = encoded(t, shared, buf); !bytes.Equal(buf, wantReport) {
+					t.Error("concurrent AppendJSON diverged from json.Marshal")
 				}
 				if !bytes.Equal(snapshot(t, shared), wantSnap) {
 					t.Error("concurrent MarshalBinary diverged")

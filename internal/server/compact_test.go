@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io/fs"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -339,6 +340,74 @@ func TestCompactSkipsOpenSession(t *testing.T) {
 	if got.Fingerprint != want.Fingerprint || got.Jobs != want.Jobs {
 		t.Fatalf("final identity %s/%d, one-shot is %s/%d", got.Fingerprint, got.Jobs, want.Fingerprint, want.Jobs)
 	}
+}
+
+// TestControlByteNamesKeepIdentity: the canonical job line writes a
+// backspace or form feed as \u0008 or \u000c, and every trace's
+// fingerprint hashes that line. A trace whose names and paths hold them
+// keeps the fingerprints it was committed with (pinned here, as the
+// encoder before Report.AppendJSON computed them) through a restart's
+// recovery, an append session's replay, which refuses a fingerprint
+// mismatch, a compaction sweep, which re-hashes its rewrite and
+// discards one that differs, and a second restart.
+func TestControlByteNamesKeepIdentity(t *testing.T) {
+	const (
+		wantHalf = "0f811be06eb9e122bc07c4affa7a9beea8a8a1bcefbab66f9b2378c273151683"
+		wantFull = "da8fadb270489ada0bab31faecd284eaa01cde478523a3caf7d1bd6592dbfb46"
+	)
+	tr := genTrace(t, "CC-b", 7, 26*time.Hour)
+	for i, j := range tr.Jobs {
+		switch i % 3 {
+		case 0:
+			j.Name += "\bnightly"
+		case 1:
+			j.InputPath += "\f"
+		}
+	}
+	batches := splitBatches(tr, 6)
+	dir := t.TempDir()
+	cfg := Config{SegmentJobs: 5000}
+	restart := func(s *Server, ts *httptest.Server, want string) (*Server, *httptest.Server) {
+		t.Helper()
+		ts.Close()
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		s, ts = diskServer(t, dir, cfg)
+		if rec := s.Recovered(); len(rec) != 1 || rec[0].Fingerprint != want {
+			t.Fatalf("recovered %+v, want fingerprint %s", rec, want)
+		}
+		return s, ts
+	}
+	s, ts := diskServer(t, dir, cfg)
+	post := func(i int) AppendResponse {
+		t.Helper()
+		resp, body := postAppend(t, ts, "live", tr.Meta, batches[i])
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("batch %d: %d %s", i, resp.StatusCode, clip(body))
+		}
+		return decodeAppend(t, body)
+	}
+	for i := 0; i < 2; i++ {
+		post(i)
+	}
+	if got := post(2).Fingerprint; got != wantHalf {
+		t.Fatalf("three batches fingerprint %s, committed identity %s", got, wantHalf)
+	}
+	s, ts = restart(s, ts, wantHalf)
+	for i := 3; i < 6; i++ {
+		post(i)
+	}
+	dropAllSessions(s)
+	if n, err := s.Store().Compact(); err != nil || n != 1 {
+		t.Fatalf("compacting: n=%d err=%v, want 1", n, err)
+	}
+	var got TraceInfo
+	getJSON(t, ts.URL+"/v1/traces/live", &got)
+	if got.Fingerprint != wantFull {
+		t.Fatalf("compacted fingerprint %s, committed identity %s", got.Fingerprint, wantFull)
+	}
+	restart(s, ts, wantFull)
 }
 
 // TestCompactReapsIdleSessions: an append session is cached for the

@@ -8,6 +8,7 @@ import (
 	"net/url"
 	"runtime"
 	"strconv"
+	"sync"
 	"time"
 
 	"repro/internal/cluster"
@@ -370,6 +371,7 @@ func (s *Server) serveCached(w http.ResponseWriter, key string, compute func() (
 // bytes were memoized (or coalesced) rather than computed here.
 func writeCached(w http.ResponseWriter, body []byte, cached bool) {
 	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	if cached {
 		w.Header().Set("X-Cache", "HIT")
 	} else {
@@ -605,12 +607,32 @@ func finishReport(w http.ResponseWriter, rt *obs.Request, p *core.Partial, top i
 	return marshalReport(rt, rep)
 }
 
-// marshalReport renders a finished report as its response body.
+// marshalReport renders a finished report as its response body: it
+// encodes into a pooled scratch buffer and returns an exact-size copy,
+// so a body the result cache keeps carries no slack capacity.
 func marshalReport(rt *obs.Request, rep *core.Report) ([]byte, error) {
 	endMarshal := rt.StartSpan("marshal", "")
 	defer endMarshal()
-	return json.Marshal(rep.JSON())
+	scratch := reportScratch.Get().(*[]byte)
+	defer reportScratch.Put(scratch)
+	b, err := rep.AppendJSON((*scratch)[:0])
+	if err != nil {
+		return nil, err
+	}
+	if cap(b) <= maxReportScratch {
+		*scratch = b
+	}
+	body := make([]byte, len(b))
+	copy(body, b)
+	return body, nil
 }
+
+// reportScratch pools marshalReport's encode buffers. A buffer grown
+// past maxReportScratch (a full report of a trace with many distinct
+// paths) is not kept.
+var reportScratch = sync.Pool{New: func() any { return new([]byte) }}
+
+const maxReportScratch = 1 << 20
 
 // scanWorkers resolves the worker count a block-parallel scan actually
 // ran with (shards=0 means one per CPU).

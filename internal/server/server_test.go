@@ -205,6 +205,24 @@ func TestReportEndpoint(t *testing.T) {
 	if resp, _ := http.Get(ts.URL + "/v1/traces/mine/report?top=zz"); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("bad top param: %d", resp.StatusCode)
 	}
+
+	// A MISS and a HIT both carry Content-Length, so a report of any
+	// size goes out as one unchunked body.
+	for _, want := range []string{"MISS", "HIT"} {
+		resp, err := http.Get(ts.URL + "/v1/traces/mine/report?top=3")
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.Header.Get("X-Cache") != want {
+			t.Fatalf("top=3: X-Cache %q, want %s (%v)", resp.Header.Get("X-Cache"), want, err)
+		}
+		if len(body) <= 2048 || resp.ContentLength != int64(len(body)) || resp.TransferEncoding != nil {
+			t.Errorf("%s: %d-byte body sent with Content-Length %d, Transfer-Encoding %q",
+				want, len(body), resp.ContentLength, resp.TransferEncoding)
+		}
+	}
 }
 
 // TestReportCacheInvalidatedByReingest: replacing a trace under the same

@@ -3,6 +3,7 @@ package stats
 import (
 	"math"
 	"sort"
+	"sync"
 )
 
 // CDF is an empirical cumulative distribution function over a sample.
@@ -118,22 +119,75 @@ func firstPositive(sorted []float64) int {
 // logPoints samples the CDF p at perDecade points per decade, from the
 // decade of the smallest positive sample minPos through the first point
 // at or past the largest sample maxVal. It returns nil when minPos is
-// +Inf: no positive sample.
+// +Inf: no positive sample. Every Distribution's LogPoints samples here.
+//
+// Step k sits at x = 10^e, where e accumulates 1/perDecade from the
+// starting decade, so x depends only on that decade, perDecade and k:
+// the first steps come from the decade's shared grid (logGrid), which
+// holds the same 10^e, and later ones call math.Pow.
 func logPoints(minPos, maxVal float64, perDecade int, p func(float64) float64) []Point {
 	if math.IsInf(minPos, 1) {
 		return nil
 	}
 	loExp := math.Floor(math.Log10(minPos))
 	hiExp := math.Ceil(math.Log10(maxVal))
+	grid := logGrid(loExp, perDecade)
 	var pts []Point
-	for e := loExp; e <= hiExp+1e-9; e += 1.0 / float64(perDecade) {
-		x := math.Pow(10, e)
+	// A range within the grid's reach gets its point list up front.
+	if n := (hiExp - loExp) * float64(perDecade); n >= 0 && n <= float64(len(grid)) {
+		pts = make([]Point, 0, int(n)+2)
+	}
+	for k, e := 0, loExp; e <= hiExp+1e-9; k, e = k+1, e+1.0/float64(perDecade) {
+		var x float64
+		if k < len(grid) {
+			x = grid[k]
+		} else {
+			x = math.Pow(10, e)
+		}
 		pts = append(pts, Point{X: x, Y: p(x)})
 		if x >= maxVal {
 			break
 		}
 	}
 	return pts
+}
+
+const (
+	// gridDecades is how far each shared grid reaches past its starting
+	// decade: 24 decades cover every byte count from 1 B to past the
+	// int64 range, so Figure 1 never leaves the grid.
+	gridDecades = 24
+	// maxGridPerDecade bounds the densities that get a shared grid; the
+	// reports sample at 10 points per decade.
+	maxGridPerDecade = 10
+)
+
+type gridKey struct{ lo, perDecade int }
+
+// grids holds the shared grids, keyed by starting decade and density.
+// A stored grid is never written again, so concurrent reports read it
+// without locking; a grid two reports race to build is built twice,
+// identically. Starting decades run from -324 to 308, so the table is
+// bounded by the grid whatever the samples hold.
+var grids sync.Map // gridKey → []float64
+
+// logGrid returns x = 10^e for the first gridDecades·perDecade+1 steps
+// of logPoints' accumulation from decade lo (nil for densities without
+// a shared grid).
+func logGrid(lo float64, perDecade int) []float64 {
+	if perDecade > maxGridPerDecade {
+		return nil
+	}
+	key := gridKey{int(lo), perDecade}
+	if g, ok := grids.Load(key); ok {
+		return g.([]float64)
+	}
+	g := make([]float64, 0, gridDecades*perDecade+1)
+	for e := lo; len(g) < cap(g); e += 1.0 / float64(perDecade) {
+		g = append(g, math.Pow(10, e))
+	}
+	stored, _ := grids.LoadOrStore(key, g)
+	return stored.([]float64)
 }
 
 // Point is an (x, y) pair of a plotted curve.

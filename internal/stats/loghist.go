@@ -198,15 +198,5 @@ func (s *QuantileSketch) LogPoints(perDecade int) []Point {
 	if s.h.Total() == 0 || perDecade < 1 || s.minPos == 0 {
 		return nil
 	}
-	loExp := math.Floor(math.Log10(s.minPos))
-	hiExp := math.Ceil(math.Log10(s.max))
-	var pts []Point
-	for e := loExp; e <= hiExp+1e-9; e += 1.0 / float64(perDecade) {
-		x := math.Pow(10, e)
-		pts = append(pts, Point{X: x, Y: s.P(x)})
-		if x >= s.max {
-			break
-		}
-	}
-	return pts
+	return logPoints(s.minPos, s.max, perDecade, s.P)
 }

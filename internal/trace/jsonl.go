@@ -202,13 +202,15 @@ func AppendJobLine(b []byte, j *Job) ([]byte, error) {
 }
 
 // appendJob appends the canonical JSONL encoding of j — exactly the bytes
-// encoding/json produces for the Job struct, newline-terminated.
+// encoding/json produces for the Job struct, newline-terminated, except
+// that a backspace or form feed in a string is written \u0008 or \u000c
+// (see appendJobString).
 func appendJob(b []byte, j *Job) ([]byte, error) {
 	b = append(b, `{"id":`...)
 	b = strconv.AppendInt(b, j.ID, 10)
 	if j.Name != "" {
 		b = append(b, `,"name":`...)
-		b = appendJSONString(b, j.Name)
+		b = appendJobString(b, j.Name)
 	}
 	b = append(b, `,"submit_time":`...)
 	var err error
@@ -225,12 +227,12 @@ func appendJob(b []byte, j *Job) ([]byte, error) {
 	b = append(b, `,"output_bytes":`...)
 	b = strconv.AppendInt(b, int64(j.OutputBytes), 10)
 	b = append(b, `,"map_time":`...)
-	b, err = appendJSONFloat(b, float64(j.MapTime))
+	b, err = AppendJSONFloat(b, float64(j.MapTime))
 	if err != nil {
 		return nil, err
 	}
 	b = append(b, `,"reduce_time":`...)
-	b, err = appendJSONFloat(b, float64(j.ReduceTime))
+	b, err = AppendJSONFloat(b, float64(j.ReduceTime))
 	if err != nil {
 		return nil, err
 	}
@@ -240,11 +242,11 @@ func appendJob(b []byte, j *Job) ([]byte, error) {
 	b = strconv.AppendInt(b, int64(j.ReduceTasks), 10)
 	if j.InputPath != "" {
 		b = append(b, `,"input_path":`...)
-		b = appendJSONString(b, j.InputPath)
+		b = appendJobString(b, j.InputPath)
 	}
 	if j.OutputPath != "" {
 		b = append(b, `,"output_path":`...)
-		b = appendJSONString(b, j.OutputPath)
+		b = appendJobString(b, j.OutputPath)
 	}
 	b = append(b, '}', '\n')
 	return b, nil
@@ -303,16 +305,19 @@ func append4Digits(b []byte, v int) []byte {
 	return append(b, byte('0'+v/1000), byte('0'+v/100%10), byte('0'+v/10%10), byte('0'+v%10))
 }
 
-// appendJSONFloat appends a float64 with encoding/json's exact formatting
+// AppendJSONFloat appends a float64 with encoding/json's exact formatting
 // rules (shortest representation, 'e' form outside [1e-6, 1e21), with the
-// two-digit negative exponent contraction).
-func appendJSONFloat(b []byte, f float64) ([]byte, error) {
+// two-digit negative exponent contraction). NaN and ±Inf are errors, as
+// they are for json.Marshal. The job codec and core's report encoder
+// both format their floats here.
+func AppendJSONFloat(b []byte, f float64) ([]byte, error) {
 	if math.IsInf(f, 0) || math.IsNaN(f) {
 		return nil, fmt.Errorf("unsupported float value %v", f)
 	}
-	// Integral values below 2^53 print as plain digit runs in the
-	// shortest 'f' form; skip the Ryu machinery for them.
-	if i := int64(f); float64(i) == f && (i > -1e15 && i < 1e15) && !(i == 0 && math.Signbit(f)) {
+	// An integer of magnitude at most 2^53 is its own shortest
+	// representation, and 'f' form prints it as a plain digit run; skip
+	// the Ryu machinery for it.
+	if i := int64(f); float64(i) == f && (i >= -1<<53 && i <= 1<<53) && !(i == 0 && math.Signbit(f)) {
 		return strconv.AppendInt(b, i, 10), nil
 	}
 	abs := math.Abs(f)
@@ -343,12 +348,24 @@ var jsonSafe = func() (t [utf8.RuneSelf]bool) {
 	return
 }()
 
-// appendJSONString appends a quoted, escaped string with encoding/json's
-// default (HTML-escaping) rules: printable ASCII except `"` `\` `<` `>`
-// `&` passes through, \n \r \t use short escapes, other control bytes and
-// the HTML characters become \u00xx, U+2028/U+2029 are escaped, and
-// invalid UTF-8 becomes �.
-func appendJSONString(b []byte, s string) []byte {
+// AppendJSONString appends a quoted, escaped string exactly as
+// encoding/json writes it, with its default (HTML-escaping) rules:
+// printable ASCII except `"` `\` `<` `>` `&` passes through, \n \r \t
+// \b \f use short escapes, other control bytes and the HTML characters
+// become \u00xx, U+2028/U+2029 are escaped, and invalid UTF-8 becomes
+// \ufffd. Core's report encoder writes its strings here.
+func AppendJSONString(b []byte, s string) []byte { return appendJSONString(b, s, true) }
+
+// appendJobString is AppendJSONString for the canonical job line, which
+// writes a backspace or form feed as \u0008 or \u000c: encoding/json's
+// form before Go 1.22 switched it to \b and \f. Every trace's
+// fingerprint hashes that line, so it keeps the bytes committed traces
+// were hashed with.
+func appendJobString(b []byte, s string) []byte { return appendJSONString(b, s, false) }
+
+// appendJSONString appends s quoted and escaped, writing a backspace or
+// form feed as \b or \f when short is set and as \u00xx otherwise.
+func appendJSONString(b []byte, s string, short bool) []byte {
 	b = append(b, '"')
 	start := 0
 	for i := 0; i < len(s); {
@@ -367,6 +384,18 @@ func appendJSONString(b []byte, s string) []byte {
 				b = append(b, '\\', 'r')
 			case '\t':
 				b = append(b, '\\', 't')
+			case '\b':
+				if short {
+					b = append(b, '\\', 'b')
+				} else {
+					b = append(b, `\u0008`...)
+				}
+			case '\f':
+				if short {
+					b = append(b, '\\', 'f')
+				} else {
+					b = append(b, `\u000c`...)
+				}
 			default:
 				b = append(b, '\\', 'u', '0', '0', hexDigits[c>>4], hexDigits[c&0xF])
 			}

@@ -43,7 +43,9 @@ func trickyJobs() []*Job {
 	add(func(j *Job) { j.ReduceTime = units.TaskSeconds(math.MaxFloat64) })
 	add(func(j *Job) { j.ReduceTime = 1e-9 })
 	add(func(j *Job) { j.MapTime = units.TaskSeconds(math.Copysign(0, -1)) }) // -0.0 prints as "-0"
-	add(func(j *Job) { j.MapTime = 9.007199254740993e15 })                    // above the integral fast path
+	add(func(j *Job) { j.MapTime = 9.007199254740993e15 })                    // rounds to 2^53, the top of the integral fast path
+	add(func(j *Job) { j.MapTime = 9.007199254740994e15 })                    // 2^53+2, above it
+	add(func(j *Job) { j.MapTime = 1e15 })
 	add(func(j *Job) { j.Duration = -5 * time.Second })
 	add(func(j *Job) { j.ID = math.MaxInt64; j.InputBytes = math.MaxInt64 })
 	add(func(j *Job) { j.ID = math.MinInt64; j.OutputBytes = units.Bytes(math.MinInt64) })
@@ -80,6 +82,47 @@ func TestAppendJobMatchesEncodingJSON(t *testing.T) {
 		}
 		if !bytes.Equal(got, want) {
 			t.Errorf("job %d: encoding mismatch\n got: %q\nwant: %q", i, got, want)
+		}
+	}
+}
+
+// TestJobLineKeepsCanonicalControlEscapes: the canonical job line writes
+// a backspace or form feed as \u0008 or \u000c, the bytes every committed
+// trace's fingerprint was hashed with, where encoding/json (since Go
+// 1.22) and AppendJSONString, the report encoder's appender, write \b
+// and \f. Apart from those escapes the line is encoding/json's, and both
+// forms decode to the same job.
+func TestJobLineKeepsCanonicalControlEscapes(t *testing.T) {
+	j := mkJob(1, 0)
+	j.Name, j.InputPath, j.OutputPath = "back\bspace", "form\ffeed", "<\b\f\n>"
+	line, err := appendJob(nil, j)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var enc bytes.Buffer
+	if err := json.NewEncoder(&enc).Encode(j); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(enc.Bytes(), []byte(`"back\bspace"`)) {
+		t.Fatalf("encoding/json no longer writes \\b: %s", enc.Bytes())
+	}
+	want := bytes.ReplaceAll(enc.Bytes(), []byte(`\b`), []byte(`\u0008`))
+	want = bytes.ReplaceAll(want, []byte(`\f`), []byte(`\u000c`))
+	if !bytes.Equal(line, want) {
+		t.Errorf("canonical line\n got: %s\nwant: %s", line, want)
+	}
+	for _, s := range []string{j.Name, j.InputPath, j.OutputPath} {
+		if want, _ := json.Marshal(s); !bytes.Equal(AppendJSONString(nil, s), want) {
+			t.Errorf("AppendJSONString(%q) = %s, json.Marshal %s", s, AppendJSONString(nil, s), want)
+		}
+	}
+	for _, b := range [][]byte{line, enc.Bytes()} {
+		var back Job
+		if err := json.Unmarshal(b, &back); err != nil {
+			t.Fatal(err)
+		}
+		if back.Name != j.Name || back.InputPath != j.InputPath || back.OutputPath != j.OutputPath {
+			t.Errorf("%s decoded to %q/%q/%q", b, back.Name, back.InputPath, back.OutputPath)
 		}
 	}
 }
