@@ -21,6 +21,7 @@ import (
 	"repro/internal/binenc"
 	"repro/internal/stats"
 	"repro/internal/trace"
+	"repro/internal/units"
 )
 
 // DataSizes is the Figure 1 analysis for one workload: empirical
@@ -100,6 +101,28 @@ func (b *DataSizeBuilder) Observe(j *trace.Job) {
 	b.cols[0].tail = append(b.cols[0].tail, float64(j.InputBytes))
 	b.cols[1].tail = append(b.cols[1].tail, float64(j.ShuffleBytes))
 	b.cols[2].tail = append(b.cols[2].tail, float64(j.OutputBytes))
+}
+
+// ObserveColumns folds a run of jobs held as columns, in row order,
+// exactly as Observe-ing each: in exact mode each column's tail takes
+// one reservation for the run.
+func (b *DataSizeBuilder) ObserveColumns(c *trace.Columns) {
+	b.n += c.Len()
+	if b.sketch {
+		for i := range c.InputBytes {
+			b.hin.Observe(float64(c.InputBytes[i]))
+			b.hsh.Observe(float64(c.ShuffleBytes[i]))
+			b.ho.Observe(float64(c.OutputBytes[i]))
+		}
+		return
+	}
+	for k, vs := range [3][]units.Bytes{c.InputBytes, c.ShuffleBytes, c.OutputBytes} {
+		tail := slices.Grow(b.cols[k].tail, len(vs))
+		for _, v := range vs {
+			tail = append(tail, float64(v))
+		}
+		b.cols[k].tail = tail
+	}
 }
 
 // frozen reports whether no exact-mode value waits in a tail (always

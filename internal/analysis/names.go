@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 
 	"repro/internal/stats"
 	"repro/internal/trace"
@@ -53,6 +54,30 @@ func FirstWord(name string) string {
 	return b.String()
 }
 
+// firstWord is FirstWord without its allocation in the common case.
+// When the name's first letter run is lowercase ASCII and ends at an
+// ASCII non-letter or at the end, the word is that run of the name
+// itself. A name where the run could start or go on with an uppercase
+// or a non-ASCII letter (or an invalid byte) takes FirstWord.
+func firstWord(name string) string {
+	i := 0
+	for ; i < len(name) && (name[i] < 'a' || name[i] > 'z'); i++ {
+		if c := name[i]; c >= utf8.RuneSelf || 'A' <= c && c <= 'Z' {
+			return FirstWord(name)
+		}
+	}
+	j := i
+	for j < len(name) && 'a' <= name[j] && name[j] <= 'z' {
+		j++
+	}
+	if j < len(name) {
+		if c := name[j]; c >= utf8.RuneSelf || 'A' <= c && c <= 'Z' {
+			return FirstWord(name)
+		}
+	}
+	return name[i:j]
+}
+
 // nameAgg is one first-word bucket's running totals. Jobs and bytes are
 // integers and task-time is an exact sum, so bucket totals are
 // order-independent and merge without drift.
@@ -60,6 +85,9 @@ type nameAgg struct {
 	jobs     int64
 	bytes    units.Bytes
 	taskTime stats.ExactSum
+	// blk is the bucket's block-local task-time sum while an
+	// ObserveColumns call runs, nil otherwise.
+	blk *stats.BlockSum
 }
 
 // NamesBuilder accumulates Figure 10 incrementally. Memory is bounded by
@@ -89,21 +117,66 @@ func (b *NamesBuilder) Observe(j *trace.Job) {
 	if j.Name != "" {
 		b.named = true
 	}
-	w := FirstWord(j.Name)
+	g := b.group(j.Name)
+	bytes, task := j.TotalBytes(), float64(j.TotalTaskTime())
+	g.jobs++
+	g.bytes += bytes
+	g.taskTime.Add(task)
+	b.totJobs++
+	b.totBytes += bytes
+	b.totTask.Add(task)
+}
+
+// group returns the bucket of name's first word, creating it on first
+// sight. The lookup does not allocate; a new bucket's key is cloned, so
+// the map never pins the string a word was cut from (a decoded block's
+// dictionary).
+func (b *NamesBuilder) group(name string) *nameAgg {
+	w := firstWord(name)
 	if w == "" {
 		w = "[unnamed]"
 	}
 	g := b.groups[w]
 	if g == nil {
 		g = &nameAgg{}
-		b.groups[w] = g
+		b.groups[strings.Clone(w)] = g
 	}
-	g.jobs++
-	g.bytes += j.TotalBytes()
-	g.taskTime.Add(float64(j.TotalTaskTime()))
-	b.totJobs++
-	b.totBytes += j.TotalBytes()
-	b.totTask.Add(float64(j.TotalTaskTime()))
+	return g
+}
+
+// ObserveColumns folds a run of jobs held as columns, in row order,
+// reaching exactly the state Observe reaches over the same jobs but for
+// the exact sums' representation: each touched bucket's task time, and
+// the total, accumulate in a block-local stats.BlockSum folded in once
+// per call, so the sums hold the same values (and report the same bits)
+// in a different expansion.
+func (b *NamesBuilder) ObserveColumns(c *trace.Columns) {
+	sc := getBlockSums()
+	defer sc.release()
+	tot := sc.get()
+	for i, name := range c.Name {
+		if name != "" {
+			b.named = true
+		}
+		g := b.group(name)
+		if g.blk == nil {
+			g.blk = sc.get()
+			sc.groups = append(sc.groups, g)
+		}
+		bytes := c.InputBytes[i] + c.ShuffleBytes[i] + c.OutputBytes[i]
+		task := float64(c.MapTime[i] + c.ReduceTime[i])
+		g.jobs++
+		g.bytes += bytes
+		g.blk.Add(task)
+		b.totBytes += bytes
+		tot.Add(task)
+	}
+	b.totJobs += int64(c.Len())
+	for _, g := range sc.groups {
+		g.blk.FoldInto(&g.taskTime)
+		g.blk = nil
+	}
+	tot.FoldInto(&b.totTask)
 }
 
 // Clone returns an independent copy of the builder, in O(words).

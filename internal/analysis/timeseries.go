@@ -83,7 +83,8 @@ func NewTimeSeriesBuilder(workload string, start time.Time, length time.Duration
 // series start are dropped; jobs past the horizon clamp into the final
 // bin, exactly as BinHourly always did.
 func (b *TimeSeriesBuilder) Observe(j *trace.Job) {
-	h := int(j.SubmitTime.Sub(b.start).Hours())
+	t0 := j.SubmitTime.Sub(b.start).Hours()
+	h := int(t0)
 	if h < 0 {
 		return
 	}
@@ -92,8 +93,44 @@ func (b *TimeSeriesBuilder) Observe(j *trace.Job) {
 	}
 	b.jobs[h]++
 	b.bytes[h] += j.TotalBytes()
-	b.task[h].Add(float64(j.TotalTaskTime()))
-	spreadTaskTime(b.spread, b.start, j)
+	total := float64(j.TotalTaskTime())
+	b.task[h].Add(total)
+	spreadTaskTime(t0, j.Duration.Hours(), total, b.hours, b.addSpread)
+}
+
+// addSpread adds one spread contribution to hour h's bin.
+func (b *TimeSeriesBuilder) addSpread(h int, v float64) { b.spread[h].Add(v) }
+
+// ObserveColumns folds a run of jobs held as columns, in row order,
+// reaching exactly the bins Observe reaches over the same jobs: a row's
+// (second, nanosecond) pair is its submit time, whose offset from the
+// series start is binned through Sub and Duration.Hours as Observe bins
+// it. The task-time bins a call touches accumulate in block-local
+// stats.BlockSums folded in once per call, so they hold the same values
+// (and report the same bits) in a different expansion.
+func (b *TimeSeriesBuilder) ObserveColumns(c *trace.Columns) {
+	sc := getBlockSums()
+	defer sc.release()
+	spread := func(h int, v float64) { sc.bin(h, b.hours).spread.Add(v) }
+	for i, sec := range c.SubmitSec {
+		t0 := time.Unix(sec, int64(c.SubmitNanos[i])).Sub(b.start).Hours()
+		h := int(t0)
+		if h < 0 {
+			continue
+		}
+		if h >= b.hours {
+			h = b.hours - 1
+		}
+		b.jobs[h]++
+		b.bytes[h] += c.InputBytes[i] + c.ShuffleBytes[i] + c.OutputBytes[i]
+		total := float64(c.MapTime[i] + c.ReduceTime[i])
+		sc.bin(h, b.hours).task.Add(total)
+		spreadTaskTime(t0, c.Duration[i].Hours(), total, b.hours, spread)
+	}
+	for k, h := range sc.hours {
+		sc.bins[k].task.FoldInto(&b.task[h])
+		sc.bins[k].spread.FoldInto(&b.spread[h])
+	}
 }
 
 // Clone returns an independent copy of the builder, in O(hours).
@@ -169,17 +206,16 @@ func BinHourly(t *trace.Trace) (*TimeSeries, error) {
 	return b.Series(), nil
 }
 
-// spreadTaskTime distributes a job's task-time uniformly over the hourly
-// bins its execution window [submit, submit+duration) overlaps. Each
-// per-bin contribution is a pure function of the job, so the exact-sum
-// bins are independent of observation order.
-func spreadTaskTime(bins []stats.ExactSum, start time.Time, j *trace.Job) {
-	total := float64(j.TotalTaskTime())
+// spreadTaskTime distributes a job's task-time total uniformly over the
+// hourly bins its execution window overlaps: the window starts t0 hours
+// after the series start and lasts dur hours, and add(h, v) books v to
+// bin h of the series' hours. Each per-bin contribution is a pure
+// function of the job, so the exact-sum bins are independent of
+// observation order. Observe and ObserveColumns both spread through it.
+func spreadTaskTime(t0, dur, total float64, hours int, add func(h int, v float64)) {
 	if total <= 0 {
 		return
 	}
-	t0 := j.SubmitTime.Sub(start).Hours()
-	dur := j.Duration.Hours()
 	if dur <= 0 {
 		dur = 1.0 / 3600 // degenerate durations get one second
 	}
@@ -191,14 +227,14 @@ func spreadTaskTime(bins []stats.ExactSum, start time.Time, j *trace.Job) {
 			t = 0
 			continue
 		}
-		if h >= len(bins) {
+		if h >= hours {
 			// Execution spills past the trace horizon; attribute the
 			// remainder to the final bin so totals are conserved.
-			bins[len(bins)-1].Add(rate * (t1 - t))
+			add(hours-1, rate*(t1-t))
 			return
 		}
 		segEnd := math.Min(float64(h+1), t1)
-		bins[h].Add(rate * (segEnd - t))
+		add(h, rate*(segEnd-t))
 		t = segEnd
 	}
 }

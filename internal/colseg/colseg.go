@@ -63,9 +63,15 @@
 //
 // A segment is read one way: a FrameScanner bounded by the committed
 // size frames the blocks it keeps, and a BlockDecoder CRC-verifies each
-// frame before it parses a column, decoding into one reused job batch.
-// A sequential read pairs one scanner with one decoder; a parallel scan
-// feeds one scanner's frames to several decoders.
+// frame and parses every column of it, running every structural check
+// on every row. The parse has two consumers. Decode materializes the
+// block as one reused job batch, for readers that want jobs. DecodeColumns
+// keeps only the rows submitted in a window — compared on the decoded
+// (second, nanosecond) pair, exactly trace.Trace.Window's test at any
+// year — and gathers only their values of the fields a streamed report
+// reads, as a trace.Columns: no job is built. A sequential read pairs
+// one scanner with one decoder; a parallel scan feeds one scanner's
+// frames to several decoders, which decode columns.
 package colseg
 
 import (

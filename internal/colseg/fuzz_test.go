@@ -2,10 +2,14 @@ package colseg
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
+	"math"
 	"testing"
 	"time"
 
 	"repro/internal/trace"
+	"repro/internal/units"
 )
 
 // FuzzColumnarRoundTrip drives the codec from both ends. The input is
@@ -222,4 +226,101 @@ func encodeFuzz(f *testing.F, jsonl []byte) []byte {
 		f.Fatal(err)
 	}
 	return seg.Bytes()
+}
+
+// FuzzDecodeColumns holds the column decode to the job decode: both
+// read one parse, so on any payload they must agree on error versus
+// success (with the same error), and on success the columns must hold
+// exactly the jobs Decode yields that the window test keeps —
+// trace.Trace.Window's !SubmitTime.Before(from) &&
+// SubmitTime.Before(to) — field for field, in order. The payloads are
+// the input's canonical JSONL jobs encoded as a segment, the input as a
+// raw segment, and the input as a block body under a valid CRC (so the
+// structural checks past the checksum see arbitrary bytes); windows
+// are arbitrary (second, nanosecond) bounds.
+func FuzzDecodeColumns(f *testing.F) {
+	may1 := time.Date(2010, 5, 1, 0, 0, 0, 0, time.UTC)
+	var jobs []byte
+	for i := 0; i < 6; i++ {
+		line, err := trace.AppendJobLine(nil, &trace.Job{ID: int64(i), Name: "hourly", SubmitTime: may1.Add(time.Duration(i)*time.Hour + time.Duration(i)*time.Millisecond),
+			Duration: time.Minute, InputBytes: units.Bytes(i << 20), MapTime: 1.5, InputPath: "/in"})
+		if err != nil {
+			f.Fatal(err)
+		}
+		jobs = append(jobs, line...)
+	}
+	f.Add(jobs, uint8(2), may1.Unix()+3600, uint32(1), int64(7200), uint32(5e8))
+	f.Add(encodeFuzz(f, jobs), uint8(1), may1.Unix(), uint32(0), int64(3600), uint32(0))
+	f.Add([]byte{3, 0, 0, 0, 1, 'x', 0, 1, 2}, uint8(0), int64(-1<<62), uint32(0), int64(1<<62), uint32(0))
+	f.Add([]byte{}, uint8(0), int64(0), uint32(0), int64(0), uint32(0))
+
+	f.Fuzz(func(t *testing.T, data []byte, blockHint uint8, fromSec int64, fromNs uint32, spanSec int64, spanNs uint32) {
+		from := time.Unix(fromSec, int64(fromNs%1e9))
+		to := time.Unix(fromSec+spanSec, int64(spanNs%1e9))
+		var payloads [][]byte
+		if parsed := parseJobs(data); len(parsed) > 0 {
+			seg := encode(t, parsed, int(blockHint)%8+1)
+			frames, _, err := scanFrames(bytes.NewReader(seg), int64(len(seg)))
+			if err != nil {
+				t.Fatalf("scanning our own encoding: %v", err)
+			}
+			payloads = append(payloads, frames...)
+		}
+		frames, _, _ := scanFrames(bytes.NewReader(data), int64(len(data)))
+		payloads = append(payloads, frames...)
+		payloads = append(payloads, binary.LittleEndian.AppendUint32(nil, crc32.Checksum(data, castagnoli)))
+		payloads[len(payloads)-1] = append(payloads[len(payloads)-1], data...)
+
+		jobDec, colDec := NewBlockDecoder(), NewBlockDecoder()
+		defer jobDec.Close()
+		defer colDec.Close()
+		for _, payload := range payloads {
+			batch, jerr := jobDec.Decode(payload)
+			for _, window := range []bool{false, true} {
+				cols, cerr := colDec.DecodeColumns(payload, window, from, to)
+				if (jerr == nil) != (cerr == nil) || jerr != nil && jerr.Error() != cerr.Error() {
+					t.Fatalf("Decode: %v; DecodeColumns: %v", jerr, cerr)
+				}
+				if jerr != nil {
+					continue
+				}
+				checkColumns(t, cols, batch, window, from, to)
+			}
+		}
+	})
+}
+
+// checkColumns fails unless cols holds exactly the jobs of batch the
+// window test keeps (every job without a window).
+func checkColumns(t *testing.T, cols *trace.Columns, batch []trace.Job, window bool, from, to time.Time) {
+	t.Helper()
+	n := cols.Len()
+	for _, l := range []int{len(cols.SubmitNanos), len(cols.Duration), len(cols.InputBytes), len(cols.ShuffleBytes),
+		len(cols.OutputBytes), len(cols.MapTime), len(cols.ReduceTime), len(cols.Name)} {
+		if l != n {
+			t.Fatalf("columns of %d and %d rows", n, l)
+		}
+	}
+	k := 0
+	for i := range batch {
+		j := &batch[i]
+		if window && (j.SubmitTime.Before(from) || !j.SubmitTime.Before(to)) {
+			continue
+		}
+		if k >= n {
+			t.Fatalf("%d rows kept, the window keeps more", n)
+		}
+		if cols.SubmitSec[k] != j.SubmitTime.Unix() || int(cols.SubmitNanos[k]) != j.SubmitTime.Nanosecond() ||
+			cols.Duration[k] != j.Duration || cols.InputBytes[k] != j.InputBytes ||
+			cols.ShuffleBytes[k] != j.ShuffleBytes || cols.OutputBytes[k] != j.OutputBytes ||
+			math.Float64bits(float64(cols.MapTime[k])) != math.Float64bits(float64(j.MapTime)) ||
+			math.Float64bits(float64(cols.ReduceTime[k])) != math.Float64bits(float64(j.ReduceTime)) ||
+			cols.Name[k] != j.Name {
+			t.Fatalf("row %d differs from job %d (%+v)", k, i, *j)
+		}
+		k++
+	}
+	if k != n {
+		t.Fatalf("%d rows kept, the window keeps %d", n, k)
+	}
 }

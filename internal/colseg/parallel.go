@@ -4,9 +4,11 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"time"
 
 	"repro/internal/trace"
+	"repro/internal/units"
 )
 
 // The two halves of every segment read. A FrameScanner does the
@@ -160,11 +162,12 @@ func (s *FrameScanner) BlocksPruned() int { return s.pruned }
 // BlockDecoder decodes framed block payloads independently of any
 // stream — the CPU half of every segment read; each reader or scan
 // worker owns one. It owns the decode state: scratch drawn from a
-// shared pool on the first Decode (the job batch, reused across Decode
-// calls, plus the column arrays) and a cache of the last fixed zone.
-// The returned jobs are therefore valid only until the next Decode or
-// Close; strings inside them are immutable and safe to retain. A
-// reader that keeps jobs copies them out of the batch.
+// shared pool on the first decode (the parsed column arrays, the job
+// batch Decode reuses and the columns DecodeColumns reuses) and a cache
+// of the last fixed zone. What a decode returns is therefore valid only
+// until the next decode or Close; strings inside it are immutable and
+// safe to retain. A reader that keeps jobs copies them out of the
+// batch.
 type BlockDecoder struct {
 	sc       *scratch
 	lastOff  int
@@ -172,36 +175,137 @@ type BlockDecoder struct {
 }
 
 // NewBlockDecoder returns a decoder. It holds nothing pooled until its
-// first Decode.
+// first decode.
 func NewBlockDecoder() *BlockDecoder { return &BlockDecoder{} }
 
 // Decode verifies payload's CRC and decodes its columns, returning the
 // block's jobs in order. payload must be one frame as handed out by
 // FrameScanner.Next (CRC word plus body).
 func (d *BlockDecoder) Decode(payload []byte) ([]trace.Job, error) {
-	if len(payload) < 5 {
-		return nil, fmt.Errorf("colseg: block frame of %d bytes is shorter than its checksum", len(payload))
+	b, err := d.parse(payload)
+	if err != nil {
+		return nil, err
 	}
-	if d.sc == nil {
-		d.sc = scratchPool.Get().(*scratch)
+	sc := d.sc
+	n := b.n
+	if cap(sc.jobs) < n {
+		sc.jobs = make([]trace.Job, n)
 	}
-	return d.decodeBlock(payload)
+	jobs := sc.jobs[:n]
+	// One pass fills every field of every job, so the batch — the
+	// widest data the decode touches — streams through the cache once.
+	// Every column is hoisted into a local of exactly n values, so the
+	// loop reloads nothing and its bounds checks fold away.
+	ids, names, secs, zones := b.ids[:n], b.names[:n], b.secs[:n], b.zones[:n]
+	mapTasks, reduceTasks, inPaths, outPaths := b.mapTasks[:n], b.reduceTasks[:n], b.inPaths[:n], b.outPaths[:n]
+	nanos := b.nanos[:4*n]
+	dur, in, sh, out, mt, rt := b.wide[:8*n], b.wide[8*n:16*n], b.wide[16*n:24*n], b.wide[24*n:32*n], b.wide[32*n:40*n], b.wide[40*n:48*n]
+	var id int64
+	for i := range jobs {
+		j := &jobs[i]
+		id += ids[i]
+		j.ID = id
+		j.Name = b.str(names[i])
+		j.SubmitTime = d.inZone(time.Unix(secs[i], int64(binary.LittleEndian.Uint32(nanos[4*i:]))), int(zones[i]))
+		o := 8 * i
+		j.Duration = time.Duration(binary.LittleEndian.Uint64(dur[o:]))
+		j.InputBytes = units.Bytes(binary.LittleEndian.Uint64(in[o:]))
+		j.ShuffleBytes = units.Bytes(binary.LittleEndian.Uint64(sh[o:]))
+		j.OutputBytes = units.Bytes(binary.LittleEndian.Uint64(out[o:]))
+		j.MapTime = units.TaskSeconds(math.Float64frombits(binary.LittleEndian.Uint64(mt[o:])))
+		j.ReduceTime = units.TaskSeconds(math.Float64frombits(binary.LittleEndian.Uint64(rt[o:])))
+		j.MapTasks = int(mapTasks[i])
+		j.ReduceTasks = int(reduceTasks[i])
+		j.InputPath = b.str(inPaths[i])
+		j.OutputPath = b.str(outPaths[i])
+	}
+	return jobs, nil
 }
 
-// Close returns the pooled decode scratch; jobs handed out by Decode
-// expire with it. The decoder may Decode again after Close.
+// DecodeColumns verifies and parses payload exactly as Decode does —
+// the same checks on every row, so it fails where Decode fails — but
+// materializes no job: it returns the block as columns holding only the
+// rows a streamed report reads. With window set, a row is kept when it
+// was submitted in [from, to), the test trace.Trace.Window applies
+// (!SubmitTime.Before(from) && SubmitTime.Before(to)), made on the
+// decoded (second, nanosecond) pair; without, every row is. Only kept
+// rows' values are gathered. The columns are valid until the next
+// decode or Close.
+func (d *BlockDecoder) DecodeColumns(payload []byte, window bool, from, to time.Time) (*trace.Columns, error) {
+	b, err := d.parse(payload)
+	if err != nil {
+		return nil, err
+	}
+	sc := d.sc
+	sel := sc.sel[:0]
+	if window {
+		// time.Time orders by seconds since year 1, which time.Unix
+		// computes from Unix seconds by this (wrapping) shift; keyed the
+		// same way, the comparison is Before's at every second colseg
+		// can hold.
+		fk, fns := from.Unix()+unixToInternal, uint32(from.Nanosecond())
+		tk, tns := to.Unix()+unixToInternal, uint32(to.Nanosecond())
+		for i, sec := range b.secs {
+			k, ns := sec+unixToInternal, b.nanosAt(i)
+			if (k > fk || k == fk && ns >= fns) && (k < tk || k == tk && ns < tns) {
+				sel = append(sel, int32(i))
+			}
+		}
+	} else {
+		for i := range b.n {
+			sel = append(sel, int32(i))
+		}
+	}
+	sc.sel = sel
+	c := &sc.cols
+	m := len(sel)
+	c.SubmitSec = resize(c.SubmitSec, m)
+	c.SubmitNanos = resize(c.SubmitNanos, m)
+	c.Duration = resize(c.Duration, m)
+	c.InputBytes = resize(c.InputBytes, m)
+	c.ShuffleBytes = resize(c.ShuffleBytes, m)
+	c.OutputBytes = resize(c.OutputBytes, m)
+	c.MapTime = resize(c.MapTime, m)
+	c.ReduceTime = resize(c.ReduceTime, m)
+	c.Name = resize(c.Name, m)
+	n := b.n
+	secs, names, nanos := b.secs[:n], b.names[:n], b.nanos[:4*n]
+	for k, i := range sel {
+		c.SubmitSec[k] = secs[i]
+		c.SubmitNanos[k] = binary.LittleEndian.Uint32(nanos[4*i:])
+		c.Name[k] = b.str(names[i])
+	}
+	dur, in, sh, out, mt, rt := b.wide[:8*n], b.wide[8*n:16*n], b.wide[16*n:24*n], b.wide[24*n:32*n], b.wide[32*n:40*n], b.wide[40*n:48*n]
+	for k, i := range sel {
+		o := 8 * i
+		c.Duration[k] = time.Duration(binary.LittleEndian.Uint64(dur[o:]))
+		c.InputBytes[k] = units.Bytes(binary.LittleEndian.Uint64(in[o:]))
+		c.ShuffleBytes[k] = units.Bytes(binary.LittleEndian.Uint64(sh[o:]))
+		c.OutputBytes[k] = units.Bytes(binary.LittleEndian.Uint64(out[o:]))
+		c.MapTime[k] = units.TaskSeconds(math.Float64frombits(binary.LittleEndian.Uint64(mt[o:])))
+		c.ReduceTime[k] = units.TaskSeconds(math.Float64frombits(binary.LittleEndian.Uint64(rt[o:])))
+	}
+	return c, nil
+}
+
+// unixToInternal is time's offset from Unix seconds to its own seconds
+// since January 1 of year 1.
+const unixToInternal int64 = (1969*365 + 1969/4 - 1969/100 + 1969/400) * 86400
+
+// resize returns s with length n, reusing its array when it fits.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// Close returns the pooled decode scratch; what a decode handed out
+// expires with it. The decoder may decode again after Close.
 func (d *BlockDecoder) Close() error {
 	if d.sc != nil {
 		scratchPool.Put(d.sc)
 		d.sc = nil
 	}
 	return nil
-}
-
-// InWindow reports whether j was submitted in [from, to) — the exact
-// filter trace.NewWindowSource applies, for callers filtering a decoded
-// batch in place of wrapping a source.
-func InWindow(j *trace.Job, from, to time.Time) bool {
-	ns := j.SubmitTime.UnixNano()
-	return ns >= from.UnixNano() && ns < to.UnixNano()
 }

@@ -6,14 +6,12 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
 	"math/bits"
 	"sync"
 	"time"
 
 	"repro/internal/binenc"
 	"repro/internal/trace"
-	"repro/internal/units"
 )
 
 // Option tunes a FrameScanner.
@@ -41,34 +39,35 @@ func WithTimeRange(from, to time.Time) Option {
 	}
 }
 
-// scratch is the per-block decode state: the job batch and the column
-// value arrays. BlockDecoders recycle whole bundles through scratchPool
-// across blocks, decoders and goroutines.
+// scratch is the per-block decode state: the parsed column arrays and
+// the two consumers' outputs, the job batch and the kept-row columns.
+// BlockDecoders recycle whole bundles through scratchPool across
+// blocks, decoders and goroutines.
 type scratch struct {
-	jobs   []trace.Job
-	secs   []int64
-	nanos  []uint64
-	uvals  []uint64
-	ivals  []int64
-	ivals2 []int64
-	spans  []int32
+	ids, secs, zones         []int64
+	mapTasks, reduceTasks    []int64
+	names, inPaths, outPaths []uint64
+	spans                    []int32
+
+	jobs []trace.Job
+	sel  []int32
+	cols trace.Columns
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
-// grow sizes the job batch and the column arrays for an n-job block.
-// Every column loop assigns every field of every job, so a reused batch
-// needs no clearing.
+// grow sizes the column arrays for an n-job block. parse assigns every
+// value of every array it hands out, so reused arrays need no clearing.
 func (sc *scratch) grow(n int) {
-	if cap(sc.jobs) < n {
-		sc.jobs = make([]trace.Job, n)
-	}
-	if cap(sc.secs) < n {
+	if cap(sc.ids) < n {
+		sc.ids = make([]int64, n)
 		sc.secs = make([]int64, n)
-		sc.nanos = make([]uint64, n)
-		sc.uvals = make([]uint64, n)
-		sc.ivals = make([]int64, n)
-		sc.ivals2 = make([]int64, n)
+		sc.zones = make([]int64, n)
+		sc.mapTasks = make([]int64, n)
+		sc.reduceTasks = make([]int64, n)
+		sc.names = make([]uint64, n)
+		sc.inPaths = make([]uint64, n)
+		sc.outPaths = make([]uint64, n)
 	}
 }
 
@@ -129,149 +128,164 @@ func zoneMapOutside(head []byte, fromSec, toSec int64) bool {
 	return maxSec < fromSec || minSec > toSec
 }
 
-// decodeBlock verifies payload's checksum and decodes its columns into
-// the decoder's reused job batch. The column loops decode varints
-// directly from the body with a one-byte fast path instead of going
-// through binenc's Reader — this is the hottest loop of every disk
-// scan, and the per-value method-call and error-check overhead is what
-// the columnar format exists to avoid. Corruption still cannot pass
-// silently: the CRC already vouched for the bytes, and the raw loops
-// fail (never panic) on any structural mismatch.
-func (d *BlockDecoder) decodeBlock(payload []byte) ([]trace.Job, error) {
+// block is one parsed block: every column walked and every structural
+// check passed, the values held in the decoder's scratch (or, for the
+// fixed-width columns, in the payload itself) for one of the two
+// consumers to materialize — Decode's job batch or DecodeColumns's
+// kept rows. Both read the same parse, so a block one accepts the other
+// accepts too.
+type block struct {
+	n     int
+	blob  string
+	spans []int32
+	// ids are the ID column's deltas, as stored.
+	ids []int64
+	// names, inPaths and outPaths are dictionary references, each at
+	// most the dictionary's size.
+	names, inPaths, outPaths []uint64
+	// secs are absolute submit seconds; nanos the 4-byte little-endian
+	// nanosecond-of-second column, every value below 1e9.
+	secs  []int64
+	nanos []byte
+	zones []int64
+	// wide holds the six fixed 8-byte columns back to back — duration,
+	// input, shuffle and output bytes, map and reduce task time — n
+	// values each.
+	wide                  []byte
+	mapTasks, reduceTasks []int64
+}
+
+// str resolves a dictionary reference: 0 is the empty string, k is
+// entry k-1, a substring of the block's blob.
+func (b *block) str(ref uint64) string {
+	if ref == 0 {
+		return ""
+	}
+	return b.blob[b.spans[2*ref-2]:b.spans[2*ref-1]]
+}
+
+// nanosAt returns row i's nanosecond-of-second.
+func (b *block) nanosAt(i int) uint32 {
+	return binary.LittleEndian.Uint32(b.nanos[4*i:])
+}
+
+// parse verifies payload's checksum and parses every column of the
+// block. The column loops decode varints directly from the body with a
+// one-byte fast path instead of going through binenc's Reader — this is
+// the hottest loop of every disk scan, and the per-value method-call
+// and error-check overhead is what the columnar format exists to avoid.
+// Corruption still cannot pass silently: the CRC already vouched for
+// the bytes, and the raw loops fail (never panic) on any structural
+// mismatch — a varint that ends past its column or overflows, a
+// dictionary reference past the dictionary, a nanosecond value of a
+// second or more, a column that runs short, a trailing byte.
+func (d *BlockDecoder) parse(payload []byte) (block, error) {
+	if len(payload) < 5 {
+		return block{}, fmt.Errorf("colseg: block frame of %d bytes is shorter than its checksum", len(payload))
+	}
+	if d.sc == nil {
+		d.sc = scratchPool.Get().(*scratch)
+	}
 	want := binary.LittleEndian.Uint32(payload[:4])
 	body := payload[4:]
 	if got := crc32.Checksum(body, castagnoli); got != want {
-		return nil, fmt.Errorf("colseg: block CRC mismatch (%08x vs %08x)", got, want)
+		return block{}, fmt.Errorf("colseg: block CRC mismatch (%08x vs %08x)", got, want)
 	}
 	rd := binenc.NewReader(body)
 	// Every job costs at least one byte per column, so Count bounds the
-	// batch allocation a corrupt count could demand.
+	// array allocation a corrupt count could demand.
 	n := rd.Count(numCols)
 	rd.Varint() // minSubmitSec (zone map; not needed to decode)
 	rd.Varint() // maxSubmitSec
 	dictN := rd.Count(1)
 	if rd.Err() != nil {
-		return nil, fmt.Errorf("colseg: corrupt block header: %w", rd.Err())
+		return block{}, fmt.Errorf("colseg: corrupt block header: %w", rd.Err())
 	}
 	blob, spans, off, ok := d.readDict(body, len(body)-rd.Remaining(), dictN)
 	if !ok {
-		return nil, fmt.Errorf("colseg: corrupt block dictionary")
+		return block{}, fmt.Errorf("colseg: corrupt block dictionary")
 	}
-
 	sc := d.sc
 	sc.grow(n)
-	jobs := sc.jobs[:n]
-	secs, nanos := sc.secs[:n], sc.nanos[:n]
-	uvals, ivals, ivals2 := sc.uvals[:n], sc.ivals[:n], sc.ivals2[:n]
-
-	// The column loops below are fused: each pass over the jobs batch
-	// fills several fields at once, so the batch — the widest data the
-	// decode touches — is streamed through the cache a few times instead
-	// of once per column.
-
-	// Pass 1: IDs (delta varints) and names (dictionary references).
-	if off, ok = readVarints(ivals, body, off); !ok {
-		return nil, fmt.Errorf("colseg: corrupt id column")
+	b := block{
+		n: n, blob: blob, spans: spans,
+		ids: sc.ids[:n], names: sc.names[:n], secs: sc.secs[:n], zones: sc.zones[:n],
+		mapTasks: sc.mapTasks[:n], reduceTasks: sc.reduceTasks[:n],
+		inPaths: sc.inPaths[:n], outPaths: sc.outPaths[:n],
 	}
-	if off, ok = readUvarints(uvals, body, off); !ok {
-		return nil, fmt.Errorf("colseg: corrupt name column")
+	if off, ok = readVarints(b.ids, body, off); !ok {
+		return block{}, fmt.Errorf("colseg: corrupt id column")
 	}
-	var id int64
-	for i := range jobs {
-		id += ivals[i]
-		jobs[i].ID = id
-		ref := uvals[i]
-		if ref == 0 {
-			jobs[i].Name = ""
-			continue
-		}
-		if ref > uint64(dictN) {
-			return nil, fmt.Errorf("colseg: dictionary reference out of range")
-		}
-		jobs[i].Name = blob[spans[2*ref-2]:spans[2*ref-1]]
+	if off, ok = readUvarints(b.names, body, off); !ok {
+		return block{}, fmt.Errorf("colseg: corrupt name column")
+	}
+	if maxRef(b.names) > uint64(dictN) {
+		return block{}, errDictRef
 	}
 
-	// Pass 2: submit times from the three time columns (delta seconds,
-	// fixed 4-byte nanosecond-of-second, zone offset).
-	if off, ok = readVarints(ivals, body, off); !ok {
-		return nil, fmt.Errorf("colseg: corrupt submit-seconds column")
+	// Submit times: delta seconds, fixed 4-byte nanosecond-of-second,
+	// zone offset.
+	if off, ok = readVarints(b.secs, body, off); !ok {
+		return block{}, fmt.Errorf("colseg: corrupt submit-seconds column")
 	}
 	var sec int64
-	for i := range secs {
-		sec += ivals[i]
-		secs[i] = sec
+	for i, delta := range b.secs {
+		sec += delta
+		b.secs[i] = sec
 	}
 	if len(body)-off < 4*n {
-		return nil, fmt.Errorf("colseg: truncated submit-nanos column")
+		return block{}, fmt.Errorf("colseg: truncated submit-nanos column")
 	}
-	nsCol := body[off : off+4*n]
+	b.nanos = body[off : off+4*n]
 	off += 4 * n
-	if off, ok = readVarints(ivals, body, off); !ok {
-		return nil, fmt.Errorf("colseg: corrupt zone-offset column")
+	if off, ok = readVarints(b.zones, body, off); !ok {
+		return block{}, fmt.Errorf("colseg: corrupt zone-offset column")
 	}
-	for i := range jobs {
-		ns := binary.LittleEndian.Uint32(nsCol[4*i:])
-		if ns >= 1e9 {
-			return nil, fmt.Errorf("colseg: submit nanoseconds out of range")
+	for i := 0; i < n; i++ {
+		if b.nanosAt(i) >= 1e9 {
+			return block{}, fmt.Errorf("colseg: submit nanoseconds out of range")
 		}
-		jobs[i].SubmitTime = d.inZone(time.Unix(secs[i], int64(ns)), int(ivals[i]))
 	}
 
-	// Pass 3: the six consecutive fixed 8-byte columns — duration, the
-	// three byte counts, and the two task-time floats — read strided
-	// from the body in one loop.
+	// The six consecutive fixed 8-byte columns, read in place.
 	if len(body)-off < 8*6*n {
-		return nil, fmt.Errorf("colseg: truncated fixed-width columns")
+		return block{}, fmt.Errorf("colseg: truncated fixed-width columns")
 	}
-	wide := body[off : off+8*6*n]
-	d1, d2, d3, d4, d5 := 8*n, 16*n, 24*n, 32*n, 40*n
-	for i := range jobs {
-		o := 8 * i
-		jobs[i].Duration = time.Duration(binary.LittleEndian.Uint64(wide[o:]))
-		jobs[i].InputBytes = unitsBytes(int64(binary.LittleEndian.Uint64(wide[d1+o:])))
-		jobs[i].ShuffleBytes = unitsBytes(int64(binary.LittleEndian.Uint64(wide[d2+o:])))
-		jobs[i].OutputBytes = unitsBytes(int64(binary.LittleEndian.Uint64(wide[d3+o:])))
-		jobs[i].MapTime = unitsTaskSeconds(math.Float64frombits(binary.LittleEndian.Uint64(wide[d4+o:])))
-		jobs[i].ReduceTime = unitsTaskSeconds(math.Float64frombits(binary.LittleEndian.Uint64(wide[d5+o:])))
-	}
+	b.wide = body[off : off+8*6*n]
 	off += 8 * 6 * n
 
-	// Pass 4: task counts and the two path reference columns.
-	if off, ok = readVarints(ivals, body, off); !ok {
-		return nil, fmt.Errorf("colseg: corrupt map-tasks column")
+	// Task counts and the two path reference columns.
+	if off, ok = readVarints(b.mapTasks, body, off); !ok {
+		return block{}, fmt.Errorf("colseg: corrupt map-tasks column")
 	}
-	if off, ok = readVarints(ivals2, body, off); !ok {
-		return nil, fmt.Errorf("colseg: corrupt reduce-tasks column")
+	if off, ok = readVarints(b.reduceTasks, body, off); !ok {
+		return block{}, fmt.Errorf("colseg: corrupt reduce-tasks column")
 	}
-	if off, ok = readUvarints(uvals, body, off); !ok {
-		return nil, fmt.Errorf("colseg: corrupt input-path column")
+	if off, ok = readUvarints(b.inPaths, body, off); !ok {
+		return block{}, fmt.Errorf("colseg: corrupt input-path column")
 	}
-	if off, ok = readUvarints(nanos, body, off); !ok {
-		return nil, fmt.Errorf("colseg: corrupt output-path column")
+	if off, ok = readUvarints(b.outPaths, body, off); !ok {
+		return block{}, fmt.Errorf("colseg: corrupt output-path column")
 	}
-	for i := range jobs {
-		jobs[i].MapTasks = int(ivals[i])
-		jobs[i].ReduceTasks = int(ivals2[i])
-		in, out := uvals[i], nanos[i]
-		if in > uint64(dictN) || out > uint64(dictN) {
-			return nil, fmt.Errorf("colseg: dictionary reference out of range")
-		}
-		if in == 0 {
-			jobs[i].InputPath = ""
-		} else {
-			jobs[i].InputPath = blob[spans[2*in-2]:spans[2*in-1]]
-		}
-		if out == 0 {
-			jobs[i].OutputPath = ""
-		} else {
-			jobs[i].OutputPath = blob[spans[2*out-2]:spans[2*out-1]]
-		}
+	if max(maxRef(b.inPaths), maxRef(b.outPaths)) > uint64(dictN) {
+		return block{}, errDictRef
 	}
 
 	if off != len(body) {
-		return nil, fmt.Errorf("colseg: %d trailing bytes after block columns", len(body)-off)
+		return block{}, fmt.Errorf("colseg: %d trailing bytes after block columns", len(body)-off)
 	}
-	return jobs, nil
+	return b, nil
+}
+
+var errDictRef = errors.New("colseg: dictionary reference out of range")
+
+// maxRef returns the largest reference in refs (0 for none).
+func maxRef(refs []uint64) uint64 {
+	var m uint64
+	for _, r := range refs {
+		m = max(m, r)
+	}
+	return m
 }
 
 // readDict parses dictN length-prefixed strings starting at off. All
@@ -448,9 +462,3 @@ func (d *BlockDecoder) inZone(t time.Time, off int) time.Time {
 	}
 	return t.In(d.lastZone)
 }
-
-// unitsBytes and unitsTaskSeconds are conversion shims keeping the
-// column loops free of package-qualified casts.
-func unitsBytes(v int64) units.Bytes { return units.Bytes(v) }
-
-func unitsTaskSeconds(v float64) units.TaskSeconds { return units.TaskSeconds(v) }

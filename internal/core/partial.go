@@ -68,6 +68,21 @@ func (p *Partial) Observe(j *trace.Job) {
 	p.nb.Observe(j)
 }
 
+// ObserveColumns folds a run of jobs held as columns — a decoded colseg
+// block's kept rows — into every section builder, in row order, without
+// materializing a job. The partial reports exactly the bytes Observe-ing
+// the same jobs gives. The task-time exact sums accumulate per call in
+// block-local accumulators, so their expansions, and with them the
+// snapshot bytes, differ from a per-job build's; partials built this way
+// snapshot identically to each other when built from the same runs.
+func (p *Partial) ObserveColumns(c *trace.Columns) {
+	p.n += c.Len()
+	p.sum.ObserveColumns(c)
+	p.ds.ObserveColumns(c)
+	p.ts.ObserveColumns(c)
+	p.nb.ObserveColumns(c)
+}
+
 // Jobs returns the number of jobs observed (including merged-in ones).
 func (p *Partial) Jobs() int { return p.n }
 

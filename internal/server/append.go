@@ -285,6 +285,9 @@ func (s *Store) openAppendSession(name string, batchMeta trace.Meta) (*appendSta
 		if meta.Start.IsZero() || meta.Length <= 0 {
 			return nil, badReq("append to a new trace requires complete metadata (start and length_ms declare the window the trace will cover)")
 		}
+		if err := checkSpan(meta); err != nil {
+			return nil, err
+		}
 	} else {
 		committed := trace.Meta{
 			Name:     v.Info.Workload,

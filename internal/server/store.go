@@ -220,6 +220,9 @@ func normalize(name string, t *trace.Trace) error {
 	if t.Meta.Length <= 0 {
 		t.Meta.Length = end.Sub(t.Meta.Start)
 	}
+	if err := checkSpan(t.Meta); err != nil {
+		return err
+	}
 	return t.Validate()
 }
 

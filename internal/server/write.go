@@ -40,6 +40,18 @@ import (
 // memory (the engine has no external sort).
 var errUnsortedSpill = errors.New("server: upload is not in submit order and exceeds the in-memory budget (sort the stream before uploading)")
 
+// checkSpan rejects, as a bad request, a trace header whose start or
+// start + length trace.CheckNanoRange rejects; job submit times meet
+// the same rule in trace.Job.Validate.
+func checkSpan(meta trace.Meta) error {
+	for _, t := range []time.Time{meta.Start, meta.Start.Add(meta.Length)} {
+		if err := trace.CheckNanoRange(t); err != nil {
+			return badReq("trace header span from %s for %s: %v", meta.Start.Format(time.RFC3339Nano), meta.Length, err)
+		}
+	}
+	return nil
+}
+
 // jobLess is normalize's sort order.
 func jobLess(a, b *trace.Job) bool {
 	if !a.SubmitTime.Equal(b.SubmitTime) {
@@ -257,6 +269,11 @@ func (s *Store) ingest(name string, src trace.Source) (TraceInfo, error) {
 	if meta.Name == "" {
 		meta.Name = name // mirrors normalize
 	}
+	if !meta.Start.IsZero() {
+		if err := checkSpan(meta); err != nil {
+			return TraceInfo{}, err
+		}
+	}
 	ss, err := s.create(name, meta)
 	if err != nil {
 		return TraceInfo{}, err
@@ -332,6 +349,9 @@ func (s *Store) ingest(name string, src trace.Source) (TraceInfo, error) {
 		}
 		if meta.Length <= 0 {
 			meta.Length = end.Sub(meta.Start)
+		}
+		if err := checkSpan(meta); err != nil {
+			return TraceInfo{}, err
 		}
 		ss.appender.SetMeta(meta)
 		if err := ss.begin(meta, true); err != nil {

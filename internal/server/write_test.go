@@ -141,6 +141,15 @@ func TestFailedUploadsCountRejected(t *testing.T) {
 	rev := trace.New(tr.Meta)
 	rev.Jobs = slices.Clone(tr.Jobs)
 	slices.Reverse(rev.Jobs)
+	oneJob := func(submit time.Time) *trace.Trace {
+		j := *tr.Jobs[0]
+		j.SubmitTime = submit
+		out := trace.New(tr.Meta)
+		out.Add(&j)
+		return out
+	}
+	farHeader := shiftYears(tr, 380)
+	farHeader.Jobs = tr.Jobs
 
 	s := mustNew(t, Config{MaxTotalJobs: tr.Len() / 3, DataDir: t.TempDir(), SegmentJobs: 100})
 	for i, c := range []struct {
@@ -153,6 +162,10 @@ func TestFailedUploadsCountRejected(t *testing.T) {
 		{"empty", false, trace.New(tr.Meta), nil},
 		{"unsortable spill", false, rev, errUnsortedSpill},
 		{"empty put", true, trace.New(tr.Meta), nil},
+		{"far-future job", false, oneJob(time.Date(2300, 1, 1, 0, 0, 0, 0, time.UTC)), nil},
+		{"pre-1678 job", false, oneJob(time.Date(1600, 1, 1, 0, 0, 0, 0, time.UTC)), nil},
+		{"far-future header start", false, farHeader, errBadRequest},
+		{"far-future put", true, shiftYears(tr, 380), errBadRequest},
 	} {
 		var err error
 		if c.put {
@@ -166,6 +179,63 @@ func TestFailedUploadsCountRejected(t *testing.T) {
 		if got := s.Store().Stats().Rejected; got != uint64(i+1) {
 			t.Errorf("%s: rejected = %d, want %d", c.name, got, i+1)
 		}
+	}
+}
+
+// shiftYears returns a copy of tr with its header start and every
+// submit time moved by years.
+func shiftYears(tr *trace.Trace, years int) *trace.Trace {
+	out := trace.New(tr.Meta)
+	out.Meta.Start = tr.Meta.Start.AddDate(years, 0, 0)
+	for _, j := range tr.Jobs {
+		c := *j
+		c.SubmitTime = j.SubmitTime.AddDate(years, 0, 0)
+		out.Add(&c)
+	}
+	return out
+}
+
+// TestOutOfRangeTraceRejected: a trace dated past 2262 (or before 1678)
+// cannot be stored, since its Unix-nanosecond timestamps would wrap in
+// the manifest, the snapshot and the series origin and change its
+// report across a restart. Upload and append answer 400 naming the
+// range, and nothing is stored.
+func TestOutOfRangeTraceRejected(t *testing.T) {
+	tr := genTrace(t, "FB-2009", 1, 24*time.Hour)
+	farHeader := shiftYears(tr, 380)
+	farHeader.Jobs = tr.Jobs
+	_, ts := newTestServerCfg(t, Config{DataDir: t.TempDir()})
+	for _, c := range []struct {
+		name, route string
+		tr          *trace.Trace
+	}{
+		{"upload past 2262", "/v1/traces/far", shiftYears(tr, 380)},
+		{"upload before 1678", "/v1/traces/far", shiftYears(tr, -400)},
+		{"upload header past 2262", "/v1/traces/far", farHeader},
+		{"append past 2262", "/v1/traces/far/append", shiftYears(tr, 380)},
+		{"append header past 2262", "/v1/traces/far/append", farHeader},
+	} {
+		var buf bytes.Buffer
+		if err := trace.WriteJSONL(&buf, c.tr); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(ts.URL+c.route, "application/jsonl", &buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !bytes.Contains(body, []byte("2262-04-11")) {
+			t.Errorf("%s: %d %s, want a 400 naming the range", c.name, resp.StatusCode, clip(body))
+		}
+	}
+	resp, err := http.Get(ts.URL + "/v1/traces/far")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("a rejected trace is stored: GET answers %d", resp.StatusCode)
 	}
 }
 

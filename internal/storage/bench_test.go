@@ -95,18 +95,21 @@ func BenchmarkFragmentedScan(b *testing.B) {
 	})
 }
 
-// BenchmarkParallelScan pits the two scan parallelization strategies
-// against each other on a packed single-segment trace — the shape
-// compaction produces. Segment-parallel degenerates there to one
-// sequential partial build over the segment chain; only
-// block-parallel can use the other cores. BENCH_SCAN.json's
-// block_parallel_speedup gate bars segment/block on multi-core runners
-// (the -N benchmark suffix carries GOMAXPROCS; single-core machines
-// pass — no parallelism exists to measure). The window arm is the
-// block-parallel scan of 6-hour windows stepping through the trace,
-// the paper's small ad-hoc query over recent hours: zone maps prune
-// all but a window's blocks, so its cost tracks the window rather than
-// the trace. BENCH_SCAN.json's window_scan_share records window/block.
+// BenchmarkParallelScan times a sequential and a block-parallel partial
+// build of a packed single-segment trace — the shape compaction
+// produces. The segment arm decodes jobs through Each and observes them
+// one by one on one goroutine; the block arm is ParallelScanPartial,
+// which spreads blocks over the cores and decodes and observes each as
+// columns. BENCH_SCAN.json's block_parallel_speedup gate bars
+// segment/block on multi-core runners (the -N benchmark suffix carries
+// GOMAXPROCS; single-core machines pass — no parallelism exists to
+// measure). The ratio holds the column path's saving as well as the
+// parallel speedup (ROADMAP.md, "Measurement hygiene"). The window arm
+// is the block-parallel scan of 6-hour windows stepping through the
+// trace, the paper's small ad-hoc query over recent hours: zone maps
+// prune all but a window's blocks, so its cost tracks the window rather
+// than the trace. BENCH_SCAN.json's window_scan_share records
+// window/block.
 func BenchmarkParallelScan(b *testing.B) {
 	tr := genTrace(b, "FB-2009", 1, 14*24*time.Hour)
 	s, _ := openStore(b, b.TempDir(), 1<<20)

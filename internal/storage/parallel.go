@@ -21,11 +21,16 @@ import (
 // segmentSource every read shares) reads its committed prefix by
 // offset, skips a pruned block without reading it, and reads a kept one
 // straight into a pooled frame buffer. A bounded pool of workers
-// decodes frames into per-chunk core.Partials, and the caller merges
-// those partials in frame order.
-// Because every aggregate is exact and mergeable, the merged partial
-// reports byte-identically to a sequential core.BuildPartial over the
-// same jobs, and is the same partial at any worker count.
+// decodes each frame as columns — only the window's rows, only the
+// fields a report reads, no trace.Job built — and folds them block by
+// block into per-chunk core.Partials (Partial.ObserveColumns, with
+// block-local exact sums); the caller merges those partials in frame
+// order. Because every aggregate is exact and mergeable, the merged
+// partial reports byte-identically to a sequential core.BuildPartial
+// over the same jobs. Its snapshot is the same at any worker count, a
+// task being always the same chunk of frames, but not byte-identical
+// to a per-job build's: its exact sums hold the same values in other
+// expansions.
 
 // framePool recycles block-frame payload buffers: between the IO
 // goroutine and the decode workers, and across the segment sources of
@@ -52,8 +57,7 @@ type ParallelScanOptions struct {
 	Sketch bool
 	// Window restricts the scan to jobs submitted in [From, To):
 	// segments and blocks prune conservatively via their recorded spans
-	// and the survivors filter exactly (trace.NewWindowSource's
-	// predicate).
+	// and the survivors filter exactly (trace.Trace.Window's test).
 	Window   bool
 	From, To time.Time
 	// Meta overrides the metadata the partials aggregate under — the
@@ -87,7 +91,7 @@ type scanResult struct {
 // block-parallel pipeline. The result reports the same bytes as a
 // sequential partial observed over Each (or over WindowShards plus
 // exact filtering, when windowed), and its snapshot is identical at any
-// worker count; the returned stats carry the same pruning evidence as
+// worker count (not to a per-job build's: see the file comment); the returned stats carry the same pruning evidence as
 // WindowShards. Errors release every pooled buffer and descriptor
 // before returning.
 func (t *Trace) ParallelScanPartial(opts ParallelScanOptions) (*core.Partial, *ScanStats, error) {
@@ -255,24 +259,19 @@ func emitSegmentFrames(src *segmentSource, seq *int, emit func(scanTask) bool) e
 }
 
 // buildTaskPartial folds one task into a fresh partial: decode each
-// frame and observe its jobs (window-filtered exactly when asked).
+// frame as the columns of its kept rows (the window's, when windowed)
+// and observe them block by block.
 func buildTaskPartial(tk scanTask, meta trace.Meta, opts ParallelScanOptions, dec *colseg.BlockDecoder) (*core.Partial, error) {
 	p, err := core.NewPartial(meta, opts.Sketch)
 	if err != nil {
 		return nil, err
 	}
 	for _, bp := range tk.bufs {
-		jobs, err := dec.Decode(*bp)
+		cols, err := dec.DecodeColumns(*bp, opts.Window, opts.From, opts.To)
 		if err != nil {
 			return nil, err
 		}
-		for i := range jobs {
-			j := &jobs[i]
-			if opts.Window && !colseg.InWindow(j, opts.From, opts.To) {
-				continue
-			}
-			p.Observe(j)
-		}
+		p.ObserveColumns(cols)
 	}
 	return p, nil
 }

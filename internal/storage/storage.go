@@ -47,6 +47,8 @@
 // colseg.BlockDecoder that CRC-verifies each kept frame before it
 // parses a column. Jobs decode into a reused batch; Collect copies
 // them out, and every other reader must not retain them.
+// ParallelScanPartial decodes columns instead: only the window's rows,
+// folded straight into partials, with no job built.
 package storage
 
 import (

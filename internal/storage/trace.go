@@ -190,7 +190,7 @@ func (t *Trace) LoadPartial() (*core.Partial, error) {
 // Sequential readers (Each, Collect, LoadPartial's replay, the
 // appender's readback, WindowShards) take decoded batches, and a job is
 // valid only until the next one; ParallelScanPartial's IO goroutine
-// takes bare frames and decodes them on its workers.
+// takes bare frames, which its workers decode as columns.
 type segmentSource struct {
 	dir   string
 	seg   SegmentInfo

@@ -188,6 +188,14 @@ func (a *SummaryAccumulator) Observe(j *Job) {
 	a.s.BytesMoved += j.TotalBytes()
 }
 
+// ObserveColumns folds a run of jobs held as columns into the summary.
+func (a *SummaryAccumulator) ObserveColumns(c *Columns) {
+	a.s.Jobs += c.Len()
+	for i := range c.InputBytes {
+		a.s.BytesMoved += c.InputBytes[i] + c.ShuffleBytes[i] + c.OutputBytes[i]
+	}
+}
+
 // Merge folds another accumulator into this one. Both must describe the
 // same trace (name, machines, length); the counters are integers, so
 // merging per-shard summaries in any order is exactly the sequential

@@ -104,7 +104,23 @@ func (j *Job) Validate() error {
 	case j.SubmitTime.IsZero():
 		return fmt.Errorf("trace: job %d: zero submit time", j.ID)
 	}
+	if err := CheckNanoRange(j.SubmitTime); err != nil {
+		return fmt.Errorf("trace: job %d: submit time %w", j.ID, err)
+	}
 	return nil
+}
+
+// CheckNanoRange rejects a time that int64 Unix nanoseconds cannot
+// hold, one outside 1677-09-21..2262-04-11. Stored traces persist Unix
+// nanoseconds (the manifest, the snapshot, the series origin, the
+// cluster record), which wrap outside those years and would change a
+// report across a restart; Validate holds job submit times to it, and
+// swimd's write paths a header's start and end.
+func CheckNanoRange(t time.Time) error {
+	if time.Unix(0, t.UnixNano()).Equal(t) {
+		return nil
+	}
+	return fmt.Errorf("%s is outside 1677-09-21..2262-04-11, the range of int64 Unix nanoseconds", t.Format(time.RFC3339Nano))
 }
 
 // Meta is the per-trace metadata of Table 1.

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -73,12 +74,36 @@ func TestJobValidate(t *testing.T) {
 		{"negative map tasks", func(j *Job) { j.MapTasks = -1 }},
 		{"negative reduce tasks", func(j *Job) { j.ReduceTasks = -1 }},
 		{"zero submit", func(j *Job) { j.SubmitTime = time.Time{} }},
+		{"submit past 2262", func(j *Job) { j.SubmitTime = j.SubmitTime.AddDate(380, 0, 0) }},
+		{"submit before 1678", func(j *Job) { j.SubmitTime = j.SubmitTime.AddDate(-380, 0, 0) }},
 	}
 	for _, c := range cases {
 		j := mkJob(1, 0)
 		c.mut(j)
 		if err := j.Validate(); err == nil {
 			t.Errorf("%s: expected validation error", c.name)
+		}
+	}
+}
+
+// TestCheckNanoRange: the range is exactly what int64 Unix nanoseconds
+// hold, to the nanosecond at both ends.
+func TestCheckNanoRange(t *testing.T) {
+	first, last := time.Unix(0, math.MinInt64), time.Unix(0, math.MaxInt64)
+	for _, c := range []struct {
+		t  time.Time
+		ok bool
+	}{
+		{t0, true},
+		{first, true},
+		{last, true},
+		{first.Add(-time.Nanosecond), false},
+		{last.Add(time.Nanosecond), false},
+		{time.Date(0, 1, 1, 0, 0, 0, 0, time.UTC), false},
+		{time.Date(9999, 12, 31, 0, 0, 0, 0, time.UTC), false},
+	} {
+		if err := CheckNanoRange(c.t); (err == nil) != c.ok {
+			t.Errorf("CheckNanoRange(%s) = %v, want ok %v", c.t.Format(time.RFC3339Nano), err, c.ok)
 		}
 	}
 }
