@@ -13,7 +13,6 @@ type ScanNumbers struct {
 	SegmentsPruned int   `json:"segments_pruned"`
 	Blocks         int64 `json:"blocks"`
 	BlocksPruned   int64 `json:"blocks_pruned"`
-	Workers        int   `json:"workers,omitempty"`
 }
 
 // RequestRecord is one finished request in the debug ring.

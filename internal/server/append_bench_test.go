@@ -134,7 +134,7 @@ func BenchmarkWindowedReport(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			get(b, url)
 			b.StopTimer()
-			s.cache.InvalidatePrefix("") // drops the parked window aggregates too
+			s.cache.InvalidatePrefix("") // evict between iterations
 			b.StartTimer()
 		}
 	}

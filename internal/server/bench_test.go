@@ -68,7 +68,7 @@ func BenchmarkServeReport(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			get(b, url)
 			b.StopTimer()
-			s.cache.InvalidatePrefix("") // drops the aggregate tier too
+			s.cache.InvalidatePrefix("") // evict between iterations
 			b.StartTimer()
 		}
 	})

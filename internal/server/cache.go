@@ -22,39 +22,16 @@ import (
 // Failed computations are never cached — the entry is removed so a later
 // request retries — but concurrent waiters of the failing flight do
 // receive its error, once each.
-// In addition to the final-bytes tier, the cache carries a
-// partial-aggregate tier under the same fingerprint-prefixed key
-// discipline: DoAggregate memoizes intermediate values (frozen
-// core.Partial aggregates) that several final results derive from, so
-// report variants that differ only in finalization (top=N) share one
-// scan of the jobs. Both tiers are dropped together by
-// InvalidatePrefix when the last trace with a fingerprint is deleted.
 type ResultCache struct {
 	mu      sync.Mutex
 	cap     int
 	entries map[string]*cacheEntry
 	lru     *list.List // front = most recently used
 
-	aggCap  int
-	aggs    map[string]*aggEntry
-	aggLRU  *list.List
-	aggHits uint64
-	aggMiss uint64
-
 	hits      uint64
 	misses    uint64
 	coalesced uint64
 	evictions uint64
-}
-
-// aggEntry is one partial-aggregate tier slot, same single-flight
-// discipline as cacheEntry but holding an arbitrary value.
-type aggEntry struct {
-	key   string
-	ready chan struct{}
-	val   any
-	err   error
-	elem  *list.Element
 }
 
 type cacheEntry struct {
@@ -69,30 +46,16 @@ type cacheEntry struct {
 // zero.
 const DefaultCacheEntries = 256
 
-// DefaultAggregateEntries bounds the partial-aggregate tier. Aggregates
-// are few (one or two per stored trace fingerprint) but heavy — an
-// exact-mode partial holds 24 B per job — so the tier is kept much
-// smaller than the bytes tier.
-const DefaultAggregateEntries = 32
-
 // NewResultCache creates a cache holding at most capacity ready entries
-// (zero: DefaultCacheEntries); the partial-aggregate tier holds
-// capacity/8 entries, at least DefaultAggregateEntries.
+// (zero: DefaultCacheEntries).
 func NewResultCache(capacity int) *ResultCache {
 	if capacity <= 0 {
 		capacity = DefaultCacheEntries
-	}
-	aggCap := capacity / 8
-	if aggCap < DefaultAggregateEntries {
-		aggCap = DefaultAggregateEntries
 	}
 	return &ResultCache{
 		cap:     capacity,
 		entries: make(map[string]*cacheEntry),
 		lru:     list.New(),
-		aggCap:  aggCap,
-		aggs:    make(map[string]*aggEntry),
-		aggLRU:  list.New(),
 	}
 }
 
@@ -145,65 +108,6 @@ func (c *ResultCache) Do(key string, compute func() ([]byte, error)) ([]byte, bo
 	return val, false, err
 }
 
-// DoAggregate is Do for the partial-aggregate tier: it returns the
-// value for key, computing it with compute if absent, under the same
-// single-flight discipline — concurrent requests for one key run one
-// computation. The second return reports whether the value came from
-// the tier. Values must be treated as frozen shared state by every
-// caller (core.Partial finalization is read-only by contract).
-func (c *ResultCache) DoAggregate(key string, compute func() (any, error)) (any, bool, error) {
-	c.mu.Lock()
-	if e, ok := c.aggs[key]; ok {
-		select {
-		case <-e.ready:
-			c.aggHits++
-			c.aggLRU.MoveToFront(e.elem)
-			val, err := e.val, e.err
-			c.mu.Unlock()
-			return val, true, err
-		default:
-			c.aggHits++
-			c.mu.Unlock()
-			<-e.ready
-			return e.val, true, e.err
-		}
-	}
-	e := &aggEntry{key: key, ready: make(chan struct{})}
-	e.elem = c.aggLRU.PushFront(e)
-	c.aggs[key] = e
-	c.aggMiss++
-	c.mu.Unlock()
-
-	var val any
-	err := errors.New("server: aggregate computation panicked")
-	defer func() {
-		c.mu.Lock()
-		e.val, e.err = val, err
-		close(e.ready)
-		if err != nil {
-			if cur, ok := c.aggs[key]; ok && cur == e {
-				delete(c.aggs, key)
-				c.aggLRU.Remove(e.elem)
-			}
-		} else {
-			for elem := c.aggLRU.Back(); elem != nil && c.aggLRU.Len() > c.aggCap; {
-				prev := elem.Prev()
-				old := elem.Value.(*aggEntry)
-				select {
-				case <-old.ready:
-					delete(c.aggs, old.key)
-					c.aggLRU.Remove(elem)
-				default:
-				}
-				elem = prev
-			}
-		}
-		c.mu.Unlock()
-	}()
-	val, err = compute()
-	return val, false, err
-}
-
 // Peek returns the ready bytes under key without computing on a miss.
 // In-flight computations are not waited for — a peek is a cheap
 // opportunistic read (the cluster cache protocol uses it to answer
@@ -246,12 +150,12 @@ func (c *ResultCache) Put(key string, val []byte) {
 	c.evictLocked()
 }
 
-// InvalidatePrefix drops every ready entry, in both tiers, whose key
-// starts with prefix, and returns how many were dropped. Keys embed the
-// trace content fingerprint as their first segment, so results can
-// never be stale — invalidation is memory hygiene: when the last trace
-// holding a fingerprint is deleted, its memoized bytes and partial
-// aggregates are unreachable and should not wait for LRU pressure.
+// InvalidatePrefix drops every ready entry whose key starts with
+// prefix, and returns how many were dropped. Keys embed the trace
+// content fingerprint as their first segment, so results can never be
+// stale — invalidation is memory hygiene: when the last trace holding a
+// fingerprint is deleted, its memoized bytes are unreachable and should
+// not wait for LRU pressure.
 // In-flight computations are left to finish for their waiters.
 func (c *ResultCache) InvalidatePrefix(prefix string) int {
 	c.mu.Lock()
@@ -265,18 +169,6 @@ func (c *ResultCache) InvalidatePrefix(prefix string) int {
 		case <-e.ready:
 			delete(c.entries, key)
 			c.lru.Remove(e.elem)
-			n++
-		default:
-		}
-	}
-	for key, e := range c.aggs {
-		if !strings.HasPrefix(key, prefix) {
-			continue
-		}
-		select {
-		case <-e.ready:
-			delete(c.aggs, key)
-			c.aggLRU.Remove(e.elem)
 			n++
 		default:
 		}
@@ -314,19 +206,14 @@ func (c *ResultCache) evictLocked() {
 // CacheStats is the cache's occupancy and lifetime counters. Hits count
 // ready-entry lookups; Coalesced counts requests that waited on another
 // request's in-flight computation (both are "cache hits" from the
-// client's perspective); Misses counts actual computations started. The
-// Aggregate* fields are the partial-aggregate tier's counters
-// (coalesced waits count as hits there).
+// client's perspective); Misses counts actual computations started.
 type CacheStats struct {
-	Entries         int    `json:"entries"`
-	Capacity        int    `json:"capacity"`
-	Hits            uint64 `json:"hits"`
-	Misses          uint64 `json:"misses"`
-	Coalesced       uint64 `json:"coalesced"`
-	Evictions       uint64 `json:"evictions"`
-	Aggregates      int    `json:"aggregates"`
-	AggregateHits   uint64 `json:"aggregate_hits"`
-	AggregateMisses uint64 `json:"aggregate_misses"`
+	Entries   int    `json:"entries"`
+	Capacity  int    `json:"capacity"`
+	Hits      uint64 `json:"hits"`
+	Misses    uint64 `json:"misses"`
+	Coalesced uint64 `json:"coalesced"`
+	Evictions uint64 `json:"evictions"`
 }
 
 // Stats snapshots the cache counters.
@@ -334,14 +221,11 @@ func (c *ResultCache) Stats() CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return CacheStats{
-		Entries:         len(c.entries),
-		Capacity:        c.cap,
-		Hits:            c.hits,
-		Misses:          c.misses,
-		Coalesced:       c.coalesced,
-		Evictions:       c.evictions,
-		Aggregates:      len(c.aggs),
-		AggregateHits:   c.aggHits,
-		AggregateMisses: c.aggMiss,
+		Entries:   len(c.entries),
+		Capacity:  c.cap,
+		Hits:      c.hits,
+		Misses:    c.misses,
+		Coalesced: c.coalesced,
+		Evictions: c.evictions,
 	}
 }

@@ -34,7 +34,7 @@ import (
 //
 // A report against any node scatters to one live owner per shard; each
 // owner resolves its local frozen core.Partial (reusing the single-node
-// partial machinery, frozen aggregates, and the cache's aggregate tier)
+// partial machinery: the stored frozen partial, or a scan of the shard)
 // and returns the versioned binary snapshot as the wire format, unless
 // the owner is the coordinator itself. The coordinator merges the
 // partials in shard index order into a fresh one, which by the merge

@@ -609,12 +609,17 @@ func TestClusterRequestTracing(t *testing.T) {
 	}
 
 	// The coordinator's ring entry links the whole scatter under the ID.
+	// The middleware records a request after its handler returns, which
+	// can be after the client has read the whole body, so wait for the
+	// record instead of reading the ring once.
 	var coord *obs.RequestRecord
-	for _, rec := range nodes[0].srv.metrics.ring.Snapshot(0, 0) {
-		if rec.ID == "trace-e2e-1" {
-			r := rec
-			coord = &r
-			break
+	for deadline := time.Now().Add(5 * time.Second); coord == nil && time.Now().Before(deadline); time.Sleep(5 * time.Millisecond) {
+		for _, rec := range nodes[0].srv.metrics.ring.Snapshot(0, 0) {
+			if rec.ID == "trace-e2e-1" {
+				r := rec
+				coord = &r
+				break
+			}
 		}
 	}
 	if coord == nil {
@@ -635,9 +640,7 @@ func TestClusterRequestTracing(t *testing.T) {
 	}
 
 	// The ID crossed the fleet client: peers recorded their shard-partial
-	// requests under it. A peer records a request after its handler
-	// returns, which can be after the coordinator has read the whole
-	// response, so wait for the record instead of reading the rings once.
+	// requests under it, waited for the same way.
 	remote := 0
 	for deadline := time.Now().Add(5 * time.Second); remote == 0 && time.Now().Before(deadline); time.Sleep(5 * time.Millisecond) {
 		for _, nd := range nodes[1:] {

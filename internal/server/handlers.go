@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/url"
-	"runtime"
 	"strconv"
 	"sync"
 	"time"
@@ -429,7 +428,7 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 			}
 			w.Header().Set("X-Analysis", "full")
 			endScan := rt.StartSpan("scan", "full")
-			rep, err := core.Analyze(t, core.AnalyzeOptions{TopNames: q.top, SketchDataSizes: q.sketch, Shards: q.shards})
+			rep, err := core.Analyze(t, core.AnalyzeOptions{TopNames: q.top, SketchDataSizes: q.sketch})
 			endScan()
 			if err != nil {
 				return nil, fmt.Errorf("%w: %v", errUnprocessable, err)
@@ -451,11 +450,11 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 }
 
 // reportQuery is one report request's parameters, parsed once for
-// every source: the variant (full, sketch, top), the scan parallelism
-// (shards), and the submit-time window [from, to) when windowed.
+// every source: the variant (full, sketch, top) and the submit-time
+// window [from, to) when windowed.
 type reportQuery struct {
 	full, sketch bool
-	top, shards  int
+	top          int
 	windowed     bool
 	from, to     time.Time
 }
@@ -474,12 +473,6 @@ func parseReportQuery(r *http.Request, start time.Time, lengthMS int64) (q repor
 	}
 	if q.top, err = queryInt(params, "top", 8); err != nil {
 		return q, err
-	}
-	if q.shards, err = queryInt(params, "shards", 0); err != nil {
-		return q, err
-	}
-	if q.shards < 0 || q.shards > 1024 {
-		return q, badReq("shards=%d out of range [0, 1024]", q.shards)
 	}
 	if q.from, q.to, q.windowed, err = reportWindowSpan(params, start, lengthMS); err != nil {
 		return q, err
@@ -500,23 +493,21 @@ func (q reportQuery) windowKey() string {
 }
 
 // key is the result-cache key of the query's report for a trace
-// fingerprint. shards is deliberately absent: by the merge contract the
-// bytes are identical at any shard count.
+// fingerprint.
 func (q reportQuery) key(fingerprint string) string {
 	return fmt.Sprintf("%s|report|full=%t|sketch=%t|top=%d%s", fingerprint, q.full, q.sketch, q.top, q.windowKey())
 }
 
 // partialFor resolves the partial aggregate a report query finalizes
 // from a stored trace. A whole-trace query uses the frozen partial when
-// its mode matches; every other query goes through the cache's
-// aggregate tier, keyed by (fingerprint, sketch, window), so variants
-// that differ only in finalization (top=N) share one build: the
-// resident jobs are observed in memory (shard-parallel across
-// shards=K), a disk-resident trace is scanned out-of-core with
-// segments and blocks pruned to the window; the tier freezes what it
-// builds before caching it. It returns the path's X-Analysis name and,
-// when this call scanned disk, the scan evidence. The partial is shared
-// frozen state: callers must treat it as read-only.
+// its mode matches; every other query builds one for this request
+// alone: the resident jobs are observed in memory, a disk-resident
+// trace is scanned out-of-core with segments and blocks pruned to the
+// window. A built partial is frozen and handed straight to finalize —
+// the result cache keeps report bytes, not partials. It returns the
+// path's X-Analysis name and, when this call scanned disk, the scan
+// evidence. The partial may be shared frozen state: callers must treat
+// it as read-only.
 func (s *Server) partialFor(v View, q reportQuery) (*core.Partial, string, *scanEvidence, error) {
 	if !q.windowed && v.Partial != nil && v.Partial.Sketch() == q.sketch {
 		if v.Recovered {
@@ -524,25 +515,22 @@ func (s *Server) partialFor(v View, q reportQuery) (*core.Partial, string, *scan
 		}
 		return v.Partial, "ingest-partial", nil, nil
 	}
-	var ev *scanEvidence
-	aggKey := fmt.Sprintf("%s|partial|sketch=%t%s", v.Info.Fingerprint, q.sketch, q.windowKey())
-	av, hit, err := s.cache.DoAggregate(aggKey, func() (any, error) {
-		if v.Trace != nil {
-			t := v.Trace
-			if q.windowed {
-				t = t.Window(q.from, q.to.Sub(q.from))
-			}
-			p, err := core.BuildTracePartial(t, q.shards, q.sketch)
-			if err != nil {
-				return nil, err
-			}
-			p.Freeze()
-			return p, nil
+	var (
+		p   *core.Partial
+		ev  *scanEvidence
+		err error
+	)
+	if v.Trace != nil {
+		t := v.Trace
+		if q.windowed {
+			t = t.Window(q.from, q.to.Sub(q.from))
 		}
-		// One IO goroutine frames colseg blocks, shards=K decode workers
-		// (0 = one per CPU) turn them into partials, merged in block
-		// order: the bytes are identical at any worker count.
-		opts := storage.ParallelScanOptions{Workers: q.shards, Sketch: q.sketch}
+		p, err = core.BuildTracePartial(t, 0, q.sketch)
+	} else {
+		// One IO goroutine frames colseg blocks, one decode worker per
+		// CPU turns them into partials, merged in block order: the bytes
+		// are identical at any worker count.
+		opts := storage.ParallelScanOptions{Sketch: q.sketch}
 		if q.windowed {
 			opts.Window, opts.From, opts.To = true, q.from, q.to
 			opts.Meta = trace.Meta{
@@ -552,35 +540,28 @@ func (s *Server) partialFor(v View, q reportQuery) (*core.Partial, string, *scan
 				Length:   q.to.Sub(q.from),
 			}
 		}
-		p, stats, err := s.scanStored(v, opts)
-		if err != nil {
-			return nil, err
+		var stats *storage.ScanStats
+		if p, stats, err = s.scanStored(v, opts); err == nil {
+			ev = &scanEvidence{
+				segments:       stats.Segments,
+				segmentsPruned: stats.SegmentsPruned,
+				blocks:         stats.BlocksRead(),
+				blocksPruned:   stats.BlocksPruned(),
+			}
 		}
-		p.Freeze()
-		ev = &scanEvidence{
-			segments:       stats.Segments,
-			segmentsPruned: stats.SegmentsPruned,
-			blocks:         stats.BlocksRead(),
-			blocksPruned:   stats.BlocksPruned(),
-			workers:        scanWorkers(q.shards),
-		}
-		return p, nil
-	})
+	}
 	if err != nil {
 		return nil, "", nil, fmt.Errorf("%w: %v", errUnprocessable, err)
 	}
-	return av.(*core.Partial), aggregateAnalysis(q.windowed, v.Trace == nil, hit), ev, nil
+	p.Freeze()
+	return p, scanAnalysis(q.windowed, v.Trace == nil), ev, nil
 }
 
-// aggregateAnalysis names a partial the aggregate tier produced: a hit,
-// or a miss that observed the resident jobs or scanned the segments on
-// disk — each for the whole trace or a window.
-func aggregateAnalysis(windowed, disk, hit bool) string {
+// scanAnalysis names a partial built for one request: the resident jobs
+// observed or the segments on disk scanned, each for the whole trace or
+// a window.
+func scanAnalysis(windowed, disk bool) string {
 	switch {
-	case hit && windowed:
-		return "cached-window-partial"
-	case hit:
-		return "cached-partial"
 	case disk && windowed:
 		return "window-disk-scan"
 	case disk:
@@ -633,15 +614,6 @@ func marshalReport(rt *obs.Request, rep *core.Report) ([]byte, error) {
 var reportScratch = sync.Pool{New: func() any { return new([]byte) }}
 
 const maxReportScratch = 1 << 20
-
-// scanWorkers resolves the worker count a block-parallel scan actually
-// ran with (shards=0 means one per CPU).
-func scanWorkers(shards int) int {
-	if shards <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return shards
-}
 
 // scanStored runs the block-parallel disk scan for a view, retried
 // once on a compaction sweep (Store.readStored).
@@ -719,16 +691,15 @@ func reportWindowSpan(params url.Values, start time.Time, lengthMS int64) (from,
 	return
 }
 
-// scanEvidence carries one out-of-core scan's pruning counters and its
-// decode-worker count, the X-Scan-* response headers. The cluster
-// coordinator sums them across shard owners so a scatter/gather window
-// report carries the same evidence a single-node report would.
+// scanEvidence carries one out-of-core scan's pruning counters, the
+// X-Scan-* response headers. The cluster coordinator sums them across
+// shard owners so a scatter/gather window report carries the same
+// evidence a single-node report would.
 type scanEvidence struct {
 	segments       int
 	segmentsPruned int
 	blocks         int64
 	blocksPruned   int64
-	workers        int
 }
 
 // addTo sets the X-Scan-* headers (nil evidence sets nothing — the
@@ -741,9 +712,6 @@ func (ev *scanEvidence) addTo(h http.Header) {
 	h.Set("X-Scan-Segments-Pruned", strconv.Itoa(ev.segmentsPruned))
 	h.Set("X-Scan-Blocks", strconv.FormatInt(ev.blocks, 10))
 	h.Set("X-Scan-Blocks-Pruned", strconv.FormatInt(ev.blocksPruned, 10))
-	if ev.workers > 0 {
-		h.Set("X-Scan-Workers", strconv.Itoa(ev.workers))
-	}
 }
 
 // merge sums another scan's counters into this one; either may be nil.
@@ -759,7 +727,6 @@ func (ev *scanEvidence) merge(o *scanEvidence) *scanEvidence {
 	ev.segmentsPruned += o.segmentsPruned
 	ev.blocks += o.blocks
 	ev.blocksPruned += o.blocksPruned
-	ev.workers += o.workers
 	return ev
 }
 
@@ -775,7 +742,6 @@ func parseScanEvidence(h http.Header) *scanEvidence {
 	ev.segmentsPruned, _ = strconv.Atoi(h.Get("X-Scan-Segments-Pruned"))
 	ev.blocks, _ = strconv.ParseInt(h.Get("X-Scan-Blocks"), 10, 64)
 	ev.blocksPruned, _ = strconv.ParseInt(h.Get("X-Scan-Blocks-Pruned"), 10, 64)
-	ev.workers, _ = strconv.Atoi(h.Get("X-Scan-Workers"))
 	return ev
 }
 

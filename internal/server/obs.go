@@ -133,7 +133,6 @@ func newServerMetrics(s *Server, ringSize int) *serverMetrics {
 		st := s.cache.Stats()
 		return []obs.Sample{
 			{Labels: obs.L("tier", "results"), Value: float64(st.Entries)},
-			{Labels: obs.L("tier", "aggregates"), Value: float64(st.Aggregates)},
 		}
 	})
 	r.RegisterFunc("swim_cache_events_total", "Result-cache lifetime counters by event.", obs.KindCounter, func() []obs.Sample {
@@ -143,15 +142,12 @@ func newServerMetrics(s *Server, ringSize int) *serverMetrics {
 			{Labels: obs.L("event", "misses"), Value: float64(st.Misses)},
 			{Labels: obs.L("event", "coalesced"), Value: float64(st.Coalesced)},
 			{Labels: obs.L("event", "evictions"), Value: float64(st.Evictions)},
-			{Labels: obs.L("event", "aggregate_hits"), Value: float64(st.AggregateHits)},
-			{Labels: obs.L("event", "aggregate_misses"), Value: float64(st.AggregateMisses)},
 		}
 	})
 	r.RegisterFunc("swim_cache_hit_ratio", "Result-cache hit ratio per tier (hits+coalesced over lookups).", obs.KindGauge, func() []obs.Sample {
 		st := s.cache.Stats()
 		return []obs.Sample{
 			{Labels: obs.L("tier", "results"), Value: ratio(st.Hits+st.Coalesced, st.Hits+st.Coalesced+st.Misses)},
-			{Labels: obs.L("tier", "aggregates"), Value: ratio(st.AggregateHits, st.AggregateHits+st.AggregateMisses)},
 		}
 	})
 
@@ -370,7 +366,6 @@ func scanNumbers(h http.Header) *obs.ScanNumbers {
 		SegmentsPruned: ev.segmentsPruned,
 		Blocks:         ev.blocks,
 		BlocksPruned:   ev.blocksPruned,
-		Workers:        ev.workers,
 	}
 }
 

@@ -102,17 +102,21 @@ func TestDebugRequestsRing(t *testing.T) {
 		Count    int                 `json:"count"`
 		Requests []obs.RequestRecord `json:"requests"`
 	}
-	getJSON(t, ts.URL+"/v1/debug/requests", &dbg)
+	// The middleware records a request after its handler returns, which
+	// can be after the client has read the whole response, so wait for
+	// the report's record instead of reading the ring once.
+	var report *obs.RequestRecord
+	for deadline := time.Now().Add(5 * time.Second); report == nil && time.Now().Before(deadline); time.Sleep(5 * time.Millisecond) {
+		getJSON(t, ts.URL+"/v1/debug/requests", &dbg)
+		for i := range dbg.Requests {
+			if dbg.Requests[i].Endpoint == "GET /v1/traces/{name}/report" {
+				report = &dbg.Requests[i]
+				break
+			}
+		}
+	}
 	if dbg.Count < 2 || len(dbg.Requests) != dbg.Count {
 		t.Fatalf("ring count %d (%d records)", dbg.Count, len(dbg.Requests))
-	}
-	// Newest-first: the head is the debug request itself or the report.
-	var report *obs.RequestRecord
-	for i := range dbg.Requests {
-		if dbg.Requests[i].Endpoint == "GET /v1/traces/{name}/report" {
-			report = &dbg.Requests[i]
-			break
-		}
 	}
 	if report == nil {
 		t.Fatalf("no report record in ring: %+v", dbg.Requests)
@@ -151,8 +155,12 @@ func TestStatsServerSections(t *testing.T) {
 	ingestTrace(t, ts, "stats-trace", tr)
 	getJSON(t, ts.URL+"/v1/traces/stats-trace/report", nil)
 
+	// The report's summaries are recorded after its handler returns, so
+	// wait for them as for the ring.
 	var st StatsResponse
-	getJSON(t, ts.URL+"/v1/stats", &st)
+	for deadline := time.Now().Add(5 * time.Second); st.Endpoints["GET /v1/traces/{name}/report"].Requests == 0 && time.Now().Before(deadline); time.Sleep(5 * time.Millisecond) {
+		getJSON(t, ts.URL+"/v1/stats", &st)
+	}
 	if st.Server.GoVersion == "" || st.Server.Version == "" || st.Server.GOMAXPROCS < 1 {
 		t.Errorf("server section %+v", st.Server)
 	}

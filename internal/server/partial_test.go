@@ -82,109 +82,85 @@ func TestIngestBuildsPartial(t *testing.T) {
 	}
 }
 
-// TestReportShardsParamAgreement: shards=K changes only how a cold
-// scan-path report is computed, never its bytes — and the shard count
-// is deliberately absent from the cache key. Sketch mode does not match
-// the frozen exact partial, so every request scans the resident jobs.
-func TestReportShardsParamAgreement(t *testing.T) {
+// TestReportVariantsScanPerRequest: the result cache keeps report
+// bytes only. A report the frozen partial cannot serve (sketch mode, a
+// window) builds its partial for that request alone, so variants that
+// differ only in finalization (top=N) each answer MISS from a scan of
+// their own, with the bytes of the in-process build of the same jobs.
+// The exact whole-trace report still finalizes the frozen partial.
+func TestReportVariantsScanPerRequest(t *testing.T) {
 	s, ts := newTestServer(t)
 	tr := genTrace(t, "CC-e", 3, 30*time.Hour)
 	ingestTrace(t, ts, "mine", tr)
+	v, err := s.Store().View("mine")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stored := v.Trace
+	end := stored.Meta.Start.Add(stored.Meta.Length)
+	window := stored.Window(end.Add(-6*time.Hour), 6*time.Hour)
 
-	var want []byte
-	for i, q := range []string{"?sketch=1&shards=1", "?sketch=1&shards=4", "?sketch=1&shards=16", "?sketch=1"} {
-		s.Cache().InvalidatePrefix("")
-		resp, body := getRaw(t, ts.URL+"/v1/traces/mine/report"+q)
+	for _, c := range []struct {
+		query, analysis string
+		jobs            *trace.Trace
+		sketch          bool
+		top             int
+	}{
+		{"?sketch=1", "scan", stored, true, 8},
+		{"?sketch=1&top=3", "scan", stored, true, 3},
+		{"?window=6h", "window-scan", window, false, 8},
+		{"?window=6h&top=3", "window-scan", window, false, 3},
+	} {
+		p, err := core.BuildTracePartial(c.jobs, 1, c.sketch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := p.Report(c.top)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := json.Marshal(rep.JSON())
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, body := getRaw(t, ts.URL+"/v1/traces/mine/report"+c.query)
 		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("report%s: %d %s", q, resp.StatusCode, clip(body))
+			t.Fatalf("report%s: %d %s", c.query, resp.StatusCode, clip(body))
 		}
-		if got := resp.Header.Get("X-Analysis"); got != "scan" {
-			t.Errorf("report%s X-Analysis = %q, want scan", q, got)
-		}
-		if i == 0 {
-			want = body
-			continue
+		if x, a := resp.Header.Get("X-Cache"), resp.Header.Get("X-Analysis"); x != "MISS" || a != c.analysis {
+			t.Errorf("report%s: X-Cache %q X-Analysis %q, want MISS %s", c.query, x, a, c.analysis)
 		}
 		if !bytes.Equal(body, want) {
-			t.Errorf("report%s differs from shards=1 bytes", q)
+			t.Errorf("report%s differs from the in-process build of its jobs", c.query)
 		}
-	}
-
-	// Out-of-range shard counts are a client error.
-	resp, _ := getRaw(t, ts.URL+"/v1/traces/mine/report?shards=-1")
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("shards=-1: %d, want 400", resp.StatusCode)
-	}
-	resp, _ = getRaw(t, ts.URL+"/v1/traces/mine/report?shards=9999")
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("shards=9999: %d, want 400", resp.StatusCode)
-	}
-}
-
-// TestAggregateTierSharesScans: a report the frozen partial cannot
-// serve (sketch mode) scans once and parks its partial in the cache's
-// aggregate tier; report variants that differ only in finalization
-// (top=N) reuse it, the exact whole-trace report bypasses the tier, and
-// a window adds its own aggregate instead of rescanning per variant.
-func TestAggregateTierSharesScans(t *testing.T) {
-	s, ts := newTestServer(t)
-	tr := genTrace(t, "CC-e", 3, 30*time.Hour)
-	ingestTrace(t, ts, "mine", tr)
-
-	resp, _ := getRaw(t, ts.URL+"/v1/traces/mine/report?sketch=1")
-	if got := resp.Header.Get("X-Analysis"); got != "scan" {
-		t.Fatalf("first report X-Analysis = %q, want scan", got)
-	}
-	if cs := s.Cache().Stats(); cs.Aggregates != 1 || cs.AggregateMisses != 1 {
-		t.Fatalf("after first scan: %+v", cs)
-	}
-
-	// A different finalization of the same aggregate: cold in the bytes
-	// tier, hit in the aggregate tier.
-	resp, _ = getRaw(t, ts.URL+"/v1/traces/mine/report?sketch=1&top=3")
-	if got := resp.Header.Get("X-Analysis"); got != "cached-partial" {
-		t.Errorf("sketch=1&top=3 report X-Analysis = %q, want cached-partial", got)
-	}
-	cs := s.Cache().Stats()
-	if cs.AggregateHits != 1 || cs.AggregateMisses != 1 {
-		t.Errorf("after sketch=1&top=3: %+v", cs)
 	}
 
 	// The exact whole-trace report finalizes the frozen partial.
-	resp, _ = getRaw(t, ts.URL+"/v1/traces/mine/report")
+	resp, _ := getRaw(t, ts.URL+"/v1/traces/mine/report")
 	if got := resp.Header.Get("X-Analysis"); got != "ingest-partial" {
 		t.Errorf("exact report X-Analysis = %q, want ingest-partial", got)
 	}
-	if cs := s.Cache().Stats(); cs.Aggregates != 1 {
-		t.Errorf("exact report touched the aggregate tier: %+v", cs)
-	}
-
-	// A window needs its own aggregate.
-	resp, _ = getRaw(t, ts.URL+"/v1/traces/mine/report?window=6h")
-	if got := resp.Header.Get("X-Analysis"); got != "window-scan" {
-		t.Errorf("window=6h report X-Analysis = %q, want window-scan", got)
-	}
-	if cs := s.Cache().Stats(); cs.Aggregates != 2 || cs.AggregateMisses != 2 {
-		t.Errorf("after window=6h: %+v", cs)
+	if cs := s.Cache().Stats(); cs.Entries != 5 || cs.Misses != 5 || cs.Hits != 0 {
+		t.Errorf("after five distinct reports: %+v", cs)
 	}
 }
 
 // TestDeleteInvalidatesCaches is the DELETE handler contract: removing
-// the last trace with a fingerprint drops its memoized results and
-// aggregates from both cache tiers; a second name sharing the content
-// keeps them alive.
+// the last trace with a fingerprint drops its memoized report bytes
+// from the result cache; a second name sharing the content keeps them
+// alive.
 func TestDeleteInvalidatesCaches(t *testing.T) {
 	s, ts := newTestServer(t)
 	tr := genTrace(t, "CC-e", 3, 30*time.Hour)
 	info := ingestTrace(t, ts, "mine", tr)
 	ingestTrace(t, ts, "twin", tr) // same content, same fingerprint
 
-	// Warm both tiers under the shared fingerprint: a default report
-	// (bytes tier) and a sketch report (aggregate tier + bytes tier).
+	// Warm the cache under the shared fingerprint: a default report
+	// and a sketch report.
 	getRaw(t, ts.URL+"/v1/traces/mine/report")
 	getRaw(t, ts.URL+"/v1/traces/mine/report?sketch=1")
 	cs := s.Cache().Stats()
-	if cs.Entries != 2 || cs.Aggregates != 1 {
+	if cs.Entries != 2 {
 		t.Fatalf("warmed cache: %+v", cs)
 	}
 
@@ -205,15 +181,15 @@ func TestDeleteInvalidatesCaches(t *testing.T) {
 	if resp := del("twin"); resp.StatusCode != http.StatusNoContent {
 		t.Fatalf("delete twin: %d", resp.StatusCode)
 	}
-	if cs := s.Cache().Stats(); cs.Entries != 2 || cs.Aggregates != 1 {
+	if cs := s.Cache().Stats(); cs.Entries != 2 {
 		t.Errorf("cache dropped entries while a fingerprint holder remains: %+v", cs)
 	}
 
-	// Deleting the last holder purges both tiers.
+	// Deleting the last holder purges its entries.
 	if resp := del("mine"); resp.StatusCode != http.StatusNoContent {
 		t.Fatalf("delete mine: %d", resp.StatusCode)
 	}
-	if cs := s.Cache().Stats(); cs.Entries != 0 || cs.Aggregates != 0 {
+	if cs := s.Cache().Stats(); cs.Entries != 0 {
 		t.Errorf("cache retains deleted fingerprint's entries: %+v", cs)
 	}
 	if s.Store().HasFingerprint(info.Fingerprint) {

@@ -135,6 +135,7 @@ func TestSpillIngestAndOutOfCoreReport(t *testing.T) {
 	_, tsRef := newTestServer(t)
 	ingestTrace(t, tsRef, "ref", tr)
 	_, want := getRaw(t, tsRef.URL+"/v1/traces/ref/report")
+	_, want3 := getRaw(t, tsRef.URL+"/v1/traces/ref/report?top=3")
 
 	dir := t.TempDir()
 	cfg := Config{MaxTotalJobs: budget}
@@ -157,10 +158,13 @@ func TestSpillIngestAndOutOfCoreReport(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Error("out-of-core report differs from in-memory reference")
 	}
-	// The scan's aggregate is parked: a finalization variant reuses it.
-	resp, _ = getRaw(t, ts.URL+"/v1/traces/big/report?top=3")
-	if x := resp.Header.Get("X-Analysis"); x != "cached-partial" {
-		t.Errorf("top=3 after scan X-Analysis = %q, want cached-partial", x)
+	// Only report bytes are cached: a finalization variant scans again.
+	resp, got = getRaw(t, ts.URL+"/v1/traces/big/report?top=3")
+	if x := resp.Header.Get("X-Analysis"); x != "disk-scan" {
+		t.Errorf("top=3 after scan X-Analysis = %q, want disk-scan", x)
+	}
+	if !bytes.Equal(got, want3) {
+		t.Error("out-of-core top=3 report differs from in-memory reference")
 	}
 	// Jobs never became resident: the analysis really ran out-of-core.
 	if st := s.Store().Stats(); st.ResidentJobs != 0 {

@@ -395,6 +395,23 @@ func (m *Manifest) fileSet() map[string]bool {
 	return set
 }
 
+// replaceFileSync atomically replaces path with data: it writes and
+// fsyncs path.tmp, renames it over path and fsyncs the directory, so a
+// crash leaves the old file or the new one. A failed step removes the
+// tmp file.
+func replaceFileSync(path string, data []byte) error {
+	tmp := path + ".tmp"
+	if err := writeFileSync(tmp, data); err != nil {
+		os.Remove(tmp)
+		return err
+	}
+	if err := os.Rename(tmp, path); err != nil {
+		os.Remove(tmp)
+		return fmt.Errorf("storage: committing %s: %w", path, err)
+	}
+	return syncDir(filepath.Dir(path))
+}
+
 // writeFileSync writes data to path and fsyncs it.
 func writeFileSync(path string, data []byte) error {
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)

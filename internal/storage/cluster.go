@@ -42,31 +42,10 @@ func (s *Store) SaveCluster(name string, doc []byte) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("storage: creating cluster dir: %w", err)
 	}
-	path := filepath.Join(dir, enc+".json")
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("storage: staging cluster meta %q: %w", name, err)
+	if err := replaceFileSync(filepath.Join(dir, enc+".json"), doc); err != nil {
+		return fmt.Errorf("storage: saving cluster meta %q: %w", name, err)
 	}
-	if _, err := f.Write(doc); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("storage: writing cluster meta %q: %w", name, err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("storage: syncing cluster meta %q: %w", name, err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("storage: closing cluster meta %q: %w", name, err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("storage: committing cluster meta %q: %w", name, err)
-	}
-	return syncDir(dir)
+	return nil
 }
 
 // DeleteCluster removes a cluster trace's metadata. Deleting an absent

@@ -158,27 +158,7 @@ func commitManifest(dir string, man *Manifest) error {
 	if err != nil {
 		return fmt.Errorf("storage: encoding manifest: %w", err)
 	}
-	b = append(b, '\n')
-	tmp := filepath.Join(dir, manifestName+".tmp")
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("storage: writing manifest: %w", err)
-	}
-	if _, err := f.Write(b); err != nil {
-		f.Close()
-		return fmt.Errorf("storage: writing manifest: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("storage: syncing manifest: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("storage: closing manifest: %w", err)
-	}
-	if err := os.Rename(tmp, filepath.Join(dir, manifestName)); err != nil {
-		return fmt.Errorf("storage: committing manifest: %w", err)
-	}
-	return syncDir(dir)
+	return replaceFileSync(filepath.Join(dir, manifestName), append(b, '\n'))
 }
 
 // genPrefix names generation gen's files.

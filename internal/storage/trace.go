@@ -78,8 +78,9 @@ func (st *ScanStats) BlocksPruned() int64 { return st.blocksPruned.Load() }
 // maps — the same colseg.FrameScanner and BlockDecoder the
 // block-parallel scan frames and decodes with. Pruning is conservative
 // at second granularity — kept sources may still yield edge jobs
-// outside the window, so the caller filters exactly (e.g.
-// trace.NewWindowSource). The sources are volatile: each decodes into
+// outside the window, so the caller keeps exactly the jobs with
+// !SubmitTime.Before(from) && SubmitTime.Before(to), the test
+// trace.Trace.Window applies. The sources are volatile: each decodes into
 // one reused batch, so a job is valid only until that source's next
 // Next call (strings inside it are safe to retain). The returned stats
 // are valid once every source has been drained or closed.

@@ -2,7 +2,8 @@
 // from `go test -bench` output and enforces the bars the file declares.
 // It knows no suites: every result line is kept in the datapoint's
 // results, keyed by benchmark name (without the -N GOMAXPROCS suffix)
-// and unit, and the file's gates say which metrics to derive and bar.
+// and unit — the median of the lines when -count repeats a benchmark —
+// and the file's gates say which metrics to derive and bar.
 //
 //	go test -run '^$' -bench BenchmarkClusterReport ./internal/server | tee bench_cluster.out
 //	go run ./internal/tools/benchtrend -in bench_cluster.out -json BENCH_CLUSTER.json -note "ci trend"
@@ -31,6 +32,7 @@ import (
 	"math"
 	"os"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -163,9 +165,11 @@ func encodeTrend(tf trendFile) ([]byte, error) {
 // parseBench turns `go test -bench` output into a datapoint holding
 // every result line. A result line is "BenchmarkName[-N] iterations"
 // followed by value/unit pairs; N is GOMAXPROCS, which the testing
-// package leaves off when it is 1.
+// package leaves off when it is 1. A benchmark repeated with -count
+// keeps, per unit, the median of its lines.
 func parseBench(out []byte) (datapoint, error) {
 	dp := datapoint{Results: map[string]map[string]float64{}, Metrics: map[string]float64{}}
+	runs := map[string]map[string][]float64{} // every repeated line's values
 	for _, line := range strings.Split(string(out), "\n") {
 		if cpu, ok := strings.CutPrefix(line, "cpu: "); ok {
 			dp.CPU = strings.TrimSpace(cpu)
@@ -188,17 +192,36 @@ func parseBench(out []byte) (datapoint, error) {
 			return dp, fmt.Errorf("%s: GOMAXPROCS %d differs from the run's %d; record one -cpu value per run", f[0], procs, dp.Procs)
 		}
 		dp.Procs = procs
-		values := map[string]float64{}
+		if runs[name] == nil {
+			runs[name] = map[string][]float64{}
+		}
 		for i := 2; i < len(f); i += 2 {
 			v, err := strconv.ParseFloat(f[i], 64)
 			if err != nil {
 				return dp, fmt.Errorf("%s: parsing %s: %w", f[0], f[i+1], err)
 			}
-			values[f[i+1]] = v
+			runs[name][f[i+1]] = append(runs[name][f[i+1]], v)
 		}
-		dp.Results[name] = values
+	}
+	for name, units := range runs {
+		dp.Results[name] = map[string]float64{}
+		for unit, vs := range units {
+			dp.Results[name][unit] = median(vs)
+		}
 	}
 	return dp, nil
+}
+
+// median is the middle of a benchmark's repeated values (-count N), the
+// mean of the two middle ones for an even count, so one outlying run
+// cannot decide a gate.
+func median(vs []float64) float64 {
+	slices.Sort(vs)
+	n := len(vs)
+	if n%2 == 1 {
+		return vs[n/2]
+	}
+	return (vs[n/2-1] + vs[n/2]) / 2
 }
 
 // value derives the gate's metric from one datapoint's results.

@@ -239,6 +239,43 @@ func TestCheckBlockParallelSpeedup(t *testing.T) {
 	checkBars(t, "BENCH_SCAN.json", "block_parallel_speedup")
 }
 
+// A benchmark repeated with -count keeps the median of its lines per
+// unit, so an outlying last run cannot decide a gate: five colseg runs
+// ending on a slow one gate scan_speedup on the middle run, and an even
+// count takes the mean of the two middle values.
+func TestRepeatedResultLinesKeepMedian(t *testing.T) {
+	colseg := regexp.MustCompile(`(?m)^BenchmarkSegmentScan/colseg-4 .*\n`)
+	out := colseg.ReplaceAllString(rows["BENCH_SCAN.json"].out, `BenchmarkSegmentScan/colseg-4 50 6395478 ns/op 895.60 MB/s 68581 jobs/scan 5727758 segbytes
+BenchmarkSegmentScan/colseg-4 50 6200000 ns/op 900.00 MB/s 68581 jobs/scan 5727758 segbytes
+BenchmarkSegmentScan/colseg-4 50 6600000 ns/op 880.00 MB/s 68581 jobs/scan 5727758 segbytes
+BenchmarkSegmentScan/colseg-4 50 6300000 ns/op 910.00 MB/s 68581 jobs/scan 5727758 segbytes
+BenchmarkSegmentScan/colseg-4 50 17370000 ns/op 330.00 MB/s 68581 jobs/scan 5727758 segbytes
+`)
+	path := trendCopy(t, "BENCH_SCAN.json", func(*gate) {})
+	if err := appendTo(path, out); err != nil {
+		t.Fatalf("the median run passes every bar: %v", err)
+	}
+	tf, _ := load(t, path)
+	dp := tf.Datapoints[len(tf.Datapoints)-1]
+	if got := dp.Results["BenchmarkSegmentScan/colseg"]; got["ns/op"] != 6395478 || got["MB/s"] != 895.60 || got["segbytes"] != 5727758 {
+		t.Errorf("colseg result %v, want the median line's values", got)
+	}
+	if got := dp.Metrics["scan_speedup"]; got != 12.15 {
+		t.Errorf("scan_speedup %.2f, want 12.15 from the median run", got)
+	}
+
+	even := "BenchmarkParallelAnalyze/K=1-4 5 20000000 ns/op\nBenchmarkParallelAnalyze/K=1-4 5 30000000 ns/op\n" +
+		"BenchmarkParallelAnalyze/K=NumCPU-4 5 10000000 ns/op\n"
+	path = trendCopy(t, "BENCH_ANALYZE.json", func(*gate) {})
+	if err := appendTo(path, even); err != nil {
+		t.Fatal(err)
+	}
+	tf, _ = load(t, path)
+	if got := tf.Datapoints[len(tf.Datapoints)-1].Metrics["speedup_numcpu"]; got != 2.5 {
+		t.Errorf("speedup_numcpu %.2f, want 2.5 from the mean of the two middle K=1 runs", got)
+	}
+}
+
 // The compaction and parallel-strategy arms ride on the scan datapoint
 // with their own units, and a codec-only run lacks required arms.
 func TestAppendScanDatapointWithCompanions(t *testing.T) {

@@ -3,7 +3,6 @@ package trace
 import (
 	"fmt"
 	"io"
-	"time"
 )
 
 // The streaming layer: a Trace held fully in memory is convenient for the
@@ -55,49 +54,6 @@ func (s *SliceSource) Next() (*Job, error) {
 	j := s.t.Jobs[s.i]
 	s.i++
 	return j, nil
-}
-
-// WindowSource filters an underlying Source to the jobs submitted in
-// [from, to) — the exact-boundary pass over a scan the storage layer
-// has already pruned conservatively at segment and block granularity.
-// Meta reports the window's own metadata (start = from, length =
-// to−from), so downstream partial builders bin relative to the window.
-// Close forwards to the underlying source when it has one.
-type WindowSource struct {
-	src      Source
-	meta     Meta
-	from, to int64 // UnixNano bounds
-}
-
-// NewWindowSource wraps src with the [from, to) submit-time filter,
-// presenting meta as the stream's metadata.
-func NewWindowSource(src Source, meta Meta, from, to time.Time) *WindowSource {
-	return &WindowSource{src: src, meta: meta, from: from.UnixNano(), to: to.UnixNano()}
-}
-
-// Meta returns the window's metadata.
-func (w *WindowSource) Meta() Meta { return w.meta }
-
-// Next yields the next in-window job or io.EOF.
-func (w *WindowSource) Next() (*Job, error) {
-	for {
-		j, err := w.src.Next()
-		if err != nil {
-			return nil, err
-		}
-		ns := j.SubmitTime.UnixNano()
-		if ns >= w.from && ns < w.to {
-			return j, nil
-		}
-	}
-}
-
-// Close abandons the underlying stream when it is closable.
-func (w *WindowSource) Close() error {
-	if cl, ok := w.src.(io.Closer); ok {
-		return cl.Close()
-	}
-	return nil
 }
 
 // CollectSink materializes a streamed trace. The zero value is ready to
