@@ -407,24 +407,32 @@ func TestMetricsEndToEnd(t *testing.T) {
 		t.Error("report response missing X-Request-Id")
 	}
 
-	resp, err = http.Get(base + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	payload, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/metrics: %d %s", resp.StatusCode, payload)
-	}
-	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain; version=0.0.4") {
-		t.Errorf("/metrics Content-Type %q", ct)
-	}
-	exp, err := obs.ParsePrometheus(string(payload))
-	if err != nil {
-		t.Fatalf("/metrics does not parse: %v", err)
+	// The middleware records the report after its handler returns,
+	// which can be after the client has read the body: scrape until the
+	// record is in.
+	var exp *obs.Exposition
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		resp, err = http.Get(base + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		payload, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("/metrics: %d %s", resp.StatusCode, payload)
+		}
+		if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain; version=0.0.4") {
+			t.Errorf("/metrics Content-Type %q", ct)
+		}
+		if exp, err = obs.ParsePrometheus(string(payload)); err != nil {
+			t.Fatalf("/metrics does not parse: %v", err)
+		}
+		if _, ok := exp.Value("swim_http_requests_total", "endpoint", "GET /v1/traces/{name}/report", "code", "200"); ok || time.Now().After(deadline) {
+			break
+		}
 	}
 	for _, name := range []string{
 		"swim_http_requests_total",

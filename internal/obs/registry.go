@@ -25,8 +25,7 @@ import (
 
 // A Sample is one rendered metric value: an ordered label set and the
 // value. Collector functions return these for families whose children
-// only exist at scrape time (per-trace storage gauges, per-peer fleet
-// series).
+// only exist at scrape time (per-trace storage gauges).
 type Sample struct {
 	Labels []Label
 	Value  float64
@@ -248,7 +247,6 @@ type family struct {
 	kind metricKind
 
 	counter    *Counter
-	histogram  *Histogram
 	counterVec *CounterVec
 	histVec    *HistogramVec
 	collect    func() []Sample
@@ -287,14 +285,6 @@ func (r *Registry) Counter(name, help string) *Counter {
 	return c
 }
 
-// Histogram registers and returns a new log-bucket histogram covering
-// [10^minExp, 10^maxExp) at binsPerDecade resolution.
-func (r *Registry) Histogram(name, help string, binsPerDecade int, minExp, maxExp float64) *Histogram {
-	h := newHistogram(binsPerDecade, minExp, maxExp)
-	r.add(&family{name: name, help: help, kind: KindHistogram, histogram: h})
-	return h
-}
-
 // CounterVec registers and returns a labeled counter family.
 func (r *Registry) CounterVec(name, help string, labels ...string) *CounterVec {
 	if len(labels) == 0 {
@@ -305,7 +295,9 @@ func (r *Registry) CounterVec(name, help string, labels ...string) *CounterVec {
 	return v
 }
 
-// HistogramVec registers and returns a labeled histogram family.
+// HistogramVec registers and returns a labeled family of log-bucket
+// histograms, each covering [10^minExp, 10^maxExp) at binsPerDecade
+// resolution.
 func (r *Registry) HistogramVec(name, help string, binsPerDecade int, minExp, maxExp float64, labels ...string) *HistogramVec {
 	if len(labels) == 0 {
 		panic("obs: HistogramVec needs at least one label")
@@ -351,8 +343,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		switch {
 		case f.counter != nil:
 			writeSample(&b, f.name, nil, float64(f.counter.Value()))
-		case f.histogram != nil:
-			writeHistogram(&b, f.name, nil, f.histogram)
 		case f.counterVec != nil:
 			writeVec(&b, f.name, f.counterVec)
 		case f.histVec != nil:

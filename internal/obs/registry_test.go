@@ -62,7 +62,7 @@ func TestCounterVecLabelsAndEscaping(t *testing.T) {
 
 func TestHistogramBucketsMatchLogBinning(t *testing.T) {
 	r := NewRegistry()
-	h := r.Histogram("test_latency_seconds", "Latency.", 5, -5, 2)
+	h := r.HistogramVec("test_latency_seconds", "Latency.", 5, -5, 2, "layer").With("core.finalize")
 	obs := []float64{0, 0.00001, 0.001, 0.5, 1, 50, 1e9}
 	for _, v := range obs {
 		h.Observe(v)
@@ -83,17 +83,17 @@ func TestHistogramBucketsMatchLogBinning(t *testing.T) {
 		t.Fatalf("bucket count %d, want 36", len(buckets))
 	}
 	last := buckets[len(buckets)-1]
-	if last.Label("le") != "+Inf" || last.Value != float64(len(obs)) {
-		t.Errorf("+Inf bucket %v = %g, want %d", last.Label("le"), last.Value, len(obs))
+	if last.Label("le") != "+Inf" || last.Label("layer") != "core.finalize" || last.Value != float64(len(obs)) {
+		t.Errorf("+Inf bucket %v = %g, want %d", last.Labels, last.Value, len(obs))
 	}
-	if v, ok := exp.Value("test_latency_seconds_count"); !ok || v != float64(len(obs)) {
+	if v, ok := exp.Value("test_latency_seconds_count", "layer", "core.finalize"); !ok || v != float64(len(obs)) {
 		t.Errorf("count sample %v, %v", v, ok)
 	}
 	wantSum := 0.0
 	for _, v := range obs {
 		wantSum += v
 	}
-	if v, ok := exp.Value("test_latency_seconds_sum"); !ok || math.Abs(v-wantSum) > 1e-9*wantSum {
+	if v, ok := exp.Value("test_latency_seconds_sum", "layer", "core.finalize"); !ok || math.Abs(v-wantSum) > 1e-9*wantSum {
 		t.Errorf("sum sample %v, want %v", v, wantSum)
 	}
 }
@@ -105,7 +105,7 @@ func TestHistogramBucketsMatchLogBinning(t *testing.T) {
 func TestRegistryHammer(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("hammer_ops_total", "Ops.")
-	h := r.Histogram("hammer_latency_seconds", "Latency.", 5, -5, 2)
+	h := r.HistogramVec("hammer_latency_seconds", "Latency.", 5, -5, 2, "layer").With("server.http")
 	vec := r.HistogramVec("hammer_path_seconds", "Per-path latency.", 5, -5, 2, "path")
 
 	const (
@@ -167,10 +167,10 @@ func TestRegistryHammer(t *testing.T) {
 	if v, ok := exp.Value("hammer_ops_total"); !ok || v != total {
 		t.Errorf("counter %v, want %d", v, total)
 	}
-	if v, ok := exp.Value("hammer_latency_seconds_count"); !ok || v != total {
+	if v, ok := exp.Value("hammer_latency_seconds_count", "layer", "server.http"); !ok || v != total {
 		t.Errorf("histogram count %v, want %d", v, total)
 	}
-	if v, ok := exp.Value("hammer_latency_seconds_bucket", "le", "+Inf"); !ok || v != total {
+	if v, ok := exp.Value("hammer_latency_seconds_bucket", "layer", "server.http", "le", "+Inf"); !ok || v != total {
 		t.Errorf("+Inf bucket %v, want %d", v, total)
 	}
 	var vecTotal float64
@@ -203,11 +203,11 @@ func TestRequestTraceSpansAndContext(t *testing.T) {
 	if got := RequestIDFromContext(ctx); got != "abc-123" {
 		t.Fatalf("id from ctx %q", got)
 	}
-	end := FromContext(ctx).StartSpan("scan", "segments=3")
+	end := FromContext(ctx).StartSpan("storage.scan", "segments=3")
 	time.Sleep(time.Millisecond)
 	end()
 	spans := rt.Spans()
-	if len(spans) != 1 || spans[0].Name != "scan" || spans[0].MS <= 0 {
+	if len(spans) != 1 || spans[0].Name != "storage.scan" || spans[0].MS <= 0 {
 		t.Fatalf("spans %+v", spans)
 	}
 	// Nil-safety: untraced contexts are no-ops, not panics.

@@ -59,35 +59,18 @@ func ReadRuntimeStats() RuntimeStats {
 	return rs
 }
 
-// RegisterRuntime wires the runtime gauges, uptime, and build-info
-// series into a registry. started anchors the uptime gauge.
+// RegisterRuntime wires the build-info, uptime and goroutine series
+// into a registry. started anchors the uptime gauge. The rest of the
+// runtime snapshot is read from /v1/stats, not scraped.
 func RegisterRuntime(r *Registry, started time.Time) {
 	bi := ReadBuildInfo()
 	r.RegisterFunc("swim_build_info", "Build identity; value is always 1.", KindGauge, func() []Sample {
 		return []Sample{{Labels: L("version", bi.Version, "go", bi.GoVersion), Value: 1}}
 	})
-	r.RegisterFunc("swim_started_at_seconds", "Unix time the process started serving.", KindGauge, func() []Sample {
-		return []Sample{{Value: float64(started.Unix())}}
-	})
 	r.RegisterFunc("swim_uptime_seconds", "Seconds since the process started serving.", KindGauge, func() []Sample {
 		return []Sample{{Value: time.Since(started).Seconds()}}
 	})
-	r.RegisterFunc("swim_gomaxprocs", "GOMAXPROCS at startup.", KindGauge, func() []Sample {
-		return []Sample{{Value: float64(bi.GOMAXPROCS)}}
-	})
 	r.RegisterFunc("go_goroutines", "Current goroutine count.", KindGauge, func() []Sample {
 		return []Sample{{Value: float64(runtime.NumGoroutine())}}
-	})
-	r.RegisterFunc("go_memstats_heap_alloc_bytes", "Bytes of allocated heap objects.", KindGauge, func() []Sample {
-		rs := ReadRuntimeStats()
-		return []Sample{{Value: float64(rs.HeapAllocBytes)}}
-	})
-	r.RegisterFunc("go_gc_pauses_total_seconds", "Cumulative stop-the-world GC pause time.", KindCounter, func() []Sample {
-		rs := ReadRuntimeStats()
-		return []Sample{{Value: rs.GCPauseTotalSeconds}}
-	})
-	r.RegisterFunc("go_gc_cycles_total", "Completed GC cycles.", KindCounter, func() []Sample {
-		rs := ReadRuntimeStats()
-		return []Sample{{Value: float64(rs.NumGC)}}
 	})
 }

@@ -8,9 +8,10 @@ import (
 	"time"
 )
 
-// Span is one timed step inside a request: ingest, decode, scan,
-// merge, a per-peer shard fetch. StartMS is the offset from the
-// request's start, so a ring entry reads as a waterfall.
+// Span is one timed step inside a request, named by its layer: a disk
+// scan (storage.scan), a finalize (core.finalize), a per-peer shard
+// fetch. StartMS is the offset from the request's start, so a ring
+// entry reads as a waterfall.
 type Span struct {
 	Name    string  `json:"name"`
 	Detail  string  `json:"detail,omitempty"`

@@ -503,6 +503,46 @@ func TestReportWindowClampedToSpan(t *testing.T) {
 	}
 }
 
+// TestSubSecondWindowsKeepApart: two windows whose from bounds fall in
+// the same second, one holding a job and one starting 1 ms past its
+// submit time, are two result-cache entries: the second request is a
+// MISS answered with a fresh server's bytes, not the first window's.
+func TestSubSecondWindowsKeepApart(t *testing.T) {
+	tr := genTrace(t, "CC-b", 1, 25*time.Hour)
+	var j *trace.Job
+	for _, c := range tr.Jobs[len(tr.Jobs)/2:] {
+		if c.SubmitTime.Nanosecond() < 990*int(time.Millisecond) {
+			j = c
+			break
+		}
+	}
+	if j == nil {
+		t.Fatal("no job submitted early enough in its second")
+	}
+	sec := j.SubmitTime.Truncate(time.Second)
+	to := sec.Add(6 * time.Hour).Unix()
+	holding := fmt.Sprintf("?from=%d&to=%d", sec.Unix(), to)
+	past := fmt.Sprintf("?from=%s&to=%d", j.SubmitTime.Add(time.Millisecond).UTC().Format(time.RFC3339Nano), to)
+
+	_, fresh := newTestServer(t)
+	ingestTrace(t, fresh, "sub", tr)
+	_, want := getReport(t, fresh.URL, "sub", past)
+
+	_, ts := newTestServer(t)
+	ingestTrace(t, ts, "sub", tr)
+	_, first := getReport(t, ts.URL, "sub", holding)
+	hdr, got := getReport(t, ts.URL, "sub", past)
+	if bytes.Equal(first, want) {
+		t.Fatalf("the windows %s and %s answer the same bytes; the job at %s does not tell them apart", holding, past, j.SubmitTime)
+	}
+	if x := hdr.Get("X-Cache"); x != "MISS" {
+		t.Errorf("%s after %s: X-Cache %q, want MISS", past, holding, x)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("%s after %s: %d bytes, want a fresh server's %d", past, holding, len(got), len(want))
+	}
+}
+
 // TestQueryBoolStrict covers the silent-false fix: a malformed boolean
 // is a 400, not a quiet default.
 func TestQueryBoolStrict(t *testing.T) {

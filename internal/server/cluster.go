@@ -548,7 +548,7 @@ func (c *clusterCoordinator) report(w http.ResponseWriter, r *http.Request, e *c
 			}
 		}
 		parts, ev := c.gather(r.Context(), m, q)
-		endMerge := rt.StartSpan("merge", spanDetail("parts", len(parts)))
+		endMerge := rt.StartSpan("core.merge", spanDetail("parts", len(parts)))
 		merged, missing, err := mergeShards(parts)
 		endMerge()
 		if err != nil {
@@ -625,14 +625,7 @@ func mergeShards(parts []*core.Partial) (merged *core.Partial, missing []int, er
 // scan evidence covers the shards that answered.
 func (c *clusterCoordinator) gather(ctx context.Context, m clusterMeta, q reportQuery) ([]*core.Partial, *scanEvidence) {
 	c.fleet.AddScatter()
-	endScatter := obs.FromContext(ctx).StartSpan("scatter", spanDetail("shards", m.Shards))
-	scatterStart := time.Now()
-	defer func() {
-		endScatter()
-		if c.srv.metrics != nil {
-			c.srv.metrics.scatterLatency.Observe(time.Since(scatterStart).Seconds())
-		}
-	}()
+	defer obs.FromContext(ctx).StartSpan("scatter", spanDetail("shards", m.Shards))()
 	parts := make([]*core.Partial, m.Shards)
 	evs := make([]*scanEvidence, m.Shards)
 	var wg sync.WaitGroup
@@ -676,7 +669,7 @@ func (c *clusterCoordinator) shardPartial(ctx context.Context, m clusterMeta, i 
 			var p *core.Partial
 			var ev *scanEvidence
 			if err == nil {
-				p, _, ev, err = c.srv.partialFor(v, q)
+				p, _, ev, err = c.srv.partialFor(rt, v, q)
 			}
 			endSpan()
 			if err != nil {
@@ -686,14 +679,10 @@ func (c *clusterCoordinator) shardPartial(ctx context.Context, m clusterMeta, i 
 		}
 		c.fleet.AddShardFetch()
 		endSpan := rt.StartSpan("shard-fetch", spanDetail("shard", i, "peer", id))
-		fetchStart := time.Now()
 		resp, err := c.fleet.Client(id).Get(ctx, shardPath(m.Name, i)+"/partial", vals)
-		failed := err != nil || resp.Status != http.StatusOK
-		if c.srv.metrics != nil {
-			c.srv.metrics.recordShardFetch(id, time.Since(fetchStart), failed)
-		}
 		endSpan()
-		if failed {
+		if err != nil || resp.Status != http.StatusOK {
+			c.srv.metrics.shardFetchErrors.With(id).Inc()
 			continue
 		}
 		p, err := core.UnmarshalPartial(resp.Body)
@@ -1007,7 +996,7 @@ func (s *Server) handleShardPartial(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	p, _, ev, err := s.partialFor(v, q)
+	p, _, ev, err := s.partialFor(obs.FromContext(r.Context()), v, q)
 	if err != nil {
 		writeErr(w, err)
 		return

@@ -632,8 +632,8 @@ func TestClusterRequestTracing(t *testing.T) {
 	for _, sp := range coord.Spans {
 		spans[sp.Name]++
 	}
-	if spans["scatter"] != 1 || spans["merge"] == 0 {
-		t.Errorf("coordinator spans %v, want one scatter and a merge", spans)
+	if spans["scatter"] != 1 || spans["core.merge"] == 0 {
+		t.Errorf("coordinator spans %v, want one scatter and a core.merge", spans)
 	}
 	if spans["shard-fetch"] != 3 {
 		t.Errorf("coordinator shard-fetch spans %d, want one per shard", spans["shard-fetch"])
@@ -675,6 +675,10 @@ func TestClusterRequestTracing(t *testing.T) {
 		}
 	}
 	exp := scrapeMetrics(t, nodes[0].ts.URL)
+	checkFamilies(t, exp)
+	if v, ok := exp.Value("swim_layer_seconds_count", "layer", "core.merge"); !ok || v < 1 {
+		t.Errorf("swim_layer_seconds_count{layer=\"core.merge\"} %v, %v", v, ok)
+	}
 	var failures float64
 	for _, s := range exp.Find("swim_cluster_shard_fetch_failures_total") {
 		if s.Label("peer") == "" {

@@ -215,7 +215,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Cache:     s.cache.Stats(),
 		Requests:  s.mw.stats(),
 		Endpoints: s.metrics.endpointStats(),
-		Analysis:  s.metrics.analysisStats(),
+		Analysis:  s.metrics.analysisLatency.Snapshot(),
 		Storage:   s.store.StorageGauges(),
 	}
 	if s.cluster != nil {
@@ -427,21 +427,15 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 				}
 			}
 			w.Header().Set("X-Analysis", "full")
-			endScan := rt.StartSpan("scan", "full")
+			endAnalyze := rt.StartSpan("core.analyze", "")
 			rep, err := core.Analyze(t, core.AnalyzeOptions{TopNames: q.top, SketchDataSizes: q.sketch})
-			endScan()
+			endAnalyze()
 			if err != nil {
 				return nil, fmt.Errorf("%w: %v", errUnprocessable, err)
 			}
 			return marshalReport(rt, rep)
 		}
-		detail := ""
-		if q.windowed {
-			detail = "window"
-		}
-		endScan := rt.StartSpan("scan", detail)
-		p, analysis, ev, err := s.partialFor(v, q)
-		endScan()
+		p, analysis, ev, err := s.partialFor(rt, v, q)
 		if err != nil {
 			return nil, err
 		}
@@ -484,12 +478,15 @@ func parseReportQuery(r *http.Request, start time.Time, lengthMS int64) (q repor
 }
 
 // windowKey is the cache-key suffix naming the query's window ("" for
-// the whole trace).
+// the whole trace) in Unix nanoseconds, so windows whose bounds differ
+// by less than a second keep apart. The bounds are clamped to the
+// trace span, which trace.CheckNanoRange keeps within int64
+// nanoseconds.
 func (q reportQuery) windowKey() string {
 	if !q.windowed {
 		return ""
 	}
-	return fmt.Sprintf("|win=%d-%d", q.from.Unix(), q.to.Unix())
+	return fmt.Sprintf("|win=%d-%d", q.from.UnixNano(), q.to.UnixNano())
 }
 
 // key is the result-cache key of the query's report for a trace
@@ -504,11 +501,12 @@ func (q reportQuery) key(fingerprint string) string {
 // alone: the resident jobs are observed in memory, a disk-resident
 // trace is scanned out-of-core with segments and blocks pruned to the
 // window. A built partial is frozen and handed straight to finalize —
-// the result cache keeps report bytes, not partials. It returns the
-// path's X-Analysis name and, when this call scanned disk, the scan
-// evidence. The partial may be shared frozen state: callers must treat
-// it as read-only.
-func (s *Server) partialFor(v View, q reportQuery) (*core.Partial, string, *scanEvidence, error) {
+// the result cache keeps report bytes, not partials — and the build is
+// rt's core.observe or storage.scan span; a stored partial records no
+// span. It returns the path's X-Analysis name and, when this call
+// scanned disk, the scan evidence. The partial may be shared frozen
+// state: callers must treat it as read-only.
+func (s *Server) partialFor(rt *obs.Request, v View, q reportQuery) (*core.Partial, string, *scanEvidence, error) {
 	if !q.windowed && v.Partial != nil && v.Partial.Sketch() == q.sketch {
 		if v.Recovered {
 			return v.Partial, "recovered-partial", nil, nil
@@ -520,12 +518,15 @@ func (s *Server) partialFor(v View, q reportQuery) (*core.Partial, string, *scan
 		ev  *scanEvidence
 		err error
 	)
+	analysis := scanAnalysis(q.windowed, v.Trace == nil)
 	if v.Trace != nil {
 		t := v.Trace
 		if q.windowed {
 			t = t.Window(q.from, q.to.Sub(q.from))
 		}
+		endObserve := rt.StartSpan("core.observe", "path="+analysis)
 		p, err = core.BuildTracePartial(t, 0, q.sketch)
+		endObserve()
 	} else {
 		// One IO goroutine frames colseg blocks, one decode worker per
 		// CPU turns them into partials, merged in block order: the bytes
@@ -541,7 +542,10 @@ func (s *Server) partialFor(v View, q reportQuery) (*core.Partial, string, *scan
 			}
 		}
 		var stats *storage.ScanStats
-		if p, stats, err = s.scanStored(v, opts); err == nil {
+		endScan := rt.StartSpan("storage.scan", "path="+analysis)
+		p, stats, err = s.scanStored(v, opts)
+		endScan()
+		if err == nil {
 			ev = &scanEvidence{
 				segments:       stats.Segments,
 				segmentsPruned: stats.SegmentsPruned,
@@ -554,7 +558,7 @@ func (s *Server) partialFor(v View, q reportQuery) (*core.Partial, string, *scan
 		return nil, "", nil, fmt.Errorf("%w: %v", errUnprocessable, err)
 	}
 	p.Freeze()
-	return p, scanAnalysis(q.windowed, v.Trace == nil), ev, nil
+	return p, analysis, ev, nil
 }
 
 // scanAnalysis names a partial built for one request: the resident jobs
@@ -579,7 +583,7 @@ func scanAnalysis(windowed, disk bool) string {
 func finishReport(w http.ResponseWriter, rt *obs.Request, p *core.Partial, top int, analysis string, ev *scanEvidence) ([]byte, error) {
 	w.Header().Set("X-Analysis", analysis)
 	ev.addTo(w.Header())
-	endFinalize := rt.StartSpan("finalize", "path="+analysis)
+	endFinalize := rt.StartSpan("core.finalize", "path="+analysis)
 	rep, err := p.Report(top)
 	endFinalize()
 	if err != nil {
@@ -592,7 +596,7 @@ func finishReport(w http.ResponseWriter, rt *obs.Request, p *core.Partial, top i
 // encodes into a pooled scratch buffer and returns an exact-size copy,
 // so a body the result cache keeps carries no slack capacity.
 func marshalReport(rt *obs.Request, rep *core.Report) ([]byte, error) {
-	endMarshal := rt.StartSpan("marshal", "")
+	endMarshal := rt.StartSpan("core.marshal", "")
 	defer endMarshal()
 	scratch := reportScratch.Get().(*[]byte)
 	defer reportScratch.Put(scratch)

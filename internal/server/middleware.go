@@ -8,7 +8,7 @@ import (
 	"net"
 	"net/http"
 	"runtime/debug"
-	"sync/atomic"
+	"strconv"
 	"time"
 
 	"repro/internal/obs"
@@ -23,19 +23,15 @@ import (
 // well-formed, a minted one otherwise — echoed on the response, carried
 // through the handler's context (the fleet client forwards it to peers),
 // and attached to every log line. Requests are recorded into the
-// recent-request ring; only slow or failing ones are logged, so steady
-// traffic costs no log volume.
+// recent-request ring, and their spans into the per-layer histogram;
+// only slow or failing ones are logged, so steady traffic costs no log
+// volume.
 type middleware struct {
 	logger  *slog.Logger
 	metrics *serverMetrics
 	// slowAfter is the slow-request threshold: requests at least this
 	// slow are logged and counted even when they succeed.
 	slowAfter time.Duration
-
-	requests  atomic.Uint64
-	status2xx atomic.Uint64
-	status4xx atomic.Uint64
-	status5xx atomic.Uint64
 }
 
 // statusWriter records the status code and body bytes written by the
@@ -94,7 +90,6 @@ func (c *countingReader) Close() error { return c.rc.Close() }
 
 func (m *middleware) wrap(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		m.requests.Add(1)
 		rt := obs.NewRequest(obs.SanitizeRequestID(r.Header.Get("X-Request-Id")))
 		w.Header().Set("X-Request-Id", rt.ID())
 		r = r.WithContext(obs.WithRequest(r.Context(), rt))
@@ -105,9 +100,7 @@ func (m *middleware) wrap(next http.Handler) http.Handler {
 		defer func() {
 			rec := recover()
 			if rec != nil {
-				if m.metrics != nil {
-					m.metrics.panics.Inc()
-				}
+				m.metrics.panics.Inc()
 				if m.logger != nil {
 					m.logger.Error("panic serving request",
 						"request_id", rt.ID(),
@@ -120,22 +113,15 @@ func (m *middleware) wrap(next http.Handler) http.Handler {
 					writeJSON(sw, http.StatusInternalServerError, errorBody{Error: fmt.Sprintf("internal: %v", rec)})
 				}
 			}
-			switch {
-			case sw.status >= 500:
-				m.status5xx.Add(1)
-			case sw.status >= 400:
-				m.status4xx.Add(1)
-			default:
-				m.status2xx.Add(1)
-			}
 			m.observe(r, rt, sw, body.n, time.Since(start))
 		}()
 		next.ServeHTTP(sw, r)
 	})
 }
 
-// observe records one finished request into the metrics registry, the
-// recent-request ring, and — when slow or failing — the log.
+// observe records one finished request into the metrics registry, its
+// spans into the layer histogram, the request into the recent-request
+// ring, and — when slow or failing — the log.
 func (m *middleware) observe(r *http.Request, rt *obs.Request, sw *statusWriter, bytesIn int64, d time.Duration) {
 	status := sw.status
 	if status == 0 {
@@ -149,42 +135,39 @@ func (m *middleware) observe(r *http.Request, rt *obs.Request, sw *statusWriter,
 	cache := sw.Header().Get("X-Cache")
 	slow := m.slowAfter > 0 && d >= m.slowAfter
 
-	if m.metrics != nil {
-		code := statusLabel(status)
-		m.metrics.httpRequests.With(endpoint, code).Inc()
-		m.metrics.httpLatency.With(endpoint).Observe(d.Seconds())
-		if bytesIn > 0 {
-			m.metrics.httpReqBytes.With(endpoint).Add(uint64(bytesIn))
-		}
-		if sw.bytes > 0 {
-			m.metrics.httpRespBytes.With(endpoint).Add(uint64(sw.bytes))
-		}
-		if status >= 400 {
-			m.metrics.httpErrors.With(endpoint, code).Inc()
-		}
-		if analysis != "" {
-			m.metrics.analysisRequests.With(analysis).Inc()
-			m.metrics.analysisLatency.With(analysis).Observe(d.Seconds())
-		}
-		if slow {
-			m.metrics.slowRequests.Inc()
-		}
-		m.metrics.ring.Add(obs.RequestRecord{
-			ID:       rt.ID(),
-			Time:     time.Now().UTC(),
-			Method:   r.Method,
-			Path:     r.URL.Path,
-			Endpoint: endpoint,
-			Status:   status,
-			MS:       float64(d.Microseconds()) / 1000,
-			BytesIn:  bytesIn,
-			BytesOut: sw.bytes,
-			Analysis: analysis,
-			Cache:    cache,
-			Scan:     scanNumbers(sw.Header()),
-			Spans:    rt.Spans(),
-		})
+	m.metrics.httpRequests.With(endpoint, statusLabel(status)).Inc()
+	m.metrics.httpLatency.With(endpoint).Observe(d.Seconds())
+	if bytesIn > 0 {
+		m.metrics.httpReqBytes.With(endpoint).Add(uint64(bytesIn))
 	}
+	if sw.bytes > 0 {
+		m.metrics.httpRespBytes.With(endpoint).Add(uint64(sw.bytes))
+	}
+	if analysis != "" {
+		m.metrics.analysisLatency.With(analysis).Observe(d.Seconds())
+	}
+	if slow {
+		m.metrics.slowRequests.Inc()
+	}
+	spans := rt.Spans()
+	for _, sp := range spans {
+		m.metrics.layers.With(sp.Name).Observe(sp.MS / 1000)
+	}
+	m.metrics.ring.Add(obs.RequestRecord{
+		ID:       rt.ID(),
+		Time:     time.Now().UTC(),
+		Method:   r.Method,
+		Path:     r.URL.Path,
+		Endpoint: endpoint,
+		Status:   status,
+		MS:       float64(d.Microseconds()) / 1000,
+		BytesIn:  bytesIn,
+		BytesOut: sw.bytes,
+		Analysis: analysis,
+		Cache:    cache,
+		Scan:     scanNumbers(sw.Header()),
+		Spans:    spans,
+	})
 
 	if m.logger == nil || (!slow && status < 500) {
 		return
@@ -210,7 +193,9 @@ func (m *middleware) observe(r *http.Request, rt *obs.Request, sw *statusWriter,
 	}
 }
 
-// RequestStats is the middleware's lifetime counters.
+// RequestStats is the middleware's lifetime request counts by status
+// class, summed from swim_http_requests_total: a request counts once
+// the middleware has recorded it, after its handler returns.
 type RequestStats struct {
 	Requests  uint64 `json:"requests"`
 	Status2xx uint64 `json:"status_2xx"`
@@ -219,10 +204,19 @@ type RequestStats struct {
 }
 
 func (m *middleware) stats() RequestStats {
-	return RequestStats{
-		Requests:  m.requests.Load(),
-		Status2xx: m.status2xx.Load(),
-		Status4xx: m.status4xx.Load(),
-		Status5xx: m.status5xx.Load(),
+	var st RequestStats
+	for key, n := range m.metrics.httpRequests.Snapshot() {
+		_, code, _ := cutLast(key, "|")
+		status, _ := strconv.Atoi(code)
+		st.Requests += n
+		switch {
+		case status >= 500:
+			st.Status5xx += n
+		case status >= 400:
+			st.Status4xx += n
+		default:
+			st.Status2xx += n
+		}
 	}
+	return st
 }

@@ -12,9 +12,10 @@ import (
 // serverMetrics is the server's observability bundle: the metric
 // registry every layer records into, the bounded ring of recent
 // requests, and the instruments the middleware and cluster coordinator
-// touch on hot paths. Store/cache/fleet series are registered as
-// scrape-time collectors over the existing Stats snapshots, so the
-// request path pays only for its own counters.
+// touch on hot paths. Each fact has one instrument: the store and cache
+// series are scrape-time collectors over the Stats snapshots /v1/stats
+// reads, and /v1/stats's request counts are summed from the HTTP
+// counters, so the request path pays only for its own instruments.
 type serverMetrics struct {
 	reg     *obs.Registry
 	ring    *obs.RequestLog
@@ -26,22 +27,18 @@ type serverMetrics struct {
 	httpLatency   *obs.HistogramVec // swim_http_request_duration_seconds{endpoint}
 	httpReqBytes  *obs.CounterVec   // swim_http_request_bytes_total{endpoint}
 	httpRespBytes *obs.CounterVec   // swim_http_response_bytes_total{endpoint}
-	httpErrors    *obs.CounterVec   // swim_http_request_errors_total{endpoint,code}
 	panics        *obs.Counter
 	slowRequests  *obs.Counter
 
-	// Per-analysis-path series: which X-Analysis route a report took
+	// Per-analysis-path latency: which X-Analysis route a report took
 	// (ingest-partial, disk-scan, scatter, degraded, ...).
-	analysisRequests *obs.CounterVec   // swim_analysis_requests_total{path}
-	analysisLatency  *obs.HistogramVec // swim_analysis_duration_seconds{path}
+	analysisLatency *obs.HistogramVec // swim_analysis_duration_seconds{path}
 
-	// Cluster series the coordinator records directly.
-	scatterLatency    *obs.Histogram    // swim_cluster_scatter_duration_seconds
-	shardFetchLatency *obs.HistogramVec // swim_cluster_shard_fetch_duration_seconds{peer}
-	shardFetchErrors  *obs.CounterVec   // swim_cluster_shard_fetch_failures_total{peer}
+	// Per-layer time, folded from each finished request's spans, which
+	// carry the benchmark's layer names (core.finalize, storage.scan, ...).
+	layers *obs.HistogramVec // swim_layer_seconds{layer}
 
-	// Background-maintenance series.
-	compactionLatency *obs.Histogram // swim_compaction_sweep_duration_seconds
+	shardFetchErrors *obs.CounterVec // swim_cluster_shard_fetch_failures_total{peer}
 }
 
 // latency histograms cover 10µs..100s at 5 bins/decade — the
@@ -66,23 +63,17 @@ func newServerMetrics(s *Server, ringSize int) *serverMetrics {
 		httpLatency:   r.HistogramVec("swim_http_request_duration_seconds", "HTTP request latency by route pattern.", latBins, latMinExp, latMaxExp, "endpoint"),
 		httpReqBytes:  r.CounterVec("swim_http_request_bytes_total", "Request body bytes read, by route pattern.", "endpoint"),
 		httpRespBytes: r.CounterVec("swim_http_response_bytes_total", "Response body bytes written, by route pattern.", "endpoint"),
-		httpErrors:    r.CounterVec("swim_http_request_errors_total", "HTTP requests answered with a 4xx/5xx status, by route pattern and status code.", "endpoint", "code"),
 		panics:        r.Counter("swim_http_panics_total", "Handler panics recovered into 500s."),
 		slowRequests:  r.Counter("swim_http_slow_requests_total", "Requests slower than the configured slow-request threshold."),
 
-		analysisRequests: r.CounterVec("swim_analysis_requests_total", "Report computations by X-Analysis path.", "path"),
-		analysisLatency:  r.HistogramVec("swim_analysis_duration_seconds", "Report latency by X-Analysis path.", latBins, latMinExp, latMaxExp, "path"),
+		analysisLatency: r.HistogramVec("swim_analysis_duration_seconds", "Report latency by X-Analysis path.", latBins, latMinExp, latMaxExp, "path"),
+		layers:          r.HistogramVec("swim_layer_seconds", "Time in each layer of a request, from its spans.", latBins, latMinExp, latMaxExp, "layer"),
 
-		scatterLatency:    r.Histogram("swim_cluster_scatter_duration_seconds", "Scatter/gather latency for coordinated cluster reports.", latBins, latMinExp, latMaxExp),
-		shardFetchLatency: r.HistogramVec("swim_cluster_shard_fetch_duration_seconds", "Per-peer shard-partial fetch latency.", latBins, latMinExp, latMaxExp, "peer"),
-		shardFetchErrors:  r.CounterVec("swim_cluster_shard_fetch_failures_total", "Failed shard-partial fetch attempts by peer.", "peer"),
-
-		compactionLatency: r.Histogram("swim_compaction_sweep_duration_seconds", "Background compaction sweep latency.", latBins, latMinExp, latMaxExp),
+		shardFetchErrors: r.CounterVec("swim_cluster_shard_fetch_failures_total", "Failed shard-partial fetch attempts by peer.", "peer"),
 	}
 
 	obs.RegisterRuntime(r, m.started)
 
-	// Store gauges and lifetime counters over the existing snapshot.
 	r.RegisterFunc("swim_store_traces", "Stored traces.", obs.KindGauge, func() []obs.Sample {
 		st := s.store.Stats()
 		return []obs.Sample{{Value: float64(st.Traces)}}
@@ -94,46 +85,14 @@ func newServerMetrics(s *Server, ringSize int) *serverMetrics {
 			{Labels: obs.L("tier", "resident"), Value: float64(st.ResidentJobs)},
 		}
 	})
-	r.RegisterFunc("swim_store_disk_bytes", "Committed on-disk segment bytes.", obs.KindGauge, func() []obs.Sample {
-		st := s.store.Stats()
-		return []obs.Sample{{Value: float64(st.DiskBytes)}}
-	})
-	r.RegisterFunc("swim_store_events_total", "Store lifecycle counters by event.", obs.KindCounter, func() []obs.Sample {
-		st := s.store.Stats()
-		return []obs.Sample{
-			{Labels: obs.L("event", "ingests"), Value: float64(st.Ingests)},
-			{Labels: obs.L("event", "rejected"), Value: float64(st.Rejected)},
-			{Labels: obs.L("event", "appends"), Value: float64(st.Appends)},
-			{Labels: obs.L("event", "append_rejected"), Value: float64(st.AppendRejected)},
-			{Labels: obs.L("event", "spills"), Value: float64(st.Spills)},
-			{Labels: obs.L("event", "evictions"), Value: float64(st.Evictions)},
-			{Labels: obs.L("event", "reloads"), Value: float64(st.Reloads)},
-			{Labels: obs.L("event", "compactions"), Value: float64(st.Compactions)},
-			{Labels: obs.L("event", "segments_merged"), Value: float64(st.SegmentsMerged)},
-			{Labels: obs.L("event", "blocks_refilled"), Value: float64(st.BlocksRefilled)},
-		}
-	})
-	r.RegisterFunc("swim_append_sessions_open", "Live append sessions.", obs.KindGauge, func() []obs.Sample {
-		return []obs.Sample{{Value: float64(s.store.OpenAppendSessions())}}
-	})
-	// Per-trace storage shape: segments, colseg blocks, bytes,
-	// residency. Cardinality is bounded by the store's max-traces knob.
+	// Cardinality is bounded by the store's max-traces knob.
 	r.RegisterFunc("swim_storage_trace_segments", "Segment files per stored trace.", obs.KindGauge, func() []obs.Sample {
-		return traceStorageSamples(s, func(ts TraceStorage) float64 { return float64(ts.Segments) })
-	})
-	r.RegisterFunc("swim_storage_trace_blocks", "Columnar blocks per stored trace.", obs.KindGauge, func() []obs.Sample {
-		return traceStorageSamples(s, func(ts TraceStorage) float64 { return float64(ts.Blocks) })
-	})
-	r.RegisterFunc("swim_storage_trace_bytes", "On-disk bytes per stored trace.", obs.KindGauge, func() []obs.Sample {
-		return traceStorageSamples(s, func(ts TraceStorage) float64 { return float64(ts.Bytes) })
-	})
-
-	// Cache series: counters plus the derived hit ratios.
-	r.RegisterFunc("swim_cache_entries", "Result-cache occupancy.", obs.KindGauge, func() []obs.Sample {
-		st := s.cache.Stats()
-		return []obs.Sample{
-			{Labels: obs.L("tier", "results"), Value: float64(st.Entries)},
+		gauges := s.store.StorageGauges()
+		out := make([]obs.Sample, 0, len(gauges))
+		for _, ts := range gauges {
+			out = append(out, obs.Sample{Labels: obs.L("trace", ts.Name), Value: float64(ts.Segments)})
 		}
+		return out
 	})
 	r.RegisterFunc("swim_cache_events_total", "Result-cache lifetime counters by event.", obs.KindCounter, func() []obs.Sample {
 		st := s.cache.Stats()
@@ -150,71 +109,7 @@ func newServerMetrics(s *Server, ringSize int) *serverMetrics {
 			{Labels: obs.L("tier", "results"), Value: ratio(st.Hits+st.Coalesced, st.Hits+st.Coalesced+st.Misses)},
 		}
 	})
-
-	// Fleet series only exist in cluster mode.
-	if s.cluster != nil {
-		f := s.cluster.fleet
-		r.RegisterFunc("swim_fleet_peer_alive", "Per-peer last-known liveness (1 = reachable).", obs.KindGauge, func() []obs.Sample {
-			st := f.Stats()
-			out := make([]obs.Sample, 0, len(st.Peers))
-			for _, p := range st.Peers {
-				v := 0.0
-				if p.Alive {
-					v = 1
-				}
-				out = append(out, obs.Sample{Labels: obs.L("peer", p.ID), Value: v})
-			}
-			return out
-		})
-		r.RegisterFunc("swim_fleet_peer_requests_total", "Per-peer transport attempts by outcome.", obs.KindCounter, func() []obs.Sample {
-			st := f.Stats()
-			out := make([]obs.Sample, 0, 3*len(st.Peers))
-			for _, p := range st.Peers {
-				if p.Self {
-					continue
-				}
-				out = append(out,
-					obs.Sample{Labels: obs.L("peer", p.ID, "outcome", "requests"), Value: float64(p.Requests)},
-					obs.Sample{Labels: obs.L("peer", p.ID, "outcome", "retries"), Value: float64(p.Retries)},
-					obs.Sample{Labels: obs.L("peer", p.ID, "outcome", "failures"), Value: float64(p.Failures)},
-				)
-			}
-			return out
-		})
-		r.RegisterFunc("swim_fleet_peer_latency_ms", "Per-peer EWMA of successful request latency.", obs.KindGauge, func() []obs.Sample {
-			st := f.Stats()
-			out := make([]obs.Sample, 0, len(st.Peers))
-			for _, p := range st.Peers {
-				if p.Self {
-					continue
-				}
-				out = append(out, obs.Sample{Labels: obs.L("peer", p.ID), Value: p.LatencyMS})
-			}
-			return out
-		})
-		r.RegisterFunc("swim_fleet_events_total", "Cluster protocol counters by event.", obs.KindCounter, func() []obs.Sample {
-			st := f.Stats()
-			return []obs.Sample{
-				{Labels: obs.L("event", "scatters"), Value: float64(st.Scatters)},
-				{Labels: obs.L("event", "shard_fetches"), Value: float64(st.ShardFetches)},
-				{Labels: obs.L("event", "shard_failures"), Value: float64(st.ShardFailures)},
-				{Labels: obs.L("event", "merges"), Value: float64(st.Merges)},
-				{Labels: obs.L("event", "degraded"), Value: float64(st.Degraded)},
-				{Labels: obs.L("event", "remote_cache_hits"), Value: float64(st.RemoteCacheHits)},
-				{Labels: obs.L("event", "meta_broadcasts"), Value: float64(st.MetaBroadcasts)},
-			}
-		})
-	}
 	return m
-}
-
-func traceStorageSamples(s *Server, pick func(TraceStorage) float64) []obs.Sample {
-	gauges := s.store.StorageGauges()
-	out := make([]obs.Sample, 0, len(gauges))
-	for _, ts := range gauges {
-		out = append(out, obs.Sample{Labels: obs.L("trace", ts.Name), Value: pick(ts)})
-	}
-	return out
 }
 
 func ratio(num, den uint64) float64 {
@@ -280,25 +175,20 @@ func (m *serverMetrics) serverInfo() ServerInfo {
 }
 
 // endpointStats folds the per-(endpoint, code) counters into a
-// per-endpoint summary for the JSON stats payload.
+// per-endpoint summary for the JSON stats payload: a code of 400 or
+// more counts as an error.
 func (m *serverMetrics) endpointStats() map[string]EndpointStats {
 	out := make(map[string]EndpointStats)
 	for key, n := range m.httpRequests.Snapshot() {
-		endpoint, _, ok := cutLast(key, "|")
+		endpoint, code, ok := cutLast(key, "|")
 		if !ok {
 			continue
 		}
 		st := out[endpoint]
 		st.Requests += n
-		out[endpoint] = st
-	}
-	for key, n := range m.httpErrors.Snapshot() {
-		endpoint, _, ok := cutLast(key, "|")
-		if !ok {
-			continue
+		if status, _ := strconv.Atoi(code); status >= 400 {
+			st.Errors += n
 		}
-		st := out[endpoint]
-		st.Errors += n
 		out[endpoint] = st
 	}
 	for endpoint, h := range m.httpLatency.Snapshot() {
@@ -321,19 +211,6 @@ func (m *serverMetrics) endpointStats() map[string]EndpointStats {
 	return out
 }
 
-// analysisStats folds the per-X-Analysis-path counters for /v1/stats.
-func (m *serverMetrics) analysisStats() map[string]obs.HistogramSummary {
-	sum := m.analysisLatency.Snapshot()
-	// Paths counted but never timed (shouldn't happen — both are
-	// recorded together) still appear with a zero summary.
-	for path := range m.analysisRequests.Snapshot() {
-		if _, ok := sum[path]; !ok {
-			sum[path] = obs.HistogramSummary{}
-		}
-	}
-	return sum
-}
-
 // cutLast splits s at the final occurrence of sep.
 func cutLast(s, sep string) (before, after string, found bool) {
 	for i := len(s) - len(sep); i >= 0; i-- {
@@ -342,16 +219,6 @@ func cutLast(s, sep string) (before, after string, found bool) {
 		}
 	}
 	return s, "", false
-}
-
-// recordShardFetch is the cluster coordinator's per-peer hook: one
-// remote shard-partial attempt chain, its latency, and whether it
-// failed.
-func (m *serverMetrics) recordShardFetch(peer string, d time.Duration, failed bool) {
-	m.shardFetchLatency.With(peer).Observe(d.Seconds())
-	if failed {
-		m.shardFetchErrors.With(peer).Inc()
-	}
 }
 
 // scanNumbers converts response-header scan evidence into the ring's

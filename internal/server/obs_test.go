@@ -3,12 +3,63 @@ package server
 import (
 	"io"
 	"net/http"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/obs"
 )
+
+// settle calls read every 5 ms until it reports true or 5 s pass, and
+// returns read's last answer. The middleware records a request after
+// its handler returns, which can be after the client has read the whole
+// response, so a test reading a request's record waits for it.
+func settle(read func() bool) bool {
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		if read() {
+			return true
+		}
+		if time.Now().After(deadline) {
+			return false
+		}
+	}
+}
+
+// metricFamilies is every family /metrics declares, on a single node
+// and on a cluster node alike: one instrument per fact.
+var metricFamilies = []string{
+	"go_goroutines",
+	"swim_analysis_duration_seconds",
+	"swim_build_info",
+	"swim_cache_events_total",
+	"swim_cache_hit_ratio",
+	"swim_cluster_shard_fetch_failures_total",
+	"swim_http_panics_total",
+	"swim_http_request_bytes_total",
+	"swim_http_request_duration_seconds",
+	"swim_http_requests_total",
+	"swim_http_response_bytes_total",
+	"swim_http_slow_requests_total",
+	"swim_layer_seconds",
+	"swim_storage_trace_segments",
+	"swim_store_jobs",
+	"swim_store_traces",
+	"swim_uptime_seconds",
+}
+
+// checkFamilies fails t unless a scrape declares exactly metricFamilies.
+func checkFamilies(t testing.TB, exp *obs.Exposition) {
+	t.Helper()
+	var got []string
+	for name := range exp.Types {
+		got = append(got, name)
+	}
+	slices.Sort(got)
+	if !slices.Equal(got, metricFamilies) {
+		t.Errorf("/metrics declares %d families %v, want the %d %v", len(got), got, len(metricFamilies), metricFamilies)
+	}
+}
 
 // scrapeMetrics fetches /metrics and parses it with the strict parser —
 // unparseable output is a test failure, the exposition-format gate.
@@ -37,7 +88,8 @@ func scrapeMetrics(t testing.TB, base string) *obs.Exposition {
 }
 
 // TestMetricsEndpoint drives real traffic through the server and
-// asserts the scrape carries the required series with sane values.
+// asserts the scrape declares exactly the documented families and
+// carries the required series with sane values.
 func TestMetricsEndpoint(t *testing.T) {
 	_, ts := newTestServer(t)
 	tr := genTrace(t, "CC-b", 1, 25*time.Hour)
@@ -45,13 +97,19 @@ func TestMetricsEndpoint(t *testing.T) {
 	getJSON(t, ts.URL+"/v1/traces/obs-trace/report", nil)
 	getJSON(t, ts.URL+"/v1/traces/obs-trace/report", nil) // cache hit
 
-	exp := scrapeMetrics(t, ts.URL)
+	var exp *obs.Exposition
+	reports := func() bool {
+		exp = scrapeMetrics(t, ts.URL)
+		v, ok := exp.Value("swim_http_requests_total", "endpoint", "GET /v1/traces/{name}/report", "code", "200")
+		return ok && v == 2
+	}
+	if !settle(reports) {
+		t.Errorf("report request series never reached 2")
+	}
+	checkFamilies(t, exp)
 
 	if v, ok := exp.Value("swim_http_requests_total", "endpoint", "POST /v1/traces/{name}", "code", "201"); !ok || v != 1 {
 		t.Errorf("ingest request series %v, %v", v, ok)
-	}
-	if v, ok := exp.Value("swim_http_requests_total", "endpoint", "GET /v1/traces/{name}/report", "code", "200"); !ok || v != 2 {
-		t.Errorf("report request series %v, %v", v, ok)
 	}
 	if v, ok := exp.Value("swim_http_request_duration_seconds_count", "endpoint", "GET /v1/traces/{name}/report"); !ok || v != 2 {
 		t.Errorf("report latency count %v, %v", v, ok)
@@ -61,8 +119,20 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	// The first report took the ingest-partial path; the repeat was a
 	// byte-cache hit and records no analysis path.
-	if v, ok := exp.Value("swim_analysis_requests_total", "path", "ingest-partial"); !ok || v != 1 {
+	if v, ok := exp.Value("swim_analysis_duration_seconds_count", "path", "ingest-partial"); !ok || v != 1 {
 		t.Errorf("analysis path series %v, %v (want ingest-partial=1)", v, ok)
+	}
+	// The miss's spans feed the layer histogram under the benchmark's
+	// layer names; a stored partial needs no observe or scan.
+	for _, layer := range []string{"ingest", "core.finalize", "core.marshal"} {
+		if v, ok := exp.Value("swim_layer_seconds_count", "layer", layer); !ok || v != 1 {
+			t.Errorf("swim_layer_seconds_count{layer=%q} %v, %v (want 1)", layer, v, ok)
+		}
+	}
+	for _, layer := range []string{"core.observe", "storage.scan"} {
+		if _, ok := exp.Value("swim_layer_seconds_count", "layer", layer); ok {
+			t.Errorf("an ingest-partial report recorded a %s span", layer)
+		}
 	}
 	if v, ok := exp.Value("swim_store_traces"); !ok || v != 1 {
 		t.Errorf("swim_store_traces %v, %v", v, ok)
@@ -85,54 +155,59 @@ func TestMetricsEndpoint(t *testing.T) {
 	if len(exp.Find("swim_build_info")) != 1 {
 		t.Error("swim_build_info missing")
 	}
-	if exp.Types["swim_http_request_duration_seconds"] != "histogram" {
-		t.Errorf("latency TYPE %q", exp.Types["swim_http_request_duration_seconds"])
+	for _, name := range []string{"swim_http_request_duration_seconds", "swim_layer_seconds"} {
+		if exp.Types[name] != "histogram" {
+			t.Errorf("%s TYPE %q", name, exp.Types[name])
+		}
 	}
 }
 
 // TestDebugRequestsRing: /v1/debug/requests serves the recent requests
-// newest-first with spans and scan evidence, and min_ms filters.
+// newest-first with spans named by layer, and min_ms filters. A report
+// from the stored partial finalizes and marshals with no observe span;
+// a window of the resident jobs observes them first.
 func TestDebugRequestsRing(t *testing.T) {
 	_, ts := newTestServer(t)
 	tr := genTrace(t, "CC-b", 1, 25*time.Hour)
 	ingestTrace(t, ts, "ring-trace", tr)
 	getJSON(t, ts.URL+"/v1/traces/ring-trace/report", nil)
+	getJSON(t, ts.URL+"/v1/traces/ring-trace/report?window=6h", nil)
 
 	var dbg struct {
 		Count    int                 `json:"count"`
 		Requests []obs.RequestRecord `json:"requests"`
 	}
-	// The middleware records a request after its handler returns, which
-	// can be after the client has read the whole response, so wait for
-	// the report's record instead of reading the ring once.
-	var report *obs.RequestRecord
-	for deadline := time.Now().Add(5 * time.Second); report == nil && time.Now().Before(deadline); time.Sleep(5 * time.Millisecond) {
+	records := make(map[string]*obs.RequestRecord) // by analysis path
+	settle(func() bool {
 		getJSON(t, ts.URL+"/v1/debug/requests", &dbg)
-		for i := range dbg.Requests {
-			if dbg.Requests[i].Endpoint == "GET /v1/traces/{name}/report" {
-				report = &dbg.Requests[i]
-				break
+		for _, rec := range dbg.Requests {
+			if rec.Endpoint == "GET /v1/traces/{name}/report" {
+				records[rec.Analysis] = &rec
 			}
 		}
-	}
-	if dbg.Count < 2 || len(dbg.Requests) != dbg.Count {
+		return len(records) == 2
+	})
+	if dbg.Count < 3 || len(dbg.Requests) != dbg.Count {
 		t.Fatalf("ring count %d (%d records)", dbg.Count, len(dbg.Requests))
 	}
-	if report == nil {
-		t.Fatalf("no report record in ring: %+v", dbg.Requests)
-	}
-	if report.ID == "" || report.Status != http.StatusOK || report.MS < 0 {
-		t.Errorf("report record %+v", report)
-	}
-	if report.Analysis != "ingest-partial" {
-		t.Errorf("report record analysis %q", report.Analysis)
-	}
-	spanNames := make(map[string]bool)
-	for _, sp := range report.Spans {
-		spanNames[sp.Name] = true
-	}
-	if !spanNames["scan"] || !spanNames["finalize"] || !spanNames["marshal"] || spanNames["merge"] {
-		t.Errorf("report spans want scan/finalize/marshal and no merge: %+v", report.Spans)
+	for analysis, want := range map[string][]string{
+		"ingest-partial": {"core.finalize", "core.marshal"},
+		"window-scan":    {"core.observe", "core.finalize", "core.marshal"},
+	} {
+		report := records[analysis]
+		if report == nil {
+			t.Fatalf("no %s report record in ring: %+v", analysis, dbg.Requests)
+		}
+		if report.ID == "" || report.Status != http.StatusOK || report.MS < 0 {
+			t.Errorf("%s report record %+v", analysis, report)
+		}
+		var got []string
+		for _, sp := range report.Spans {
+			got = append(got, sp.Name)
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("%s report spans %v, want %v", analysis, got, want)
+		}
 	}
 
 	// min_ms high enough filters everything out.

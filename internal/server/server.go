@@ -308,9 +308,6 @@ func (s *Server) compactLoop(interval time.Duration) {
 			s.store.ReapIdleAppendSessions(interval)
 			sweepStart := time.Now()
 			n, err := s.store.Compact()
-			if s.metrics != nil {
-				s.metrics.compactionLatency.Observe(time.Since(sweepStart).Seconds())
-			}
 			if err != nil {
 				s.logger.Warn("compaction sweep failed", "error", err)
 			}

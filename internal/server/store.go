@@ -560,17 +560,8 @@ func (s *Store) List() []TraceInfo {
 	return out
 }
 
-// OpenAppendSessions counts the live append sessions — the gauge the
-// observability layer exposes so a dashboard can see how many traces
-// are mid-feed.
-func (s *Store) OpenAppendSessions() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.appendStates)
-}
-
-// TraceStorage is one stored trace's on-disk shape for the per-trace
-// storage gauges: segment and colseg block counts, committed bytes,
+// TraceStorage is one stored trace's on-disk shape, the /v1/stats
+// storage section: segment and colseg block counts, committed bytes,
 // and whether a hot in-memory copy is resident.
 type TraceStorage struct {
 	Name     string

@@ -3,10 +3,12 @@ package server
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -176,6 +178,92 @@ func TestSpillIngestAndOutOfCoreReport(t *testing.T) {
 	resp, body := getRaw(t, ts.URL+"/v1/traces/big/report?full=1")
 	if resp.StatusCode != 422 {
 		t.Errorf("full report on over-budget trace: %d %s", resp.StatusCode, clip(body))
+	}
+}
+
+// pausedSource yields a trace's jobs but, before job at, closes
+// reached and blocks until resume is closed: an upload held mid-stream.
+type pausedSource struct {
+	trace.Source
+	at, n           int
+	reached, resume chan struct{}
+}
+
+func (p *pausedSource) Next() (*trace.Job, error) {
+	if p.n == p.at {
+		close(p.reached)
+		<-p.resume
+	}
+	p.n++
+	return p.Source.Next()
+}
+
+// TestOverlappingUploadsLastCommitWins: a spilled upload held
+// mid-stream while a Put of the same name commits keeps the segments it
+// has written, and its own later commit wins: the trace's first 6 h
+// answer with the reference bytes, from a disk scan whose storage.scan
+// span the request ring shows, and a restart recovers the upload.
+func TestOverlappingUploadsLastCommitWins(t *testing.T) {
+	tr := genTrace(t, "CC-b", 1, 30*time.Hour)
+	start := tr.Meta.Start
+	window := fmt.Sprintf("/report?from=%d&to=%d", start.Unix(), start.Add(6*time.Hour).Unix())
+
+	_, tsRef := newTestServer(t)
+	ingestTrace(t, tsRef, "ref", tr)
+	_, want := getRaw(t, tsRef.URL+"/v1/traces/ref"+window)
+
+	dir := t.TempDir()
+	cfg := Config{MaxTotalJobs: tr.Len() / 3}
+	s, ts := diskServer(t, dir, cfg)
+	src := &pausedSource{Source: trace.NewSliceSource(tr), at: tr.Len() / 2, reached: make(chan struct{}), resume: make(chan struct{})}
+	var info TraceInfo
+	done := make(chan error, 1)
+	go func() {
+		var err error
+		info, err = s.Store().Ingest("x", src)
+		done <- err
+	}()
+	<-src.reached
+	if _, err := s.Store().Put("x", genTrace(t, "CC-b", 2, 25*time.Hour)); err != nil {
+		close(src.resume)
+		t.Fatal(err)
+	}
+	close(src.resume)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+
+	resp, got := getRaw(t, ts.URL+"/v1/traces/x"+window)
+	if resp.StatusCode != http.StatusOK || !bytes.Equal(got, want) {
+		t.Fatalf("first 6 h of the last commit: %d, %d bytes %s, want 200 with the reference %d bytes", resp.StatusCode, len(got), clip(got), len(want))
+	}
+	if x := resp.Header.Get("X-Analysis"); x != "window-disk-scan" {
+		t.Errorf("X-Analysis %q, want window-disk-scan", x)
+	}
+	id := resp.Header.Get("X-Request-Id")
+	var spans []string
+	settle(func() bool {
+		for _, rec := range s.metrics.ring.Snapshot(0, 0) {
+			if rec.ID == id {
+				for _, sp := range rec.Spans {
+					spans = append(spans, sp.Name)
+				}
+				return true
+			}
+		}
+		return false
+	})
+	if !slices.Equal(spans, []string{"storage.scan", "core.finalize", "core.marshal"}) {
+		t.Errorf("window-disk-scan spans %v, want storage.scan, core.finalize, core.marshal", spans)
+	}
+
+	ts.Close()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s2, _ := diskServer(t, dir, cfg)
+	if list := s2.Store().List(); len(list) != 1 || list[0].Fingerprint != info.Fingerprint {
+		t.Fatalf("after restart the store lists %+v, want one trace %.12s", list, info.Fingerprint)
 	}
 }
 

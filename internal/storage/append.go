@@ -35,8 +35,9 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 //
 // Segments rotate at the store's job cap, so a live-appended trace is
 // indistinguishable on disk from an uploaded one (same file names, same
-// codec, same manifest schema). Per-name write serialization is the
-// caller's concern, as it is for the rest of the store.
+// codec, same manifest schema). Writers of one name may overlap: each
+// holds its generation from Create or OpenAppend until Close, no commit
+// sweeps a held generation's files, and the last commit wins.
 type Appender struct {
 	store *Store
 	dir   string
@@ -116,17 +117,25 @@ func (s *Store) OpenAppend(name string, meta trace.Meta) (*Appender, *Trace, err
 	if err := s.checkOpen(); err != nil {
 		return nil, nil, err
 	}
+	// The generation is read and held in one step against commits, so
+	// no commit's sweep removes its files in between.
+	s.commitMu.Lock()
 	man, err := readManifest(filepath.Join(dir, manifestName))
+	if err == nil {
+		if got := man.Meta.TraceMeta(); !got.Start.Equal(meta.Start) || got.Length != meta.Length ||
+			got.Machines != meta.Machines || got.Name != meta.Name {
+			err = fmt.Errorf("append metadata %+v does not match committed %+v", meta, got)
+		} else {
+			s.holdWriter(dir, man.Generation, 1)
+		}
+	}
+	s.commitMu.Unlock()
 	if os.IsNotExist(err) {
 		a, err := s.Create(name, meta)
 		return a, nil, err
 	}
 	if err != nil {
 		return nil, nil, fmt.Errorf("storage: opening %q for append: %w", name, err)
-	}
-	if got := man.Meta.TraceMeta(); !got.Start.Equal(meta.Start) || got.Length != meta.Length ||
-		got.Machines != meta.Machines || got.Name != meta.Name {
-		return nil, nil, fmt.Errorf("storage: append metadata %+v does not match committed %+v", meta, got)
 	}
 	a := &Appender{store: s, dir: dir, name: name, gen: man.Generation, meta: meta, checkpointJobs: -1}
 	a.jobs = man.Jobs
@@ -283,9 +292,10 @@ func (a *Appender) Seal(fp string, partial *core.Partial) (*Sealed, error) {
 }
 
 // Commit atomically installs a sealed manifest as the trace's committed
-// state, then garbage-collects what it superseded: files of older
-// generations, and the previous checkpoint when the manifest names a
-// new one (or none). The appender stays open for more appends.
+// state, then garbage-collects what it superseded: the files of other
+// generations that no open writer holds, and the previous checkpoint
+// when the manifest names a new one (or none). The appender stays open
+// for more appends.
 func (a *Appender) Commit(sealed *Sealed) (*Trace, error) {
 	if a.done {
 		return nil, fmt.Errorf("storage: commit after close")
@@ -293,11 +303,16 @@ func (a *Appender) Commit(sealed *Sealed) (*Trace, error) {
 	if err := a.store.checkOpen(); err != nil {
 		return nil, err
 	}
-	if err := commitManifest(a.dir, sealed.man); err != nil {
+	a.store.commitMu.Lock()
+	err := commitManifest(a.dir, sealed.man)
+	if err == nil {
+		a.store.sweep(a.dir, sealed.man)
+	}
+	a.store.commitMu.Unlock()
+	if err != nil {
 		return nil, err
 	}
 	a.fresh = false
-	sweepOlderGenerations(a.dir, sealed.man)
 	next := sealed.man.Partial
 	if a.checkpoint != nil && next != a.checkpoint {
 		os.Remove(filepath.Join(a.dir, a.checkpoint.File))
@@ -337,17 +352,20 @@ func (a *Appender) Close() error {
 	if a.fresh {
 		removeGeneration(a.dir, a.gen)
 	}
+	a.store.holdWriter(a.dir, a.gen, -1)
 	if err != nil {
 		return fmt.Errorf("storage: closing segment: %w", err)
 	}
 	return nil
 }
 
-// sweepOlderGenerations removes files of generations older than the
-// committed one. Newer-generation files (a concurrent writer's
-// generation in progress) are left untouched; crashes here are cleaned
-// by recovery.
-func sweepOlderGenerations(dir string, man *Manifest) {
+// sweep removes the files in dir that man, the manifest just committed,
+// does not name, except those of a generation an open writer holds: a
+// writer still streaming an older or a newer generation keeps its
+// files, so its own commit can still win. What a held generation
+// leaves behind goes at a later commit or at recovery, which also
+// cleans up after a crash here. The caller holds commitMu.
+func (s *Store) sweep(dir string, man *Manifest) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return
@@ -358,8 +376,8 @@ func sweepOlderGenerations(dir string, man *Manifest) {
 		if name == manifestName || keep[name] {
 			continue
 		}
-		if gen, ok := fileGeneration(name); ok && gen >= man.Generation {
-			continue // concurrent newer generation; not ours to touch
+		if gen, ok := fileGeneration(name); ok && s.held(dir, gen) {
+			continue
 		}
 		os.Remove(filepath.Join(dir, name))
 	}

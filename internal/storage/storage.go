@@ -22,10 +22,11 @@
 // trace directory; Commit writes manifest.json.tmp, fsyncs it, renames
 // it over manifest.json, and fsyncs the directory. rename(2) is atomic,
 // so a crash leaves either the old manifest or the new one — never a
-// torn mix. Files of older generations are deleted only after the
-// commit; files of newer generations (a concurrent writer mid-write)
-// are left alone. Closing a created generation that never committed
-// removes its files.
+// torn mix. After the commit, the files the new manifest does not name
+// are deleted, except those of a generation an open writer still
+// holds: two writers of one name each keep their files until they
+// close, and whichever commits last wins. Closing a created generation
+// that never committed removes its files.
 //
 // Recovery. Open scans every trace directory: a missing or unparsable
 // manifest drops the directory (an uncommitted trace from a crashed
@@ -83,15 +84,28 @@ type Options struct {
 
 // Store is a handle to one storage root. It hands out immutable Trace
 // handles for committed generations and Appenders for writing them.
-// The handle is safe for concurrent use; per-trace write ordering
-// (last-commit-wins on re-ingest) is the caller's concern.
+// The handle is safe for concurrent use, and so are concurrent writers
+// of one name: the last to commit wins, and no commit removes a file
+// another open writer still needs.
 type Store struct {
 	root    string
 	segJobs int
 
-	mu     sync.Mutex
-	gens   map[string]uint64 // per-directory last allocated generation
-	closed bool
+	mu      sync.Mutex
+	gens    map[string]uint64 // per-directory last allocated generation
+	writers map[writerKey]int // open Appenders per generation
+	closed  bool
+
+	// commitMu orders each commit and its sweep with other commits and
+	// with OpenAppend's read of the generation it continues, so a sweep
+	// never removes files a later commit names.
+	commitMu sync.Mutex
+}
+
+// writerKey names one generation of one trace directory.
+type writerKey struct {
+	dir string
+	gen uint64
 }
 
 // Recovery reports what Open found: the committed traces that passed
@@ -130,7 +144,7 @@ func Open(root string, opts Options) (*Store, *Recovery, error) {
 	if segJobs <= 0 {
 		segJobs = DefaultSegmentJobs
 	}
-	s := &Store{root: root, segJobs: segJobs, gens: make(map[string]uint64)}
+	s := &Store{root: root, segJobs: segJobs, gens: make(map[string]uint64), writers: make(map[writerKey]int)}
 	if err := os.MkdirAll(s.tracesDir(), 0o755); err != nil {
 		return nil, nil, fmt.Errorf("storage: creating root: %w", err)
 	}
@@ -164,7 +178,8 @@ func (s *Store) checkOpen() error {
 }
 
 // nextGen allocates the next generation number for a trace directory,
-// consulting the committed manifest on first touch.
+// consulting the committed manifest on first touch, and counts the
+// caller as its open writer.
 func (s *Store) nextGen(dir string) (uint64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -180,7 +195,26 @@ func (s *Store) nextGen(dir string) (uint64, error) {
 		}
 	}
 	s.gens[dir]++
+	s.writers[writerKey{dir, s.gens[dir]}]++
 	return s.gens[dir], nil
+}
+
+// holdWriter counts one more (delta 1) or one fewer (delta -1) open
+// writer of generation gen in dir.
+func (s *Store) holdWriter(dir string, gen uint64, delta int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	k := writerKey{dir, gen}
+	if s.writers[k] += delta; s.writers[k] <= 0 {
+		delete(s.writers, k)
+	}
+}
+
+// held reports whether an open writer holds generation gen in dir.
+func (s *Store) held(dir string, gen uint64) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.writers[writerKey{dir, gen}] > 0
 }
 
 // Delete removes the trace's directory — segments, snapshot, manifest —

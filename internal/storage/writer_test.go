@@ -242,3 +242,57 @@ func TestAbandonedWriterKeepsSharedDirectory(t *testing.T) {
 		}
 	}
 }
+
+// TestOverlappingWritersLastCommitWins: a writer streaming a generation
+// of a name keeps its files while a second writer of the name commits,
+// and its own later commit wins — the trace reads back whole, the
+// directory holds exactly its files, and a reopen recovers it. A
+// commit sweeps only generations no open writer holds.
+func TestOverlappingWritersLastCommitWins(t *testing.T) {
+	first := genTrace(t, "CC-e", 3, 26*time.Hour)
+	second := genTrace(t, "CC-e", 4, 26*time.Hour)
+	fp := fingerprint(t, first)
+	root := t.TempDir()
+	s, _ := openStore(t, root, 300)
+
+	a, err := s.Create("x", first.Meta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	half := first.Len() / 2
+	for _, j := range first.Jobs[:half] {
+		if err := a.Append(j); err != nil {
+			t.Fatal(err)
+		}
+	}
+	commitTrace(t, s, "x", second, nil)
+	for _, j := range first.Jobs[half:] {
+		if err := a.Append(j); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sealed, err := a.Seal(fp, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	committed, err := a.Commit(sealed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Close(); err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	if err := committed.Each(func(*trace.Job) error { n++; return nil }); err != nil || n != first.Len() {
+		t.Fatalf("last commit reads back %d jobs (%v), want %d", n, err, first.Len())
+	}
+	if got, want := dirNames(t, committed.dir), wantFiles(committed.man); !slices.Equal(got, want) {
+		t.Fatalf("directory holds %v, want %v", got, want)
+	}
+	s.Close()
+	_, rec := openStore(t, root, 300)
+	if len(rec.Traces) != 1 || rec.Traces[0].Fingerprint() != fp || rec.Traces[0].Jobs() != first.Len() {
+		t.Fatalf("reopen recovered %+v (dropped %+v), want one trace %.12s/%d", rec.Traces, rec.Dropped, fp, first.Len())
+	}
+}
