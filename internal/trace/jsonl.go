@@ -309,32 +309,28 @@ func append4Digits(b []byte, v int) []byte {
 // rules (shortest representation, 'e' form outside [1e-6, 1e21), with the
 // two-digit negative exponent contraction). NaN and ±Inf are errors, as
 // they are for json.Marshal. The job codec and core's report encoder
-// both format their floats here.
+// both format their floats here; every normal float but an integer of
+// magnitude at most 2^53 takes the Schubfach kernel (schubfach.go).
 func AppendJSONFloat(b []byte, f float64) ([]byte, error) {
 	if math.IsInf(f, 0) || math.IsNaN(f) {
 		return nil, fmt.Errorf("unsupported float value %v", f)
 	}
 	// An integer of magnitude at most 2^53 is its own shortest
 	// representation, and 'f' form prints it as a plain digit run; skip
-	// the Ryu machinery for it.
+	// the kernel for it.
 	if i := int64(f); float64(i) == f && (i >= -1<<53 && i <= 1<<53) && !(i == 0 && math.Signbit(f)) {
 		return strconv.AppendInt(b, i, 10), nil
 	}
-	abs := math.Abs(f)
-	format := byte('f')
-	if abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
+	if math.Abs(f) >= 0x1p-1022 {
+		return appendShortest(b, f), nil
 	}
-	n := len(b)
-	b = strconv.AppendFloat(b, f, format, -1, 64)
-	if format == 'e' {
-		// encoding/json cleans up e-09 to e-9.
-		if m := len(b); m-n >= 4 && b[m-4] == 'e' && b[m-3] == '-' && b[m-2] == '0' {
-			b[m-2] = b[m-1]
-			b = b[:m-1]
-		}
+	// −0 and subnormals, which no report value or job line holds, keep
+	// strconv's formatting; a subnormal's exponent has three digits, so
+	// encoding/json's e-0x contraction never applies.
+	if f == 0 {
+		return append(b, "-0"...), nil
 	}
-	return b, nil
+	return strconv.AppendFloat(b, f, 'e', -1, 64), nil
 }
 
 const hexDigits = "0123456789abcdef"
