@@ -49,6 +49,8 @@ type DataSizes struct {
 // a value moves O(log N) times however small the batches between
 // Freezes. No builder writes a run once it is made: Clone shares runs,
 // and a frozen builder (no tail) finalizes without copying or sorting.
+// A builder made for one report need not freeze at all: Result answers
+// an unfrozen column by bucket-and-select over its unsorted values.
 type DataSizeBuilder struct {
 	workload     string
 	sketch       bool
@@ -162,14 +164,18 @@ func (c *column) freeze() {
 
 // distribution finalizes the column: one run is wrapped as it stands,
 // as NewSortedCDF always did; several are answered across the runs by
-// stats.RunsCDF, with the same bits; an unfrozen column is copied and
-// sorted.
+// stats.RunsCDF, with the same bits; an unfrozen column is answered
+// unsorted, by stats.SampleCDF's bucket-and-select, again with the same
+// bits. A tail-only column's SampleCDF borrows the tail, which Freeze
+// sorts in place, so the column must not be frozen or observed into
+// while that distribution is in use; a column with runs and a tail is
+// copied into one unsorted sample.
 func (c *column) distribution() stats.Distribution {
 	switch {
+	case len(c.tail) > 0 && len(c.runs) == 0:
+		return stats.NewSampleCDF(c.tail)
 	case len(c.tail) > 0:
-		s := slices.Concat(append(slices.Clone(c.runs), c.tail)...)
-		stats.SortFloats(s)
-		return stats.NewSortedCDF(s)
+		return stats.NewSampleCDF(slices.Concat(append(slices.Clone(c.runs), c.tail)...))
 	case len(c.runs) == 1:
 		return stats.NewSortedCDF(c.runs[0])
 	default:
@@ -332,8 +338,11 @@ func (b *DataSizeBuilder) Merge(os ...*DataSizeBuilder) error {
 // Result returns the Figure 1 distributions; it errors on an empty
 // stream, like DataSizeCDFs on an empty trace. The distributions of a
 // frozen or sketch-mode builder share its state (read-only, so a
-// frozen builder serves concurrent Results); an unfrozen exact builder
-// copies and sorts its columns.
+// frozen builder serves concurrent Results). An unfrozen exact builder
+// is finalized unsorted (stats.SampleCDF): a column observed since its
+// last Freeze lends its values to the distribution, so the builder
+// must not be observed into, merged into or frozen while the result is
+// in use.
 func (b *DataSizeBuilder) Result() (*DataSizes, error) {
 	if b.n == 0 {
 		return nil, errors.New("analysis: empty trace")

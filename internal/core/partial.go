@@ -96,11 +96,15 @@ func (p *Partial) Sketch() bool { return p.sketch }
 // values observed since the last Freeze into a new immutable run
 // (merging runs of similar size into fresh ones, see
 // analysis.DataSizeBuilder), so every Report wraps the runs without
-// copying or sorting and a Merge of two frozen partials is a linear
-// merge. It is a no-op in sketch mode and on a frozen partial. Observe
-// after Freeze is allowed on a private partial (the live-append session
-// refreezes every batch, at O(batch log N)); it never disturbs Reports
-// or clones taken before. The builders themselves never freeze.
+// copying or sorting, a Merge of two frozen partials is a linear merge,
+// and a snapshot carries the runs. It is a no-op in sketch mode and on
+// a frozen partial. Every partial that is kept or shipped freezes
+// (ingest, spill seal, append refreeze, LoadPartial, a cluster shard's
+// answer); one built for a single report need not, since Report answers
+// an unfrozen partial without sorting. Observe after Freeze is allowed
+// on a private partial (the live-append session refreezes every batch,
+// at O(batch log N)); it never disturbs Reports or clones taken before.
+// The builders themselves never freeze.
 func (p *Partial) Freeze() { p.ds.Freeze() }
 
 // Merge folds other partials into this one. All must describe the same
@@ -138,8 +142,12 @@ func (p *Partial) Merge(os ...*Partial) error {
 // repeatable. The returned report shares the partial's distribution
 // state in sketch mode and, on a frozen partial, its immutable sorted
 // runs; callers must not mutate it, nor Observe into a sketch-mode
-// partial while the report is in use. An unfrozen exact partial copies
-// and sorts its columns on every call.
+// partial while the report is in use. An unfrozen exact partial is
+// finalized without sorting: its Figure 1 distributions answer from
+// the unsorted columns by bucket-and-select (stats.SampleCDF), bit for
+// bit as a frozen one's, and borrow the columns, so the partial must
+// not be observed into, merged into or frozen while the report is in
+// use.
 func (p *Partial) Report(topNames int) (*Report, error) {
 	if p.n == 0 {
 		return nil, fmt.Errorf("core: cannot analyze an empty trace")

@@ -646,10 +646,12 @@ func (c *clusterCoordinator) gather(ctx context.Context, m clusterMeta, q report
 
 // shardPartial resolves one shard's frozen partial from its replica
 // owners in liveness-preference order. Self short-circuits to the local
-// store and returns its shared partial itself, with no snapshot round
-// trip: the caller only merges it into a fresh receiver, which never
-// modifies the argument. Remote owners answer with the versioned binary
-// snapshot, which decodes frozen.
+// store, with no snapshot round trip: it returns partialFor's partial,
+// frozen as a remote owner freezes it before the snapshot (a no-op on
+// the store's shared one, which it returns itself). The caller only
+// merges it into a fresh receiver, which never modifies the argument.
+// Remote owners answer with the versioned binary snapshot, which
+// decodes frozen.
 func (c *clusterCoordinator) shardPartial(ctx context.Context, m clusterMeta, i int, q reportQuery) (*core.Partial, *scanEvidence) {
 	// The owner parses these with parseReportQuery against the shard's
 	// span, which is the whole trace's: the window arrives as resolved.
@@ -670,6 +672,9 @@ func (c *clusterCoordinator) shardPartial(ctx context.Context, m clusterMeta, i 
 			var ev *scanEvidence
 			if err == nil {
 				p, _, ev, err = c.srv.partialFor(rt, v, q)
+			}
+			if err == nil {
+				p.Freeze()
 			}
 			endSpan()
 			if err != nil {
@@ -1001,6 +1006,7 @@ func (s *Server) handleShardPartial(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
+	p.Freeze() // the snapshot carries sorted runs, for the gather's linear merge
 	snap, err := p.MarshalBinary()
 	if err != nil {
 		writeErr(w, err)

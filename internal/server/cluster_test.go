@@ -352,6 +352,11 @@ func TestClusterCacheServesWarmFromAnyNode(t *testing.T) {
 			t.Errorf("node %d scattered %d time(s) for a warm result", i, st.Scatters)
 		}
 	}
+	// A cluster report parses top as a single-node one does.
+	if code, _, body := fetchRaw(t, nodes[1].ts.URL+"/v1/traces/warm/report?top=0"); code != http.StatusBadRequest ||
+		!strings.Contains(string(body), "top=0") {
+		t.Errorf("cluster top=0: %d %s", code, body)
+	}
 }
 
 // TestClusterWindowedScanAggregation: when shard owners serve a window

@@ -468,6 +468,9 @@ func parseReportQuery(r *http.Request, start time.Time, lengthMS int64) (q repor
 	if q.top, err = queryInt(params, "top", 8); err != nil {
 		return q, err
 	}
+	if q.top < 1 {
+		return q, badReq("parameter top=%d must be at least 1", q.top)
+	}
 	if q.from, q.to, q.windowed, err = reportWindowSpan(params, start, lengthMS); err != nil {
 		return q, err
 	}
@@ -500,12 +503,16 @@ func (q reportQuery) key(fingerprint string) string {
 // its mode matches; every other query builds one for this request
 // alone: the resident jobs are observed in memory, a disk-resident
 // trace is scanned out-of-core with segments and blocks pruned to the
-// window. A built partial is frozen and handed straight to finalize —
-// the result cache keeps report bytes, not partials — and the build is
-// rt's core.observe or storage.scan span; a stored partial records no
-// span. It returns the path's X-Analysis name and, when this call
-// scanned disk, the scan evidence. The partial may be shared frozen
-// state: callers must treat it as read-only.
+// window. A built partial serves one report and is thrown away — the
+// result cache keeps report bytes, not partials — so it is not frozen:
+// finalize answers its unsorted Figure 1 columns by bucket-and-select
+// (stats.SampleCDF) instead of sorting them. A caller that keeps or
+// ships the partial freezes it first. The build is rt's core.observe
+// or storage.scan span; a stored partial records no span. It returns
+// the path's X-Analysis name and, when this call scanned disk, the
+// scan evidence. The partial may be shared frozen state: callers must
+// treat it as read-only, Freeze aside, which leaves a frozen partial
+// untouched.
 func (s *Server) partialFor(rt *obs.Request, v View, q reportQuery) (*core.Partial, string, *scanEvidence, error) {
 	if !q.windowed && v.Partial != nil && v.Partial.Sketch() == q.sketch {
 		if v.Recovered {
@@ -557,7 +564,6 @@ func (s *Server) partialFor(rt *obs.Request, v View, q reportQuery) (*core.Parti
 	if err != nil {
 		return nil, "", nil, fmt.Errorf("%w: %v", errUnprocessable, err)
 	}
-	p.Freeze()
 	return p, analysis, ev, nil
 }
 

@@ -210,6 +210,14 @@ func TestReportEndpoint(t *testing.T) {
 	if resp, _ := http.Get(ts.URL + "/v1/traces/mine/report?top=zz"); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("bad top param: %d", resp.StatusCode)
 	}
+	// A top below 1 is refused by name, not answered as the default
+	// eight words (top=0) or as one word (top=-3) under a key of its own.
+	for _, top := range []string{"0", "-3"} {
+		if code, _, body := fetchRaw(t, ts.URL+"/v1/traces/mine/report?top="+top); code != http.StatusBadRequest ||
+			!strings.Contains(string(body), "top="+top) {
+			t.Errorf("top=%s: %d %s", top, code, body)
+		}
+	}
 
 	// A MISS and a HIT both carry Content-Length, so a report of any
 	// size goes out as one unchunked body.
