@@ -6,8 +6,10 @@
 // cache, so concurrent identical requests compute once and repeats are
 // served in microseconds. With -data the store is durable: traces
 // persist as columnar (colseg) segments with partial-aggregate
-// snapshots, and a data dir left by an older release with JSONL
-// segments is converted to colseg once at startup.
+// snapshots, and a trace stored in a format this build does not read
+// (JSONL segments from releases before colseg, a newer manifest
+// format) stops startup with an error naming it, before swimd listens
+// and without removing anything.
 //
 //	swimd -addr :8080 -preload FB-2009,CC-b -preload-duration 168h
 //	swimd -addr :8080 -data ./swim-data -compact 10m
@@ -64,7 +66,7 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string, stop <-ch
 		preload      = fs.String("preload", "", "comma-separated workloads to generate and store at startup: "+strings.Join(swim.Workloads(), ", "))
 		preloadDur   = fs.Duration("preload-duration", 48*time.Hour, "duration of preloaded traces")
 		seed         = fs.Int64("seed", 1, "preload generation seed")
-		dataDir      = fs.String("data", "", "durable storage directory: traces persist as checksummed columnar segment files with partial-aggregate snapshots, survive restarts (verified at startup; legacy JSONL segments are converted to colseg once), and spill to disk instead of being rejected when they exceed the in-memory job budget")
+		dataDir      = fs.String("data", "", "durable storage directory: traces persist as checksummed columnar segment files with partial-aggregate snapshots, survive restarts (verified at startup; a trace in a format this build does not read, such as JSONL segments from releases before colseg, fails startup and is left untouched), and spill to disk instead of being rejected when they exceed the in-memory job budget")
 		compactEvery = fs.Duration("compact", 0, "background compaction sweep interval: fragmented traces (many small segments or underfilled columnar blocks, the shape long append sessions leave) are rewritten into packed generations with identical fingerprints; 0 disables, needs -data")
 		quiet        = fs.Bool("quiet", false, "disable server logging")
 		slowReq      = fs.Duration("slow-request", 0, "latency at which a request is logged as slow and counted in swim_http_slow_requests_total (0 = default 500ms, negative disables)")

@@ -6,8 +6,11 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"io/fs"
 	"net"
 	"net/http"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -385,6 +388,100 @@ func TestGracefulShutdownDrainsUploadAndPersists(t *testing.T) {
 	if err := json.Unmarshal(bodyBytes, &rep); err != nil || rep.Summary.Jobs != tr.Len() {
 		t.Errorf("restarted report jobs=%d want %d (err=%v)", rep.Summary.Jobs, tr.Len(), err)
 	}
+}
+
+// TestRunRefusesUnreadableDataDir is the operator's view of the store's
+// one-format rule: a data dir that swimd wrote and whose manifest was
+// then edited to another format, or to the empty segment codec of the
+// JSONL stores before colseg, stops run with an error naming the trace
+// and what it found before it listens, and every file stays as it was.
+func TestRunRefusesUnreadableDataDir(t *testing.T) {
+	tr, err := swim.Generate(swim.GenerateOptions{Workload: "CC-a", Seed: 2, Duration: 25 * time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var payload bytes.Buffer
+	if err := trace.WriteJSONL(&payload, tr); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct{ name, from, to, found string }{
+		{"format", `"format": "swim-store-v1"`, `"format": "swim-store-v2"`, `manifest format "swim-store-v2"`},
+		{"codec", `"codec": "colseg"`, `"codec": ""`, "empty codec"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			base, stop, wait := startSwimd(t, "-data", dir)
+			resp, err := http.Post(base+"/v1/traces/kept", "application/jsonl", bytes.NewReader(payload.Bytes()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			close(stop)
+			if runErr, _ := wait(); runErr != nil || resp.StatusCode != http.StatusCreated {
+				t.Fatalf("writing the data dir: upload status %d, run %v", resp.StatusCode, runErr)
+			}
+			manifest := filepath.Join(dir, "traces", "kept", "manifest.json")
+			b, err := os.ReadFile(manifest)
+			if err != nil {
+				t.Fatal(err)
+			}
+			edited := bytes.ReplaceAll(b, []byte(tc.from), []byte(tc.to))
+			if bytes.Equal(edited, b) {
+				t.Fatalf("manifest holds no %s", tc.from)
+			}
+			if err := os.WriteFile(manifest, edited, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			before := treeBytes(t, dir)
+
+			var out, errb bytes.Buffer
+			ready := make(chan string, 1)
+			stop = make(chan struct{})
+			done := make(chan error, 1)
+			go func() {
+				done <- run([]string{"-addr", "127.0.0.1:0", "-quiet", "-data", dir}, &out, &errb, ready, stop)
+			}()
+			select {
+			case err = <-done:
+			case addr := <-ready:
+				close(stop)
+				<-done
+				t.Fatalf("swimd listened on %s over the edited data dir", addr)
+			case <-time.After(30 * time.Second):
+				t.Fatal("run neither failed nor listened")
+			}
+			if err == nil || !strings.Contains(err.Error(), `trace "kept"`) || !strings.Contains(err.Error(), tc.found) {
+				t.Fatalf("run returned %v, want an error naming trace \"kept\" and %s", err, tc.found)
+			}
+			after := treeBytes(t, dir)
+			if len(after) != len(before) {
+				t.Errorf("data dir holds %d files after the refusal, had %d", len(after), len(before))
+			}
+			for path, b := range before {
+				if !bytes.Equal(after[path], b) {
+					t.Errorf("refused start changed or removed %s", path)
+				}
+			}
+		})
+	}
+}
+
+// treeBytes maps every file under root to its bytes.
+func treeBytes(t *testing.T, root string) map[string][]byte {
+	t.Helper()
+	out := map[string][]byte{}
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		b, err := os.ReadFile(path)
+		out[path] = b
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 // TestMetricsEndToEnd boots the real binary path over TCP and verifies

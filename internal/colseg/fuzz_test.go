@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"encoding/binary"
 	"hash/crc32"
+	"io"
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -188,11 +190,18 @@ func FuzzFrameScanner(f *testing.F) {
 	})
 }
 
+// fuzzHeader is the trace header parseJobs puts before the fuzz bytes,
+// so they read as a JSONL upload's body lines.
+const fuzzHeader = `{"format":"swim-trace-v1"}` + "\n"
+
 // parseJobs decodes data as canonical JSONL body lines, stopping at the
 // first malformed line, and bounds the job count to keep iterations
 // fast.
 func parseJobs(data []byte) []*trace.Job {
-	r := trace.NewJSONLBodyReader(bytes.NewReader(data), trace.Meta{})
+	r, err := trace.NewJSONLReader(io.MultiReader(strings.NewReader(fuzzHeader), bytes.NewReader(data)))
+	if err != nil {
+		panic(err)
+	}
 	var jobs []*trace.Job
 	for len(jobs) < 4096 {
 		j, err := r.Next()

@@ -297,26 +297,6 @@ func (c *clusterCoordinator) resolve(ctx context.Context, name string) (*cluster
 	return nil, false
 }
 
-// splitRuns partitions jobs into k contiguous runs with the same
-// deterministic arithmetic trace.SplitJobs uses (the first n%k runs
-// are one longer). The exact partition does not matter for report
-// bytes — any contiguous ordered partition merges identically — but
-// determinism keeps replica placement and re-ingests stable.
-func splitRuns(jobs []*trace.Job, k int) [][]*trace.Job {
-	out := make([][]*trace.Job, k)
-	n := len(jobs)
-	lo := 0
-	for i := 0; i < k; i++ {
-		hi := lo + n/k
-		if i < n%k {
-			hi++
-		}
-		out[i] = jobs[lo:hi]
-		lo = hi
-	}
-	return out
-}
-
 // ingest is the distributed upload path: collect and normalize the
 // stream exactly as a single-node ingest would, fingerprint it (keeping
 // the hasher midstate for future appends), split it into
@@ -374,20 +354,30 @@ func (c *clusterCoordinator) ingest(ctx context.Context, name string, src trace.
 		// merge treats fewer shards identically anyway.
 		shards = t.Len()
 	}
-	runs := splitRuns(t.Jobs, shards)
+	// trace.SplitTrace's partition is deterministic, which keeps replica
+	// placement and re-ingests stable; any contiguous ordered partition
+	// merges to the same report bytes.
+	srcs, err := trace.SplitTrace(t, shards)
+	if err != nil {
+		return TraceInfo{}, err
+	}
 	errs := make([]error, shards)
 	var wg sync.WaitGroup
-	for i := range runs {
+	for i, src := range srcs {
 		wg.Add(1)
-		go func(i int) {
+		go func(i int, src trace.Source) {
 			defer wg.Done()
 			var buf bytes.Buffer
-			if err := trace.WriteJSONL(&buf, &trace.Trace{Meta: t.Meta, Jobs: runs[i]}); err != nil {
-				errs[i] = err
-				return
+			w := trace.NewJSONLWriter(&buf)
+			_, err := trace.Copy(w, src)
+			if err == nil {
+				err = w.Close()
 			}
-			errs[i] = c.placeShard(ctx, name, i, buf.Bytes())
-		}(i)
+			if err == nil {
+				err = c.placeShard(ctx, name, i, buf.Bytes())
+			}
+			errs[i] = err
+		}(i, src)
 	}
 	wg.Wait()
 	for _, err := range errs {

@@ -29,12 +29,14 @@ type Config struct {
 	// reader buffer.
 	MaxUploadBytes int64
 	// DataDir enables the durable storage engine rooted there: traces
-	// are written through to checksummed on-disk segments with partial
-	// aggregates persisted alongside, recovered (and verified) at
-	// startup, and served out-of-core when they exceed the hot tier. A
-	// data dir holding legacy JSONL segments is converted to colseg once
-	// at startup. Empty keeps the pre-durability behavior: memory only,
-	// nothing survives a restart.
+	// are written through to checksummed on-disk colseg segments with
+	// partial aggregates persisted alongside, recovered (and verified)
+	// at startup, and served out-of-core when they exceed the hot tier.
+	// New fails, naming the trace and removing nothing, when a trace's
+	// manifest names a format or segment codec this build does not
+	// read, such as the JSONL segments of stores before colseg. Empty
+	// keeps the pre-durability behavior: memory only, nothing survives
+	// a restart.
 	DataDir string
 	// SegmentJobs caps jobs per on-disk segment file (zero: the storage
 	// engine's default). Segments are the out-of-core sharding unit.
@@ -166,9 +168,6 @@ func New(cfg Config) (*Server, error) {
 		}
 		for _, tr := range rec.Trimmed {
 			s.logger.Warn("recovery trimmed uncommitted bytes", "trace", tr.Name, "bytes", tr.Bytes, "file", tr.File)
-		}
-		for _, name := range rec.Migrated {
-			s.logger.Info("recovery converted legacy JSONL segments to colseg", "trace", name)
 		}
 		s.logger.Info("recovered traces", "count", len(rec.Traces), "dir", cfg.DataDir)
 		if cfg.CompactInterval > 0 {

@@ -17,18 +17,18 @@ import (
 // uses.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// Appender is the store's one writer: uploads, spills, compactions,
-// legacy migrations and live appends all write their generations
-// through it. Create starts a replacement generation; OpenAppend
-// continues the committed one. Append streams jobs into rotating colseg
-// segment files, each checksummed as it is written, so a trace far
-// larger than RAM goes straight to disk in constant memory. Seal
-// flushes the open segment's codec at a block boundary, fsyncs it, and
-// builds a manifest whose SegmentInfo records the file's committed
-// prefix (size, CRC, job count); Commit installs that manifest
-// atomically. The appender stays open after a commit, so a live trace
-// seals and commits once per batch while its open segment keeps
-// growing; recovery verifies the committed prefix and truncates any
+// Appender is the store's one writer: uploads, spills, compactions
+// and live appends all write their generations through it. Create
+// starts a replacement generation; OpenAppend continues the committed
+// one. Append streams jobs into rotating colseg segment files, each
+// checksummed as it is written, so a trace far larger than RAM goes
+// straight to disk in constant memory. Seal flushes the open
+// segment's codec at a block boundary, fsyncs it, and builds a
+// manifest whose SegmentInfo records the file's committed prefix
+// (size, CRC, job count); Commit installs that manifest atomically.
+// The appender stays open after a commit, so a live trace seals and
+// commits once per batch while its open segment keeps growing;
+// recovery verifies the committed prefix and truncates any
 // uncommitted tail, so a crash mid-batch loses exactly the jobs past
 // the last committed batch boundary and nothing else. Close ends the
 // writer.

@@ -1,6 +1,9 @@
 package storage
 
 import (
+	"bytes"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -9,41 +12,61 @@ import (
 )
 
 // BenchmarkSegmentScan is the disk-scan trend datapoint: the cost of
-// streaming every stored job back out of committed segments, per
-// segment codec. The paper's 14-day FB-2009 trace is stored once as
-// colseg (what the store writes) and once as v5-era JSONL segments
-// (what Open migrates); each iteration drains every segment through
-// the volatile chain compaction and migration read with.
+// streaming every stored job back out of committed colseg segments,
+// against decoding the same jobs from JSONL, the interchange format
+// uploads arrive in. The paper's 14-day FB-2009 trace is committed once
+// as colseg (what the store writes), drained each iteration through
+// Each, the volatile read compaction and append replay share, and
+// written once as a JSONL file (trace.WriteJSONL), drained each
+// iteration through trace.NewJSONLReader, the upload decoder.
 // BENCH_SCAN.json's scan_speedup gate bars the jsonl/colseg time ratio;
 // its compression_ratio gate records the segbytes ratio.
 func BenchmarkSegmentScan(b *testing.B) {
 	tr := genTrace(b, "FB-2009", 1, 14*24*time.Hour)
-	for _, codec := range []string{"jsonl", CodecColumnar} {
-		b.Run(codec, func(b *testing.B) {
-			root := b.TempDir()
-			var st *Trace
-			if codec == CodecColumnar {
-				s, _ := openStore(b, root, 0)
-				st = commitTrace(b, s, "bench", tr, nil)
-			} else {
-				st = writeLegacyGeneration(b, root, "bench", tr, DefaultSegmentJobs, tr.Len(), nil)
+	drain := func(b *testing.B, size int64, each func(func(*trace.Job) error) error) {
+		b.SetBytes(size)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			jobs := 0
+			if err := each(func(*trace.Job) error { jobs++; return nil }); err != nil {
+				b.Fatal(err)
 			}
-			b.SetBytes(st.SizeBytes())
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				jobs := 0
-				if err := st.Each(func(*trace.Job) error { jobs++; return nil }); err != nil {
-					b.Fatal(err)
-				}
-				if jobs != tr.Len() {
-					b.Fatalf("scanned %d jobs, want %d", jobs, tr.Len())
-				}
+			if jobs != tr.Len() {
+				b.Fatalf("scanned %d jobs, want %d", jobs, tr.Len())
 			}
-			// After ResetTimer: it clears custom metrics.
-			b.ReportMetric(float64(st.SizeBytes()), "segbytes")
-			b.ReportMetric(float64(tr.Len()), "jobs/scan")
-		})
+		}
+		// After ResetTimer: it clears custom metrics.
+		b.ReportMetric(float64(size), "segbytes")
+		b.ReportMetric(float64(tr.Len()), "jobs/scan")
 	}
+	b.Run("jsonl", func(b *testing.B) {
+		var file bytes.Buffer
+		if err := trace.WriteJSONL(&file, tr); err != nil {
+			b.Fatal(err)
+		}
+		path := filepath.Join(b.TempDir(), "bench.jsonl")
+		if err := os.WriteFile(path, file.Bytes(), 0o644); err != nil {
+			b.Fatal(err)
+		}
+		drain(b, int64(file.Len()), func(fn func(*trace.Job) error) error {
+			f, err := os.Open(path)
+			if err != nil {
+				return err
+			}
+			defer f.Close()
+			r, err := trace.NewJSONLReader(f)
+			if err != nil {
+				return err
+			}
+			_, err = trace.Copy(sinkFunc(fn), r)
+			return err
+		})
+	})
+	b.Run(CodecColumnar, func(b *testing.B) {
+		s, _ := openStore(b, b.TempDir(), 0)
+		st := commitTrace(b, s, "bench", tr, nil)
+		drain(b, st.SizeBytes(), st.Each)
+	})
 }
 
 // BenchmarkFragmentedScan is the compaction trend datapoint: the cost

@@ -101,12 +101,11 @@ func (t *Trace) Blocks() int {
 // (segment corruption insurance — a compaction must be a byte-identical
 // no-op or nothing). The persisted partial snapshot is carried over
 // when readable; a damaged one only costs the snapshot, as on the
-// recovery path. Open's legacy migration runs through here too. It
-// returns the writer with its sealed generation: the caller commits it
-// under whatever lock serializes writes to this name (and must
-// invalidate or have excluded concurrent append sessions, whose
-// manifests would otherwise regress the compacted generation), and
-// Closes the writer, which discards the generation if it never
+// recovery path. It returns the writer with its sealed generation: the
+// caller commits it under whatever lock serializes writes to this name
+// (and must invalidate or have excluded concurrent append sessions,
+// whose manifests would otherwise regress the compacted generation),
+// and Closes the writer, which discards the generation if it never
 // committed.
 func (s *Store) CompactTrace(t *Trace) (*Appender, *Sealed, error) {
 	a, err := s.Create(t.Name(), t.Meta())

@@ -1,12 +1,18 @@
 package storage
 
 import (
+	"bytes"
+	"fmt"
 	"hash/crc32"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/core"
+	"repro/internal/trace"
 )
 
 // The crash-safety regression suite: simulate torn writes the way a
@@ -327,5 +333,164 @@ func TestRecoveryDropsMismatchedDirectory(t *testing.T) {
 	}
 	if len(rec.Dropped) != 1 || !strings.Contains(rec.Dropped[0].Reason, "does not match manifest name") {
 		t.Fatalf("dropped %+v", rec.Dropped)
+	}
+}
+
+// writeLegacyGeneration commits tr under name in root as generation 1
+// the way a store before colseg wrote it: segJobs canonical JSONL lines
+// per segment, real sizes and CRCs, a manifest with an empty codec and
+// no spans or block counts, and p's snapshot. Jobs from index
+// colsegFrom on go to colseg segments instead, giving the mixed shape a
+// codec upgrade's append left behind.
+func writeLegacyGeneration(t *testing.T, root, name string, tr *trace.Trace, segJobs, colsegFrom int, p *core.Partial) {
+	t.Helper()
+	enc, err := encodeName(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join(root, "traces", enc)
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	const gen = 1
+	man := &Manifest{
+		Format:      manifestFormat,
+		Generation:  gen,
+		Name:        name,
+		Fingerprint: fingerprint(t, tr),
+		Meta:        metaToManifest(tr.Meta),
+		Jobs:        tr.Len(),
+		BytesMoved:  int64(tr.Summarize().BytesMoved),
+	}
+	for i := 0; i < colsegFrom; i += segJobs {
+		var b []byte
+		for _, j := range tr.Jobs[i:min(i+segJobs, colsegFrom)] {
+			if b, err = trace.AppendJobLine(b, j); err != nil {
+				t.Fatal(err)
+			}
+		}
+		file := segmentFile(gen, len(man.Segments))
+		if err := os.WriteFile(filepath.Join(dir, file), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		man.Segments = append(man.Segments, SegmentInfo{
+			FileInfo: FileInfo{File: file, Size: int64(len(b)), CRC32C: crc32Of(b)},
+			Jobs:     min(segJobs, colsegFrom-i),
+		})
+	}
+	for i := colsegFrom; i < tr.Len(); i += segJobs {
+		w, err := createSegment(dir, segmentFile(gen, len(man.Segments)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, j := range tr.Jobs[i:min(i+segJobs, tr.Len())] {
+			if err := w.write(j); err != nil {
+				t.Fatal(err)
+			}
+		}
+		info, err := w.finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		man.Segments = append(man.Segments, info)
+	}
+	snap, err := p.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Snapshot names carried no seal sequence then.
+	file := genPrefix(gen) + ".partial"
+	if err := os.WriteFile(filepath.Join(dir, file), snap, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	man.Partial = &FileInfo{File: file, Size: int64(len(snap)), CRC32C: crc32Of(snap)}
+	if err := commitManifest(dir, man); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// dirFiles maps every file under root to its bytes.
+func dirFiles(t *testing.T, root string) map[string][]byte {
+	t.Helper()
+	out := map[string][]byte{}
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		b, err := os.ReadFile(path)
+		out[path] = b
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestOpenRefusesUnreadableGeneration: a manifest that parses but names
+// a segment codec or a format this build does not read is another
+// version's data, not a torn write. Open fails, every time it is
+// tried, with an error naming the trace and what it found, and every
+// file under the root — the refused trace's and an intact neighbor's —
+// stays byte-identical. The generations are a pure JSONL and a mixed
+// JSONL+colseg one, as stores before colseg left them, and a colseg one
+// whose manifest names another format and lacks v1's name field: the
+// format is read first, so the refusal holds whatever else the
+// manifest holds.
+func TestOpenRefusesUnreadableGeneration(t *testing.T) {
+	tr := genTrace(t, "CC-b", 4, 26*time.Hour)
+	p, err := core.BuildPartial(trace.NewSliceSource(tr), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name  string
+		write func(t *testing.T, s *Store, root string)
+		found string
+	}{
+		{"jsonl", func(t *testing.T, _ *Store, root string) {
+			writeLegacyGeneration(t, root, "jsonl", tr, 300, tr.Len(), p)
+		}, `g000001-00000.seg holds canonical JSONL (empty codec)`},
+		{"mixed", func(t *testing.T, _ *Store, root string) {
+			writeLegacyGeneration(t, root, "mixed", tr, 300, tr.Len()/2, p)
+		}, `g000001-00000.seg holds canonical JSONL (empty codec)`},
+		{"format", func(t *testing.T, s *Store, root string) {
+			st := writeTrace(t, s, "format", tr)
+			man := *st.man
+			man.Format, man.Name = "swim-store-v2", ""
+			if err := commitManifest(st.dir, &man); err != nil {
+				t.Fatal(err)
+			}
+		}, `manifest format "swim-store-v2"`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			root := t.TempDir()
+			s, _ := openStore(t, root, 300)
+			writeTrace(t, s, "intact", genTrace(t, "CC-e", 2, 25*time.Hour))
+			tc.write(t, s, root)
+			s.Close()
+			before := dirFiles(t, root)
+			for try := 1; try <= 2; try++ {
+				s, _, err := Open(root, Options{SegmentJobs: 300})
+				if err == nil {
+					s.Close()
+					t.Fatalf("Open #%d succeeded over an unreadable generation", try)
+				}
+				for _, want := range []string{fmt.Sprintf("trace %q", tc.name), tc.found} {
+					if !strings.Contains(err.Error(), want) {
+						t.Errorf("Open #%d: error %q does not name %s", try, err, want)
+					}
+				}
+				after := dirFiles(t, root)
+				if len(after) != len(before) {
+					t.Errorf("Open #%d left %d files, had %d", try, len(after), len(before))
+				}
+				for path, b := range before {
+					if !bytes.Equal(after[path], b) {
+						t.Errorf("Open #%d changed or removed %s", try, path)
+					}
+				}
+			}
+		})
 	}
 }

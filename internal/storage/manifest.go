@@ -2,6 +2,7 @@ package storage
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -75,9 +76,7 @@ type FileInfo struct {
 
 // SegmentInfo is FileInfo plus the segment's job count, so byte-range
 // shards know their weight without reading, and the codec its bytes are
-// encoded with: CodecColumnar, or empty for canonical JSONL — the only
-// format v5-era manifests could describe, so they parse unchanged and
-// Open can find and migrate them.
+// encoded with, which Open requires to be CodecColumnar.
 //
 // MinSubmitSec/MaxSubmitSec are the segment-level zone map: the
 // earliest and latest job submit times (Unix seconds) in the segment,
@@ -89,9 +88,8 @@ type FileInfo struct {
 // span is unknown and never prunes.
 //
 // Blocks counts the colseg blocks the segment writer flushed; zero for
-// JSONL segments and manifests that predate block counts. It feeds the
-// compaction policy's average-block-fill trigger without opening any
-// segment.
+// manifests that predate block counts. It feeds the compaction policy's
+// average-block-fill trigger without opening any segment.
 type SegmentInfo struct {
 	FileInfo
 	Jobs         int    `json:"jobs"`
@@ -115,18 +113,39 @@ func (seg *SegmentInfo) pruneOutside(fromSec, toSec int64) bool {
 	return seg.spanKnown() && (seg.MaxSubmitSec < fromSec || seg.MinSubmitSec > toSec)
 }
 
-// readManifest loads and structurally validates a manifest file.
+// errUnreadable marks a manifest that parses but names a format or a
+// segment codec this build does not read: recovery refuses, not drops.
+var errUnreadable = errors.New("written in a format this build does not read")
+
+// readManifest loads and validates a manifest file. It fails with
+// errUnreadable when the manifest parses but names another format or
+// codec, and with any other error when it is torn or broken.
 func readManifest(path string) (*Manifest, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
+	// The format is read on its own and first, so a manifest of another
+	// format is refused whatever else it holds.
+	var head struct{ Format string }
+	if err := json.Unmarshal(b, &head); err != nil {
+		return nil, fmt.Errorf("storage: parsing %s: %w", path, err)
+	}
+	if head.Format != manifestFormat {
+		return nil, fmt.Errorf("%w: manifest format %q, not %q", errUnreadable, head.Format, manifestFormat)
+	}
 	var man Manifest
 	if err := json.Unmarshal(b, &man); err != nil {
 		return nil, fmt.Errorf("storage: parsing %s: %w", path, err)
 	}
-	if man.Format != manifestFormat {
-		return nil, fmt.Errorf("storage: %s: unknown format %q", path, man.Format)
+	for _, seg := range man.Segments {
+		if seg.Codec == "" {
+			return nil, fmt.Errorf("%w: segment %s holds canonical JSONL (empty codec), which this build no longer converts: open the data directory once with a build from a4d6a46 through 35a6182, which converts it to %s",
+				errUnreadable, seg.File, CodecColumnar)
+		}
+		if seg.Codec != CodecColumnar {
+			return nil, fmt.Errorf("%w: segment %s has codec %q, not %q", errUnreadable, seg.File, seg.Codec, CodecColumnar)
+		}
 	}
 	if man.Name == "" || man.Generation == 0 {
 		return nil, fmt.Errorf("storage: %s: incomplete manifest", path)
@@ -135,9 +154,6 @@ func readManifest(path string) (*Manifest, error) {
 	for _, seg := range man.Segments {
 		if seg.File == "" || seg.File != filepath.Base(seg.File) {
 			return nil, fmt.Errorf("storage: %s: bad segment file name %q", path, seg.File)
-		}
-		if seg.Codec != "" && seg.Codec != CodecColumnar {
-			return nil, fmt.Errorf("storage: %s: unknown segment codec %q", path, seg.Codec)
 		}
 		segJobs += seg.Jobs
 	}

@@ -13,14 +13,12 @@ import (
 
 // readGen is one committed generation of the read-path table: the
 // handle, the jobs it committed (the reference), and the store that
-// wrote it. A legacy generation is read only by Each, the one reader
-// migration uses, before Open converts it.
+// wrote it.
 type readGen struct {
-	name   string
-	s      *Store
-	st     *Trace
-	want   *trace.Trace
-	legacy bool
+	name string
+	s    *Store
+	st   *Trace
+	want *trace.Trace
 }
 
 // zeroMeta is the zero-segment generation's metadata.
@@ -108,16 +106,6 @@ func zeroSegmentsGen(t *testing.T) readGen {
 		t.Fatalf("empty generation has %d segments", st.Segments())
 	}
 	return readGen{name: "zero-segments", s: s, st: st, want: empty}
-}
-
-// legacyGen is a v5-era generation: JSONL segments followed by colseg
-// ones, as a codec upgrade's append left them.
-func legacyGen(t *testing.T, tr *trace.Trace) readGen {
-	st := writeLegacyGeneration(t, t.TempDir(), "legacy", tr, 3000, 9000, nil)
-	if !st.man.legacy() {
-		t.Fatal("legacy generation names no JSONL segment")
-	}
-	return readGen{name: "legacy", st: st, want: tr, legacy: true}
 }
 
 // readResult is what one reader made of a generation: the fingerprint
@@ -268,9 +256,6 @@ func checkReadPaths(t *testing.T, g readGen) {
 	}
 	var collected *trace.Trace
 	for _, rp := range readPaths {
-		if g.legacy && rp.name != "Each" {
-			continue
-		}
 		var back *trace.Trace
 		ok := t.Run(g.name+"/"+rp.name, func(t *testing.T) {
 			var got readResult
@@ -301,7 +286,7 @@ func checkReadPaths(t *testing.T, g readGen) {
 // ParallelScanPartial, LoadPartial and the appender's readback — over
 // every generation shape the store holds: packed, fragmented with a
 // lagging checkpoint, under an open appender with bytes past the
-// committed size, empty, and legacy JSONL (Each only).
+// committed size, and empty.
 func TestSegmentReadPaths(t *testing.T) {
 	tr := genTrace(t, "FB-2009", 31, 3*24*time.Hour)
 	for _, g := range []readGen{
@@ -309,7 +294,6 @@ func TestSegmentReadPaths(t *testing.T) {
 		fragmentedGen(t, tr),
 		openAppenderGen(t, tr),
 		zeroSegmentsGen(t),
-		legacyGen(t, tr),
 	} {
 		checkReadPaths(t, g)
 	}

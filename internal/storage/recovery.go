@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -9,8 +10,8 @@ import (
 // recover scans the traces directory, verifies every committed
 // generation, and removes everything a crash left behind: uncommitted
 // trace directories, torn segments (with their whole trace — data is
-// authoritative), stale-generation files, and manifest tmp files.
-// Verified legacy generations are then migrated to colseg.
+// authoritative), stale-generation files, and manifest tmp files. A
+// manifest this build cannot read fails it, naming the trace.
 func (s *Store) recover() (*Recovery, error) {
 	rec := &Recovery{}
 	entries, err := os.ReadDir(s.tracesDir())
@@ -24,23 +25,18 @@ func (s *Store) recover() (*Recovery, error) {
 			continue
 		}
 		dir := filepath.Join(s.tracesDir(), e.Name())
-		t, trimmed, reason := s.recoverTrace(dir, e.Name())
-		rec.Trimmed = append(rec.Trimmed, trimmed...)
-		if t != nil && t.man.legacy() {
-			mt, err := s.migrate(t)
-			if err != nil {
-				return nil, fmt.Errorf("storage: migrating legacy trace %q to colseg: %w", t.Name(), err)
-			}
-			t = mt
-			rec.Migrated = append(rec.Migrated, t.Name())
-		}
-		if t != nil {
-			rec.Traces = append(rec.Traces, t)
-			continue
-		}
 		name := e.Name()
 		if decoded, err := decodeName(name); err == nil {
 			name = decoded
+		}
+		t, trimmed, reason, err := s.recoverTrace(dir, e.Name())
+		if err != nil {
+			return nil, fmt.Errorf("storage: refusing trace %q: %w; nothing in %s was removed", name, err, dir)
+		}
+		rec.Trimmed = append(rec.Trimmed, trimmed...)
+		if t != nil {
+			rec.Traces = append(rec.Traces, t)
+			continue
 		}
 		rec.Dropped = append(rec.Dropped, Dropped{Name: name, Reason: reason})
 		if err := os.RemoveAll(dir); err != nil {
@@ -52,25 +48,28 @@ func (s *Store) recover() (*Recovery, error) {
 
 // recoverTrace verifies one trace directory. It returns the trace
 // handle plus any uncommitted live-append tails it truncated, or nil
-// with the reason the directory must be dropped.
-func (s *Store) recoverTrace(dir, encName string) (*Trace, []TrimmedTail, string) {
+// with the reason the directory must be dropped, or, touching nothing,
+// the errUnreadable error of a manifest this build cannot read.
+func (s *Store) recoverTrace(dir, encName string) (*Trace, []TrimmedTail, string, error) {
 	man, err := readManifest(filepath.Join(dir, manifestName))
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, nil, "no committed manifest (crashed before first commit)"
-		}
-		return nil, nil, fmt.Sprintf("unreadable manifest: %v", err)
+	switch {
+	case errors.Is(err, errUnreadable):
+		return nil, nil, "", err
+	case os.IsNotExist(err):
+		return nil, nil, "no committed manifest (crashed before first commit)", nil
+	case err != nil:
+		return nil, nil, fmt.Sprintf("unreadable manifest: %v", err), nil
 	}
 	// The directory must be the canonical home of the manifest's name,
 	// or two directories could claim one trace.
 	if want, err := encodeName(man.Name); err != nil || want != encName {
-		return nil, nil, fmt.Sprintf("directory %q does not match manifest name %q", encName, man.Name)
+		return nil, nil, fmt.Sprintf("directory %q does not match manifest name %q", encName, man.Name), nil
 	}
 	var trimmed []TrimmedTail
 	for _, seg := range man.Segments {
 		n, err := verifySegment(dir, seg)
 		if err != nil {
-			return nil, nil, fmt.Sprintf("torn trace: %v", err)
+			return nil, nil, fmt.Sprintf("torn trace: %v", err), nil
 		}
 		if n > 0 {
 			trimmed = append(trimmed, TrimmedTail{Name: man.Name, File: seg.File, Bytes: n})
@@ -92,5 +91,5 @@ func (s *Store) recoverTrace(dir, encName string) (*Trace, []TrimmedTail, string
 		s.gens[dir] = man.Generation
 	}
 	s.mu.Unlock()
-	return &Trace{dir: dir, man: man}, trimmed, ""
+	return &Trace{dir: dir, man: man}, trimmed, "", nil
 }

@@ -28,21 +28,21 @@
 // close, and whichever commits last wins. Closing a created generation
 // that never committed removes its files.
 //
-// Recovery. Open scans every trace directory: a missing or unparsable
-// manifest drops the directory (an uncommitted trace from a crashed
-// writer); a committed manifest has every segment verified against its
-// recorded size and CRC, and any mismatch drops the whole trace — data
-// is authoritative and a torn segment cannot be partially trusted.
-// Files not named by the manifest (stale generations, tmp files) are
-// removed. A damaged partial snapshot, by contrast, only costs the
-// snapshot: the jobs on disk can always rebuild it. A verified
-// generation that still holds legacy JSONL segments is then rewritten
-// to colseg once (see migrate.go), so every Trace that Open recovers
-// holds only colseg segments.
+// Recovery. Open scans every trace directory: a missing, unparsable or
+// broken manifest drops the directory (an uncommitted trace from a
+// crashed writer); a committed manifest has every segment verified
+// against its recorded size and CRC, and any mismatch drops the whole
+// trace — data is authoritative and a torn segment cannot be partially
+// trusted. Files not named by the manifest (stale generations, tmp
+// files) are removed. A damaged partial snapshot, by contrast, only
+// costs the snapshot: the jobs on disk can always rebuild it. A
+// manifest that parses but names another format or a segment codec
+// other than colseg (such as JSONL) is another version's data, not a
+// torn write: Open fails naming the trace and removes nothing of it.
 //
 // Reads. Every read of a committed segment — Each, Collect,
 // LoadPartial's replay past its checkpoint, the appender's readback,
-// WindowShards and ParallelScanPartial — goes through one per-segment
+// WindowShards and ParallelScanPartial — goes through one colseg
 // source: a colseg.FrameScanner bounded by the manifest's committed
 // size, so bytes a live appender wrote past it stay invisible, and a
 // colseg.BlockDecoder that CRC-verifies each kept frame before it
@@ -67,11 +67,10 @@ import (
 const DefaultSegmentJobs = 1 << 17
 
 // CodecColumnar is the manifest codec of every segment the store
-// writes: the compact columnar binary format (package colseg) with
-// dictionary-encoded strings, delta varint times and IDs, per-block
-// CRCs and zone maps. The only other codec a manifest can record is the
-// empty string — canonical JSONL from v5-era stores — which Open
-// migrates away.
+// writes and reads: the compact columnar binary format (package colseg)
+// with dictionary-encoded strings, delta varint times and IDs,
+// per-block CRCs and zone maps. Open refuses a manifest naming any
+// other codec.
 const CodecColumnar = "colseg"
 
 // Options tunes a Store.
@@ -110,15 +109,13 @@ type writerKey struct {
 
 // Recovery reports what Open found: the committed traces that passed
 // verification, what was dropped with the reason — so a server can log
-// torn uploads it discarded rather than silently forgetting them — any
-// uncommitted live-append tails truncated back to the last committed
-// batch boundary, and the traces whose legacy JSONL segments were
-// converted to colseg.
+// torn uploads it discarded rather than silently forgetting them — and
+// any uncommitted live-append tails truncated back to the last
+// committed batch boundary.
 type Recovery struct {
-	Traces   []*Trace
-	Dropped  []Dropped
-	Trimmed  []TrimmedTail
-	Migrated []string
+	Traces  []*Trace
+	Dropped []Dropped
+	Trimmed []TrimmedTail
 }
 
 // Dropped names one trace directory recovery removed and why.
@@ -136,9 +133,9 @@ type TrimmedTail struct {
 }
 
 // Open creates (if needed) and recovers a storage root, returning the
-// store and the recovery report. It fails, naming the trace, when a
-// legacy generation cannot be migrated to colseg; that generation stays
-// committed and untouched.
+// store and the recovery report. It fails, naming the trace and what it
+// found, when a committed manifest names a format or segment codec this
+// build does not read; nothing in that trace's directory is removed.
 func Open(root string, opts Options) (*Store, *Recovery, error) {
 	segJobs := opts.SegmentJobs
 	if segJobs <= 0 {

@@ -99,6 +99,18 @@ func (t *Trace) WindowShards(from, to time.Time) ([]trace.Source, *ScanStats) {
 	return out, stats
 }
 
+// Each streams every committed job to fn in manifest order — the read
+// compaction and append-session replay share. Jobs decode into a reused
+// batch, so fn must not retain the job.
+func (t *Trace) Each(fn func(*trace.Job) error) error {
+	for _, seg := range t.man.Segments {
+		if err := t.source(seg, nil, nil).each(fn); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // Collect materializes the whole trace in memory — the reload path for
 // analyses that need random access. Each decoded block is copied out of
 // the reused batch in one allocation, so the caller owns the result.

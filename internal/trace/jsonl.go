@@ -120,14 +120,6 @@ func NewJSONLReader(r io.Reader) (*JSONLReader, error) {
 	return jr, nil
 }
 
-// NewJSONLBodyReader returns a Source over headerless job-record lines
-// with caller-supplied metadata — the segment files of the durable
-// storage engine, which keep the Table-1 metadata in the per-trace
-// manifest instead of repeating a header line per segment.
-func NewJSONLBodyReader(r io.Reader, meta Meta) *JSONLReader {
-	return &JSONLReader{br: bufio.NewReaderSize(r, 1<<16), buf: make([]byte, 0, 512), meta: meta}
-}
-
 // Meta returns the header metadata.
 func (r *JSONLReader) Meta() Meta { return r.meta }
 
@@ -194,9 +186,7 @@ func readLine(br *bufio.Reader, buf []byte) ([]byte, error) {
 
 // AppendJobLine appends the canonical JSONL encoding of j to b — the
 // exact bytes JSONLWriter and the fingerprint Hasher produce per job,
-// newline included. The durable storage engine writes segment files
-// through it so segment bytes are the canonical representation (and so
-// segment CRCs are stable across writers).
+// newline included.
 func AppendJobLine(b []byte, j *Job) ([]byte, error) {
 	return appendJob(b, j)
 }

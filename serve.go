@@ -30,8 +30,9 @@ type ServeOptions struct {
 	// traces persist as checksummed columnar segment files with their
 	// aggregates snapshotted alongside, survive restarts, and are
 	// analyzed out-of-core when larger than the in-memory budget. A
-	// directory holding legacy JSONL segments is converted to colseg
-	// once at startup.
+	// trace whose manifest names a format or segment codec this build
+	// does not read (such as JSONL segments from stores before colseg)
+	// fails startup, naming the trace, and nothing of it is removed.
 	DataDir string
 	// Logger receives structured server logs (slow or failing requests,
 	// recovery, compaction); nil disables logging.
