@@ -55,36 +55,17 @@ func Analyze(t *Trace, opts AnalyzeOptions) (*Report, error) {
 // Table-1 summary, Figure 1 data sizes, the Figures 7–9 hourly series,
 // and the Figure 10 name breakdown. By default it is a single
 // sequential pass in memory independent of trace length; with
-// opts.Shards > 1 the stream is analyzed shard-parallel — the jobs are
-// split into contiguous ordered shards, analyzed on a worker pool, and
-// the mergeable per-section aggregates are combined in shard order,
+// opts.Shards > 1 the stream is collected and analyzed shard-parallel,
 // producing bytes identical to the sequential report at any shard count
-// (see core.AnalyzeSource for the exact contract and the
-// Materialize/SketchDataSizes options).
+// (see core.AnalyzeSource for the exact contract).
 func AnalyzeSource(src Source, opts AnalyzeOptions) (*Report, error) {
 	return core.AnalyzeSource(src, opts)
 }
 
-// AnalyzeSourceParallel is the explicit scatter/gather entry point:
-// opts.Shards contiguous shards (0 = one per CPU) analyzed concurrently
-// and merged deterministically. Same report bytes as AnalyzeSource; the
-// cost is holding the job set in memory while the shards run.
-func AnalyzeSourceParallel(src Source, opts AnalyzeOptions) (*Report, error) {
-	return core.AnalyzeSourceParallel(src, opts)
-}
-
-// AnalyzeTraceParallel runs the shard-parallel streaming analysis over
-// an in-memory trace without copying jobs.
-func AnalyzeTraceParallel(t *Trace, opts AnalyzeOptions) (*Report, error) {
-	return core.AnalyzeTraceParallel(t, opts)
-}
-
 // AnalyzeFrom streams a trace file through AnalyzeSource without loading
 // it into memory — the companion to GenerateTo for paper-length traces.
-// CSV files need meta supplied; it is ignored for JSONL. With
-// opts.Materialize the trace is collected and fully analyzed instead;
-// with opts.Shards > 1 the file's jobs are collected and analyzed
-// shard-parallel (same bytes, more memory, less wall-clock).
+// CSV files need meta supplied; it is ignored for JSONL. For the
+// analyses that need the whole trace, LoadTrace and Analyze instead.
 func AnalyzeFrom(path string, meta Meta, opts AnalyzeOptions) (*Report, error) {
 	src, err := OpenTrace(path, meta)
 	if err != nil {

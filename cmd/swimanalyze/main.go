@@ -26,6 +26,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
 	"strings"
 
 	swim "repro"
@@ -78,6 +79,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return fmt.Errorf("-shards must be >= 0 (0 = one per CPU)")
 	}
 
+	if *shards == 0 {
+		*shards = runtime.GOMAXPROCS(0)
+	}
 	opts := swim.AnalyzeOptions{
 		TopNames:        *topNames,
 		SkipClustering:  *noTable2,
@@ -87,14 +91,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	var rep *swim.Report
 	var err error
 	switch {
-	case *stream && *shards != 1:
-		// Scatter/gather: same report bytes as the sequential stream,
-		// wall-clock divided across shards.
-		var src swim.TraceSource
-		if src, err = swim.OpenTrace(*in, swim.Meta{Name: *in}); err == nil {
-			rep, err = swim.AnalyzeSourceParallel(src, opts)
-			src.Close()
-		}
 	case *stream:
 		rep, err = swim.AnalyzeFrom(*in, swim.Meta{Name: *in}, opts)
 	case *in != "":

@@ -21,6 +21,7 @@ import (
 
 	swim "repro"
 	"repro/internal/analysis"
+	"repro/internal/core"
 	"repro/internal/report"
 	"repro/internal/stats"
 	"repro/internal/units"
@@ -594,18 +595,23 @@ func parallelAnalysis(w io.Writer, traces map[string]*swim.Trace, shards int) er
 	}
 	fmt.Fprintf(w, "== Parallel analysis (mergeable section builders, K=%d shards) ==\n", shards)
 	tr := traces["FB-2009"]
-	start := time.Now()
-	seq, err := swim.AnalyzeTraceParallel(tr, swim.AnalyzeOptions{Shards: 1})
+	analyze := func(k int) (*swim.Report, time.Duration, error) {
+		start := time.Now()
+		p, err := core.BuildTracePartial(tr, k, false)
+		if err != nil {
+			return nil, 0, err
+		}
+		rep, err := p.Report(0)
+		return rep, time.Since(start), err
+	}
+	seq, seqDur, err := analyze(1)
 	if err != nil {
 		return err
 	}
-	seqDur := time.Since(start)
-	start = time.Now()
-	par, err := swim.AnalyzeTraceParallel(tr, swim.AnalyzeOptions{Shards: shards})
+	par, parDur, err := analyze(shards)
 	if err != nil {
 		return err
 	}
-	parDur := time.Since(start)
 	var a, b bytes.Buffer
 	if err := seq.WriteJSON(&a); err != nil {
 		return err

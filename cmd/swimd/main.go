@@ -75,7 +75,6 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string, stop <-ch
 		nodeID       = fs.String("node-id", "", "this node's identity in -peers (cluster mode)")
 		peersList    = fs.String("peers", "", "cluster membership as id=url,id=url,... including this node; empty runs single-node")
 		replicas     = fs.Int("replication", 0, "replica owners per trace shard (0 = default 2, clamped to the cluster size)")
-		cshards      = fs.Int("cluster-shards", 0, "shard count for newly ingested cluster traces (0 = one per member)")
 		peerTO       = fs.Duration("peer-timeout", 0, "one peer request attempt's timeout (0 = default 10s)")
 		drainTO      = fs.Duration("drain-timeout", 5*time.Second, "how long shutdown waits for in-flight requests before force-closing connections")
 	)
@@ -106,7 +105,6 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string, stop <-ch
 		Peers:                *peersList,
 		NodeID:               *nodeID,
 		Replication:          *replicas,
-		ClusterShards:        *cshards,
 		PeerTimeout:          *peerTO,
 	})
 	if err != nil {

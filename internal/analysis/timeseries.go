@@ -186,17 +186,16 @@ func (b *TimeSeriesBuilder) Series() *TimeSeries {
 }
 
 // BinHourly builds the hourly series for a trace. The number of bins is
-// ceil(trace length); traces shorter than two hours are rejected.
+// ceil(trace length); traces shorter than two hours are rejected. A
+// header without a start or length takes them from the jobs' span
+// (trace.Meta.FillFromSpan).
 func BinHourly(t *trace.Trace) (*TimeSeries, error) {
 	if t.Len() == 0 {
 		return nil, errors.New("analysis: empty trace")
 	}
-	length := t.Meta.Length
-	if length <= 0 {
-		start, end := t.Span()
-		length = end.Sub(start)
-	}
-	b, err := NewTimeSeriesBuilder(t.Meta.Name, t.Meta.Start, length)
+	meta := t.Meta
+	meta.FillFromSpan(t.Span())
+	b, err := NewTimeSeriesBuilder(meta.Name, meta.Start, meta.Length)
 	if err != nil {
 		return nil, err
 	}

@@ -56,10 +56,22 @@ func encode(t testing.TB, jobs []*trace.Job, blockJobs int) []byte {
 	return buf.Bytes()
 }
 
+// jobLine returns the canonical JSONL line of j, newline included, as
+// a JSONLWriter writes it after its header line, or the writer's error
+// for a job that has none.
+func jobLine(j *trace.Job) ([]byte, error) {
+	var buf bytes.Buffer
+	if err := trace.WriteJSONL(&buf, &trace.Trace{Jobs: []*trace.Job{j}}); err != nil {
+		return nil, err
+	}
+	b := buf.Bytes()
+	return b[bytes.IndexByte(b, '\n')+1:], nil
+}
+
 // canonical returns the canonical JSONL line of j.
 func canonical(t testing.TB, j *trace.Job) []byte {
 	t.Helper()
-	b, err := trace.AppendJobLine(nil, j)
+	b, err := jobLine(j)
 	if err != nil {
 		t.Fatalf("job %d has no canonical encoding: %v", j.ID, err)
 	}

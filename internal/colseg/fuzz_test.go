@@ -38,7 +38,7 @@ func FuzzColumnarRoundTrip(f *testing.F) {
 			InputBytes: 1 << 40, MapTime: 0.25, MapTasks: 12, InputPath: "/p", OutputPath: "/p"},
 		{ID: 3, SubmitTime: time.Date(2010, 5, 1, 1, 0, 0, 0, time.FixedZone("", 3600)), ReduceTime: 1e300},
 	} {
-		b, err := trace.AppendJobLine(nil, j)
+		b, err := jobLine(j)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -73,11 +73,11 @@ func FuzzColumnarRoundTrip(f *testing.F) {
 				t.Fatalf("decoded %d jobs, encoded %d", len(decoded), len(jobs))
 			}
 			for i := range jobs {
-				want, err := trace.AppendJobLine(nil, jobs[i])
+				want, err := jobLine(jobs[i])
 				if err != nil {
 					continue // job has no canonical form (e.g. year 10000 via fallback parse)
 				}
-				got, err := trace.AppendJobLine(nil, decoded[i])
+				got, err := jobLine(decoded[i])
 				if err != nil || !bytes.Equal(got, want) {
 					t.Fatalf("job %d canonical JSONL drifted (%v):\n got %s\nwant %s", i, err, got, want)
 				}
@@ -133,7 +133,7 @@ func FuzzFrameScanner(f *testing.F) {
 	may1 := time.Date(2010, 5, 1, 0, 0, 0, 0, time.UTC)
 	var jobs []byte
 	for i := 0; i < 6; i++ {
-		line, err := trace.AppendJobLine(nil, &trace.Job{ID: int64(i), Name: "hourly", SubmitTime: may1.Add(time.Duration(i) * time.Hour)})
+		line, err := jobLine(&trace.Job{ID: int64(i), Name: "hourly", SubmitTime: may1.Add(time.Duration(i) * time.Hour)})
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -210,8 +210,8 @@ func parseJobs(data []byte) []*trace.Job {
 		}
 		// Only keep jobs with a canonical form: encode must be able to
 		// re-serialize them (the fallback JSON parser can construct e.g.
-		// out-of-range years that AppendJobLine refuses).
-		if _, err := trace.AppendJobLine(nil, j); err != nil {
+		// out-of-range years that the JSONL writer refuses).
+		if _, err := jobLine(j); err != nil {
 			break
 		}
 		jobs = append(jobs, j)
@@ -251,7 +251,7 @@ func FuzzDecodeColumns(f *testing.F) {
 	may1 := time.Date(2010, 5, 1, 0, 0, 0, 0, time.UTC)
 	var jobs []byte
 	for i := 0; i < 6; i++ {
-		line, err := trace.AppendJobLine(nil, &trace.Job{ID: int64(i), Name: "hourly", SubmitTime: may1.Add(time.Duration(i)*time.Hour + time.Duration(i)*time.Millisecond),
+		line, err := jobLine(&trace.Job{ID: int64(i), Name: "hourly", SubmitTime: may1.Add(time.Duration(i)*time.Hour + time.Duration(i)*time.Millisecond),
 			Duration: time.Minute, InputBytes: units.Bytes(i << 20), MapTime: 1.5, InputPath: "/in"})
 		if err != nil {
 			f.Fatal(err)

@@ -2,10 +2,12 @@ package core
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/analysis"
 	"repro/internal/gen"
 	"repro/internal/profile"
 	"repro/internal/trace"
@@ -44,6 +46,51 @@ func TestAnalyzeCompleteWorkload(t *testing.T) {
 	}
 	if rep.Summary.Jobs != tr.Len() {
 		t.Errorf("summary jobs = %d, want %d", rep.Summary.Jobs, tr.Len())
+	}
+}
+
+// TestAnalyzeFillsHeaderFromSpan: a trace whose header carries only its
+// name, as a CSV round trip leaves it, analyzes as the same jobs under
+// the header their span fills in — start at the first submit, length to
+// the last finish — in Analyze and in BinHourly alike.
+func TestAnalyzeFillsHeaderFromSpan(t *testing.T) {
+	tr := genTrace(t, "CC-b", 48*time.Hour)
+	var csv bytes.Buffer
+	if err := trace.WriteCSV(&csv, tr); err != nil {
+		t.Fatal(err)
+	}
+	nameOnly, err := trace.ReadCSV(&csv, trace.Meta{Name: tr.Meta.Name})
+	if err != nil {
+		t.Fatal(err)
+	}
+	filled := &trace.Trace{Meta: nameOnly.Meta, Jobs: nameOnly.Jobs}
+	start, end := nameOnly.Span()
+	filled.Meta.Start, filled.Meta.Length = start, end.Sub(start)
+
+	got, err := analysis.BinHourly(nameOnly)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := analysis.BinHourly(filled)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.Start.Equal(want.Start) || !slices.Equal(got.Jobs, want.Jobs) || !slices.Equal(got.Bytes, want.Bytes) ||
+		!slices.Equal(got.TaskSeconds, want.TaskSeconds) || !slices.Equal(got.TaskSecondsSpread, want.TaskSecondsSpread) {
+		t.Errorf("BinHourly of the name-only header differs from the filled-in one: %d bins from %v, want %d from %v",
+			got.Hours(), got.Start, want.Hours(), want.Start)
+	}
+
+	rep, err := Analyze(nameOnly, AnalyzeOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantRep, err := Analyze(filled, AnalyzeOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a, b := reportBytes(t, rep), reportBytes(t, wantRep); !bytes.Equal(a, b) {
+		t.Errorf("Analyze of the name-only header differs from the filled-in one (first diff at byte %d of %d)", firstDiff(a, b), len(b))
 	}
 }
 

@@ -103,31 +103,6 @@ func TestStreamingMatchesMaterializedGolden(t *testing.T) {
 		t.Errorf("streaming and materialized reports differ (first diff at byte %d)\n--- materialized ---\n%s\n--- streaming ---\n%s",
 			firstDiff(mat.Bytes(), str.Bytes()), clip(mat.String(), 1500), clip(str.String(), 1500))
 	}
-
-	// Materialize-via-stream must also reproduce the full report,
-	// clustering included.
-	src2, err := trace.NewJSONLReader(bytes.NewReader(file.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fullStream, err := AnalyzeSource(src2, AnalyzeOptions{Materialize: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fullMat, err := Analyze(tr, AnalyzeOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var a, b bytes.Buffer
-	if err := fullStream.Render(&a); err != nil {
-		t.Fatal(err)
-	}
-	if err := fullMat.Render(&b); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Errorf("Materialize-mode AnalyzeSource differs from Analyze (first diff at byte %d)", firstDiff(a.Bytes(), b.Bytes()))
-	}
 }
 
 // TestGoldenFingerprint pins the golden trace's content fingerprint —

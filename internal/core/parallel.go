@@ -12,74 +12,15 @@ import (
 // and merge the partials in deterministic shard order. Because every
 // section builder is an exact mergeable aggregate (see Partial), the
 // merged report's JSON() bytes are identical to the sequential
-// AnalyzeSource result at any shard count — the agreement is gated by
+// BuildPartial's at any shard count — the agreement is gated by
 // TestParallelAnalyzeByteIdentical on the FB-2009 golden trace, and
 // BenchmarkParallelAnalyze records the K=1 vs K=NumCPU speedup.
 
-// shardCount resolves opts.Shards: 0 means one shard per available CPU.
-func shardCount(opts AnalyzeOptions) int {
-	k := opts.Shards
-	if k <= 0 {
-		k = runtime.GOMAXPROCS(0)
-	}
-	if k < 1 {
-		k = 1
-	}
-	return k
-}
-
-// AnalyzeSourceParallel is the scatter/gather form of AnalyzeSource: it
-// drains src, splits the jobs into opts.Shards contiguous shards
-// (default: one per CPU), analyzes them concurrently, and merges the
-// shard partials in shard order. The report is byte-identical to the
-// sequential AnalyzeSource at any shard count; the cost is holding the
-// job set in memory while the shards run (like Materialize), so the
-// sequential path remains the choice for paper-length traces that must
-// stream in constant memory. Materialize mode collects and runs the
-// full Analyze, exactly as AnalyzeSource does — the materialized-only
-// analyses (Figures 2–6, Table 2) are not sharded.
-func AnalyzeSourceParallel(src trace.Source, opts AnalyzeOptions) (*Report, error) {
-	if opts.Materialize {
-		t, err := trace.Collect(src)
-		if err != nil {
-			return nil, err
-		}
-		return Analyze(t, opts)
-	}
-	k := shardCount(opts)
-	if k == 1 {
-		return analyzeStream(src, opts)
-	}
-	if src.Meta().Length <= 0 {
-		return nil, errNeedsLength()
-	}
-	shards, err := trace.Split(src, k)
-	if err != nil {
-		return nil, err
-	}
-	p, err := mergeShardPartials(shards, opts.SketchDataSizes)
-	if err != nil {
-		return nil, err
-	}
-	return p.Report(opts.TopNames)
-}
-
-// AnalyzeTraceParallel runs the shard-parallel streaming analysis over
-// an in-memory trace without copying jobs — the form the serving layer
-// uses on stored snapshots.
-func AnalyzeTraceParallel(t *trace.Trace, opts AnalyzeOptions) (*Report, error) {
-	p, err := BuildTracePartial(t, shardCount(opts), opts.SketchDataSizes)
-	if err != nil {
-		return nil, err
-	}
-	return p.Report(opts.TopNames)
-}
-
 // BuildTracePartial builds the full-trace partial aggregate with k
 // parallel shards (k < 1 selects one per CPU). The result is identical
-// to a sequential BuildPartial over the same trace; the serving layer
-// calls this at ingest time to precompute the frozen per-trace
-// aggregate cold reports merge from.
+// to a sequential BuildPartial over the same trace. Analyze finalizes
+// one, and the serving layer builds one at ingest time to precompute
+// the frozen per-trace aggregate cold reports merge from.
 func BuildTracePartial(t *trace.Trace, k int, sketch bool) (*Partial, error) {
 	if k < 1 {
 		k = runtime.GOMAXPROCS(0)

@@ -24,11 +24,11 @@ func reportBytes(t testing.TB, rep *Report) []byte {
 }
 
 // TestParallelAnalyzeByteIdentical is the acceptance gate for the
-// shard-parallel path: AnalyzeSourceParallel at every shard count must
-// produce Report.JSON() bytes identical to the sequential AnalyzeSource
-// on the FB-2009 seed-1 day-1 golden trace, in both exact and sketch
-// Figure 1 modes. CI also runs this test under -race to exercise the
-// worker pool.
+// shard-parallel path: AnalyzeSource with opts.Shards and
+// BuildTracePartial at every shard count must produce Report.JSON()
+// bytes identical to the sequential AnalyzeSource on the FB-2009 seed-1
+// day-1 golden trace, in both exact and sketch Figure 1 modes. CI also
+// runs this test under -race to exercise the worker pool.
 func TestParallelAnalyzeByteIdentical(t *testing.T) {
 	tr := goldenTrace(t)
 	for _, sketch := range []bool{false, true} {
@@ -40,7 +40,7 @@ func TestParallelAnalyzeByteIdentical(t *testing.T) {
 		shardCounts := []int{1, 2, 3, 5, 8, 16, 61, runtime.GOMAXPROCS(0)}
 		for _, k := range shardCounts {
 			opts := AnalyzeOptions{Shards: k, SketchDataSizes: sketch}
-			par, err := AnalyzeSourceParallel(trace.NewSliceSource(tr), opts)
+			par, err := AnalyzeSource(trace.NewSliceSource(tr), opts)
 			if err != nil {
 				t.Fatalf("sketch=%v K=%d: %v", sketch, k, err)
 			}
@@ -48,13 +48,17 @@ func TestParallelAnalyzeByteIdentical(t *testing.T) {
 				t.Errorf("sketch=%v K=%d: parallel report differs from sequential (first diff at byte %d of %d)",
 					sketch, k, firstDiff(got, want), len(want))
 			}
-			// The trace-snapshot entry point must agree too.
-			parT, err := AnalyzeTraceParallel(tr, opts)
+			// The in-memory trace's partial must agree too.
+			p, err := BuildTracePartial(tr, k, sketch)
+			if err != nil {
+				t.Fatalf("sketch=%v K=%d (trace): %v", sketch, k, err)
+			}
+			parT, err := p.Report(0)
 			if err != nil {
 				t.Fatalf("sketch=%v K=%d (trace): %v", sketch, k, err)
 			}
 			if got := reportBytes(t, parT); !bytes.Equal(got, want) {
-				t.Errorf("sketch=%v K=%d: AnalyzeTraceParallel differs from sequential", sketch, k)
+				t.Errorf("sketch=%v K=%d: BuildTracePartial's report differs from sequential", sketch, k)
 			}
 		}
 	}
@@ -150,11 +154,11 @@ func benchTrace(tb testing.TB) *trace.Trace {
 }
 
 // BenchmarkParallelAnalyze records the shard-parallel speedup: the same
-// streaming analysis at K=1 (sequential) versus fixed shard counts and
-// K=NumCPU, whose arm name stays fixed so BENCH_ANALYZE.json's
-// speedup_numcpu gate can name it (the -N suffix carries the count). On
-// a single-core runner K=NumCPU degenerates to K=1 and the ratio is 1
-// by construction.
+// streaming analysis — BuildTracePartial, then Report — at K=1
+// (sequential) versus fixed shard counts and K=NumCPU, whose arm name
+// stays fixed so BENCH_ANALYZE.json's speedup_numcpu gate can name it
+// (the -N suffix carries the count). On a single-core runner K=NumCPU
+// degenerates to K=1 and the ratio is 1 by construction.
 func BenchmarkParallelAnalyze(b *testing.B) {
 	tr := benchTrace(b)
 	arms := []struct {
@@ -163,10 +167,13 @@ func BenchmarkParallelAnalyze(b *testing.B) {
 	}{{"K=1", 1}, {"K=2", 2}, {"K=4", 4}, {"K=NumCPU", runtime.GOMAXPROCS(0)}}
 	for _, arm := range arms {
 		b.Run(arm.name, func(b *testing.B) {
-			opts := AnalyzeOptions{Shards: arm.k}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := AnalyzeTraceParallel(tr, opts); err != nil {
+				p, err := BuildTracePartial(tr, arm.k, false)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := p.Report(0); err != nil {
 					b.Fatal(err)
 				}
 			}

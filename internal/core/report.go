@@ -49,7 +49,7 @@ type Report struct {
 	Clusters *analysis.JobClusters
 }
 
-// AnalyzeOptions tunes Analyze.
+// AnalyzeOptions tunes Analyze and AnalyzeSource.
 type AnalyzeOptions struct {
 	// TopNames bounds the Figure 10 word list (default 8, matching the
 	// figure's per-workload word counts).
@@ -58,99 +58,84 @@ type AnalyzeOptions struct {
 	Cluster analysis.ClusterConfig
 	// SkipClustering drops the Table 2 analysis (it is the slowest step).
 	SkipClustering bool
-	// Materialize applies to AnalyzeSource only: collect the streamed
-	// jobs into memory and run the full materialized Analyze, so the
-	// path-based analyses (Figures 2–6) and Table-2 clustering — which
-	// need random access over the whole trace — are included. When
-	// false, AnalyzeSource runs in a single pass with memory independent
-	// of trace length (see AnalyzeSource for what that report contains).
-	Materialize bool
-	// SketchDataSizes applies to the streaming AnalyzeSource path only:
-	// compute the Figure 1 distributions with fixed-memory quantile
-	// sketches (≤ half-bin relative error, stats.DefaultBinsPerDecade)
-	// instead of exact per-job value collection. With it, streaming
-	// analysis memory is fully independent of job count; without it,
-	// Figure 1 retains 24 bytes per job and matches the materialized
-	// analysis exactly.
+	// SketchDataSizes computes the Figure 1 distributions with
+	// fixed-memory quantile sketches (≤ half-bin relative error,
+	// stats.DefaultBinsPerDecade) instead of exact per-job value
+	// collection. With it, streaming analysis memory is fully
+	// independent of job count; without it, Figure 1 retains 24 bytes
+	// per job and is exact.
 	SketchDataSizes bool
-	// Shards selects the shard-parallel execution of the streaming
-	// analysis (AnalyzeSource / AnalyzeSourceParallel): the job stream
-	// is split into this many contiguous ordered shards, analyzed on a
-	// bounded worker pool, and merged in shard order. The merged report
-	// is byte-identical to the sequential one at any shard count; the
-	// cost is holding the job set in memory while the shards run.
-	// 0 or 1 keeps the sequential constant-memory pass (0 means "one
-	// per CPU" where a parallel entry point is invoked explicitly).
-	// Ignored by the materialized Analyze.
+	// Shards applies to AnalyzeSource only: above 1, the job stream is
+	// collected, split into this many contiguous ordered shards,
+	// analyzed on a bounded worker pool, and merged in shard order. The
+	// report is byte-identical to the sequential one at any shard
+	// count; the cost is holding the job set in memory while the shards
+	// run. 0 or 1 keeps the sequential constant-memory pass. Analyze
+	// always builds with one shard per CPU.
 	Shards int
 }
 
 // Analyze runs the full measurement methodology of the paper over a trace
-// and returns every figure and table that the trace's fields permit.
+// and returns every figure and table that the trace's fields permit. The
+// streamed sections are finalized from the trace's partial aggregate, as
+// every served report is; AddTraceSections adds the ones that need the
+// whole trace at once. A header without a start or length (CSV) takes
+// them from the jobs' span (trace.Meta.FillFromSpan).
 func Analyze(t *trace.Trace, opts AnalyzeOptions) (*Report, error) {
 	if t.Len() == 0 {
 		return nil, fmt.Errorf("core: cannot analyze an empty trace")
 	}
-	if opts.TopNames == 0 {
-		opts.TopNames = 8
-	}
-	rep := &Report{Summary: t.Summarize()}
-
-	ds, err := analysis.DataSizeCDFs(t)
+	filled := *t
+	filled.Meta.FillFromSpan(t.Span())
+	p, err := BuildTracePartial(&filled, 0, opts.SketchDataSizes)
 	if err != nil {
 		return nil, err
 	}
-	rep.DataSizes = ds
+	rep, err := p.Report(opts.TopNames)
+	if err != nil {
+		return nil, err
+	}
+	if err := rep.AddTraceSections(&filled, opts); err != nil {
+		return nil, err
+	}
+	return rep, nil
+}
 
+// AddTraceSections adds to a partial's report the analyses that need
+// random access over the whole trace, which no partial aggregate
+// carries: the path-based Figures 2–6 when the jobs carry paths, and the
+// Table 2 clustering unless opts.SkipClustering.
+func (r *Report) AddTraceSections(t *trace.Trace, opts AnalyzeOptions) error {
 	if t.HasPaths() {
 		if af, err := analysis.InputAccessFrequency(t); err == nil {
-			rep.InputAccess = af
+			r.InputAccess = af
 		}
 		if sa, err := analysis.InputSizeAccess(t); err == nil {
-			rep.InputSizeAccess = sa
+			r.InputSizeAccess = sa
 		}
 		if iv, err := analysis.Intervals(t); err == nil {
-			rep.Intervals = iv
+			r.Intervals = iv
 		}
 		if rf, err := analysis.Reaccess(t); err == nil {
-			rep.Reaccess = rf
+			r.Reaccess = rf
 		}
 	}
 	if t.HasOutputPaths() {
 		if af, err := analysis.OutputAccessFrequency(t); err == nil {
-			rep.OutputAccess = af
+			r.OutputAccess = af
 		}
 		if sa, err := analysis.OutputSizeAccess(t); err == nil {
-			rep.OutputSizeAccess = sa
+			r.OutputSizeAccess = sa
 		}
 	}
-
-	series, err := analysis.BinHourly(t)
-	if err != nil {
-		return nil, err
-	}
-	rep.Series = series
-	if b, err := series.BurstinessOf(); err == nil {
-		rep.PeakToMedian = b.PeakToMedian
-	}
-	if c, err := series.Correlate(); err == nil {
-		rep.Correlations = c
-	}
-
-	if t.HasNames() {
-		if na, err := analysis.JobNames(t, opts.TopNames); err == nil {
-			rep.Names = na
-		}
-	}
-
 	if !opts.SkipClustering {
 		jc, err := analysis.ClusterJobs(t, opts.Cluster)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		rep.Clusters = jc
+		r.Clusters = jc
 	}
-	return rep, nil
+	return nil
 }
 
 // Render writes the full report as readable text: one section per figure

@@ -2,18 +2,17 @@ package core
 
 import (
 	"fmt"
-	"io"
 
 	"repro/internal/trace"
 )
 
 func errNeedsLength() error {
-	return fmt.Errorf("core: streaming analysis needs metadata with a positive trace length (set Materialize for span-derived traces)")
+	return fmt.Errorf("core: streaming analysis needs metadata with a positive trace length (collect the trace and use Analyze for span-derived traces)")
 }
 
 // AnalyzeSource runs the measurement methodology over a streamed trace.
 // It computes every analysis that does not need random access over the
-// whole job set:
+// whole job set — the sections of Partial.Report:
 //
 //   - the Table-1 summary,
 //   - Figure 1 data-size distributions (exact by default; fixed-memory
@@ -24,51 +23,28 @@ func errNeedsLength() error {
 // By default the stream is analyzed in a single sequential pass: memory
 // is O(trace hours + name vocabulary), independent of job count (plus
 // 24 B/job for exact Figure 1 unless opts.SketchDataSizes). With
-// opts.Shards > 1 the stream is instead analyzed shard-parallel (see
-// AnalyzeSourceParallel) — same report bytes, wall-clock divided across
-// CPUs, at the cost of holding the job set in memory. The analyses that
-// genuinely need the whole trace in memory — Table-2 k-means and the
-// path-based Figures 2–6 — are left nil; set opts.Materialize to
-// collect the stream and run the full Analyze instead.
-//
-// Because the per-analysis builders are the same mergeable aggregates
-// the materialized Analyze and the parallel path run, a streaming
-// report's sections are identical to the corresponding sections of
-// Analyze on the collected trace.
+// opts.Shards > 1 the stream is collected and analyzed shard-parallel —
+// same report bytes, wall-clock divided across CPUs, at the cost of
+// holding the job set in memory. Table-2 k-means and the path-based
+// Figures 2–6 are left nil: collect the stream and run Analyze for them.
+// The report's sections are identical to the same sections of Analyze on
+// the collected trace, which finalizes the same partial aggregate.
 func AnalyzeSource(src trace.Source, opts AnalyzeOptions) (*Report, error) {
-	if opts.Materialize {
-		t, err := trace.Collect(src)
-		if err != nil {
-			return nil, err
+	var p *Partial
+	var err error
+	switch {
+	case opts.Shards <= 1:
+		p, err = BuildPartial(src, opts.SketchDataSizes)
+	case src.Meta().Length <= 0:
+		err = errNeedsLength() // before the stream is drained
+	default:
+		var shards []trace.Source
+		if shards, err = trace.Split(src, opts.Shards); err == nil {
+			p, err = mergeShardPartials(shards, opts.SketchDataSizes)
 		}
-		return Analyze(t, opts)
 	}
-	if opts.Shards > 1 {
-		return AnalyzeSourceParallel(src, opts)
-	}
-	return analyzeStream(src, opts)
-}
-
-// analyzeStream is the sequential one-pass body: one Partial aggregate
-// observes every job, then finalizes.
-func analyzeStream(src trace.Source, opts AnalyzeOptions) (*Report, error) {
-	meta := src.Meta()
-	if meta.Length <= 0 {
-		return nil, errNeedsLength()
-	}
-	p, err := NewPartial(meta, opts.SketchDataSizes)
 	if err != nil {
 		return nil, err
-	}
-	for {
-		j, err := src.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		p.Observe(j)
 	}
 	return p.Report(opts.TopNames)
 }

@@ -83,9 +83,6 @@ type Config struct {
 	// Replication is how many owners each shard is placed on (clamped
 	// to the cluster size; zero: DefaultReplication).
 	Replication int
-	// Shards is the default shard count for newly ingested cluster
-	// traces (zero: one per member).
-	Shards int
 	// Timeout bounds one peer request attempt (zero: DefaultTimeout).
 	Timeout time.Duration
 	// Retries is the attempt budget per request (zero:
@@ -117,7 +114,6 @@ type Fleet struct {
 	ring        *ring
 	clients     map[string]*Client // remote peers only
 	replication int
-	shards      int
 
 	monitor *monitor
 	counters
@@ -149,10 +145,6 @@ func New(cfg Config) (*Fleet, error) {
 	if replication > len(peers) {
 		replication = len(peers)
 	}
-	shards := cfg.Shards
-	if shards <= 0 {
-		shards = len(peers)
-	}
 	timeout := cfg.Timeout
 	if timeout <= 0 {
 		timeout = DefaultTimeout
@@ -171,7 +163,6 @@ func New(cfg Config) (*Fleet, error) {
 		ring:        newRing(ids),
 		clients:     make(map[string]*Client),
 		replication: replication,
-		shards:      shards,
 	}
 	for _, p := range peers {
 		if p.ID == cfg.NodeID {
@@ -219,9 +210,6 @@ func (f *Fleet) Size() int { return len(f.peers) }
 
 // Replication returns the effective replication factor.
 func (f *Fleet) Replication() int { return f.replication }
-
-// Shards returns the default shard count for new cluster traces.
-func (f *Fleet) Shards() int { return f.shards }
 
 // Owners returns the n distinct nodes that own key, in ring order. The
 // first owner is the key's home node. n is clamped to the cluster size.
@@ -298,7 +286,7 @@ type Stats struct {
 	NodeID      string      `json:"node_id"`
 	Size        int         `json:"size"`
 	Replication int         `json:"replication"`
-	Shards      int         `json:"default_shards"`
+	Shards      int         `json:"default_shards"` // a new trace's: one per member
 	Peers       []PeerStats `json:"peers"`
 	// Scatters counts scatter/gather reports coordinated by this node;
 	// ShardFetches/ShardFailures count remote shard-partial requests;
@@ -355,7 +343,7 @@ func (f *Fleet) Stats() Stats {
 		NodeID:          f.self,
 		Size:            len(f.peers),
 		Replication:     f.replication,
-		Shards:          f.shards,
+		Shards:          len(f.peers),
 		Scatters:        f.scatters.Load(),
 		ShardFetches:    f.shardFetches.Load(),
 		ShardFailures:   f.shardFailures.Load(),

@@ -299,10 +299,10 @@ func (c *clusterCoordinator) resolve(ctx context.Context, name string) (*cluster
 
 // ingest is the distributed upload path: collect and normalize the
 // stream exactly as a single-node ingest would, fingerprint it (keeping
-// the hasher midstate for future appends), split it into
-// min(defaultShards, jobs) shards each carrying the full trace's
-// metadata — the merge contract — and place every shard on its ring
-// owners. The upload succeeds when every shard landed on at least one
+// the hasher midstate for future appends), split it into one shard per
+// member (fewer for a trace with fewer jobs), each carrying the full
+// trace's metadata — the merge contract — and place every shard on its
+// ring owners. The upload succeeds when every shard landed on at least one
 // owner; fewer than R replicas is reduced redundancy, not failure.
 func (c *clusterCoordinator) ingest(ctx context.Context, name string, src trace.Source) (TraceInfo, error) {
 	if name == "" {
@@ -348,7 +348,7 @@ func (c *clusterCoordinator) ingest(ctx context.Context, name string, src trace.
 		return TraceInfo{}, err
 	}
 
-	shards := c.fleet.Shards()
+	shards := c.fleet.Size()
 	if shards > t.Len() {
 		// Empty shards would be rejected by the owners' stores; the
 		// merge treats fewer shards identically anyway.
@@ -548,7 +548,7 @@ func (c *clusterCoordinator) report(w http.ResponseWriter, r *http.Request, e *c
 			return nil, fmt.Errorf("%w: no shard owner reachable for %q", errUpstream, m.Name)
 		}
 		c.fleet.AddMerges(len(parts) - len(missing))
-		body, err := finishReport(w, rt, merged, q.top, "scatter", ev)
+		body, err := finishReport(w, rt, merged, q.top, "scatter", ev, nil)
 		if err != nil {
 			return nil, err
 		}

@@ -394,10 +394,11 @@ func writeCached(w http.ResponseWriter, body []byte, cached bool) {
 // write it (writeCached). The X-Analysis response header names the path
 // a MISS took; DESIGN.md's "Report pipeline" table lists them.
 //
-// full=1 needs random access (Table-2 clustering, path figures), so it
-// bypasses the partial: a disk-resident trace is reloaded into the hot
-// tier first; a trace bigger than the whole tier cannot be, and such
-// requests fail 422 while the streaming modes keep working.
+// full=1 finalizes the same partial and adds the sections that need
+// every job at once (Figures 2–6, Table 2) from the trace's jobs, so a
+// disk-resident trace is reloaded into the hot tier first; a trace
+// bigger than the whole tier cannot be, and such requests fail 422
+// while the streaming modes keep working.
 func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	if s.cluster != nil {
@@ -418,29 +419,34 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	}
 	rt := obs.FromContext(r.Context())
 	s.serveCached(w, q.key(v.Info.Fingerprint), func() ([]byte, error) {
-		if q.full {
-			t := v.Trace
-			if t == nil {
-				var err error
-				if t, _, err = s.store.Get(v.Info.Name); err != nil {
-					return nil, err
-				}
-			}
-			w.Header().Set("X-Analysis", "full")
-			endAnalyze := rt.StartSpan("core.analyze", "")
-			rep, err := core.Analyze(t, core.AnalyzeOptions{TopNames: q.top, SketchDataSizes: q.sketch})
-			endAnalyze()
-			if err != nil {
-				return nil, fmt.Errorf("%w: %v", errUnprocessable, err)
-			}
-			return marshalReport(rt, rep)
-		}
-		p, analysis, ev, err := s.partialFor(rt, v, q)
-		if err != nil {
+		return s.computeReport(w, rt, v, q)
+	})
+}
+
+// computeReport is a report miss on a stored trace: the partial
+// partialFor resolves, finalized and marshaled. For full=1 the jobs of
+// the trace-only sections are v's own, resident or reloaded from v's
+// generation, never what the name holds by now, since the bytes are
+// cached under v's fingerprint. The reload comes first, so a trace too
+// big for the hot tier fails before any scan, and a partial the request
+// must build is observed from the reloaded jobs.
+func (s *Server) computeReport(w http.ResponseWriter, rt *obs.Request, v View, q reportQuery) ([]byte, error) {
+	var full *trace.Trace // the jobs of the trace-only sections
+	if q.full {
+		var err error
+		if full, _, err = s.store.load(v); err != nil {
 			return nil, err
 		}
-		return finishReport(w, rt, p, q.top, analysis, ev)
-	})
+		v.Trace = full
+	}
+	p, analysis, ev, err := s.partialFor(rt, v, q)
+	if err != nil {
+		return nil, err
+	}
+	if q.full {
+		analysis = "full"
+	}
+	return finishReport(w, rt, p, q.top, analysis, ev, full)
 }
 
 // reportQuery is one report request's parameters, parsed once for
@@ -584,14 +590,20 @@ func scanAnalysis(windowed, disk bool) string {
 
 // finishReport is the shared tail of every report miss, single-node
 // and scatter/gather alike: it stamps the path the partial came from
-// (X-Analysis, X-Scan-*), finalizes the partial, and marshals the
+// (X-Analysis, X-Scan-*), finalizes the partial, adds the trace-only
+// sections from t's jobs when t is given (full=1), and marshals the
 // report.
-func finishReport(w http.ResponseWriter, rt *obs.Request, p *core.Partial, top int, analysis string, ev *scanEvidence) ([]byte, error) {
+func finishReport(w http.ResponseWriter, rt *obs.Request, p *core.Partial, top int, analysis string, ev *scanEvidence, t *trace.Trace) ([]byte, error) {
 	w.Header().Set("X-Analysis", analysis)
 	ev.addTo(w.Header())
 	endFinalize := rt.StartSpan("core.finalize", "path="+analysis)
 	rep, err := p.Report(top)
 	endFinalize()
+	if err == nil && t != nil {
+		endAnalyze := rt.StartSpan("core.analyze", "")
+		err = rep.AddTraceSections(t, core.AnalyzeOptions{})
+		endAnalyze()
+	}
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", errUnprocessable, err)
 	}

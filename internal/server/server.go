@@ -72,9 +72,6 @@ type Config struct {
 	// Replication is how many owners each trace shard is placed on
 	// (zero: fleet.DefaultReplication; clamped to the cluster size).
 	Replication int
-	// ClusterShards is the default shard count for newly ingested
-	// cluster traces (zero: one per member).
-	ClusterShards int
 	// PeerTimeout bounds one peer request attempt (zero:
 	// fleet.DefaultTimeout).
 	PeerTimeout time.Duration
@@ -185,7 +182,6 @@ func New(cfg Config) (*Server, error) {
 			NodeID:        cfg.NodeID,
 			Peers:         peers,
 			Replication:   cfg.Replication,
-			Shards:        cfg.ClusterShards,
 			Timeout:       cfg.PeerTimeout,
 			ProbeInterval: cfg.PeerProbeInterval,
 		})

@@ -213,13 +213,7 @@ func normalize(name string, t *trace.Trace) error {
 	if t.Meta.Name == "" {
 		t.Meta.Name = name
 	}
-	start, end := t.Span()
-	if t.Meta.Start.IsZero() {
-		t.Meta.Start = start
-	}
-	if t.Meta.Length <= 0 {
-		t.Meta.Length = end.Sub(t.Meta.Start)
-	}
+	t.Meta.FillFromSpan(t.Span())
 	if err := checkSpan(t.Meta); err != nil {
 		return err
 	}

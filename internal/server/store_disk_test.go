@@ -305,6 +305,35 @@ func TestSpillWithPartialServesWithoutScan(t *testing.T) {
 	}
 }
 
+// TestFullReportStaleView: a full report computed through a view of a
+// disk-resident trace whose name has been re-uploaded since answers the
+// view's own content, which the result cache files under the view's
+// fingerprint, or fails. It never answers the new upload's content.
+func TestFullReportStaleView(t *testing.T) {
+	old := genTrace(t, "CC-b", 1, 26*time.Hour)
+	replacement := genTrace(t, "CC-b", 2, 26*time.Hour)
+	s, ts := diskServer(t, t.TempDir(), Config{})
+	ingestTrace(t, ts, "x", old)
+	evict(t, s, "x")
+	v, err := s.Store().View("x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ingestTrace(t, ts, "x", replacement)
+
+	body, err := s.computeReport(httptest.NewRecorder(), nil, v, reportQuery{full: true, top: 8})
+	if err != nil {
+		t.Logf("the stale view failed: %v", err)
+		return
+	}
+	if bytes.Equal(body, fullReportBytes(t, replacement, 8)) {
+		t.Fatal("the stale view answered the re-upload's report, which the cache would file under the old fingerprint")
+	}
+	if want := fullReportBytes(t, old, 8); !bytes.Equal(body, want) {
+		t.Errorf("the stale view's report differs from its own content's (first diff at byte %d of %d)", firstDiff(body, want), len(want))
+	}
+}
+
 // TestEvictionSpillsInsteadOfRejecting: with backing, filling the hot
 // tier evicts the least-recently-used resident copy instead of
 // rejecting the new upload; the evicted trace keeps serving from disk.

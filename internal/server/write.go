@@ -344,12 +344,7 @@ func (s *Store) ingest(name string, src trace.Source) (TraceInfo, error) {
 	default:
 		// In order, but the header was complete only at EOF: re-fold the
 		// written jobs under it.
-		if meta.Start.IsZero() {
-			meta.Start = start
-		}
-		if meta.Length <= 0 {
-			meta.Length = end.Sub(meta.Start)
-		}
+		meta.FillFromSpan(start, end)
 		if err := checkSpan(meta); err != nil {
 			return TraceInfo{}, err
 		}

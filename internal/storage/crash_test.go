@@ -336,6 +336,18 @@ func TestRecoveryDropsMismatchedDirectory(t *testing.T) {
 	}
 }
 
+// jobLines returns the canonical JSONL lines of jobs, as a JSONLWriter
+// writes them after its header line.
+func jobLines(t *testing.T, jobs []*trace.Job) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := trace.WriteJSONL(&buf, &trace.Trace{Jobs: jobs}); err != nil {
+		t.Fatal(err)
+	}
+	b := buf.Bytes()
+	return b[bytes.IndexByte(b, '\n')+1:]
+}
+
 // writeLegacyGeneration commits tr under name in root as generation 1
 // the way a store before colseg wrote it: segJobs canonical JSONL lines
 // per segment, real sizes and CRCs, a manifest with an empty codec and
@@ -363,12 +375,7 @@ func writeLegacyGeneration(t *testing.T, root, name string, tr *trace.Trace, seg
 		BytesMoved:  int64(tr.Summarize().BytesMoved),
 	}
 	for i := 0; i < colsegFrom; i += segJobs {
-		var b []byte
-		for _, j := range tr.Jobs[i:min(i+segJobs, colsegFrom)] {
-			if b, err = trace.AppendJobLine(b, j); err != nil {
-				t.Fatal(err)
-			}
-		}
+		b := jobLines(t, tr.Jobs[i:min(i+segJobs, colsegFrom)])
 		file := segmentFile(gen, len(man.Segments))
 		if err := os.WriteFile(filepath.Join(dir, file), b, 0o644); err != nil {
 			t.Fatal(err)

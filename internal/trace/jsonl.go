@@ -184,13 +184,6 @@ func readLine(br *bufio.Reader, buf []byte) ([]byte, error) {
 	}
 }
 
-// AppendJobLine appends the canonical JSONL encoding of j to b — the
-// exact bytes JSONLWriter and the fingerprint Hasher produce per job,
-// newline included.
-func AppendJobLine(b []byte, j *Job) ([]byte, error) {
-	return appendJob(b, j)
-}
-
 // appendJob appends the canonical JSONL encoding of j — exactly the bytes
 // encoding/json produces for the Job struct, newline-terminated, except
 // that a backspace or form feed in a string is written \u0008 or \u000c

@@ -34,33 +34,28 @@ func (s *shardSource) Next() (*Job, error) {
 	return j, nil
 }
 
-// SplitJobs partitions jobs into k contiguous shards sharing meta. Job
-// pointers are shared, not copied; shard sizes differ by at most one
-// (the first len(jobs)%k shards are one longer), so the partition is a
-// deterministic function of (len(jobs), k). k exceeding the job count
-// yields trailing empty shards, which merge as neutral elements.
-func SplitJobs(meta Meta, jobs []*Job, k int) ([]Source, error) {
+// SplitTrace partitions an in-memory trace into k contiguous ordered
+// shards sharing its metadata. Job pointers are shared, not copied;
+// shard sizes differ by at most one (the first t.Len()%k shards are one
+// longer), so the partition is a deterministic function of (t.Len(), k).
+// k exceeding the job count yields trailing empty shards, which merge as
+// neutral elements.
+func SplitTrace(t *Trace, k int) ([]Source, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("trace: cannot split into %d shards", k)
 	}
 	out := make([]Source, k)
-	n := len(jobs)
+	n := t.Len()
 	lo := 0
 	for i := 0; i < k; i++ {
 		hi := lo + n/k
 		if i < n%k {
 			hi++
 		}
-		out[i] = &shardSource{meta: meta, jobs: jobs[lo:hi]}
+		out[i] = &shardSource{meta: t.Meta, jobs: t.Jobs[lo:hi]}
 		lo = hi
 	}
 	return out, nil
-}
-
-// SplitTrace partitions an in-memory trace into k contiguous ordered
-// shards without copying jobs.
-func SplitTrace(t *Trace, k int) ([]Source, error) {
-	return SplitJobs(t.Meta, t.Jobs, k)
 }
 
 // Split drains src and partitions its jobs into k contiguous ordered

@@ -135,6 +135,18 @@ type Meta struct {
 	Length time.Duration `json:"length"`
 }
 
+// FillFromSpan completes a header that leaves the trace's extent out
+// (CSV carries none) from its jobs' span, as Trace.Span returns it: a
+// zero Start becomes start and a non-positive Length runs to end.
+func (m *Meta) FillFromSpan(start, end time.Time) {
+	if m.Start.IsZero() {
+		m.Start = start
+	}
+	if m.Length <= 0 {
+		m.Length = end.Sub(m.Start)
+	}
+}
+
 // Trace is a workload: metadata plus jobs ordered by submit time.
 type Trace struct {
 	Meta Meta

@@ -48,9 +48,6 @@ type ServeOptions struct {
 	// Replication is how many owners hold each trace shard (default 2,
 	// clamped to the cluster size).
 	Replication int
-	// ClusterShards is the shard count for newly ingested cluster traces
-	// (default: one per member).
-	ClusterShards int
 }
 
 // NewServeHandler builds the swimd HTTP handler without binding a
@@ -59,15 +56,14 @@ type ServeOptions struct {
 // durable store cannot be opened or recovered.
 func NewServeHandler(opts ServeOptions) (http.Handler, error) {
 	srv, err := server.New(server.Config{
-		MaxTraces:     opts.MaxTraces,
-		MaxTotalJobs:  opts.MaxTotalJobs,
-		CacheEntries:  opts.CacheEntries,
-		DataDir:       opts.DataDir,
-		Logger:        opts.Logger,
-		Peers:         opts.Peers,
-		NodeID:        opts.NodeID,
-		Replication:   opts.Replication,
-		ClusterShards: opts.ClusterShards,
+		MaxTraces:    opts.MaxTraces,
+		MaxTotalJobs: opts.MaxTotalJobs,
+		CacheEntries: opts.CacheEntries,
+		DataDir:      opts.DataDir,
+		Logger:       opts.Logger,
+		Peers:        opts.Peers,
+		NodeID:       opts.NodeID,
+		Replication:  opts.Replication,
 	})
 	if err != nil {
 		return nil, err
