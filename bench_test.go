@@ -19,6 +19,7 @@ import (
 	"repro/internal/cache"
 	"repro/internal/stats"
 	"repro/internal/synth"
+	"repro/internal/trace"
 )
 
 // benchWindow keeps benchmark traces small enough to iterate but long
@@ -84,19 +85,25 @@ func BenchmarkTable2_KMeansJobTypes(b *testing.B) {
 }
 
 // BenchmarkFigure1_DataSizeCDFs regenerates Figure 1: per-job input,
-// shuffle, output size CDFs for all workloads. Reports the cross-workload
-// median-input span in orders of magnitude (paper: 6).
+// shuffle, output size CDFs for all workloads, through the data-size
+// builder. Reports the cross-workload median-input span in orders of
+// magnitude (paper: 6).
 func BenchmarkFigure1_DataSizeCDFs(b *testing.B) {
 	traces := make([]*Trace, 0, len(Workloads()))
+	runs := make([]*trace.Columns, 0, len(Workloads()))
 	for _, name := range Workloads() {
-		traces = append(traces, benchTrace(b, name))
+		tr := benchTrace(b, name)
+		traces = append(traces, tr)
+		runs = append(runs, columnsOf(tr))
 	}
 	b.ResetTimer()
 	var span float64
 	for i := 0; i < b.N; i++ {
 		all := make([]*analysis.DataSizes, 0, len(traces))
-		for _, tr := range traces {
-			ds, err := analysis.DataSizeCDFs(tr)
+		for k, tr := range traces {
+			db := analysis.NewDataSizeBuilder(tr.Meta.Name, false)
+			db.ObserveColumns(runs[k])
+			ds, err := db.Result()
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -105,6 +112,16 @@ func BenchmarkFigure1_DataSizeCDFs(b *testing.B) {
 		span, _, _ = analysis.MedianSpanAcrossWorkloads(all)
 	}
 	b.ReportMetric(span, "input-median-span")
+}
+
+// columnsOf gathers a trace's jobs into one run of columns, the input
+// the section builders fold.
+func columnsOf(tr *Trace) *trace.Columns {
+	var c trace.Columns
+	for _, j := range tr.Jobs {
+		c.Append(j)
+	}
+	return &c
 }
 
 // BenchmarkFigure2_AccessFrequencyZipf regenerates Figure 2 on FB-2010
@@ -272,14 +289,18 @@ func BenchmarkFigure9_TimeSeriesCorrelation(b *testing.B) {
 	b.ReportMetric(avg, "bytes-task-corr")
 }
 
-// BenchmarkFigure10_JobNameAnalysis regenerates Figure 10 on FB-2009.
+// BenchmarkFigure10_JobNameAnalysis regenerates Figure 10 on FB-2009,
+// through the names builder.
 // Reports the top word's job share (paper: "ad" at 0.44).
 func BenchmarkFigure10_JobNameAnalysis(b *testing.B) {
 	tr := benchTrace(b, "FB-2009")
+	run := columnsOf(tr)
 	b.ResetTimer()
 	var top float64
 	for i := 0; i < b.N; i++ {
-		na, err := analysis.JobNames(tr, 8)
+		nb := analysis.NewNamesBuilder(tr.Meta.Name)
+		nb.ObserveColumns(run)
+		na, err := nb.Result(8)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -34,7 +34,7 @@ func genTrace(t testing.TB, name string, dur time.Duration, seed int64) *trace.T
 
 func TestDataSizeCDFs(t *testing.T) {
 	tr := genTrace(t, "CC-b", 72*time.Hour, 1)
-	ds, err := DataSizeCDFs(tr)
+	ds, err := dataSizeCDFs(tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestDataSizeCDFs(t *testing.T) {
 	if med > 1e6 {
 		t.Errorf("CC-b median input = %v bytes, want KB-scale", med)
 	}
-	if _, err := DataSizeCDFs(trace.New(trace.Meta{Name: "e"})); err == nil {
+	if _, err := dataSizeCDFs(trace.New(trace.Meta{Name: "e"})); err == nil {
 		t.Error("empty trace should error")
 	}
 }
@@ -58,7 +58,7 @@ func TestMedianSpanAcrossWorkloads(t *testing.T) {
 	// of magnitude (paper: 6 for input).
 	var all []*DataSizes
 	for _, name := range []string{"CC-b", "CC-c", "CC-e", "FB-2010"} {
-		ds, err := DataSizeCDFs(genTrace(t, name, 72*time.Hour, 2))
+		ds, err := dataSizeCDFs(genTrace(t, name, 72*time.Hour, 2))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -353,7 +353,7 @@ func TestFirstWord(t *testing.T) {
 
 func TestJobNames(t *testing.T) {
 	tr := genTrace(t, "FB-2009", 72*time.Hour, 14)
-	na, err := JobNames(tr, 8)
+	na, err := jobNames(tr, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -396,7 +396,7 @@ func TestJobNames(t *testing.T) {
 			fromGroup.BytesFraction, fromGroup.JobsFraction)
 	}
 	// FB-2010 has no names.
-	if _, err := JobNames(genTrace(t, "FB-2010", 4*time.Hour, 14), 5); err == nil {
+	if _, err := jobNames(genTrace(t, "FB-2010", 4*time.Hour, 14), 5); err == nil {
 		t.Error("FB-2010 should error (no names)")
 	}
 }

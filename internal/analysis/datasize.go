@@ -4,11 +4,8 @@
 // patterns (§5, Figures 7–9), and computation patterns (§6, Figure 10 and
 // Table 2).
 //
-// Figures 1, 7–9, and 10 are also available as incremental builders
-// (DataSizeBuilder, TimeSeriesBuilder, NamesBuilder) so core.AnalyzeSource
-// can compute them in one pass over a streamed trace; the whole-trace
-// functions are thin wrappers over the builders, which is what guarantees
-// streaming and materialized results agree.
+// Figures 1, 7–9, and 10 are built by incremental builders folding runs
+// of trace.Columns (DataSizeBuilder, TimeSeriesBuilder, NamesBuilder).
 package analysis
 
 import (
@@ -91,23 +88,11 @@ func NewDataSizeBuilder(workload string, sketch bool) *DataSizeBuilder {
 	return b
 }
 
-// Observe folds one job in.
-func (b *DataSizeBuilder) Observe(j *trace.Job) {
-	b.n++
-	if b.sketch {
-		b.hin.Observe(float64(j.InputBytes))
-		b.hsh.Observe(float64(j.ShuffleBytes))
-		b.ho.Observe(float64(j.OutputBytes))
-		return
-	}
-	b.cols[0].tail = append(b.cols[0].tail, float64(j.InputBytes))
-	b.cols[1].tail = append(b.cols[1].tail, float64(j.ShuffleBytes))
-	b.cols[2].tail = append(b.cols[2].tail, float64(j.OutputBytes))
-}
+// Observe folds one job in, as a one-row run.
+func (b *DataSizeBuilder) Observe(j *trace.Job) { b.ObserveColumns(trace.OneRow(j)) }
 
-// ObserveColumns folds a run of jobs held as columns, in row order,
-// exactly as Observe-ing each: in exact mode each column's tail takes
-// one reservation for the run.
+// ObserveColumns folds a run of jobs held as columns, in row order: in
+// exact mode each column's tail takes one reservation for the run.
 func (b *DataSizeBuilder) ObserveColumns(c *trace.Columns) {
 	b.n += c.Len()
 	if b.sketch {
@@ -336,13 +321,12 @@ func (b *DataSizeBuilder) Merge(os ...*DataSizeBuilder) error {
 }
 
 // Result returns the Figure 1 distributions; it errors on an empty
-// stream, like DataSizeCDFs on an empty trace. The distributions of a
-// frozen or sketch-mode builder share its state (read-only, so a
-// frozen builder serves concurrent Results). An unfrozen exact builder
-// is finalized unsorted (stats.SampleCDF): a column observed since its
-// last Freeze lends its values to the distribution, so the builder
-// must not be observed into, merged into or frozen while the result is
-// in use.
+// stream. The distributions of a frozen or sketch-mode builder share
+// its state (read-only, so a frozen builder serves concurrent Results).
+// An unfrozen exact builder is finalized unsorted (stats.SampleCDF): a
+// column observed since its last Freeze lends its values to the
+// distribution, so the builder must not be observed into, merged into
+// or frozen while the result is in use.
 func (b *DataSizeBuilder) Result() (*DataSizes, error) {
 	if b.n == 0 {
 		return nil, errors.New("analysis: empty trace")
@@ -356,18 +340,6 @@ func (b *DataSizeBuilder) Result() (*DataSizes, error) {
 		Shuffle:  b.cols[1].distribution(),
 		Output:   b.cols[2].distribution(),
 	}, nil
-}
-
-// DataSizeCDFs computes Figure 1's exact distributions for a trace.
-func DataSizeCDFs(t *trace.Trace) (*DataSizes, error) {
-	b := NewDataSizeBuilder(t.Meta.Name, false)
-	for c := range b.cols {
-		b.cols[c].tail = make([]float64, 0, t.Len())
-	}
-	for _, j := range t.Jobs {
-		b.Observe(j)
-	}
-	return b.Result()
 }
 
 // MedianSpanAcrossWorkloads reports, for a set of per-workload Figure 1

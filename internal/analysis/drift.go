@@ -68,13 +68,11 @@ func CompareEras(from, to *trace.Trace) (*Drift, error) {
 	return d, nil
 }
 
+// ratePerHour divides by the span BinHourly bins (trace.Meta.FillFromSpan).
 func ratePerHour(t *trace.Trace) float64 {
-	length := t.Meta.Length
-	if length <= 0 {
-		s, e := t.Span()
-		length = e.Sub(s)
-	}
-	h := length.Hours()
+	meta := t.Meta
+	meta.FillFromSpan(t.Span())
+	h := meta.Length.Hours()
 	if h <= 0 {
 		return 0
 	}

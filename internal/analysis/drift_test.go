@@ -50,6 +50,25 @@ func TestCompareErasShift(t *testing.T) {
 	}
 }
 
+// TestCompareErasHeaderStart: a header with a start but no length
+// measures its job rate from that start to the last finish, as the
+// hourly series of the same trace does, not from the first submit.
+func TestCompareErasHeaderStart(t *testing.T) {
+	from := eraTrace("era-2009", 1, 1, 500)
+	to := eraTrace("era-2010", 1, 1, 1000)
+	to.Meta.Start = to.Meta.Start.Add(-time.Hour)
+	to.Meta.Length = 0
+	d, err := CompareEras(from, to)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, end := to.Span()
+	want := float64(to.Len()) / end.Sub(to.Meta.Start).Hours() / (float64(from.Len()) / from.Meta.Length.Hours())
+	if d.JobRateRatio != want {
+		t.Errorf("job rate ratio = %v, want %v (last finish − header start)", d.JobRateRatio, want)
+	}
+}
+
 func TestCompareErasIdentical(t *testing.T) {
 	a := eraTrace("same", 1, 1, 400)
 	d, err := CompareEras(a, a)

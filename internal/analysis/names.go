@@ -92,7 +92,7 @@ type nameAgg struct {
 
 // NamesBuilder accumulates Figure 10 incrementally. Memory is bounded by
 // the distinct first-word vocabulary (a handful per workload, §6.1), not
-// by job count, so the analysis streams. JobNames delegates to it.
+// by job count, so the analysis streams.
 //
 // The builder is a mergeable partial aggregate: bucket totals are exact
 // sums, so observing a stream in shards and Merge-ing the shard
@@ -111,21 +111,8 @@ func NewNamesBuilder(workload string) *NamesBuilder {
 	return &NamesBuilder{workload: workload, groups: make(map[string]*nameAgg)}
 }
 
-// Observe folds one job in. Unnamed jobs count under "[unnamed]", as
-// before; whether the trace carries names at all is decided at Result.
-func (b *NamesBuilder) Observe(j *trace.Job) {
-	if j.Name != "" {
-		b.named = true
-	}
-	g := b.group(j.Name)
-	bytes, task := j.TotalBytes(), float64(j.TotalTaskTime())
-	g.jobs++
-	g.bytes += bytes
-	g.taskTime.Add(task)
-	b.totJobs++
-	b.totBytes += bytes
-	b.totTask.Add(task)
-}
+// Observe folds one job in, as a one-row run.
+func (b *NamesBuilder) Observe(j *trace.Job) { b.ObserveColumns(trace.OneRow(j)) }
 
 // group returns the bucket of name's first word, creating it on first
 // sight. The lookup does not allocate; a new bucket's key is cloned, so
@@ -144,12 +131,10 @@ func (b *NamesBuilder) group(name string) *nameAgg {
 	return g
 }
 
-// ObserveColumns folds a run of jobs held as columns, in row order,
-// reaching exactly the state Observe reaches over the same jobs but for
-// the exact sums' representation: each touched bucket's task time, and
-// the total, accumulate in a block-local stats.BlockSum folded in once
-// per call, so the sums hold the same values (and report the same bits)
-// in a different expansion.
+// ObserveColumns folds a run of jobs held as columns, in row order;
+// unnamed jobs count under "[unnamed]". Each touched bucket's task time,
+// and the total, accumulate exactly in a block-local stats.BlockSum,
+// folded in once per call.
 func (b *NamesBuilder) ObserveColumns(c *trace.Columns) {
 	sc := getBlockSums()
 	defer sc.release()
@@ -213,8 +198,11 @@ func (b *NamesBuilder) Merge(o *NamesBuilder) error {
 	return nil
 }
 
-// Result returns the Figure 10 analysis, erroring when the stream
-// carried no job names (mirroring JobNames on a nameless trace).
+// Result returns the Figure 10 analysis: first words of job names
+// weighted by job count, by total I/O bytes, and by task-time. topN
+// groups are kept; the remainder is aggregated into an "[others]"
+// group, as the figure does. It errors when the stream carried no job
+// names.
 func (b *NamesBuilder) Result(topN int) (*NameAnalysis, error) {
 	if !b.named {
 		return nil, errors.New("analysis: trace carries no job names")
@@ -264,20 +252,6 @@ func (b *NamesBuilder) Result(topN int) (*NameAnalysis, error) {
 		})
 	}
 	return res, nil
-}
-
-// JobNames computes Figure 10: first words of job names weighted by job
-// count, by total I/O bytes, and by task-time. topN groups are kept; the
-// remainder is aggregated into an "[others]" group, as the figure does.
-func JobNames(t *trace.Trace, topN int) (*NameAnalysis, error) {
-	if !t.HasNames() {
-		return nil, errors.New("analysis: trace carries no job names")
-	}
-	b := NewNamesBuilder(t.Meta.Name)
-	for _, j := range t.Jobs {
-		b.Observe(j)
-	}
-	return b.Result(topN)
 }
 
 // TopKJobsFraction returns the combined job share of the k most frequent

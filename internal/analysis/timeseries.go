@@ -79,35 +79,14 @@ func NewTimeSeriesBuilder(workload string, start time.Time, length time.Duration
 	}, nil
 }
 
-// Observe folds one job into the series. Jobs submitted before the
-// series start are dropped; jobs past the horizon clamp into the final
-// bin, exactly as BinHourly always did.
-func (b *TimeSeriesBuilder) Observe(j *trace.Job) {
-	t0 := j.SubmitTime.Sub(b.start).Hours()
-	h := int(t0)
-	if h < 0 {
-		return
-	}
-	if h >= b.hours {
-		h = b.hours - 1
-	}
-	b.jobs[h]++
-	b.bytes[h] += j.TotalBytes()
-	total := float64(j.TotalTaskTime())
-	b.task[h].Add(total)
-	spreadTaskTime(t0, j.Duration.Hours(), total, b.hours, b.addSpread)
-}
+// Observe folds one job into the series, as a one-row run.
+func (b *TimeSeriesBuilder) Observe(j *trace.Job) { b.ObserveColumns(trace.OneRow(j)) }
 
-// addSpread adds one spread contribution to hour h's bin.
-func (b *TimeSeriesBuilder) addSpread(h int, v float64) { b.spread[h].Add(v) }
-
-// ObserveColumns folds a run of jobs held as columns, in row order,
-// reaching exactly the bins Observe reaches over the same jobs: a row's
-// (second, nanosecond) pair is its submit time, whose offset from the
-// series start is binned through Sub and Duration.Hours as Observe bins
-// it. The task-time bins a call touches accumulate in block-local
-// stats.BlockSums folded in once per call, so they hold the same values
-// (and report the same bits) in a different expansion.
+// ObserveColumns folds a run of jobs held as columns, in row order, each
+// binned by its submit time's offset from the series start: jobs before
+// it are dropped, jobs past the horizon clamp into the final bin. The
+// task-time bins a call touches accumulate exactly in block-local
+// stats.BlockSums, folded in once per call.
 func (b *TimeSeriesBuilder) ObserveColumns(c *trace.Columns) {
 	sc := getBlockSums()
 	defer sc.release()
@@ -199,8 +178,12 @@ func BinHourly(t *trace.Trace) (*TimeSeries, error) {
 	if err != nil {
 		return nil, err
 	}
-	for _, j := range t.Jobs {
-		b.Observe(j)
+	var c trace.Columns
+	for i, j := range t.Jobs {
+		if c.Append(j); c.Len() == trace.ChunkRows || i == len(t.Jobs)-1 {
+			b.ObserveColumns(&c)
+			c.Reset()
+		}
 	}
 	return b.Series(), nil
 }
@@ -210,7 +193,7 @@ func BinHourly(t *trace.Trace) (*TimeSeries, error) {
 // after the series start and lasts dur hours, and add(h, v) books v to
 // bin h of the series' hours. Each per-bin contribution is a pure
 // function of the job, so the exact-sum bins are independent of
-// observation order. Observe and ObserveColumns both spread through it.
+// observation order.
 func spreadTaskTime(t0, dur, total float64, hours int, add func(h int, v float64)) {
 	if total <= 0 {
 		return

@@ -7,21 +7,19 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/analysis"
-	"repro/internal/binenc"
 	"repro/internal/colseg"
 	"repro/internal/core"
 	"repro/internal/profile"
 	"repro/internal/trace"
 )
 
-// TestObserveColumnsMatchesObserve holds the scan's block observe to
-// the per-job reference: for every block of a colseg encoding of each
-// generator workload, and of a block of edge rows, with and without a
-// window, exact and sketched, Partial.ObserveColumns over the block's
-// DecodeColumns gives the report bytes and the Figure 1 section that
-// Partial.Observe gives over the jobs Decode yields from the same block
-// and trace.Trace.Window's test keeps.
+// TestObserveColumnsMatchesObserve holds a block's fold to the same
+// rows folded one at a time: for every block of a colseg encoding of
+// each generator workload, and of a block of edge rows, with and
+// without a window, exact and sketched, Partial.ObserveColumns over the
+// block's DecodeColumns gives the report bytes and the snapshot bytes
+// that Partial.Observe (a one-row run each) gives over the jobs Decode
+// yields from the same block and trace.Trace.Window's test keeps.
 func TestObserveColumnsMatchesObserve(t *testing.T) {
 	var segs []columnSegment
 	for _, w := range profile.Names() {
@@ -93,8 +91,8 @@ func TestObserveColumnsMatchesObserve(t *testing.T) {
 					if g, w := appendReport(t, got), appendReport(t, ref); !bytes.Equal(g, w) {
 						t.Fatalf("%s: report bytes differ\n got %s\nwant %s", where(), g, w)
 					}
-					if g, w := dataSizeSection(t, got), dataSizeSection(t, ref); !bytes.Equal(g, w) {
-						t.Fatalf("%s: Figure 1 sections differ", where())
+					if g, w := snapshot(t, got), snapshot(t, ref); !bytes.Equal(g, w) {
+						t.Fatalf("%s: snapshots differ", where())
 					}
 				}
 			}
@@ -113,8 +111,8 @@ type columnSegment struct {
 	from, to time.Time
 }
 
-// edgeSegment is one block of rows at the edges the column path must
-// bin exactly as the per-job path: submits on the window's bounds and
+// edgeSegment is one block of rows at the edges a block's fold must
+// bin exactly as one-row folds: submits on the window's bounds and
 // before the series start, zero durations and task times, executions
 // past the horizon, unnamed, uppercase and non-ASCII names, and times
 // in years 0 and 9999, which int64 nanoseconds cannot hold.
@@ -164,26 +162,4 @@ func appendReport(t testing.TB, p *core.Partial) []byte {
 		t.Fatal(err)
 	}
 	return b
-}
-
-// dataSizeSection cuts the Figure 1 section out of the partial's
-// snapshot, in either mode.
-func dataSizeSection(t testing.TB, p *core.Partial) []byte {
-	t.Helper()
-	snap := snapshot(t, p)
-	r := binenc.NewReader(snap[len("swim-partial\n"):])
-	r.Uvarint()    // version
-	_ = r.String() // trace name
-	r.Uvarint()    // machines
-	r.Varint()     // start
-	r.Varint()     // length
-	r.Bool()       // sketch
-	r.Uvarint()    // jobs
-	r.Uvarint()    // summary jobs
-	r.Varint()     // summary bytes moved
-	start := len(snap) - r.Remaining()
-	if _, err := analysis.ReadDataSizeBuilder(r); err != nil || r.Err() != nil {
-		t.Fatal(err, r.Err())
-	}
-	return snap[start : len(snap)-r.Remaining()]
 }

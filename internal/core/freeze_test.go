@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/binenc"
 	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/profile"
@@ -20,8 +19,8 @@ import (
 // The frozen-partial contract, tested once over every producer of a
 // partial the serving layer shares: whatever built it, a partial must
 // report the bytes of the unfrozen sequential build, Freeze must be
-// idempotent, and once frozen its Figure 1 snapshot section must not
-// depend on the order the jobs were observed in.
+// idempotent, and once frozen its snapshot must not depend on the order
+// the jobs were observed in, nor on how they were cut into runs.
 
 func freezeTrace(t testing.TB, workload string, seed int64, dur time.Duration) *trace.Trace {
 	t.Helper()
@@ -87,33 +86,6 @@ func snapshot(t testing.TB, p *core.Partial) []byte {
 		t.Fatal(err)
 	}
 	return b
-}
-
-// figure1 cuts the Figure 1 section (the data-size builder) out of a
-// version-1 snapshot: it follows the header and summary fields.
-func figure1(t testing.TB, snap []byte) []byte {
-	t.Helper()
-	r := binenc.NewReader(snap[len("swim-partial\n"):])
-	r.Uvarint()    // version
-	_ = r.String() // trace name
-	r.Uvarint()    // machines
-	r.Varint()     // start
-	r.Varint()     // length
-	r.Bool()       // sketch
-	r.Uvarint()    // jobs
-	r.Uvarint()    // summary jobs
-	r.Varint()     // summary bytes moved
-	start := len(snap) - r.Remaining()
-	_ = r.String() // workload
-	r.Bool()       // sketch
-	r.Uvarint()    // jobs
-	for col := 0; col < 3; col++ {
-		r.Float64s(make([]float64, r.Count(8)))
-	}
-	if err := r.Err(); err != nil {
-		t.Fatal(err)
-	}
-	return snap[start : len(snap)-r.Remaining()]
 }
 
 // shuffled returns tr's jobs in a random order under the same metadata.
@@ -306,12 +278,12 @@ func TestFrozenPartialProducers(t *testing.T) {
 		}},
 	}
 
-	type expect struct{ report, figure1 []byte }
+	type expect struct{ report, snapshot []byte }
 	refs := map[*trace.Trace]expect{}
 	for _, ref := range []*trace.Trace{tr, win} {
 		refs[ref] = expect{
-			report:  report(t, build(t, ref)),
-			figure1: figure1(t, snapshot(t, frozen(t, shuffled(ref, 7)))),
+			report:   report(t, build(t, ref)),
+			snapshot: snapshot(t, frozen(t, shuffled(ref, 7))),
 		}
 	}
 	for _, pr := range producers {
@@ -330,8 +302,8 @@ func TestFrozenPartialProducers(t *testing.T) {
 			if !bytes.Equal(report(t, p), want.report) {
 				t.Fatal("frozen report diverges from the unfrozen sequential build")
 			}
-			if !bytes.Equal(figure1(t, snap), want.figure1) {
-				t.Fatal("frozen Figure 1 section depends on observation order")
+			if !bytes.Equal(snap, want.snapshot) {
+				t.Fatal("frozen snapshot depends on the producer or the observation order")
 			}
 			// A frozen snapshot decodes frozen: refreezing the decoded
 			// partial changes nothing.

@@ -11,9 +11,9 @@ import (
 // Partial is the mergeable partial aggregate behind every streamed
 // report: the Table-1 summary accumulator, the Figure 1 data-size
 // builder, the Figures 7–9 hourly series builder, and the Figure 10
-// name builder, bundled under one Observe/Merge/Report lifecycle.
+// name builder, bundled under one observe/Merge/Report lifecycle.
 //
-// The merge contract: Observe-ing a job stream in shards and Merge-ing
+// The merge contract: observing a job stream in shards and Merge-ing
 // the shard partials — in any grouping — produces a Report() whose
 // JSON() bytes are identical to observing the whole stream in one
 // sequential partial. Counts and byte totals accumulate in integers,
@@ -25,7 +25,7 @@ import (
 // A partial that will be shared (the store's frozen per-trace
 // aggregates) is frozen once, where it is published, and treated as
 // immutable from then on: Report is read-only and safe to call
-// concurrently, Observe, Freeze and merging INTO the partial are not.
+// concurrently; observing, Freeze and merging INTO the partial are not.
 type Partial struct {
 	meta   trace.Meta
 	sketch bool
@@ -59,22 +59,13 @@ func NewPartial(meta trace.Meta, sketch bool) (*Partial, error) {
 	}, nil
 }
 
-// Observe folds one job into every section builder.
-func (p *Partial) Observe(j *trace.Job) {
-	p.n++
-	p.sum.Observe(j)
-	p.ds.Observe(j)
-	p.ts.Observe(j)
-	p.nb.Observe(j)
-}
+// Observe folds one job into every section builder, as a one-row run.
+func (p *Partial) Observe(j *trace.Job) { p.ObserveColumns(trace.OneRow(j)) }
 
-// ObserveColumns folds a run of jobs held as columns — a decoded colseg
-// block's kept rows — into every section builder, in row order, without
-// materializing a job. The partial reports exactly the bytes Observe-ing
-// the same jobs gives. The task-time exact sums accumulate per call in
-// block-local accumulators, so their expansions, and with them the
-// snapshot bytes, differ from a per-job build's; partials built this way
-// snapshot identically to each other when built from the same runs.
+// ObserveColumns folds a run of jobs held as columns into every section
+// builder, in row order: the one fold every producer goes through. The
+// sums are exact and encode canonically, so report and snapshot bytes
+// depend only on the jobs, not on how they were cut into runs.
 func (p *Partial) ObserveColumns(c *trace.Columns) {
 	p.n += c.Len()
 	p.sum.ObserveColumns(c)
@@ -181,14 +172,19 @@ func BuildPartial(src trace.Source, sketch bool) (*Partial, error) {
 	if err != nil {
 		return nil, err
 	}
+	var c trace.Columns
 	for {
 		j, err := src.Next()
 		if err == io.EOF {
+			p.ObserveColumns(&c)
 			return p, nil
 		}
 		if err != nil {
 			return nil, err
 		}
-		p.Observe(j)
+		if c.Append(j); c.Len() == trace.ChunkRows {
+			p.ObserveColumns(&c)
+			c.Reset()
+		}
 	}
 }

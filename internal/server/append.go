@@ -217,9 +217,9 @@ func (s *Store) appendBatch(name string, batchMeta trace.Meta, batch []*trace.Jo
 		}
 	}
 	var frozen *core.Partial
-	if st.live != nil {
-		st.live.Freeze()
-		if frozen, err = st.live.Clone(); err != nil {
+	if live := st.folded(); live != nil {
+		live.Freeze()
+		if frozen, err = live.Clone(); err != nil {
 			return TraceInfo{}, "", fmt.Errorf("server: refreezing aggregate for %q: %w", name, err)
 		}
 	}

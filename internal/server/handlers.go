@@ -37,7 +37,7 @@ func writeErr(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, ErrNotFound):
 		status = http.StatusNotFound
-	case errors.Is(err, ErrAppendConflict):
+	case errors.Is(err, ErrAppendConflict), errors.Is(err, errReplaced):
 		status = http.StatusConflict
 	case errors.Is(err, ErrStoreFull):
 		status = http.StatusInsufficientStorage
@@ -568,7 +568,7 @@ func (s *Server) partialFor(rt *obs.Request, v View, q reportQuery) (*core.Parti
 		}
 	}
 	if err != nil {
-		return nil, "", nil, fmt.Errorf("%w: %v", errUnprocessable, err)
+		return nil, "", nil, fmt.Errorf("%w: %w", errUnprocessable, err) // a stale view keeps its 404 or 409
 	}
 	return p, analysis, ev, nil
 }

@@ -30,6 +30,10 @@ var ErrStoreFull = errors.New("server: trace store full")
 // ErrNotFound is returned for operations on unknown trace names.
 var ErrNotFound = errors.New("server: no such trace")
 
+// errReplaced fails a read through a stale view of a re-uploaded name
+// (409, naming the current fingerprint).
+var errReplaced = errors.New("server: trace was replaced during the read")
+
 // ErrTooLarge is returned when a request needs a disk-resident trace
 // materialized in memory (full reports, synthesis, replay) but the
 // trace alone exceeds the in-memory job budget; such traces are served
@@ -489,14 +493,21 @@ func (s *Store) load(v View) (*trace.Trace, TraceInfo, error) {
 // its descriptors early is safe, but one racing the sweep can hit a
 // vanished path), once more over a fresh view of the name. The retry
 // is sound because compaction preserves the fingerprint: a generation
-// with the same fingerprint reads the same jobs.
+// with the same fingerprint reads the same jobs; a deleted or replaced
+// name fails with ErrNotFound or errReplaced.
 func (s *Store) readStored(v View, read func(*storage.Trace) error) error {
 	err := read(v.Stored)
-	if errors.Is(err, fs.ErrNotExist) {
-		nv, verr := s.View(v.Info.Name)
-		if verr == nil && nv.Stored != nil && nv.Info.Fingerprint == v.Info.Fingerprint {
-			return read(nv.Stored)
-		}
+	if !errors.Is(err, fs.ErrNotExist) {
+		return err
+	}
+	nv, verr := s.View(v.Info.Name)
+	switch {
+	case verr != nil:
+		return verr
+	case nv.Info.Fingerprint != v.Info.Fingerprint:
+		return fmt.Errorf("%w: %q is now %s", errReplaced, v.Info.Name, nv.Info.Fingerprint)
+	case nv.Stored != nil:
+		return read(nv.Stored)
 	}
 	return err
 }

@@ -305,10 +305,13 @@ func TestSpillWithPartialServesWithoutScan(t *testing.T) {
 	}
 }
 
-// TestFullReportStaleView: a full report computed through a view of a
-// disk-resident trace whose name has been re-uploaded since answers the
-// view's own content, which the result cache files under the view's
-// fingerprint, or fails. It never answers the new upload's content.
+// TestFullReportStaleView: a report computed through a view of a
+// disk-resident trace whose name has been re-uploaded since (its
+// generation swept) never answers the new upload's content, which the
+// result cache would file under the view's fingerprint: a full report
+// (which reloads the jobs) and a sketch report (which scans the
+// segments) both answer 409, naming the fingerprint the name holds now,
+// and 404 once the name is deleted.
 func TestFullReportStaleView(t *testing.T) {
 	old := genTrace(t, "CC-b", 1, 26*time.Hour)
 	replacement := genTrace(t, "CC-b", 2, 26*time.Hour)
@@ -320,17 +323,32 @@ func TestFullReportStaleView(t *testing.T) {
 		t.Fatal(err)
 	}
 	ingestTrace(t, ts, "x", replacement)
-
-	body, err := s.computeReport(httptest.NewRecorder(), nil, v, reportQuery{full: true, top: 8})
+	cur, err := s.Store().View("x")
 	if err != nil {
-		t.Logf("the stale view failed: %v", err)
-		return
+		t.Fatal(err)
 	}
-	if bytes.Equal(body, fullReportBytes(t, replacement, 8)) {
-		t.Fatal("the stale view answered the re-upload's report, which the cache would file under the old fingerprint")
+
+	for _, q := range []reportQuery{{full: true, top: 8}, {sketch: true, top: 8}} {
+		body, err := s.computeReport(httptest.NewRecorder(), nil, v, q)
+		if err == nil {
+			t.Fatalf("%+v: the stale view answered %d bytes", q, len(body))
+		}
+		rec := httptest.NewRecorder()
+		writeErr(rec, err)
+		if rec.Code != http.StatusConflict || !strings.Contains(rec.Body.String(), cur.Info.Fingerprint) {
+			t.Errorf("%+v: the stale view answered %d %s, want 409 naming %s", q, rec.Code, rec.Body, cur.Info.Fingerprint)
+		}
 	}
-	if want := fullReportBytes(t, old, 8); !bytes.Equal(body, want) {
-		t.Errorf("the stale view's report differs from its own content's (first diff at byte %d of %d)", firstDiff(body, want), len(want))
+	if resp := doDelete(t, ts.URL+"/v1/traces/x"); resp.StatusCode != http.StatusNoContent {
+		t.Fatalf("delete: %d", resp.StatusCode)
+	}
+	for _, q := range []reportQuery{{full: true, top: 8}, {sketch: true, top: 8}} {
+		_, err := s.computeReport(httptest.NewRecorder(), nil, v, q)
+		rec := httptest.NewRecorder()
+		writeErr(rec, err)
+		if rec.Code != http.StatusNotFound {
+			t.Errorf("%+v: the deleted name's stale view answered %d %s, want 404", q, rec.Code, rec.Body)
+		}
 	}
 }
 

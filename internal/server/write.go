@@ -16,8 +16,8 @@ import (
 // committed by one publish. A session takes each job once: it keeps
 // the job in the resident copy while that fits the hot budget, or
 // writes it through the storage.Appender (with backing), then hashes it
-// into the canonical fingerprint, observes it into the partial
-// aggregate, and counts it. publish writes a resident copy through and
+// into the canonical fingerprint, gathers it for the partial aggregate
+// and counts it. publish writes a resident copy through and
 // seals the generation outside the store lock; under it, it admits,
 // commits the manifest and swaps the entry, so the disk and memory
 // views never disagree about which writer won a race on a name.
@@ -63,13 +63,14 @@ func jobLess(a, b *trace.Job) bool {
 // session is one generation being written. hasher is nil while the
 // canonical header is unknown (an upload without start and length) and
 // once a job arrives out of order; live is nil when the session does
-// not observe (or the header cannot bin). The order fence is the last
-// folded job's (submit time, ID), kept by value: replayed jobs decode
-// into volatile batches.
+// not observe (or the header cannot bin); cols gathers jobs for it. The
+// order fence is the last folded job's (submit time, ID); it and cols
+// copy jobs by value, as replayed jobs decode into volatile batches.
 type session struct {
 	meta     trace.Meta
 	hasher   *trace.Hasher
 	live     *core.Partial
+	cols     trace.Columns
 	appender *storage.Appender // nil without backing
 	hot      *trace.Trace      // the resident copy; nil once dropped
 
@@ -99,6 +100,7 @@ func (s *Store) create(name string, meta trace.Meta) (*session, error) {
 // (best-effort: nil when meta cannot bin hourly).
 func (ss *session) begin(meta trace.Meta, observe bool) error {
 	ss.meta, ss.count, ss.bytesMoved, ss.live = meta, 0, 0, nil
+	ss.cols.Reset()
 	if observe {
 		ss.live, _ = core.NewPartial(meta, false)
 	}
@@ -134,7 +136,7 @@ func (ss *session) write(js ...*trace.Job) error {
 	return nil
 }
 
-// fold hashes, observes and counts j and moves the order fence to it.
+// fold hashes, gathers and counts j and moves the order fence to it.
 // A job before the fence drops the hasher: the canonical encoding is of
 // the sorted order.
 func (ss *session) fold(j *trace.Job) error {
@@ -148,11 +150,22 @@ func (ss *session) fold(j *trace.Job) error {
 		}
 	}
 	if ss.live != nil {
-		ss.live.Observe(j)
+		if ss.cols.Append(j); ss.cols.Len() == trace.ChunkRows {
+			ss.folded()
+		}
 	}
 	ss.count++
 	ss.bytesMoved += int64(j.TotalBytes())
 	return nil
+}
+
+// folded folds the pending chunk and returns the aggregate (nil if none).
+func (ss *session) folded() *core.Partial {
+	if ss.live != nil && ss.cols.Len() > 0 {
+		ss.live.ObserveColumns(&ss.cols)
+		ss.cols.Reset()
+	}
+	return ss.live
 }
 
 // precedes reports whether j sorts before the order fence.
@@ -324,7 +337,7 @@ func (s *Store) ingest(name string, src trace.Source) (TraceInfo, error) {
 		// Canonical: the stream as written is the normalized trace.
 	case ss.hot != nil:
 		// Fits memory: normalize there, adopting the inline partial.
-		return s.put(name, ss.hot, ss.live)
+		return s.put(name, ss.hot, ss.folded())
 	case ss.unordered:
 		// Spilled out of order: sort in memory if the whole budget holds it.
 		if ss.count > s.maxTotalJobs {
@@ -340,7 +353,7 @@ func (s *Store) ingest(name string, src trace.Source) (TraceInfo, error) {
 		for i := range jobs {
 			t.Add(&jobs[i])
 		}
-		return s.put(name, t, ss.live)
+		return s.put(name, t, ss.folded())
 	default:
 		// In order, but the header was complete only at EOF: re-fold the
 		// written jobs under it.
@@ -356,7 +369,7 @@ func (s *Store) ingest(name string, src trace.Source) (TraceInfo, error) {
 			return TraceInfo{}, fmt.Errorf("server: reading back %q: %w", name, err)
 		}
 	}
-	info, _, err := s.publish(name, ss, ss.live, nil)
+	info, _, err := s.publish(name, ss, ss.folded(), nil)
 	return info, err
 }
 

@@ -7,23 +7,32 @@ import (
 // Binary snapshot encoding for the mergeable accumulators, used by the
 // durable storage engine to persist core.Partial aggregates across
 // restarts. The contract is exactness: decoding an encoded accumulator
-// restores its state bit-for-bit — ExactSum keeps its non-overlapping
-// expansion partials, histograms keep integer counts, sketches keep
-// their exact extrema — so a report finalized from a decoded snapshot
-// is byte-identical to one finalized from the live accumulator.
+// restores its value exactly — ExactSum its sum (canonically encoded),
+// histograms their integer counts, sketches their exact extrema — so a
+// report finalized from a decoded snapshot is byte-identical to one
+// finalized from the live accumulator.
 
-// AppendBinary appends the exact-sum state: the expansion partials in
-// order. Restoring them verbatim restores the exact value (and the
-// exact future behavior under Add/Merge).
+// AppendBinary appends the sum's canonical form, the greedy expansion of
+// its value (rounded to float64, then the rounded remainder, and so on;
+// smallest part first): a valid expansion of the same value, alike for
+// every sum of that value however it was added, merged or folded.
 func (s *ExactSum) AppendBinary(b []byte) []byte {
-	b = binenc.AppendUvarint(b, uint64(len(s.partials)))
-	for _, p := range s.partials {
-		b = binenc.AppendFloat64(b, p)
+	var parts []float64
+	rest := s.Clone()
+	// After the first part, a zero or overflowed (non-finite) remainder ends it.
+	for x := rest.Sum(); len(rest.partials) > 0 && (parts == nil || x != 0 && x-x == 0); x = rest.Sum() {
+		parts = append(parts, x)
+		rest.Add(-x)
+	}
+	b = binenc.AppendUvarint(b, uint64(len(parts)))
+	for i := len(parts) - 1; i >= 0; i-- {
+		b = binenc.AppendFloat64(b, parts[i])
 	}
 	return b
 }
 
-// EncodedSize bounds the bytes AppendBinary appends.
+// EncodedSize bounds AppendBinary's bytes: the greedy form has no more
+// parts than the held expansion (FuzzExactSumCanonical checks it).
 func (s *ExactSum) EncodedSize() int { return binenc.MaxVarintLen + 8*len(s.partials) }
 
 // ReadExactSum decodes an accumulator written by AppendBinary. On

@@ -25,12 +25,10 @@ import (
 // fields a report reads, no trace.Job built — and folds them block by
 // block into per-chunk core.Partials (Partial.ObserveColumns, with
 // block-local exact sums); the caller merges those partials in frame
-// order. Because every aggregate is exact and mergeable, the merged
-// partial reports byte-identically to a sequential core.BuildPartial
-// over the same jobs. Its snapshot is the same at any worker count, a
-// task being always the same chunk of frames, but not byte-identical
-// to a per-job build's: its exact sums hold the same values in other
-// expansions.
+// order. Because every aggregate is exact and mergeable, and exact sums
+// encode canonically, the merged partial reports and snapshots
+// byte-identically to a sequential core.BuildPartial over the same jobs,
+// at any worker count.
 
 // framePool recycles block-frame payload buffers: between the IO
 // goroutine and the decode workers, and across the segment sources of
@@ -88,10 +86,10 @@ type scanResult struct {
 }
 
 // ParallelScanPartial builds the trace's partial aggregate with the
-// block-parallel pipeline. The result reports the same bytes as a
-// sequential partial observed over Each (or over WindowShards plus
-// exact filtering, when windowed), and its snapshot is identical at any
-// worker count (not to a per-job build's: see the file comment); the returned stats carry the same pruning evidence as
+// block-parallel pipeline. The result reports and snapshots the same
+// bytes as a sequential partial observed over Each (or over
+// WindowShards plus exact filtering, when windowed), at any worker
+// count; the returned stats carry the same pruning evidence as
 // WindowShards. Errors release every pooled buffer and descriptor
 // before returning.
 func (t *Trace) ParallelScanPartial(opts ParallelScanOptions) (*core.Partial, *ScanStats, error) {

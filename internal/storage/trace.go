@@ -138,13 +138,13 @@ func (t *Trace) Collect() (*trace.Trace, error) {
 // LoadPartial reads, verifies, and decodes the persisted aggregate
 // snapshot, and returns a partial covering every committed job. A live
 // append commits a snapshot only at checkpoints (Appender.Seal), so the
-// snapshot may cover a prefix of the jobs; LoadPartial then observes
-// the rest — under an eighth of the trace — from the segments, skipping
-// the segments the snapshot covers whole, and freezes the result. It
-// returns (nil, nil) when the trace committed without a snapshot, and
-// an error when the snapshot fails its CRC or decode, or covers more
-// jobs than the manifest — callers treat that as "rebuild from the
-// jobs", never as fatal.
+// snapshot may cover a prefix of the jobs; LoadPartial then folds the
+// rest — under an eighth of the trace — block by block as columns,
+// skipping the segments and blocks the snapshot covers whole (a seal
+// ends a block), and freezes the result. It returns (nil, nil) when the
+// trace committed without a snapshot, and an error when the snapshot
+// fails its CRC or decode, covers more jobs than the manifest, or ends
+// inside a block — callers rebuild from the jobs, never fail.
 func (t *Trace) LoadPartial() (*core.Partial, error) {
 	if t.man.Partial == nil {
 		return nil, nil
@@ -173,16 +173,19 @@ func (t *Trace) LoadPartial() (*core.Partial, error) {
 				skip -= seg.Jobs
 				continue
 			}
-			err := t.source(seg, nil, nil).each(func(j *trace.Job) error {
-				if skip > 0 {
-					skip--
-				} else {
-					p.Observe(j)
+			src := t.source(seg, nil, nil)
+			for cols, err := src.columns(); err != io.EOF; cols, err = src.columns() {
+				switch {
+				case err != nil:
+					return nil, fmt.Errorf("storage: replaying past the partial snapshot: %w", err)
+				case skip >= cols.Len():
+					skip -= cols.Len()
+				case skip > 0:
+					src.Close()
+					return nil, fmt.Errorf("storage: partial snapshot ends inside a block of %s", seg.File)
+				default:
+					p.ObserveColumns(cols)
 				}
-				return nil
-			})
-			if err != nil {
-				return nil, fmt.Errorf("storage: replaying past the partial snapshot: %w", err)
 			}
 		}
 		p.Freeze()
@@ -200,10 +203,10 @@ func (t *Trace) LoadPartial() (*core.Partial, error) {
 // pooled buffers returned, file closed — at io.EOF, on the first error,
 // or at Close, which a reader abandoning the segment mid-way must call.
 //
-// Sequential readers (Each, Collect, LoadPartial's replay, the
-// appender's readback, WindowShards) take decoded batches, and a job is
-// valid only until the next one; ParallelScanPartial's IO goroutine
-// takes bare frames, which its workers decode as columns.
+// Sequential readers (Each, Collect, the appender's readback,
+// WindowShards) take decoded batches, and a job is valid only until the
+// next one; LoadPartial's replay decodes columns, and so do the workers
+// ParallelScanPartial's IO goroutine hands bare frames to.
 type segmentSource struct {
 	dir   string
 	seg   SegmentInfo
@@ -250,9 +253,8 @@ func (s *segmentSource) nextFrame(buf []byte) ([]byte, error) {
 	return payload, nil
 }
 
-// batch decodes the next kept block into the decoder's reused batch, or
-// reports io.EOF at the end of the committed prefix.
-func (s *segmentSource) batch() ([]trace.Job, error) {
+// kept reads the next kept frame into the pooled buffer, or io.EOF.
+func (s *segmentSource) kept() ([]byte, error) {
 	if s.done {
 		return nil, io.EOF
 	}
@@ -264,11 +266,33 @@ func (s *segmentSource) batch() ([]trace.Job, error) {
 		return nil, err
 	}
 	*s.frame = payload
+	return payload, nil
+}
+
+// batch decodes the next kept block into the decoder's reused batch.
+func (s *segmentSource) batch() ([]trace.Job, error) {
+	payload, err := s.kept()
+	if err != nil {
+		return nil, err
+	}
 	jobs, err := s.dec.Decode(payload)
 	if err != nil {
 		return nil, s.fail(err)
 	}
 	return jobs, nil
+}
+
+// columns decodes the next kept block as the columns of all its rows.
+func (s *segmentSource) columns() (*trace.Columns, error) {
+	payload, err := s.kept()
+	if err != nil {
+		return nil, err
+	}
+	cols, err := s.dec.DecodeColumns(payload, false, time.Time{}, time.Time{})
+	if err != nil {
+		return nil, s.fail(err)
+	}
+	return cols, nil
 }
 
 // each hands every job of the segment to fn, closing the source when fn

@@ -32,3 +32,33 @@ type Columns struct {
 
 // Len returns the number of rows.
 func (c *Columns) Len() int { return len(c.SubmitSec) }
+
+// ChunkRows is how many rows a producer gathers per fold: a colseg block.
+const ChunkRows = 4096
+
+// Append adds j as the last row, copying its fields (j may be reused).
+func (c *Columns) Append(j *Job) {
+	c.SubmitSec = append(c.SubmitSec, j.SubmitTime.Unix())
+	c.SubmitNanos = append(c.SubmitNanos, uint32(j.SubmitTime.Nanosecond()))
+	c.Duration = append(c.Duration, j.Duration)
+	c.InputBytes = append(c.InputBytes, j.InputBytes)
+	c.ShuffleBytes = append(c.ShuffleBytes, j.ShuffleBytes)
+	c.OutputBytes = append(c.OutputBytes, j.OutputBytes)
+	c.MapTime = append(c.MapTime, j.MapTime)
+	c.ReduceTime = append(c.ReduceTime, j.ReduceTime)
+	c.Name = append(c.Name, j.Name)
+}
+
+// Reset empties the columns, keeping their capacity.
+func (c *Columns) Reset() {
+	clear(c.Name) // unpin the names
+	*c = Columns{c.SubmitSec[:0], c.SubmitNanos[:0], c.Duration[:0], c.InputBytes[:0],
+		c.ShuffleBytes[:0], c.OutputBytes[:0], c.MapTime[:0], c.ReduceTime[:0], c.Name[:0]}
+}
+
+// OneRow returns a run holding only j.
+func OneRow(j *Job) *Columns {
+	c := new(Columns)
+	c.Append(j)
+	return c
+}
