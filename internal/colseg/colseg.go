@@ -85,12 +85,6 @@ const Magic = "swimcsg1"
 // Version is the format version written after the magic.
 const Version = 1
 
-// BlockJobs is the default number of jobs per block: large enough that
-// per-block framing and dictionaries amortize to noise, small enough
-// that one block's decode batch stays cache-friendly and a time-range
-// scan prunes at useful granularity.
-const BlockJobs = 4096
-
 // maxBlockBytes soft-caps a block's encoded size: a block also rotates
 // when its columns outgrow this, so jobs with multi-megabyte strings
 // cannot make one block (the corruption/retry unit) arbitrarily large.

@@ -10,6 +10,12 @@ import (
 	"repro/internal/trace"
 )
 
+// BlockJobs is the default number of jobs per block: large enough that
+// per-block framing and dictionaries amortize to noise, small enough
+// that one block's decode batch stays cache-friendly and a time-range
+// scan prunes at useful granularity. Producers fold runs of as many.
+const BlockJobs = trace.ChunkRows
+
 // Writer encodes a stream of job records into colseg blocks. Jobs are
 // buffered column-at-a-time and flushed as one framed block when the
 // block fills (BlockJobs jobs or the block byte cap); Flush emits the

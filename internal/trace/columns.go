@@ -33,7 +33,7 @@ type Columns struct {
 // Len returns the number of rows.
 func (c *Columns) Len() int { return len(c.SubmitSec) }
 
-// ChunkRows is how many rows a producer gathers per fold: a colseg block.
+// ChunkRows is how many rows a producer folds at a time: colseg.BlockJobs.
 const ChunkRows = 4096
 
 // Append adds j as the last row, copying its fields (j may be reused).
